@@ -11,19 +11,40 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import FieldMismatch, NotPrime
+from .errors import FieldMismatch, ModulusTooLarge, NotPrime
+
+
+# The first 13 primes.  As Miller-Rabin bases they decide primality exactly
+# below _MR_LIMIT (Sorenson and Webster, "Strong pseudoprimes to twelve prime
+# bases", Math. Comp. 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
 def _is_prime(p):
+    """Deterministic Miller-Rabin; raises ModulusTooLarge where it is not exact."""
     if p < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for b in _MR_BASES:
+        if p % b == 0:
+            return p == b
+    if p >= _MR_LIMIT:
+        raise ModulusTooLarge(f"{p} is too large to test for primality "
+                              f"(limit {_MR_LIMIT})")
+    d, r = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

@@ -245,9 +245,7 @@ def cmd_tradeoff(args) -> int:
     flavor = None if game == STANDARD else args.flavor
     field = _parse_field(args.field)
 
-    ms, _ = min_space(dag, game, flavor, args.state_budget)
-    smax = args.smax if args.smax is not None else ms + 2
-    points = pareto(dag, game, flavor, smax, args.state_budget)
+    points = pareto(dag, game, flavor, args.smax, args.state_budget)
     candidates = _upper_bound_candidates(args, dag, flavor)
 
     rows = ["space,optimal_time,theorem_bound,strategy_upper_time,cert_size,cert_degree"]

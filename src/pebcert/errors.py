@@ -17,6 +17,10 @@ class UnknownVertex(GraphError):
     pass
 
 
+class UnhashableVertex(GraphError):
+    """A vertex name that cannot key a dict, such as a JSON list."""
+
+
 class CycleDetected(GraphError):
     pass
 
@@ -90,7 +94,17 @@ class SpaceInfeasible(SearchError):
 
 
 class InstanceTooLarge(SearchError):
-    """State-count budget exceeded; pass a larger state_budget to proceed."""
+    """State-count budget exceeded; pass a larger state_budget to proceed.
+
+    `discovered` counts the configurations found when the search stopped and
+    `layer` is the deepest BFS layer it had discovered in full.
+    """
+
+    def __init__(self, budget: int, discovered: int, layer: int):
+        super().__init__(f"state budget {budget} exceeded: {discovered} configurations "
+                         f"discovered, layers 0..{layer} complete")
+        self.discovered = discovered
+        self.layer = layer
 
 
 class AlgebraError(ValueError):
@@ -103,6 +117,10 @@ class FieldMismatch(AlgebraError):
 
 class NotPrime(AlgebraError):
     pass
+
+
+class ModulusTooLarge(AlgebraError):
+    """Prime modulus beyond the range where the primality test is exact."""
 
 
 class CertificateError(ValueError):

@@ -31,6 +31,7 @@ from .errors import (
     NotASinkVertex,
     NotPowerOfTwo,
     ParamOutOfRange,
+    UnhashableVertex,
     UnknownVertex,
 )
 
@@ -121,16 +122,26 @@ class Dag:
         }
 
 
+def _hashable(name) -> bool:
+    try:
+        hash(name)
+    except TypeError:
+        return False
+    return True
+
+
 def build_dag(vertices, edges, designated_sink=None) -> Dag:
     """Validate and index a DAG given vertex names and (pred, succ) pairs.
 
     Vertices are re-ordered topologically (stable: ties broken by declaration
-    order).  Raises DuplicateVertex, UnknownVertex, CycleDetected, or NotASink
-    if the designated sink has a successor.
+    order).  Raises UnhashableVertex, DuplicateVertex, UnknownVertex,
+    CycleDetected, or NotASink if the designated sink has a successor.
     """
     vertices = list(vertices)
     declared = {}
     for pos, name in enumerate(vertices):
+        if not _hashable(name):
+            raise UnhashableVertex(f"vertex name {name!r} is not hashable")
         if name in declared:
             raise DuplicateVertex(f"vertex {name!r} declared twice")
         declared[name] = pos
@@ -139,7 +150,7 @@ def build_dag(vertices, edges, designated_sink=None) -> Dag:
     preds = {name: set() for name in vertices}
     for a, b in edges:
         for end in (a, b):
-            if end not in declared:
+            if not _hashable(end) or end not in declared:
                 raise UnknownVertex(f"edge endpoint {end!r} not declared")
         succs[a].add(b)
         preds[b].add(a)
@@ -168,7 +179,7 @@ def build_dag(vertices, edges, designated_sink=None) -> Dag:
 
     sink_idx = None
     if designated_sink is not None:
-        if designated_sink not in index:
+        if not _hashable(designated_sink) or designated_sink not in index:
             raise UnknownVertex(f"designated sink {designated_sink!r} not declared")
         sink_idx = index[designated_sink]
         if succs[designated_sink]:

@@ -469,16 +469,24 @@ def certificate_from_json(data, field: Field | None = None) -> Certificate:
     return Certificate(field, mode, multipliers, booleans)
 
 
+def _vars_from_json(entry):
+    names = entry["vars"]
+    if not isinstance(names, list) or not all(isinstance(v, (str, int)) for v in names):
+        raise CertificateError(f'"vars" must be a list of vertex names, got {names!r}')
+    return names
+
+
 def _poly_from_json(field, entries, mode):
     if mode == MULTILINEAR:
         poly = MultilinearPoly.zero(field)
         for e in entries:
-            poly = poly + MultilinearPoly.monomial(field, e["vars"], field.parse(e["coeff"]))
+            poly = poly + MultilinearPoly.monomial(field, _vars_from_json(e),
+                                                   field.parse(e["coeff"]))
         return poly
     poly = ExpPoly.zero(field)
     for e in entries:
         exps = {}
-        for v in e["vars"]:
+        for v in _vars_from_json(e):
             exps[v] = exps.get(v, 0) + 1
         poly = poly + ExpPoly.monomial(field, tuple(sorted(exps.items())),
                                        field.parse(e["coeff"]))

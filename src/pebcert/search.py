@@ -1,24 +1,39 @@
 """Exact solvers over the pebble-game configuration space.
 
 Configurations are bitmasks over topological indices; states with more than
-the budgeted number of pebbles are never generated.  Reversible moves are
-symmetric (toggle v whenever pred(v) is pebbled), so reversible reachability
-is connectivity in an undirected graph and the optimal visiting time is twice
-the shortest distance from the empty configuration to any sink-containing
-one (shortest half, then mirror).  Standard-game optima add the final
-clean-up removals to the distance.
+the budgeted number of pebbles are never generated.  Every search runs
+forward from the empty configuration, one breadth-first layer at a time, and
+counts each configuration it discovers, {} included, against the state
+budget.
+
+Reversible moves are symmetric (toggle v whenever pred(v) is pebbled), so an
+optimal reversible pebbling follows a shortest path.  The search stops at the
+first layer that holds a goal, once that whole layer is discovered: any
+sink-containing configuration for the visiting flavor (time twice the
+distance: shortest half, then mirror), {z} for the persistent one (time the
+distance).
+
+Standard moves are not symmetric, since a pebble may always be removed.  A
+sink-containing configuration T discovered at layer k finishes in k + |T|
+moves, the path and then the clean-up.  Such configurations are not expanded,
+because leaving one never makes the clean-up cheaper, so each is discovered
+exactly once, by placing z.  As T holds z and all of pred(z), layer k+1
+cannot finish in fewer than k + 2 + |pred(z)| moves; the search stops once
+that exceeds the best finish found.
 
 Witnesses are deterministic: among equal-length solutions the walk picks the
-lexicographically smallest move sequence under topological vertex order.
+lexicographically smallest move sequence under topological vertex order.  The
+discovered layers are first pruned backward from the optimal goals to the
+shortest-path DAG: from each on-path configuration of layer k+1 only its
+neighbours that lie in layer k are visited.  The walk then goes forward from
+{}, each step taking the lowest vertex whose move reaches an on-path
+configuration of the next layer.
 """
 
 from __future__ import annotations
 
-import heapq
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import factorial
 
 from .errors import (
@@ -66,195 +81,172 @@ def _check_game(game, flavor):
         raise SearchError(f"reversible search needs a flavor, got {flavor!r}")
 
 
-class _Budget:
-    __slots__ = ("left",)
-
-    def __init__(self, limit):
-        self.left = limit
-
-    def spend(self, amount=1):
-        self.left -= amount
-        if self.left < 0:
-            raise InstanceTooLarge("state budget exceeded")
-
-
-def _pred_masks(dag):
-    masks = []
-    for preds in dag.preds:
+def _toggles(dag):
+    """(bit, predecessor mask) of every vertex, in topological order."""
+    out = []
+    for v, preds in enumerate(dag.preds):
         m = 0
         for p in preds:
             m |= 1 << p
-        masks.append(m)
-    return masks
+        out.append((1 << v, m))
+    return out
 
 
-def _feasible(dag, game, flavor, space, budget):
-    """Forward reachability probe: is any goal configuration reachable?"""
-    n = len(dag)
-    pm = _pred_masks(dag)
+def _rev_layers(dag, space, persistent, limit):
+    """Reversible BFS from {} to the first goal layer.
+
+    Returns (dist, goals): the layer of every discovered configuration, and
+    the goals of the last layer with their layer; None when no goal is
+    reachable.
+    """
+    toggles = _toggles(dag)
     zbit = 1 << dag.designated_sink
-    goal_mask = (1 << dag.designated_sink) if (game, flavor) == (REVERSIBLE, PERSISTENT) else None
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        budget.spend()
-        can_grow = u.bit_count() < space
-        for v in range(n):
-            bit = 1 << v
-            if u & bit:
-                if game == STANDARD or u & pm[v] == pm[v]:
-                    x = u & ~bit
-                else:
-                    continue
+    dist = {0: 0}
+    frontier = [0]
+    layer = 0
+    while frontier:
+        layer += 1
+        nxt = []
+        for u in frontier:
+            if u.bit_count() < space:
+                for bit, pm in toggles:
+                    if u & pm == pm:
+                        x = u ^ bit
+                        if x not in dist:
+                            dist[x] = layer
+                            nxt.append(x)
             else:
-                if can_grow and u & pm[v] == pm[v]:
-                    x = u | bit
-                else:
-                    continue
-            if x in seen:
-                continue
-            if goal_mask is None:
-                if x & zbit:
-                    return True
-            elif x == goal_mask:
-                return True
-            seen.add(x)
-            queue.append(x)
-    return False
+                for bit, pm in toggles:
+                    if u & bit and u & pm == pm:
+                        x = u ^ bit
+                        if x not in dist:
+                            dist[x] = layer
+                            nxt.append(x)
+            if len(dist) > limit:
+                raise InstanceTooLarge(limit, len(dist), layer - 1)
+        if persistent:
+            if zbit in dist:
+                return dist, {zbit: layer}
+        else:
+            goals = [x for x in nxt if x & zbit]
+            if goals:
+                return dist, dict.fromkeys(goals, layer)
+        frontier = nxt
+    return None
 
 
-def _sink_configs(dag, space):
-    """All configurations containing the sink with at most `space` pebbles."""
+def _std_layers(dag, space, limit):
+    """Standard BFS from {}, scoring each sink configuration T at layer k as k + |T|.
+
+    Returns (dist, goals, best): the layer of every discovered configuration
+    without the sink, the optimal sink configurations with their layer, and
+    their finishing time; None when the sink cannot be pebbled.
+    """
     z = dag.designated_sink
-    others = [i for i in range(len(dag)) if i != z]
-    zbit = 1 << z
-    for k in range(0, max(space, 1)):
-        for combo in combinations(others, k):
-            m = zbit
-            for i in combo:
-                m |= 1 << i
-            yield m
+    toggles = _toggles(dag)
+    zbit, zpm = toggles[z]
+    others = toggles[:z] + toggles[z + 1:]
+    least = 1 + zpm.bit_count()
+    dist = {0: 0}
+    sinks = 0
+    frontier = [0]
+    layer = 0
+    best = None
+    goals = {}
+    while frontier and (best is None or layer + 1 + least <= best):
+        layer += 1
+        nxt = []
+        for u in frontier:
+            if u.bit_count() < space:
+                for bit, pm in others:
+                    if u & bit:
+                        x = u ^ bit
+                    elif u & pm == pm:
+                        x = u | bit
+                    else:
+                        continue
+                    if x not in dist:
+                        dist[x] = layer
+                        nxt.append(x)
+                if u & zpm == zpm:
+                    sinks += 1
+                    score = layer + u.bit_count() + 1
+                    if best is None or score < best:
+                        best, goals = score, {}
+                    if score == best:
+                        goals[u | zbit] = layer
+            else:
+                for bit, _ in others:
+                    if u & bit:
+                        x = u ^ bit
+                        if x not in dist:
+                            dist[x] = layer
+                            nxt.append(x)
+            if len(dist) + sinks > limit:
+                raise InstanceTooLarge(limit, len(dist) + sinks, layer - 1)
+        frontier = nxt
+    if best is None:
+        return None
+    return dist, goals, best
 
 
-def _rev_dist_to_goals(dag, space, goals, budget):
-    """Undirected BFS distances to the nearest goal; stops once {} is settled."""
-    n = len(dag)
-    pm = _pred_masks(dag)
-    dist = {}
-    queue = deque()
-    for g in goals:
-        if g not in dist:
-            dist[g] = 0
-            queue.append(g)
-            budget.spend()
-    while queue:
-        u = queue.popleft()
-        if u == 0:
-            return dist
-        d = dist[u] + 1
-        can_grow = u.bit_count() < space
-        for v in range(n):
-            if u & pm[v] == pm[v]:
-                x = u ^ (1 << v)
-                if x > u and not can_grow:
-                    continue
-                if x not in dist:
-                    budget.spend()
-                    dist[x] = d
-                    queue.append(x)
-    return dist
+def _walk(dag, dist, goals, free_removal):
+    """Lexicographically smallest shortest path from {} to a goal.
 
-
-def _rev_walk(dag, space, dist):
-    """Lexicographically smallest distance-decreasing walk from {}."""
-    n = len(dag)
-    pm = _pred_masks(dag)
+    `goals` maps each goal to its layer; `dist` gives the layer of every
+    configuration a path may pass.  `free_removal` makes every removal legal
+    (standard game); otherwise a move needs pred(v) pebbled.
+    """
+    toggles = _toggles(dag)
+    on = {}
+    for g, layer in goals.items():
+        on.setdefault(layer, set()).add(g)
+    for k in range(max(on), 1, -1):
+        below = on.setdefault(k - 1, set())
+        for x in on[k]:
+            for bit, pm in toggles:
+                if x & pm == pm or (free_removal and not x & bit):
+                    y = x ^ bit
+                    if dist.get(y) == k - 1:
+                        below.add(y)
     moves = []
     cur = 0
-    d = dist[0]
-    while d > 0:
-        for v in range(n):
-            if cur & pm[v] != pm[v]:
-                continue
-            bit = 1 << v
-            x = cur ^ bit
-            if x > cur and cur.bit_count() >= space:
-                continue
-            if dist.get(x) == d - 1:
-                moves.append(Move(PLACE if x > cur else REMOVE, dag.names[v]))
-                cur = x
-                d -= 1
-                break
+    k = 0
+    while cur not in goals:
+        k += 1
+        ahead = on[k]
+        for v, (bit, pm) in enumerate(toggles):
+            if cur & pm == pm or (free_removal and cur & bit):
+                x = cur ^ bit
+                if x in ahead:
+                    moves.append(Move(PLACE if x > cur else REMOVE, dag.names[v]))
+                    cur = x
+                    break
         else:
             raise SearchError("walk failed to make progress")  # unreachable
     return moves, cur
 
 
-def _std_cost_to_finish(dag, space, budget):
-    """Dijkstra over reversed standard moves from every sink configuration.
-
-    cost(U) = min over sink configurations T of dist(U -> T) + |T|, i.e. the
-    optimal number of remaining moves before the final clean-up completes.
-    """
-    n = len(dag)
-    pm = _pred_masks(dag)
-    cost = {}
-    heap = []
-    for t in _sink_configs(dag, space):
-        budget.spend()
-        heapq.heappush(heap, (t.bit_count(), t))
-    while heap:
-        c, u = heapq.heappop(heap)
-        if u in cost:
-            continue
-        cost[u] = c
-        if u == 0:
-            return cost
-        budget.spend()
-        size = u.bit_count()
-        for v in range(n):
-            bit = 1 << v
-            if u & bit:
-                # reverse of a placement: v was just placed
-                if u & pm[v] == pm[v]:
-                    x = u & ~bit
-                    if x not in cost:
-                        heapq.heappush(heap, (c + 1, x))
-            elif size < space:
-                # reverse of a removal: v was present before
-                x = u | bit
-                if x not in cost:
-                    heapq.heappush(heap, (c + 1, x))
-    return cost
-
-
-def _std_walk(dag, space, cost):
-    n = len(dag)
-    pm = _pred_masks(dag)
-    zbit = 1 << dag.designated_sink
-    moves = []
-    cur = 0
-    while not cur & zbit:
-        c = cost[cur]
-        for v in range(n):
-            bit = 1 << v
-            if cur & bit:
-                x = cur & ~bit
-            elif cur.bit_count() < space and cur & pm[v] == pm[v]:
-                x = cur | bit
-            else:
-                continue
-            if cost.get(x) == c - 1:
-                moves.append(Move(PLACE if x > cur else REMOVE, dag.names[v]))
-                cur = x
-                break
-        else:
-            raise SearchError("walk failed to make progress")  # unreachable
-    for v in range(n):
+def _solve(dag, game, flavor, space, state_budget):
+    """Optimal (time, witness) within `space` pebbles; None when infeasible."""
+    if game == REVERSIBLE:
+        found = _rev_layers(dag, space, flavor == PERSISTENT, state_budget)
+        if found is None:
+            return None
+        dist, goals = found
+        moves, _ = _walk(dag, dist, goals, False)
+        if flavor == PERSISTENT:
+            return len(moves), Strategy(REVERSIBLE, PERSISTENT, tuple(moves))
+        return 2 * len(moves), mirror_extend(dag, moves)
+    found = _std_layers(dag, space, state_budget)
+    if found is None:
+        return None
+    dist, goals, best = found
+    moves, cur = _walk(dag, dist, goals, True)
+    for v in range(len(dag)):
         if cur >> v & 1:
             moves.append(Move(REMOVE, dag.names[v]))
-    return moves
+    return best, Strategy(STANDARD, None, tuple(moves))
 
 
 def min_time_within_space(dag: Dag, game: str, flavor: str | None, space: int,
@@ -270,51 +262,44 @@ def min_time_within_space(dag: Dag, game: str, flavor: str | None, space: int,
     _check_game(game, flavor)
     if space < 1:
         raise SpaceInfeasible("budget below one pebble")
-    budget = _Budget(state_budget)
-    if game == REVERSIBLE:
-        if flavor == PERSISTENT:
-            goals = [1 << dag.designated_sink]
-        else:
-            goals = _sink_configs(dag, space)
-        dist = _rev_dist_to_goals(dag, space, goals, budget)
-        if 0 not in dist:
-            raise SpaceInfeasible(f"no {flavor} reversible pebbling in space {space}")
-        moves, _ = _rev_walk(dag, space, dist)
-        if flavor == PERSISTENT:
-            return dist[0], Strategy(REVERSIBLE, PERSISTENT, tuple(moves))
-        return 2 * dist[0], mirror_extend(dag, moves)
-    cost = _std_cost_to_finish(dag, space, budget)
-    if 0 not in cost:
-        raise SpaceInfeasible(f"no standard pebbling in space {space}")
-    moves = _std_walk(dag, space, cost)
-    return cost[0], Strategy(STANDARD, None, tuple(moves))
+    found = _solve(dag, game, flavor, space, state_budget)
+    if found is None:
+        kind = f"{flavor} reversible" if game == REVERSIBLE else "standard"
+        raise SpaceInfeasible(f"no {kind} pebbling in space {space}")
+    return found
 
 
 def min_space(dag: Dag, game: str, flavor: str | None = VISITING,
               state_budget: int = DEFAULT_STATE_BUDGET):
     """Smallest pebble budget admitting a legal pebbling, with a witness.
 
-    The witness is the deterministic time-optimal strategy at that budget.
+    Searches the budgets 1, 2, ... in turn; the witness is the deterministic
+    time-optimal strategy of the first one that succeeds.
     """
     _require_single_sink(dag)
     _check_game(game, flavor)
     for s in range(1, len(dag) + 1):
-        if _feasible(dag, game, flavor, s, _Budget(state_budget)):
-            _, witness = min_time_within_space(dag, game, flavor, s, state_budget)
-            return s, witness
+        found = _solve(dag, game, flavor, s, state_budget)
+        if found is not None:
+            return s, found[1]
     raise SpaceInfeasible("no legal pebbling at any budget")  # unreachable
 
 
-def pareto(dag: Dag, game: str, flavor: str | None, s_max: int,
+def pareto(dag: Dag, game: str, flavor: str | None, s_max: int | None = None,
            state_budget: int = DEFAULT_STATE_BUDGET) -> list[TradeoffPoint]:
-    """Optimal time for every budget from min_space up to s_max."""
-    ms, _ = min_space(dag, game, flavor, state_budget)
+    """Optimal time for every budget from min_space up to s_max.
+
+    s_max defaults to min_space + 2.  Each budget is searched once.
+    """
+    ms, witness = min_space(dag, game, flavor, state_budget)
+    if s_max is None:
+        s_max = ms + 2
     if s_max < ms:
         raise SpaceInfeasible(f"s_max {s_max} below min space {ms}")
-    points = []
-    for s in range(ms, s_max + 1):
+    points = [TradeoffPoint(ms, len(witness.moves), witness)]
+    for s in range(ms + 1, s_max + 1):
         t, witness = min_time_within_space(dag, game, flavor, s, state_budget)
-        if points and t > points[-1].time:
+        if t > points[-1].time:
             raise InternalConsistencyError("pareto times must be non-increasing")
         points.append(TradeoffPoint(s, t, witness))
     return points

@@ -4,12 +4,14 @@ Everything is exact: prime-field elements are ints mod p, rationals are
 fractions; multilinear products clamp exponents by monomial union.
 """
 
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from pebcert.algebra import ExpPoly, Field, MultilinearPoly, multilinear_product
-from pebcert.errors import FieldMismatch, NotPrime
+from pebcert.errors import FieldMismatch, ModulusTooLarge, NotPrime
 
 
 def test_prime_field_arithmetic():
@@ -36,6 +38,26 @@ def test_prime_check():
             Field.prime(bad)
     Field.prime(2)
     Field.prime(97)
+
+
+def test_prime_check_large_moduli():
+    start = time.perf_counter()
+    assert Field.prime(10**18 + 3).p == 10**18 + 3
+    assert time.perf_counter() - start < 0.5
+    # a Carmichael number and strong pseudoprimes to the bases 2..7 and 2..23
+    for bad in (561, 3215031751, 3825123056546413051):
+        with pytest.raises(NotPrime):
+            Field.prime(bad)
+    with pytest.raises(ModulusTooLarge):
+        Field.prime(2**89 - 1)  # prime, beyond the exact range of the test
+
+
+def test_benchmark_primes_parse(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    for p in workloads.PRIMES:
+        assert Field.prime(p).p == p
 
 
 def test_multilinear_product_idempotent_variable():

@@ -7,6 +7,8 @@ metrics.  Exit codes: 0 success, 1 invalid input, 2 infeasible/too-large,
 
 import json
 
+import pytest
+
 from pebcert import load_certificate, load_graph, load_strategy, verify_strategy
 from pebcert.cli import main
 
@@ -116,6 +118,31 @@ def test_cert_verify_invalid_exits_one(tmp_path, capsys):
     assert "valid: false" in out
 
 
+@pytest.mark.parametrize("mode", ["multilinear", "standard"])
+def test_cert_verify_string_vars_exits_one(tmp_path, capsys, mode):
+    graph = tmp_path / "line2.json"
+    run(capsys, "gen", "--family", "line", "--n", "2", "--out", str(graph))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "field": {"prime": 2}, "mode": mode,
+        "multipliers": [{"axiom": "sink", "poly": [{"coeff": "1", "vars": "v2"}]}],
+    }))
+    code, _, err = run(capsys, "cert", "verify", str(graph), str(bad))
+    assert code == 1
+    assert "vars" in err
+
+
+def test_field_beyond_exact_primality_exits_one(tmp_path, capsys):
+    graph = tmp_path / "line2.json"
+    run(capsys, "gen", "--family", "line", "--n", "2", "--out", str(graph))
+    witness = tmp_path / "w.json"
+    run(capsys, "solve", "--mode", "min-space", str(graph), "--witness", str(witness))
+    code, _, err = run(capsys, "cert", "compile", "--field", str(2**89 - 1),
+                       str(graph), str(witness))
+    assert code == 1
+    assert "too large" in err
+
+
 def test_tradeoff_cs_table(tmp_path, capsys):
     code, out, _ = run(capsys, "tradeoff", "--family", "cs", "--c", "4", "--r", "1",
                        "--game", "standard")
@@ -150,6 +177,14 @@ def test_exit_code_invalid_graph(tmp_path, capsys):
     assert code == 1
 
 
+def test_exit_code_unhashable_vertex(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"vertices": [["a"]], "edges": [], "sink": None}))
+    code, _, err = run(capsys, "solve", "--mode", "min-space", str(bad))
+    assert code == 1
+    assert "not hashable" in err
+
+
 def test_exit_code_infeasible(tmp_path, capsys):
     graph = tmp_path / "line2.json"
     run(capsys, "gen", "--family", "line", "--n", "2", "--out", str(graph))
@@ -159,3 +194,13 @@ def test_exit_code_infeasible(tmp_path, capsys):
                        str(graph))
     assert code == 2
     assert "state-budget" in err
+
+
+def test_state_budget_report(tmp_path, capsys):
+    graph = tmp_path / "line2.json"
+    run(capsys, "gen", "--family", "line", "--n", "2", "--out", str(graph))
+    code, _, err = run(capsys, "solve", "--mode", "min-time", "--space", "2",
+                       "--state-budget", "2", str(graph))
+    assert code == 2
+    assert "3 configurations discovered, layers 0..1 complete" in err
+    assert "raise --state-budget" in err

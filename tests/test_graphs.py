@@ -29,6 +29,7 @@ from pebcert.errors import (
     NotASinkVertex,
     NotPowerOfTwo,
     ParamOutOfRange,
+    UnhashableVertex,
     UnknownVertex,
 )
 from pebcert.graphs import bit_reverse_index
@@ -54,6 +55,15 @@ def test_build_duplicate_vertex():
 def test_build_unknown_edge_endpoint():
     with pytest.raises(UnknownVertex):
         build_dag(["a"], [("a", "b")])
+
+
+def test_build_unhashable_names():
+    with pytest.raises(UnhashableVertex):
+        build_dag([["a"]], [])
+    with pytest.raises(UnknownVertex):
+        build_dag(["a"], [("a", ["b"])])
+    with pytest.raises(UnknownVertex):
+        build_dag(["a"], [], ["a"])
 
 
 def test_build_designated_sink_with_successor():

@@ -38,6 +38,7 @@ from pebcert import (
 )
 from pebcert.algebra import ExpPoly, Field, MultilinearPoly
 from pebcert.errors import (
+    CertificateError,
     CertificateInvalid,
     NoDesignatedSink,
     NotMultilinear,
@@ -390,6 +391,16 @@ def test_certificate_json_rationals_and_exponents():
     again = certificate_from_json(json.loads(json.dumps(data)))
     assert again.multipliers == cert.multipliers
     assert again.boolean_multipliers == cert.boolean_multipliers
+
+
+@pytest.mark.parametrize("mode", ["multilinear", "standard"])
+def test_certificate_json_rejects_string_vars(mode):
+    data = {"field": {"prime": 2}, "mode": mode,
+            "multipliers": [{"axiom": "sink", "poly": [{"coeff": "1", "vars": "ab"}]}]}
+    with pytest.raises(CertificateError):
+        certificate_from_json(data)
+    data["multipliers"][0]["poly"][0]["vars"] = ["a", "b"]
+    assert certificate_from_json(data).multipliers["sink"].num_monomials() == 1
 
 
 def test_certificate_json_field_override():

@@ -5,12 +5,15 @@ than the reported optimum and confirms none completes a legal pebbling, so
 the BFS optimum is grounded independently of the search implementation.
 """
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from pebcert import (
     carlson_savage,
+    search,
     cs_lower_bound,
     line,
     min_space,
@@ -20,6 +23,7 @@ from pebcert import (
     single_sink_restriction,
     verify_strategy,
 )
+from pebcert.cli import main
 from pebcert.errors import InstanceTooLarge, NoDesignatedSink, SpaceInfeasible
 
 
@@ -185,3 +189,87 @@ def test_oracle_vs_enumeration_on_random_dags():
             if space > 1:
                 with pytest.raises(SpaceInfeasible):
                     min_time_within_space(dag, game, flavor, space - 1)
+
+
+# -- forward layered search ------------------------------------------------------
+
+# Witnesses of the goal-seeded backward search that the forward search
+# replaced, at min space and one pebble more: the tie-break must not move.
+GOLDEN = json.loads(Path(__file__).with_name("golden_witnesses.json").read_text())
+GOLDEN_GRAPHS = {
+    "pyramid(3)": lambda: pyramid(3),
+    "line(8)": lambda: line(8),
+    "cs(3,2)": lambda: _cs_prime(3, 2),
+}
+
+
+def _move_text(strategy):
+    return " ".join(("+" if m.op == "place" else "-") + m.vertex for m in strategy.moves)
+
+
+@pytest.mark.parametrize("pair", sorted(GOLDEN))
+def test_golden_witnesses(pair):
+    expected = GOLDEN[pair]
+    graph, game, flavor = pair.split("/")
+    flavor = None if flavor == "-" else flavor
+    dag = GOLDEN_GRAPHS[graph]()
+    ms, witness = min_space(dag, game, flavor)
+    assert ms == expected["min_space"]
+    assert _move_text(witness) == expected[str(ms)]["moves"]
+    for s in (ms, ms + 1):
+        t, witness = min_time_within_space(dag, game, flavor, s)
+        assert t == expected[str(s)]["time"]
+        assert _move_text(witness) == expected[str(s)]["moves"]
+
+
+@pytest.mark.parametrize("game,flavor", [
+    ("reversible", "visiting"), ("reversible", "persistent"), ("standard", "visiting"),
+])
+def test_tradeoff_searches_each_budget_once(monkeypatch, capsys, game, flavor):
+    budgets = []
+    solve = search._solve
+
+    def counting(dag, game, flavor, space, state_budget):
+        budgets.append(space)
+        return solve(dag, game, flavor, space, state_budget)
+
+    monkeypatch.setattr(search, "_solve", counting)
+    assert main(["tradeoff", "--family", "pyramid", "--height", "3",
+                 "--game", game, "--flavor", flavor]) == 0
+    rows = capsys.readouterr().out.strip().split("\n")[1:]
+    smax = int(rows[-1].split(",")[0])
+    assert smax == int(rows[0].split(",")[0]) + 2
+    assert budgets == list(range(1, smax + 1))
+
+
+def _reversible_distances(dag, space):
+    """BFS distances from {} over all configurations of at most `space` pebbles."""
+    dist = {0: 0}
+    queue = [0]
+    for u in queue:
+        for v in range(len(dag)):
+            if all(u >> p & 1 for p in dag.preds[v]):
+                x = u ^ (1 << v)
+                if x.bit_count() <= space and x not in dist:
+                    dist[x] = dist[u] + 1
+                    queue.append(x)
+    return dist
+
+
+@pytest.mark.parametrize("flavor", ["visiting", "persistent"])
+def test_state_budget_boundary(flavor):
+    # the search discovers exactly the configurations up to the first goal layer
+    dag = pyramid(2)
+    space = min_space(dag, "reversible", flavor)[0]
+    dist = _reversible_distances(dag, space)
+    z = 1 << dag.designated_sink
+    if flavor == "visiting":
+        goal = min(d for x, d in dist.items() if x & z)
+    else:
+        goal = dist[z]
+    discovered = sum(1 for d in dist.values() if d <= goal)
+    t, _ = min_time_within_space(dag, "reversible", flavor, space, state_budget=discovered)
+    assert t == (2 * goal if flavor == "visiting" else goal)
+    with pytest.raises(InstanceTooLarge) as info:
+        min_time_within_space(dag, "reversible", flavor, space, state_budget=discovered - 1)
+    assert (info.value.discovered, info.value.layer) == (discovered, goal - 1)
