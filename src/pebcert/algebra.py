@@ -3,8 +3,13 @@
 Two polynomial representations: MultilinearPoly maps square-free monomials
 (frozensets of variable names) to nonzero field elements, multiplying by set
 union; ExpPoly tracks exponents for the standard, non-multilinear setting and
-clamps down to a MultilinearPoly.  No floating point anywhere: prime-field
-elements are ints mod p, rational elements are fractions.
+clamps down to a MultilinearPoly.  `terms` is keyed by vertex names at the
+API.  No floating point anywhere: prime-field elements are ints mod p,
+rational elements are fractions.
+
+Every sum is accumulated in place, one term at a time, by
+`Field.accumulate`; results are wrapped by the private `_of`, which trusts
+reduced nonzero coefficients, so only the public constructor coerces.
 """
 
 from __future__ import annotations
@@ -47,16 +52,17 @@ def _is_prime(p):
             return False
     return True
 
-
 class Field:
     """A prime field GF(p) or the rationals, with exact element arithmetic."""
 
-    __slots__ = ("p",)
+    __slots__ = ("p", "zero", "one")
 
     def __init__(self, p=None):
         if p is not None and not _is_prime(p):
             raise NotPrime(f"{p} is not prime")
         self.p = p
+        self.zero = Fraction(0) if p is None else 0
+        self.one = Fraction(1) if p is None else 1
 
     @classmethod
     def prime(cls, p: int) -> "Field":
@@ -75,14 +81,6 @@ class Field:
             return Fraction(x)
         return int(x) % self.p
 
-    @property
-    def zero(self):
-        return Fraction(0) if self.p is None else 0
-
-    @property
-    def one(self):
-        return Fraction(1) if self.p is None else 1
-
     def add(self, a, b):
         return a + b if self.p is None else (a + b) % self.p
 
@@ -94,6 +92,16 @@ class Field:
 
     def neg(self, a):
         return -a if self.p is None else (-a) % self.p
+
+    def accumulate(self, terms, mono, c):
+        """terms[mono] += c in place for a reduced c; a term that cancels is dropped."""
+        s = terms.get(mono)
+        if s is not None:
+            c = s + c if self.p is None else (s + c) % self.p
+        if c:
+            terms[mono] = c
+        elif s is not None:
+            del terms[mono]
 
     def parse(self, s: str):
         """Decimal string, rationals also as \"a/b\"."""
@@ -119,116 +127,12 @@ def _check_same_field(a, b):
         raise FieldMismatch(f"{a.field!r} vs {b.field!r}")
 
 
-class MultilinearPoly:
-    """Finite map from square-free monomials to nonzero field elements."""
+class _Poly:
+    """Finite map `terms` from monomials to nonzero field elements.
 
-    __slots__ = ("field", "terms")
-
-    def __init__(self, field: Field, terms=None):
-        self.field = field
-        self.terms = {}
-        if terms:
-            for mono, coeff in dict(terms).items():
-                c = field.coerce(coeff)
-                if c != field.zero:
-                    self.terms[frozenset(mono)] = c
-
-    @classmethod
-    def zero(cls, field):
-        return cls(field)
-
-    @classmethod
-    def one(cls, field):
-        return cls(field, {frozenset(): 1})
-
-    @classmethod
-    def monomial(cls, field, variables, coeff=1):
-        return cls(field, {frozenset(variables): coeff})
-
-    def is_zero(self):
-        return not self.terms
-
-    def is_one(self):
-        return self.terms == {frozenset(): self.field.one}
-
-    def num_monomials(self):
-        return len(self.terms)
-
-    def degree(self):
-        return max((len(m) for m in self.terms), default=0)
-
-    def variables(self):
-        out = set()
-        for m in self.terms:
-            out |= m
-        return out
-
-    def coefficient(self, variables):
-        return self.terms.get(frozenset(variables), self.field.zero)
-
-    def __add__(self, other):
-        _check_same_field(self, other)
-        f = self.field
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = f.add(out.get(m, f.zero), c)
-            if s == f.zero:
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return MultilinearPoly(f, out)
-
-    def __neg__(self):
-        f = self.field
-        return MultilinearPoly(f, {m: f.neg(c) for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        """Multilinear product: exponents clamp to 1 via monomial union."""
-        _check_same_field(self, other)
-        f = self.field
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = m1 | m2
-                s = f.add(out.get(m, f.zero), f.mul(c1, c2))
-                if s == f.zero:
-                    out.pop(m, None)
-                else:
-                    out[m] = s
-        return MultilinearPoly(f, out)
-
-    def scale(self, coeff):
-        f = self.field
-        c = f.coerce(coeff)
-        return MultilinearPoly(f, {m: f.mul(v, c) for m, v in self.terms.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, MultilinearPoly):
-            return NotImplemented
-        return self.field == other.field and self.terms == other.terms
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for m in sorted(self.terms, key=lambda m: (len(m), sorted(m))):
-            mono = "*".join(f"x[{v}]" for v in sorted(m)) or "1"
-            parts.append(f"{self.terms[m]}*{mono}")
-        return " + ".join(parts)
-
-
-def multilinear_product(p: MultilinearPoly, q: MultilinearPoly) -> MultilinearPoly:
-    """Product with every exponent clamped to 1 and zero terms pruned."""
-    return p * q
-
-
-class ExpPoly:
-    """Exponent-tracking polynomial for the standard (non-multilinear) setting.
-
-    Monomials are sorted tuples of (variable, exponent >= 1) pairs.
+    Subclasses fix the monomial type: `_ONE` is the constant monomial,
+    `_norm` turns input into a monomial, `_deg` gives its degree, `_times`
+    multiplies two, `_key` orders the printed terms and `_mono` prints one.
     """
 
     __slots__ = ("field", "terms")
@@ -242,98 +146,161 @@ class ExpPoly:
                 if c != field.zero:
                     self.terms[self._norm(mono)] = c
 
-    @staticmethod
-    def _norm(mono):
-        return tuple(sorted((v, int(e)) for v, e in mono if int(e) > 0))
+    @classmethod
+    def _of(cls, field, terms):
+        """Wrap a dict of already reduced, nonzero terms without copying it."""
+        poly = object.__new__(cls)
+        poly.field = field
+        poly.terms = terms
+        return poly
 
     @classmethod
     def zero(cls, field):
-        return cls(field)
+        return cls._of(field, {})
 
     @classmethod
     def one(cls, field):
-        return cls(field, {(): 1})
+        return cls._of(field, {cls._ONE: field.one})
 
     @classmethod
-    def monomial(cls, field, pairs, coeff=1):
-        return cls(field, {tuple(pairs): coeff})
-
-    @classmethod
-    def from_multilinear(cls, poly: MultilinearPoly) -> "ExpPoly":
-        return cls(poly.field,
-                   {tuple((v, 1) for v in sorted(m)): c for m, c in poly.terms.items()})
+    def monomial(cls, field, mono, coeff=1):
+        return cls(field, {cls._norm(mono): coeff})
 
     def is_zero(self):
         return not self.terms
 
     def is_one(self):
-        return self.terms == {(): self.field.one}
+        return self.terms == {self._ONE: self.field.one}
 
     def num_monomials(self):
         return len(self.terms)
 
-    def total_degree(self):
-        return max((sum(e for _, e in m) for m in self.terms), default=0)
+    def degree(self):
+        return max(map(self._deg, self.terms), default=0)
 
     def __add__(self, other):
         _check_same_field(self, other)
-        f = self.field
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = f.add(out.get(m, f.zero), c)
-            if s == f.zero:
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return ExpPoly(f, out)
+            self.field.accumulate(out, m, c)
+        return self._of(self.field, out)
 
     def __neg__(self):
         f = self.field
-        return ExpPoly(f, {m: f.neg(c) for m, c in self.terms.items()})
+        return self._of(f, {m: f.neg(c) for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        _check_same_field(self, other)
-        f = self.field
         out = {}
+        self._mul_into(other, out)
+        return self._of(self.field, out)
+
+    def _mul_into(self, other, out):
+        """Add self * other into the term dict `out` in place; return the
+        largest degree of a product monomial before cancellation (0 if none)."""
+        _check_same_field(self, other)
+        f, times, deg = self.field, self._times, self._deg
+        top = 0
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                exps = dict(m1)
-                for v, e in m2:
-                    exps[v] = exps.get(v, 0) + e
-                m = tuple(sorted(exps.items()))
-                s = f.add(out.get(m, f.zero), f.mul(c1, c2))
-                if s == f.zero:
-                    out.pop(m, None)
-                else:
-                    out[m] = s
-        return ExpPoly(f, out)
+                m = times(m1, m2)
+                if deg(m) > top:
+                    top = deg(m)
+                f.accumulate(out, m, f.mul(c1, c2))
+        return top
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.field == other.field and self.terms == other.terms
+
+    def _format(self, monos):
+        return " + ".join(f"{self.terms[m]}*{self._mono(m)}" for m in monos) or "0"
+
+    def __repr__(self):
+        return self._format(sorted(self.terms, key=self._key))
+
+    def summary(self):
+        """Monomial count, degree range and the five lowest-degree terms."""
+        if not self.terms:
+            return "0"
+        degrees = [self._deg(m) for m in self.terms]
+        lowest = sorted(self.terms, key=lambda m: (self._deg(m), self._key(m)))[:5]
+        return (f"{len(degrees)} monomials of degree {min(degrees)} to {max(degrees)}; "
+                f"lowest: {self._format(lowest)}")
+
+
+class MultilinearPoly(_Poly):
+    """Square-free monomials (frozensets of variable names); product by union."""
+
+    __slots__ = ()
+    _ONE = frozenset()
+    _norm = staticmethod(frozenset)
+    _deg = staticmethod(len)
+    _times = staticmethod(frozenset.union)
+
+    @staticmethod
+    def _key(m):
+        return (len(m), sorted(m))
+
+    @staticmethod
+    def _mono(m):
+        return "*".join(f"x[{v}]" for v in sorted(m)) or "1"
+
+    def coefficient(self, variables):
+        return self.terms.get(frozenset(variables), self.field.zero)
+
+
+def multilinear_product(p: MultilinearPoly, q: MultilinearPoly) -> MultilinearPoly:
+    """Product with every exponent clamped to 1 and zero terms pruned."""
+    return p * q
+
+
+class ExpPoly(_Poly):
+    """Exponent-tracking polynomial for the standard (non-multilinear) setting.
+
+    Monomials are sorted tuples of (variable, exponent >= 1) pairs.
+    """
+
+    __slots__ = ()
+    _ONE = ()
+
+    @staticmethod
+    def _norm(mono):
+        return tuple(sorted((v, int(e)) for v, e in mono if int(e) > 0))
+
+    @staticmethod
+    def _deg(m):
+        return sum(e for _, e in m)
+
+    @staticmethod
+    def _key(m):
+        return m
+
+    @staticmethod
+    def _mono(m):
+        return "*".join(f"x[{v}]^{e}" for v, e in m) or "1"
+
+    @classmethod
+    def from_multilinear(cls, poly: MultilinearPoly) -> "ExpPoly":
+        return cls._of(poly.field, {tuple((v, 1) for v in sorted(m)): c
+                                    for m, c in poly.terms.items()})
+
+    total_degree = _Poly.degree
+
+    @staticmethod
+    def _times(m1, m2):
+        exps = dict(m1)
+        for v, e in m2:
+            exps[v] = exps.get(v, 0) + e
+        return tuple(sorted(exps.items()))
 
     def clamp(self) -> MultilinearPoly:
         """Multilinearize: send every positive exponent to 1, combine terms."""
         f = self.field
         out = {}
         for m, c in self.terms.items():
-            key = frozenset(v for v, _ in m)
-            s = f.add(out.get(key, f.zero), c)
-            if s == f.zero:
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return MultilinearPoly(f, out)
-
-    def __eq__(self, other):
-        if not isinstance(other, ExpPoly):
-            return NotImplemented
-        return self.field == other.field and self.terms == other.terms
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for m in sorted(self.terms):
-            mono = "*".join(f"x[{v}]^{e}" for v, e in m) or "1"
-            parts.append(f"{self.terms[m]}*{mono}")
-        return " + ".join(parts)
+            f.accumulate(out, frozenset(v for v, _ in m), c)
+        return MultilinearPoly._of(f, out)

@@ -185,7 +185,7 @@ def cmd_cert(args) -> int:
               f"degree: {report.degree}")
         if report.valid:
             return 0
-        print(f"residual: {report.failure_residual}", file=sys.stderr)
+        print(f"residual: {report.failure_residual.summary()}", file=sys.stderr)
         return 1
     if args.action == "extract":
         strategy = extract(dag, cert)

@@ -16,13 +16,21 @@ follow the signed occurrence accounting (a monomial q of Q_v contributes its
 coefficient at W + pred(v) and minus it at W + pred(v) + {v}), under which
 the empty configuration weighs 1 and every other sink-free endpoint weighs 0
 for a valid certificate.
+
+Each certificate operation is one pass, linear in its number of terms:
+verify adds every product term into one coefficient map in both modes
+(A_v = x_P - x_{P+v} takes two updates per multiplier term), the compiler
+accumulates {R mask: coefficient} per axiom and translates each distinct
+mask to vertex names once, JSON loading fills one map per multiplier, and
+check_weights sums all configuration weights in one pass over the edges.
+Multiplier `terms` stay keyed by vertex names at the API.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field as dataclass_field
 
 from .algebra import ExpPoly, Field, MultilinearPoly
@@ -165,38 +173,26 @@ def verify(formula: PebblingFormula, cert: Certificate) -> VerifyReport:
         if axiom_id not in formula._axioms:
             raise UnknownAxiom(f"unknown axiom {axiom_id!r}")
 
-    size = 0
-    degree = 0
-    if cert.mode == MULTILINEAR:
-        total = MultilinearPoly.zero(f)
-        for axiom_id, q in cert.multipliers.items():
+    multilinear = cert.mode == MULTILINEAR
+    size = degree = 0
+    total = {}  # every product term is added here in place
+    for axiom_id, q in cert.multipliers.items():
+        if multilinear:
             if not isinstance(q, MultilinearPoly):
                 raise NotMultilinear(f"multiplier for {axiom_id!r} is not multilinear")
             axiom = formula.axiom_poly(axiom_id, f)
-            total = total + q * axiom
-            size += q.num_monomials() * axiom.num_monomials()
-            for m1 in q.terms:
-                for m2 in axiom.terms:
-                    degree = max(degree, len(m1 | m2))
-        residual = total - MultilinearPoly.one(f)
-    else:
-        total = ExpPoly.zero(f)
-        for axiom_id, q in cert.multipliers.items():
+        else:
             if isinstance(q, MultilinearPoly):
                 q = ExpPoly.from_multilinear(q)
             axiom = formula.axiom_exp_poly(axiom_id, f)
-            total = total + q * axiom
-            size += q.num_monomials() * axiom.num_monomials()
-            if not q.is_zero():
-                degree = max(degree, q.total_degree() + axiom.total_degree())
-        for var, s in cert.boolean_multipliers.items():
-            boolean_axiom = ExpPoly(f, {((var, 2),): 1, ((var, 1),): -1})
-            total = total + s * boolean_axiom
-            size += 2 * s.num_monomials()
-            if not s.is_zero():
-                degree = max(degree, s.total_degree() + 2)
-        residual = total - ExpPoly.one(f)
-
+        degree = max(degree, q._mul_into(axiom, total))
+        size += q.num_monomials() * axiom.num_monomials()
+    for var, s in cert.boolean_multipliers.items():
+        boolean_axiom = ExpPoly(f, {((var, 2),): 1, ((var, 1),): -1})
+        degree = max(degree, s._mul_into(boolean_axiom, total))
+        size += 2 * s.num_monomials()
+    poly = MultilinearPoly if multilinear else ExpPoly
+    residual = poly._of(f, total) - poly.one(f)
     if residual.is_zero():
         return VerifyReport(True, size, degree)
     return VerifyReport(False, size, degree, residual)
@@ -231,22 +227,28 @@ def compile_strategy(dag: Dag, strategy: Strategy, field: Field) -> Certificate:
             f"strategy runs past its palindromic closure; compiling only the "
             f"{t_prime}-move prefix up to the first sink visit", stacklevel=2)
 
-    def names_of(mask):
-        return frozenset(dag.names[i] for i in range(len(dag)) if mask >> i & 1)
+    names = {}  # mask -> frozenset of vertex names, each translated once
 
-    multipliers = {}
+    def names_of(mask):
+        if mask not in names:
+            names[mask] = frozenset(dag.names[i] for i in range(mask.bit_length())
+                                    if mask >> i & 1)
+        return names[mask]
+
+    plus, minus = field.one, field.neg(field.one)
+    terms = {}  # axiom id -> {R mask: coefficient}
     for i in range(1, t_prime + 1):
         move = strategy.moves[i - 1]
         v = dag.index[move.vertex]
-        sign = 1 if configs[i] > configs[i - 1] else -1
         r_mask = configs[i] & ~(1 << v)
         for p in dag.preds[v]:
             r_mask &= ~(1 << p)
-        axiom_id = vertex_axiom_id(move.vertex)
-        q = multipliers.get(axiom_id, MultilinearPoly.zero(field))
-        multipliers[axiom_id] = q + MultilinearPoly.monomial(field, names_of(r_mask), sign)
-    multipliers[SINK_AXIOM] = MultilinearPoly.monomial(
-        field, names_of(configs[t_prime] & ~zbit))
+        field.accumulate(terms.setdefault(vertex_axiom_id(move.vertex), {}), r_mask,
+                         plus if configs[i] > configs[i - 1] else minus)
+    multipliers = {axiom_id: MultilinearPoly._of(field, {names_of(m): c for m, c in q.items()})
+                   for axiom_id, q in terms.items()}
+    multipliers[SINK_AXIOM] = MultilinearPoly._of(
+        field, {names_of(configs[t_prime] & ~zbit): field.one})
     return Certificate(field, MULTILINEAR, multipliers)
 
 
@@ -262,7 +264,6 @@ class ConfigEdge:
     hi: frozenset
     weight: object
     vertex: str
-    support: frozenset
 
 
 class ConfigGraph:
@@ -273,24 +274,18 @@ class ConfigGraph:
         self.field = field
         self.edges = tuple(edges)
 
-    def endpoint_configs(self):
-        out = set()
+    def weights(self):
+        """Signed occurrence weight of every endpoint configuration, in one pass."""
+        f = self.field
+        out = {}
         for e in self.edges:
-            out.add(e.lo)
-            out.add(e.hi)
+            out[e.lo] = f.add(out.get(e.lo, f.zero), e.weight)
+            out[e.hi] = f.sub(out.get(e.hi, f.zero), e.weight)
         return out
 
     def weight(self, config):
         """Signed occurrence weight of a configuration."""
-        config = frozenset(config)
-        f = self.field
-        total = f.zero
-        for e in self.edges:
-            if e.lo == config:
-                total = f.add(total, e.weight)
-            if e.hi == config:
-                total = f.sub(total, e.weight)
-        return total
+        return self.weights().get(frozenset(config), self.field.zero)
 
     def adjacency(self):
         adj = {}
@@ -319,7 +314,7 @@ def config_graph(dag: Dag, cert: Certificate) -> ConfigGraph:
             if name in mono:
                 continue
             lo = mono | preds
-            edges.append(ConfigEdge(lo, lo | {name}, coeff, name, mono))
+            edges.append(ConfigEdge(lo, lo | {name}, coeff, name))
     return ConfigGraph(dag.designated_sink_name, cert.field, edges)
 
 
@@ -333,16 +328,12 @@ class WeightReport:
 def check_weights(cg: ConfigGraph) -> WeightReport:
     """Claim-8 style check: weight({}) = 1, sink-free endpoints weigh 0."""
     f = cg.field
-    violations = []
-    empty_weight = cg.weight(frozenset())
-    if empty_weight != f.one:
-        violations.append((frozenset(), empty_weight))
-    for config in sorted(cg.endpoint_configs(), key=lambda c: (len(c), sorted(c))):
-        if not config or cg.sink_name in config:
-            continue
-        w = cg.weight(config)
-        if w != f.zero:
-            violations.append((config, w))
+    weights = cg.weights()
+    empty_weight = weights.get(frozenset(), f.zero)
+    violations = [] if empty_weight == f.one else [(frozenset(), empty_weight)]
+    for config in sorted(weights, key=lambda c: (len(c), sorted(c))):
+        if config and cg.sink_name not in config and weights[config] != f.zero:
+            violations.append((config, weights[config]))
     return WeightReport(not violations, empty_weight, tuple(violations))
 
 
@@ -366,6 +357,7 @@ def extract(dag: Dag, cert: Certificate) -> Strategy:
     start = frozenset()
     if start not in adj:
         raise NoPathToSink("empty configuration touches no edge")
+    order = {c: (len(c), sorted(c)) for c in adj}
     parent = {start: None}
     queue = deque([start])
     target = None
@@ -374,7 +366,7 @@ def extract(dag: Dag, cert: Certificate) -> Strategy:
         if cg.sink_name in u:
             target = u
             break
-        for w in sorted(adj[u], key=lambda c: (len(c), sorted(c))):
+        for w in sorted(adj[u], key=order.__getitem__):
             if w not in parent:
                 parent[w] = u
                 queue.append(w)
@@ -477,20 +469,14 @@ def _vars_from_json(entry):
 
 
 def _poly_from_json(field, entries, mode):
-    if mode == MULTILINEAR:
-        poly = MultilinearPoly.zero(field)
-        for e in entries:
-            poly = poly + MultilinearPoly.monomial(field, _vars_from_json(e),
-                                                   field.parse(e["coeff"]))
-        return poly
-    poly = ExpPoly.zero(field)
+    poly = MultilinearPoly if mode == MULTILINEAR else ExpPoly
+    terms = {}
     for e in entries:
-        exps = {}
-        for v in _vars_from_json(e):
-            exps[v] = exps.get(v, 0) + 1
-        poly = poly + ExpPoly.monomial(field, tuple(sorted(exps.items())),
-                                       field.parse(e["coeff"]))
-    return poly
+        names = _vars_from_json(e)
+        mono = (frozenset(names) if poly is MultilinearPoly
+                else tuple(sorted(Counter(names).items())))
+        field.accumulate(terms, mono, field.parse(e["coeff"]))
+    return poly._of(field, terms)
 
 
 def load_certificate(path, field: Field | None = None) -> Certificate:

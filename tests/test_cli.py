@@ -118,6 +118,27 @@ def test_cert_verify_invalid_exits_one(tmp_path, capsys):
     assert "valid: false" in out
 
 
+def test_cert_verify_invalid_prints_residual_summary(tmp_path, capsys):
+    graph = tmp_path / "line4.json"
+    run(capsys, "gen", "--family", "line", "--n", "4", "--out", str(graph))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "field": {"prime": 3}, "mode": "multilinear",
+        "multipliers": [
+            {"axiom": "vertex:v1", "poly": [{"coeff": "1", "vars": ["v3"]},
+                                            {"coeff": "2", "vars": ["v2", "v4"]}]},
+            {"axiom": "vertex:v3", "poly": [{"coeff": "1", "vars": []},
+                                            {"coeff": "1", "vars": ["v1"]}]},
+        ],
+    }))
+    code, out, err = run(capsys, "cert", "verify", str(graph), str(bad))
+    assert code == 1
+    assert out == "valid: false size: 8 degree: 3\n"
+    # sum - 1 has 9 monomials; only the five of lowest degree are printed
+    assert err == ("residual: 9 monomials of degree 0 to 3; lowest: 2*1 + 1*x[v2] + "
+                   "1*x[v3] + 1*x[v1]*x[v2] + 2*x[v1]*x[v3]\n")
+
+
 @pytest.mark.parametrize("mode", ["multilinear", "standard"])
 def test_cert_verify_string_vars_exits_one(tmp_path, capsys, mode):
     graph = tmp_path / "line2.json"

@@ -13,8 +13,11 @@ Core claims:
 """
 
 import json
+import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pebcert import (
     Certificate,
@@ -29,6 +32,7 @@ from pebcert import (
     config_graph,
     extract,
     line,
+    min_space,
     min_time_within_space,
     multilinearize,
     pebbling_formula,
@@ -435,3 +439,123 @@ def test_round_trip_on_random_dags():
             assert check_weights(config_graph(dag, cert)).ok
             out = verify_strategy(dag, extract(dag, cert))
             assert out.time == t and out.space == metrics.space
+
+
+# -- differential and backward-theorem properties on moved certificates ------
+
+
+def _nonzero(field):
+    if field.is_rationals:
+        return st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 3))
+    return st.integers(1, field.p - 1)
+
+
+@st.composite
+def _certificates(draw, perturb):
+    """A compiled optimal certificate on a random small DAG, changed by syzygy
+    moves Q_a += k*x_m*A_b, Q_b -= k*x_m*A_a (still valid) and, when
+    `perturb` draws True, by one coefficient k*x_m added to some Q_a with m
+    free of a's own vertex, so that Q_a*A_a and the sum change."""
+    from conftest import random_single_sink_dag
+
+    dag = random_single_sink_dag(random.Random(draw(st.integers(0, 2**32 - 1))), max_n=6)
+    field = draw(st.sampled_from(ALL_FIELDS))
+    formula = pebbling_formula(dag)
+    witness = min_space(dag, "reversible", "visiting")[1]
+    multipliers = dict(compile_strategy(dag, witness, field).multipliers)
+    zero = MultilinearPoly.zero(field)
+    axioms = st.sampled_from(formula.axiom_ids)
+    for _ in range(draw(st.integers(1, 4))):
+        a, b = draw(axioms), draw(axioms)
+        m = MultilinearPoly.monomial(field, draw(st.sets(st.sampled_from(dag.names))),
+                                     draw(_nonzero(field)))
+        multipliers[a] = multipliers.get(a, zero) + m * formula.axiom_poly(b, field)
+        multipliers[b] = multipliers.get(b, zero) - m * formula.axiom_poly(a, field)
+    perturbed = draw(perturb)
+    if perturbed:
+        a = draw(axioms)
+        own = a.split(":", 1)[1] if a != "sink" else None
+        names = draw(st.sets(st.sampled_from([v for v in dag.names if v != own])))
+        multipliers[a] = multipliers.get(a, zero) + MultilinearPoly.monomial(
+            field, names, draw(_nonzero(field)))
+    return dag, formula, Certificate(field, "multilinear", multipliers), perturbed
+
+
+def _reduced(field, sums):
+    """Plain Fraction sums reduced into the field, zero entries dropped."""
+    if field.p is not None:
+        sums = {k: c % field.p for k, c in sums.items()}
+    return {k: c for k, c in sums.items() if c}
+
+
+def _naive_verify(dag, cert):
+    """sum_a Q_a * A_a - 1 over plain dicts and Fraction arithmetic, sharing no
+    code with pebcert's polynomials: the residual terms, the pre-cancellation
+    size and the largest union of a multiplier and an axiom monomial."""
+    axioms = {"sink": [(frozenset([dag.designated_sink_name]), 1)]}
+    for v in dag.names:
+        preds = frozenset(dag.pred_names(v))
+        axioms[f"vertex:{v}"] = [(preds, 1), (preds | {v}, -1)]
+    total = {frozenset(): Fraction(-1)}
+    size = degree = 0
+    for axiom_id, q in cert.multipliers.items():
+        size += len(q.terms) * len(axioms[axiom_id])
+        for m1, c1 in q.terms.items():
+            for m2, c2 in axioms[axiom_id]:
+                total[m1 | m2] = total.get(m1 | m2, 0) + Fraction(c1) * c2
+                degree = max(degree, len(m1 | m2))
+    return _reduced(cert.field, total), size, degree
+
+
+def _naive_weight(cg, config):
+    """Signed occurrence weight of one configuration, scanning every edge."""
+    total = Fraction(0)
+    for e in cg.edges:
+        if e.lo == config:
+            total += Fraction(e.weight)
+        if e.hi == config:
+            total -= Fraction(e.weight)
+    return _reduced(cg.field, {config: total}).get(config, 0)
+
+
+CERT_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@CERT_SETTINGS
+@given(_certificates(st.booleans()))
+def test_verify_and_weights_match_naive_sums(case):
+    dag, formula, cert, perturbed = case
+    f = cert.field
+    residual, size, degree = _naive_verify(dag, cert)
+    report = verify(formula, cert)
+    assert (report.valid, report.size, report.degree) == (not perturbed, size, degree)
+    assert bool(residual) == perturbed
+    assert (report.failure_residual or MultilinearPoly.zero(f)).terms == residual
+    # the standard-mode residual clamps to the multilinear one
+    standard = verify(formula, Certificate(f, "standard", cert.multipliers))
+    assert standard.size == size
+    assert (standard.failure_residual or ExpPoly.zero(f)).clamp().terms == residual
+
+    cg = config_graph(dag, cert)
+    configs = {c for e in cg.edges for c in (e.lo, e.hi)}
+    naive = {c: _naive_weight(cg, c) for c in configs | {frozenset()}}
+    assert {c: cg.weight(c) for c in naive} == naive
+    empty = naive[frozenset()]
+    expected = [] if empty == f.one else [(frozenset(), empty)]
+    expected += [(c, naive[c]) for c in sorted(configs, key=lambda c: (len(c), sorted(c)))
+                 if c and cg.sink_name not in c and naive[c] != f.zero]
+    weights = check_weights(cg)
+    assert (weights.empty_weight, weights.violations) == (empty, tuple(expected))
+    if not perturbed:
+        assert weights.ok
+
+
+@CERT_SETTINGS
+@given(_certificates(st.just(False)))
+def test_extract_meets_backward_bounds(case):
+    # the paper's backward direction: space <= degree, time <= size - 1
+    dag, formula, cert, _ = case
+    report = verify(formula, cert)
+    metrics = verify_strategy(dag, extract(dag, cert))
+    assert metrics.space <= report.degree
+    assert metrics.time <= report.size - 1

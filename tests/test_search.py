@@ -111,10 +111,15 @@ def test_cs_lower_bound_values():
 # -- independent micro-oracle ------------------------------------------------
 
 def _enumerate_shorter(dag, game, flavor, space, limit):
-    """Does any legal pebbling of at most `limit` moves exist? Pure DFS."""
+    """Does any legal pebbling of at most `limit` moves exist?
+
+    Depth-first over move sequences.  A state (mask, visited) that failed
+    with k moves left fails with any fewer, so it is not searched again then.
+    """
     n = len(dag)
     preds = dag.preds
     z = dag.designated_sink
+    failed = {}  # (mask, visited) -> most moves left already shown not to suffice
 
     def finished(mask, visited):
         if not visited:
@@ -126,7 +131,7 @@ def _enumerate_shorter(dag, game, flavor, space, limit):
     def rec(mask, visited, moves_left):
         if finished(mask, visited):
             return True
-        if moves_left == 0:
+        if moves_left == 0 or failed.get((mask, visited), -1) >= moves_left:
             return False
         for v in range(n):
             bit = 1 << v
@@ -138,6 +143,7 @@ def _enumerate_shorter(dag, game, flavor, space, limit):
             elif have_preds and (mask.bit_count() < space):
                 if rec(mask | bit, visited or v == z, moves_left - 1):
                     return True
+        failed[(mask, visited)] = moves_left
         return False
 
     return rec(0, False, limit)
