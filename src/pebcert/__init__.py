@@ -1,6 +1,6 @@
 """Pebble games on DAGs and Nullstellensatz certificates for pebbling formulas."""
 
-from .algebra import ExpPoly, Field, MultilinearPoly, multilinear_product
+from .algebra import ExpPoly, Field, MultilinearPoly
 from .graphs import (
     Dag,
     bit_reversal,

@@ -14,6 +14,7 @@ reduced nonzero coefficients, so only the public constructor coerces.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import FieldMismatch, ModulusTooLarge, NotPrime
@@ -24,6 +25,10 @@ from .errors import FieldMismatch, ModulusTooLarge, NotPrime
 # bases", Math. Comp. 2017).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+# Optional sign, digits, then optionally /digits or .digits: no exponents,
+# so parsing a coefficient is linear in its length.
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+|\.[0-9]+)?")
 
 
 def _is_prime(p):
@@ -58,8 +63,8 @@ class Field:
     __slots__ = ("p", "zero", "one")
 
     def __init__(self, p=None):
-        if p is not None and not _is_prime(p):
-            raise NotPrime(f"{p} is not prime")
+        if p is not None and (type(p) is not int or not _is_prime(p)):
+            raise NotPrime(f"{p!r} is not a prime integer")
         self.p = p
         self.zero = Fraction(0) if p is None else 0
         self.one = Fraction(1) if p is None else 1
@@ -104,8 +109,10 @@ class Field:
             del terms[mono]
 
     def parse(self, s: str):
-        """Decimal string, rationals also as \"a/b\"."""
+        """Decimal string, rationals also as \"a/b\" or \"a.b\"; ValueError otherwise."""
         if self.p is None:
+            if not _RATIONAL.fullmatch(s):
+                raise ValueError(f"invalid rational {s!r}")
             return Fraction(s)
         return int(s, 10) % self.p
 
@@ -168,9 +175,6 @@ class _Poly:
 
     def is_zero(self):
         return not self.terms
-
-    def is_one(self):
-        return self.terms == {self._ONE: self.field.one}
 
     def num_monomials(self):
         return len(self.terms)
@@ -253,11 +257,6 @@ class MultilinearPoly(_Poly):
         return self.terms.get(frozenset(variables), self.field.zero)
 
 
-def multilinear_product(p: MultilinearPoly, q: MultilinearPoly) -> MultilinearPoly:
-    """Product with every exponent clamped to 1 and zero terms pruned."""
-    return p * q
-
-
 class ExpPoly(_Poly):
     """Exponent-tracking polynomial for the standard (non-multilinear) setting.
 
@@ -287,8 +286,6 @@ class ExpPoly(_Poly):
     def from_multilinear(cls, poly: MultilinearPoly) -> "ExpPoly":
         return cls._of(poly.field, {tuple((v, 1) for v in sorted(m)): c
                                     for m, c in poly.terms.items()})
-
-    total_degree = _Poly.degree
 
     @staticmethod
     def _times(m1, m2):

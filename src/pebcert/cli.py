@@ -289,14 +289,13 @@ def _add_family_flags(parser):
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="pebcert", description=__doc__)
-    common = _Parser(add_help=False)
-    common.add_argument("--state-budget", type=int, default=DEFAULT_STATE_BUDGET,
+    budget = _Parser(add_help=False)
+    budget.add_argument("--state-budget", type=int, default=DEFAULT_STATE_BUDGET,
                         help="search state budget (default %(default)s)")
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
-    p_gen = sub.add_parser("gen", help="generate a graph family instance",
-                           parents=[common])
+    p_gen = sub.add_parser("gen", help="generate a graph family instance")
     _add_family_flags(p_gen)
     p_gen.add_argument("--single-sink", type=int,
                        help="restrict a CS graph to the given sink (1-based)")
@@ -304,8 +303,7 @@ def _build_parser() -> _Parser:
     p_gen.add_argument("--dimacs", help="also write the pebbling formula as DIMACS CNF")
     p_gen.set_defaults(func=cmd_gen)
 
-    p_solve = sub.add_parser("solve", help="exact pebbling optima",
-                             parents=[common])
+    p_solve = sub.add_parser("solve", help="exact pebbling optima", parents=[budget])
     p_solve.add_argument("graph", help="graph JSON file")
     p_solve.add_argument("--game", choices=[STANDARD, REVERSIBLE], default=REVERSIBLE)
     p_solve.add_argument("--flavor", choices=[VISITING, PERSISTENT], default=VISITING)
@@ -318,8 +316,7 @@ def _build_parser() -> _Parser:
     p_solve.add_argument("--out", help="pareto CSV output path (default stdout)")
     p_solve.set_defaults(func=cmd_solve)
 
-    p_cert = sub.add_parser("cert", help="compile, verify, extract, multilinearize",
-                            parents=[common])
+    p_cert = sub.add_parser("cert", help="compile, verify, extract, multilinearize")
     p_cert.add_argument("action",
                         choices=["compile", "verify", "extract", "multilinearize"])
     p_cert.add_argument("graph", help="graph JSON file")
@@ -331,7 +328,7 @@ def _build_parser() -> _Parser:
     p_cert.set_defaults(func=cmd_cert)
 
     p_trade = sub.add_parser("tradeoff", help="space/time table with bound columns",
-                             parents=[common])
+                             parents=[budget])
     _add_family_flags(p_trade)
     p_trade.add_argument("--game", choices=[STANDARD, REVERSIBLE], default=REVERSIBLE)
     p_trade.add_argument("--flavor", choices=[VISITING, PERSISTENT], default=VISITING)

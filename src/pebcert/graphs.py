@@ -42,11 +42,14 @@ class Dag:
     Do not construct directly; use build_dag or a family generator.
     `names` is the vertex list in topological-index order, `preds[i]` the
     sorted predecessor indices of vertex i, and `sinks` every vertex with
-    outdegree 0 (ascending index).
+    outdegree 0 (ascending index).  `toggles[i]` is the move table entry
+    (1 << i, predecessor mask of i): a reversible move on i, and a placement
+    on i in either game, is legal exactly when the predecessor mask is
+    pebbled.
     """
 
     __slots__ = ("names", "index", "preds", "edges", "sinks",
-                 "designated_sink", "max_indegree", "_depth")
+                 "designated_sink", "max_indegree", "toggles", "_depth")
 
     def __init__(self, names, index, preds, edges, sinks, designated_sink):
         self.names = names
@@ -56,6 +59,7 @@ class Dag:
         self.sinks = sinks
         self.designated_sink = designated_sink
         self.max_indegree = max((len(p) for p in preds), default=0)
+        self.toggles = tuple((1 << v, sum(1 << p for p in ps)) for v, ps in enumerate(preds))
         self._depth = None
 
     def __len__(self):

@@ -8,10 +8,13 @@ axiom monomials before any cancellation; multilinear degree is the set-union
 arity over multiplier/axiom monomial pairs, so a compiled certificate has
 size = time + 1 and degree = space exactly.
 
-The compiler turns each step of a reversible pebbling prefix into the
-telescoping term sign * x_R * A_v with R = P_i - {v_i} - pred(v_i) and closes
-with A_sink * x_{P_t' - {z}}.  The extractor walks the configuration graph
-whose edges come from sink-free multiplier monomials; configuration weights
+Every axiom id is decoded by `PebblingFormula.axiom`, the one table that
+verify, axiom_poly and config_graph share.  The compiler turns each step of a
+reversible pebbling prefix into the telescoping term sign * x_R * A_v with
+R = P_i - {v_i} - pred(v_i), read off the DAG's move table, and closes with
+A_sink * x_{P_t' - {z}}.  The extractor walks the configuration graph whose
+edges come from sink-free multiplier monomials, appends the mirror of the
+path and replays the result once; configuration weights
 follow the signed occurrence accounting (a monomial q of Q_v contributes its
 coefficient at W + pred(v) and minus it at W + pred(v) + {v}), under which
 the empty configuration weighs 1 and every other sink-free endpoint weighs 0
@@ -51,9 +54,10 @@ from .pebbling import (
     PLACE,
     REMOVE,
     REVERSIBLE,
+    VISITING,
     Move,
     Strategy,
-    mirror_extend,
+    mirrored,
     replay,
     verify_strategy,
 )
@@ -84,25 +88,19 @@ class PebblingFormula:
         self._axioms[SINK_AXIOM] = (frozenset({self.sink_name}), None)
         self.axiom_ids = tuple(self._axioms)
 
-    def axiom_poly(self, axiom_id: str, field: Field) -> MultilinearPoly:
-        """A_v = x_pred - x_{pred + v}; A_sink = x_z."""
+    def axiom(self, axiom_id: str):
+        """(pred names, vertex name) of a vertex axiom; ({z}, None) for the sink axiom."""
         try:
-            preds, vertex = self._axioms[axiom_id]
+            return self._axioms[axiom_id]
         except KeyError:
             raise UnknownAxiom(f"unknown axiom {axiom_id!r}") from None
+
+    def axiom_poly(self, axiom_id: str, field: Field) -> MultilinearPoly:
+        """A_v = x_pred - x_{pred + v}; A_sink = x_z."""
+        preds, vertex = self.axiom(axiom_id)
         if vertex is None:
             return MultilinearPoly.monomial(field, preds)
         return MultilinearPoly(field, {preds: 1, preds | {vertex}: -1})
-
-    def axiom_exp_poly(self, axiom_id: str, field: Field) -> ExpPoly:
-        return ExpPoly.from_multilinear(self.axiom_poly(axiom_id, field))
-
-    def axiom_monomials(self, axiom_id: str) -> int:
-        try:
-            _, vertex = self._axioms[axiom_id]
-        except KeyError:
-            raise UnknownAxiom(f"unknown axiom {axiom_id!r}") from None
-        return 1 if vertex is None else 2
 
     @property
     def clauses(self) -> tuple[tuple[int, ...], ...]:
@@ -170,8 +168,7 @@ def verify(formula: PebblingFormula, cert: Certificate) -> VerifyReport:
     """
     f = cert.field
     for axiom_id in cert.multipliers:
-        if axiom_id not in formula._axioms:
-            raise UnknownAxiom(f"unknown axiom {axiom_id!r}")
+        formula.axiom(axiom_id)
 
     multilinear = cert.mode == MULTILINEAR
     size = degree = 0
@@ -184,7 +181,7 @@ def verify(formula: PebblingFormula, cert: Certificate) -> VerifyReport:
         else:
             if isinstance(q, MultilinearPoly):
                 q = ExpPoly.from_multilinear(q)
-            axiom = formula.axiom_exp_poly(axiom_id, f)
+            axiom = ExpPoly.from_multilinear(formula.axiom_poly(axiom_id, f))
         degree = max(degree, q._mul_into(axiom, total))
         size += q.num_monomials() * axiom.num_monomials()
     for var, s in cert.boolean_multipliers.items():
@@ -238,12 +235,10 @@ def compile_strategy(dag: Dag, strategy: Strategy, field: Field) -> Certificate:
     plus, minus = field.one, field.neg(field.one)
     terms = {}  # axiom id -> {R mask: coefficient}
     for i in range(1, t_prime + 1):
-        move = strategy.moves[i - 1]
-        v = dag.index[move.vertex]
-        r_mask = configs[i] & ~(1 << v)
-        for p in dag.preds[v]:
-            r_mask &= ~(1 << p)
-        field.accumulate(terms.setdefault(vertex_axiom_id(move.vertex), {}), r_mask,
+        name = strategy.moves[i - 1].vertex
+        bit, pm = dag.toggles[dag.index[name]]
+        field.accumulate(terms.setdefault(vertex_axiom_id(name), {}),
+                         configs[i] & ~(bit | pm),
                          plus if configs[i] > configs[i - 1] else minus)
     multipliers = {axiom_id: MultilinearPoly._of(field, {names_of(m): c for m, c in q.items()})
                    for axiom_id, q in terms.items()}
@@ -263,7 +258,6 @@ class ConfigEdge:
     lo: frozenset
     hi: frozenset
     weight: object
-    vertex: str
 
 
 class ConfigGraph:
@@ -299,23 +293,22 @@ def config_graph(dag: Dag, cert: Certificate) -> ConfigGraph:
     """Edges from every monomial of Q_v that does not contain x_v.
 
     Parallel edges are kept; every endpoint has at most degree(cert) pebbles.
+    Axiom ids are read through the pebbling formula, so the graph needs a
+    unique designated sink.
     """
     if cert.mode != MULTILINEAR:
         raise NotMultilinear("configuration graphs need a multilinear certificate")
-    if dag.designated_sink is None:
-        raise NoDesignatedSink("configuration graph needs a designated sink")
+    formula = pebbling_formula(dag)
     edges = []
     for axiom_id, q in cert.multipliers.items():
-        if axiom_id == SINK_AXIOM:
+        preds, name = formula.axiom(axiom_id)
+        if name is None:
             continue
-        name = axiom_id.split(":", 1)[1]
-        preds = frozenset(dag.pred_names(name))
         for mono, coeff in q.terms.items():
-            if name in mono:
-                continue
-            lo = mono | preds
-            edges.append(ConfigEdge(lo, lo | {name}, coeff, name))
-    return ConfigGraph(dag.designated_sink_name, cert.field, edges)
+            if name not in mono:
+                lo = mono | preds
+                edges.append(ConfigEdge(lo, lo | {name}, coeff))
+    return ConfigGraph(formula.sink_name, cert.field, edges)
 
 
 @dataclass(frozen=True)
@@ -379,13 +372,9 @@ def extract(dag: Dag, cert: Certificate) -> Strategy:
         path.append(node)
         node = parent[node]
     path.reverse()
-    moves = []
-    for a, b in zip(path, path[1:]):
-        if len(b) > len(a):
-            moves.append(Move(PLACE, next(iter(b - a))))
-        else:
-            moves.append(Move(REMOVE, next(iter(a - b))))
-    strategy = mirror_extend(dag, moves)
+    moves = tuple(Move(PLACE, next(iter(b - a))) if len(b) > len(a)
+                  else Move(REMOVE, next(iter(a - b))) for a, b in zip(path, path[1:]))
+    strategy = Strategy(REVERSIBLE, VISITING, moves + mirrored(moves))
     verify_strategy(dag, strategy)
     return strategy
 
@@ -475,7 +464,11 @@ def _poly_from_json(field, entries, mode):
         names = _vars_from_json(e)
         mono = (frozenset(names) if poly is MultilinearPoly
                 else tuple(sorted(Counter(names).items())))
-        field.accumulate(terms, mono, field.parse(e["coeff"]))
+        try:
+            coeff = field.parse(e["coeff"])
+        except (ValueError, ZeroDivisionError):
+            raise CertificateError(f"invalid coefficient {e['coeff']!r}") from None
+        field.accumulate(terms, mono, coeff)
     return poly._of(field, terms)
 
 

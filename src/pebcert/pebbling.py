@@ -73,10 +73,7 @@ def _move_mask(dag, config_mask, move, game, step=None):
     v = dag.index.get(move.vertex)
     if v is None:
         raise IllegalMoveAt(step or 0, f"unknown vertex {move.vertex!r}")
-    bit = 1 << v
-    pred_mask = 0
-    for p in dag.preds[v]:
-        pred_mask |= 1 << p
+    bit, pred_mask = dag.toggles[v]
     if move.op == PLACE:
         if config_mask & bit:
             raise IllegalPlacement(f"{move.vertex} already pebbled")

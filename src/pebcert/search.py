@@ -1,7 +1,8 @@
 """Exact solvers over the pebble-game configuration space.
 
-Configurations are bitmasks over topological indices; states with more than
-the budgeted number of pebbles are never generated.  Every search runs
+Configurations are bitmasks over topological indices, and every move is read
+from the DAG's move table `Dag.toggles`; states with more than the budgeted
+number of pebbles are never generated.  Every search runs
 forward from the empty configuration, one breadth-first layer at a time, and
 counts each configuration it discovers, {} included, against the state
 budget.
@@ -81,17 +82,6 @@ def _check_game(game, flavor):
         raise SearchError(f"reversible search needs a flavor, got {flavor!r}")
 
 
-def _toggles(dag):
-    """(bit, predecessor mask) of every vertex, in topological order."""
-    out = []
-    for v, preds in enumerate(dag.preds):
-        m = 0
-        for p in preds:
-            m |= 1 << p
-        out.append((1 << v, m))
-    return out
-
-
 def _rev_layers(dag, space, persistent, limit):
     """Reversible BFS from {} to the first goal layer.
 
@@ -99,7 +89,7 @@ def _rev_layers(dag, space, persistent, limit):
     the goals of the last layer with their layer; None when no goal is
     reachable.
     """
-    toggles = _toggles(dag)
+    toggles = dag.toggles
     zbit = 1 << dag.designated_sink
     dist = {0: 0}
     frontier = [0]
@@ -143,9 +133,8 @@ def _std_layers(dag, space, limit):
     their finishing time; None when the sink cannot be pebbled.
     """
     z = dag.designated_sink
-    toggles = _toggles(dag)
-    zbit, zpm = toggles[z]
-    others = toggles[:z] + toggles[z + 1:]
+    zbit, zpm = dag.toggles[z]
+    others = dag.toggles[:z] + dag.toggles[z + 1:]
     least = 1 + zpm.bit_count()
     dist = {0: 0}
     sinks = 0
@@ -197,14 +186,13 @@ def _walk(dag, dist, goals, free_removal):
     configuration a path may pass.  `free_removal` makes every removal legal
     (standard game); otherwise a move needs pred(v) pebbled.
     """
-    toggles = _toggles(dag)
     on = {}
     for g, layer in goals.items():
         on.setdefault(layer, set()).add(g)
     for k in range(max(on), 1, -1):
         below = on.setdefault(k - 1, set())
         for x in on[k]:
-            for bit, pm in toggles:
+            for bit, pm in dag.toggles:
                 if x & pm == pm or (free_removal and not x & bit):
                     y = x ^ bit
                     if dist.get(y) == k - 1:
@@ -215,7 +203,7 @@ def _walk(dag, dist, goals, free_removal):
     while cur not in goals:
         k += 1
         ahead = on[k]
-        for v, (bit, pm) in enumerate(toggles):
+        for v, (bit, pm) in enumerate(dag.toggles):
             if cur & pm == pm or (free_removal and cur & bit):
                 x = cur ^ bit
                 if x in ahead:

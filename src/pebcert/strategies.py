@@ -135,6 +135,21 @@ def _moves_on_chain(positions, chain):
     return [Move(PLACE if pos > 0 else REMOVE, chain[abs(pos) - 1]) for pos in positions]
 
 
+def _serviced(positions, chain, service):
+    """Chain moves, each bracketed by `service(position)` and its mirror.
+
+    The service is a forward half that pebbles the chain vertex's outside
+    predecessor; its mirror clears the service again after the chain move.
+    """
+    out = []
+    for pos in positions:
+        fwd = service(abs(pos))
+        out += fwd
+        out += _moves_on_chain([pos], chain)
+        out += mirrored(fwd)
+    return out
+
+
 def strat_line_checkpoint(n: int, k: int) -> Strategy:
     """Visiting pebbling of line(n) in space <= 2k*ceil(n^(1/k)), time <= 2^k*n."""
     if n < 1 or k < 1:
@@ -153,12 +168,8 @@ def _persist_moves(dag, v, memo):
     visited, v is placed, and everything unwinds in reverse.
     """
     if v not in memo:
-        preds = dag.preds[v]
-        if not preds:
-            memo[v] = [Move(PLACE, dag.names[v])]
-        else:
-            head = _visit_fwd_prefix(dag, v, memo)
-            memo[v] = head + [m.inverse() for m in reversed(head[:-1])]
+        head = _visit_fwd_prefix(dag, v, memo)
+        memo[v] = head + list(mirrored(head[:-1]))
     return memo[v]
 
 
@@ -198,19 +209,13 @@ def _cs_fwd(dag, c, r, sink_index, prefix, memo):
              for p in range(1, length + 1)]
     raw = []
     _climb(raw.append, 0, length, length.bit_length())
-    out = []
-    for pos in raw:
-        m = (abs(pos) - 1) % two_c + 1
+
+    def service(pos):
+        m = (pos - 1) % two_c + 1
         if m <= c:
-            height = r - 1
-            aux_sink = f"{prefix}pyr{m}/v{height}_1"
-            service = _visit_fwd_prefix(dag, dag.index[aux_sink], memo)
-        else:
-            service = _cs_fwd(dag, c, r - 1, m - c, prefix + "sub/", memo)
-        out += service
-        out += _moves_on_chain([pos], chain)
-        out += [mv.inverse() for mv in reversed(service)]
-    return out
+            return _visit_fwd_prefix(dag, dag.index[f"{prefix}pyr{m}/v{r - 1}_1"], memo)
+        return _cs_fwd(dag, c, r - 1, m - c, prefix + "sub/", memo)
+    return _serviced(raw, chain, service)
 
 
 def strat_carlson_savage(c: int, r: int, sink_index: int) -> Strategy:
@@ -226,12 +231,6 @@ def strat_carlson_savage(c: int, r: int, sink_index: int) -> Strategy:
     return Strategy(REVERSIBLE, VISITING, tuple(fwd) + mirrored(fwd))
 
 
-def _bottom_service(n, target):
-    """Forward half placing a pebble on bottom vertex x{target}."""
-    chain = [f"x{i}" for i in range(1, n + 1)]
-    return _chain_fwd_moves(chain, target)
-
-
 def strat_bit_reversal_small_space(n: int) -> Strategy:
     """Visiting strategy for bit_reversal(n) in space <= 2*log2(n) + 2.
 
@@ -241,16 +240,12 @@ def strat_bit_reversal_small_space(n: int) -> Strategy:
     if n < 2 or n & (n - 1):
         raise ParamOutOfRange("need a power of two >= 2")
     bits = n.bit_length() - 1
+    bottom = [f"x{i}" for i in range(1, n + 1)]
     top = [f"y{i}" for i in range(1, n + 1)]
     raw = []
     _climb(raw.append, 0, n, n.bit_length())
-    out = []
-    for pos in raw:
-        target = bit_reverse_index(abs(pos) - 1, bits) + 1
-        service = _bottom_service(n, target)
-        out += service
-        out += _moves_on_chain([pos], top)
-        out += [m.inverse() for m in reversed(service)]
+    out = _serviced(raw, top,
+                    lambda pos: _chain_fwd_moves(bottom, bit_reverse_index(pos - 1, bits) + 1))
     return Strategy(REVERSIBLE, VISITING, tuple(out) + mirrored(out))
 
 
@@ -283,17 +278,16 @@ def strat_bit_reversal_checkpoint(n: int, k: int) -> Strategy:
         fwd += _moves_on_chain(raw, bottom)
         prev = pos
 
+    def service(pos):
+        target = bit_reverse_index(pos - 1, bits) + 1
+        base = max((f for f in fixed if f <= target), default=0)
+        raw = []
+        _ck_fwd(raw.append, base, target - base, k - 1)
+        return _moves_on_chain(raw, bottom)
+
     raw_top = []
     _ck_fwd(raw_top.append, 0, n, k)
-    for pos in raw_top:
-        target = bit_reverse_index(abs(pos) - 1, bits) + 1
-        base = max((f for f in fixed if f <= target), default=0)
-        raw_srv = []
-        _ck_fwd(raw_srv.append, base, target - base, k - 1)
-        service = _moves_on_chain(raw_srv, bottom)
-        fwd += service
-        fwd += _moves_on_chain([pos], top)
-        fwd += [m.inverse() for m in reversed(service)]
+    fwd += _serviced(raw_top, top, service)
     return Strategy(REVERSIBLE, VISITING, tuple(fwd) + mirrored(fwd))
 
 

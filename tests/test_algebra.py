@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from pebcert.algebra import ExpPoly, Field, MultilinearPoly, multilinear_product
+from pebcert.algebra import ExpPoly, Field, MultilinearPoly
 from pebcert.errors import FieldMismatch, ModulusTooLarge, NotPrime
 
 
@@ -40,6 +40,26 @@ def test_prime_check():
     Field.prime(97)
 
 
+def test_prime_check_rejects_non_integers():
+    # a float or bool modulus would make the field compute in floats
+    for bad in (3.0, 2.5, True, "3", Fraction(3)):
+        with pytest.raises(NotPrime):
+            Field.prime(bad)
+
+
+def test_rational_parse_accepts_only_decimal_forms():
+    f = Field.rationals()
+    for text, value in (("7", 7), ("-3/4", Fraction(-3, 4)), ("+2", 2),
+                        ("1.25", Fraction(5, 4)), ("06/08", Fraction(3, 4))):
+        assert f.parse(text) == value
+    for bad in ("1e3", "1e10000000", " 1", "1_0", "1.", ".5", "1/-2", "inf", "nan",
+                "0x1", "\u0661", "1/2/3", ""):
+        with pytest.raises(ValueError):
+            f.parse(bad)
+    with pytest.raises(ZeroDivisionError):
+        f.parse("1/0")
+
+
 def test_prime_check_large_moduli():
     start = time.perf_counter()
     assert Field.prime(10**18 + 3).p == 10**18 + 3
@@ -63,21 +83,21 @@ def test_benchmark_primes_parse(monkeypatch):
 def test_multilinear_product_idempotent_variable():
     f = Field.rationals()
     xa = MultilinearPoly.monomial(f, ["a"])
-    assert multilinear_product(xa, xa) == xa
+    assert xa * xa == xa
 
 
 def test_multilinear_product_cancellation():
     f = Field.rationals()
     xa = MultilinearPoly.monomial(f, ["a"])
     one_minus = MultilinearPoly.one(f) - xa
-    assert multilinear_product(one_minus, xa).is_zero()
+    assert (one_minus * xa).is_zero()
 
 
 def test_multilinear_product_expansion():
     # ((1 - x_u) x_p x_q) * x_v = x_p x_q x_v - x_p x_q x_u x_v
     f = Field.rationals()
     left = MultilinearPoly(f, {frozenset({"p", "q"}): 1, frozenset({"p", "q", "u"}): -1})
-    out = multilinear_product(left, MultilinearPoly.monomial(f, ["v"]))
+    out = left * MultilinearPoly.monomial(f, ["v"])
     assert out == MultilinearPoly(f, {
         frozenset({"p", "q", "v"}): 1,
         frozenset({"p", "q", "u", "v"}): -1,
@@ -86,8 +106,7 @@ def test_multilinear_product_expansion():
 
 def test_field_mismatch_rejected():
     with pytest.raises(FieldMismatch):
-        multilinear_product(MultilinearPoly.one(Field.prime(2)),
-                            MultilinearPoly.one(Field.prime(3)))
+        MultilinearPoly.one(Field.prime(2)) * MultilinearPoly.one(Field.prime(3))
 
 
 def test_poly_degree_and_counts():
@@ -111,7 +130,7 @@ def test_exp_poly_product_tracks_exponents():
     x = ExpPoly.monomial(f, (("x", 1),))
     sq = x * x
     assert sq == ExpPoly.monomial(f, (("x", 2),))
-    assert sq.total_degree() == 2
+    assert sq.degree() == 2
 
 
 def test_exp_poly_clamp():

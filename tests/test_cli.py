@@ -6,6 +6,7 @@ metrics.  Exit codes: 0 success, 1 invalid input, 2 infeasible/too-large,
 """
 
 import json
+import time
 
 import pytest
 
@@ -153,6 +154,24 @@ def test_cert_verify_string_vars_exits_one(tmp_path, capsys, mode):
     assert "vars" in err
 
 
+@pytest.mark.parametrize("field,coeff", [
+    ("rationals", "1/0"), ("rationals", "1e10000000"), ({"prime": 3.0}, "1"),
+])
+def test_cert_verify_bad_field_or_coefficient_exits_one(tmp_path, capsys, field, coeff):
+    graph = tmp_path / "line2.json"
+    run(capsys, "gen", "--family", "line", "--n", "2", "--out", str(graph))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "field": field, "mode": "multilinear",
+        "multipliers": [{"axiom": "sink", "poly": [{"coeff": coeff, "vars": []}]}],
+    }))
+    start = time.perf_counter()
+    code, _, err = run(capsys, "cert", "verify", str(graph), str(bad))
+    assert time.perf_counter() - start < 0.5
+    assert code == 1
+    assert err.startswith("error: ")
+
+
 def test_field_beyond_exact_primality_exits_one(tmp_path, capsys):
     graph = tmp_path / "line2.json"
     run(capsys, "gen", "--family", "line", "--n", "2", "--out", str(graph))
@@ -173,6 +192,17 @@ def test_tradeoff_cs_table(tmp_path, capsys):
     for row in lines[1:]:
         space, time, bound = row.split(",")[:3]
         assert int(time) >= int(bound)
+
+
+def test_tradeoff_pyramid_golden(capsys):
+    # recorded before the strategies shared one mirror; the upper-time column
+    # is the mirrored strat_by_depth pebbling
+    code, out, _ = run(capsys, "tradeoff", "--family", "pyramid", "--height", "3")
+    assert code == 0
+    assert out == ("space,optimal_time,theorem_bound,strategy_upper_time,cert_size,cert_degree\n"
+                   "5,34,,,35,5\n"
+                   "6,28,,,29,6\n"
+                   "7,26,,106,27,7\n")
 
 
 def test_tradeoff_reversible_cert_identity(tmp_path, capsys):
@@ -215,6 +245,18 @@ def test_exit_code_infeasible(tmp_path, capsys):
                        str(graph))
     assert code == 2
     assert "state-budget" in err
+
+
+def test_state_budget_only_on_searching_commands(capsys):
+    with pytest.raises(SystemExit):
+        main(["gen", "--help"])
+    assert "--state-budget" not in capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        main(["tradeoff", "--help"])
+    assert "--state-budget" in capsys.readouterr().out
+    code, _, err = run(capsys, "gen", "--family", "line", "--n", "2", "--state-budget", "5")
+    assert code == 1
+    assert "--state-budget" in err
 
 
 def test_state_budget_report(tmp_path, capsys):

@@ -226,3 +226,12 @@ def test_graph_json_rejects_cycles():
     with pytest.raises(CycleDetected):
         graph_from_json({"vertices": ["a", "b"], "edges": [["a", "b"], ["b", "a"]],
                          "sink": None})
+
+
+def test_move_table_holds_bit_and_predecessor_mask():
+    # pyramid(1): sources v0_1, v0_2 (indices 0, 1), sink v1_1 (index 2)
+    assert pyramid(1).toggles == ((1, 0), (2, 0), (4, 3))
+    dag = carlson_savage(2, 2)
+    for v, (bit, pm) in enumerate(dag.toggles):
+        assert bit == 1 << v
+        assert pm == sum(1 << p for p in dag.preds[v])

@@ -14,7 +14,9 @@ Core claims:
 
 import json
 import random
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,6 +39,7 @@ from pebcert import (
     multilinearize,
     pebbling_formula,
     pyramid,
+    single_sink_restriction,
     verify,
     verify_strategy,
 )
@@ -46,6 +49,7 @@ from pebcert.errors import (
     CertificateInvalid,
     NoDesignatedSink,
     NotMultilinear,
+    NotPrime,
     ResultInvalid,
     SinkNeverReached,
     StrategyIllegal,
@@ -91,8 +95,8 @@ def test_formula_pyramid_axioms():
         frozenset({"v0_1", "v0_2", "v1_1"}): -1,
     })
     assert f.axiom_poly("vertex:v0_1", Q) == _ml(Q, {frozenset(): 1, frozenset({"v0_1"}): -1})
-    assert f.axiom_monomials("vertex:v0_1") == 2
-    assert f.axiom_monomials("sink") == 1
+    assert f.axiom_poly("vertex:v0_1", Q).num_monomials() == 2
+    assert f.axiom_poly("sink", Q).num_monomials() == 1
 
 
 def test_formula_clause_view_matches_figure():
@@ -278,6 +282,25 @@ def test_config_graph_single_vertex():
     assert [(sorted(e.lo), sorted(e.hi)) for e in cg.edges] == [([], ["z"])]
 
 
+@pytest.mark.parametrize("axiom_id", ["vertex:bogus", "bogus"])
+def test_config_graph_unknown_axiom(axiom_id):
+    # the same lookup as verify: an id without a colon is no different
+    dag = line(2)
+    cert = Certificate(F2, "multilinear", {axiom_id: MultilinearPoly.one(F2)})
+    with pytest.raises(UnknownAxiom):
+        verify(pebbling_formula(dag), cert)
+    with pytest.raises(UnknownAxiom):
+        config_graph(dag, cert)
+
+
+def test_config_graph_needs_unique_sink():
+    # a designated sink is not enough: the formula needs it to be the only sink
+    dag = build_dag(["a", "b", "z"], [("a", "z")], "z")
+    cert = Certificate(F2, "multilinear", {"sink": MultilinearPoly.one(F2)})
+    with pytest.raises(NoDesignatedSink):
+        config_graph(dag, cert)
+
+
 def test_config_graph_needs_multilinear():
     dag = _single_vertex()
     cert = Certificate(Q, "standard", {"vertex:z": ExpPoly.one(Q)})
@@ -321,6 +344,36 @@ def test_extract_single_vertex():
     cert = compile_strategy(dag, _rv(("place", "z"), ("remove", "z")), Q)
     strat = extract(dag, cert)
     assert [(m.op, m.vertex) for m in strat.moves] == [("place", "z"), ("remove", "z")]
+
+
+# Reversible search witnesses pinned in tests/golden_witnesses.json.
+GOLDEN = json.loads(Path(__file__).with_name("golden_witnesses.json").read_text())
+GOLDEN_GRAPHS = {
+    "pyramid(3)": lambda: pyramid(3),
+    "line(8)": lambda: line(8),
+    "cs(3,2)": lambda: single_sink_restriction(carlson_savage(3, 2), "spine1/sec1/v6"),
+}
+
+
+@pytest.mark.filterwarnings("ignore:strategy runs past its palindromic closure")
+@pytest.mark.parametrize("pair", sorted(p for p in GOLDEN if "/reversible/" in p))
+def test_extract_golden_witnesses(pair):
+    # extraction gives back the witness up to its first sink visit, then the
+    # inverse moves of that prefix in reverse order, in every field
+    graph, _, flavor = pair.split("/")
+    dag = GOLDEN_GRAPHS[graph]()
+    ms = GOLDEN[pair]["min_space"]
+    for s in (ms, ms + 1):
+        text = GOLDEN[pair][str(s)]["moves"].split()
+        moves = [("place" if t[0] == "+" else "remove", t[1:]) for t in text]
+        first = next(i for i, (_, v) in enumerate(moves) if v == dag.designated_sink_name)
+        prefix = moves[:first + 1]
+        want = prefix + [("remove" if op == "place" else "place", v)
+                         for op, v in reversed(prefix)]
+        witness = Strategy("reversible", flavor, _moves(*moves))
+        for field in (F2, F3, Q):
+            got = extract(dag, compile_strategy(dag, witness, field))
+            assert [(m.op, m.vertex) for m in got.moves] == want
 
 
 def test_extract_rejects_invalid():
@@ -405,6 +458,24 @@ def test_certificate_json_rejects_string_vars(mode):
         certificate_from_json(data)
     data["multipliers"][0]["poly"][0]["vars"] = ["a", "b"]
     assert certificate_from_json(data).multipliers["sink"].num_monomials() == 1
+
+
+@pytest.mark.parametrize("coeff", ["1/0", "1e10000000"])
+def test_certificate_json_rejects_bad_rationals(coeff):
+    data = {"field": "rationals", "mode": "multilinear",
+            "multipliers": [{"axiom": "sink", "poly": [{"coeff": coeff, "vars": []}]}]}
+    start = time.perf_counter()
+    with pytest.raises(CertificateError):
+        certificate_from_json(data)
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("prime", [3.0, True])
+def test_certificate_json_rejects_non_integer_prime(prime):
+    data = {"field": {"prime": prime}, "mode": "multilinear",
+            "multipliers": [{"axiom": "sink", "poly": [{"coeff": "1", "vars": []}]}]}
+    with pytest.raises(NotPrime):
+        certificate_from_json(data)
 
 
 def test_certificate_json_field_override():

@@ -9,11 +9,15 @@ Core claims:
     - reversible-legal strategies replay under standard rules with the same
       metrics
     - strategy JSON round-trips
+    - replay and verify_strategy accept exactly the move sequences a
+      set-based simulator accepts, failing at the same step, in both games
 """
 
 import json
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pebcert import (
     Move,
@@ -37,7 +41,18 @@ from pebcert.errors import (
     SinkNotReached,
 )
 from pebcert.graphs import carlson_savage
-from pebcert.pebbling import PLACE, REMOVE, mirrored
+from pebcert.pebbling import (
+    PERSISTENT,
+    PLACE,
+    REMOVE,
+    REVERSIBLE,
+    STANDARD,
+    VISITING,
+    mirrored,
+    replay,
+)
+
+from conftest import random_single_sink_dag
 
 
 def _moves(*pairs):
@@ -177,3 +192,89 @@ def test_strategy_json_round_trip():
     assert strategy_from_json(data) == strat
     standard = Strategy("standard", None, strat.moves)
     assert strategy_from_json(strategy_to_json(standard)) == standard
+
+
+# -- replay against a set-based simulator ----------------------------------------
+
+def _allowed(preds, pebbled, op, v, game):
+    """The game rules on vertex-name sets, written out independently of the DAG's move table."""
+    if v not in preds:
+        return False
+    if op == PLACE:
+        return v not in pebbled and preds[v] <= pebbled
+    return v in pebbled and (game == STANDARD or preds[v] <= pebbled)
+
+
+def _simulate(preds, moves, game):
+    """(first illegal step or None, configurations before it as name sets)."""
+    pebbled = set()
+    configs = [frozenset()]
+    for i, (op, v) in enumerate(moves, start=1):
+        if not _allowed(preds, pebbled, op, v, game):
+            return i, configs
+        if op == PLACE:
+            pebbled.add(v)
+        else:
+            pebbled.remove(v)
+        configs.append(frozenset(pebbled))
+    return None, configs
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data(),
+       game=st.sampled_from([STANDARD, REVERSIBLE]),
+       flavor=st.sampled_from([VISITING, PERSISTENT]))
+def test_replay_matches_set_simulator(seed, data, game, flavor):
+    dag = random_single_sink_dag(random.Random(seed))
+    preds = {v: set(dag.pred_names(v)) for v in dag.names}
+    flavor = flavor if game == REVERSIBLE else None
+    z = dag.designated_sink_name
+    every = [(op, v) for v in dag.names + ("ghost",) for op in (PLACE, REMOVE)]
+    # mostly legal moves, placements first, with illegal ones mixed in
+    moves = []
+    pebbled = set()
+    for _ in range(data.draw(st.integers(0, 4 * len(dag)))):
+        legal = [(op, v) for op, v in every if _allowed(preds, pebbled, op, v, game)]
+        places = [m for m in legal if m[0] == PLACE]
+        roll = data.draw(st.integers(0, 9))
+        pool = places if places and roll < 6 else legal if legal and roll < 9 else every
+        op, v = data.draw(st.sampled_from(pool))
+        moves.append((op, v))
+        if (op, v) in legal:
+            (pebbled.add if op == PLACE else pebbled.remove)(v)
+            if (op, v) == (PLACE, z) and data.draw(st.integers(0, 3)):
+                # close the way a strategy does: unwind, keeping z if persistent
+                if game == STANDARD:
+                    moves += [(REMOVE, u) for u in sorted(pebbled)]
+                else:
+                    unwind = moves[:-1] if flavor == PERSISTENT else moves
+                    moves += [(REMOVE if o == PLACE else PLACE, u) for o, u in reversed(unwind)]
+                break
+    if moves and data.draw(st.booleans()):
+        moves[data.draw(st.integers(0, len(moves) - 1))] = data.draw(st.sampled_from(every))
+    strategy = Strategy(game, flavor, _moves(*moves))
+    fail, configs = _simulate(preds, moves, game)
+
+    if fail is not None:
+        with pytest.raises(IllegalMoveAt) as err:
+            replay(dag, strategy.moves, game)
+        assert err.value.step == fail
+        with pytest.raises(IllegalMoveAt) as err:
+            verify_strategy(dag, strategy)
+        assert err.value.step == fail
+        return
+
+    masks = replay(dag, strategy.moves, game)
+    assert [frozenset(v for v in dag.names if m >> dag.index[v] & 1) for m in masks] == configs
+    first = next((t for t, c in enumerate(configs) if z in c), None)
+    want_final = {z} if strategy.flavor == PERSISTENT else set()
+    if first is None:
+        with pytest.raises(SinkNeverPebbled):
+            verify_strategy(dag, strategy)
+    elif configs[-1] != want_final:
+        with pytest.raises(BadFinalConfig):
+            verify_strategy(dag, strategy)
+    else:
+        m = verify_strategy(dag, strategy)
+        assert (m.time, m.space, m.first_sink_step) == \
+            (len(moves), max(map(len, configs)), first)
