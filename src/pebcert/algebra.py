@@ -26,8 +26,9 @@ from .errors import FieldMismatch, ModulusTooLarge, NotPrime
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
-# Optional sign, digits, then optionally /digits or .digits: no exponents,
-# so parsing a coefficient is linear in its length.
+# Optional sign and ASCII digits; a rational may add /digits or .digits.  No
+# exponents, so parsing a coefficient is linear in its length.
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+|\.[0-9]+)?")
 
 
@@ -109,12 +110,14 @@ class Field:
             del terms[mono]
 
     def parse(self, s: str):
-        """Decimal string, rationals also as \"a/b\" or \"a.b\"; ValueError otherwise."""
+        """Optional sign and ASCII digits, rationals also as \"a/b\" or \"a.b\"; ValueError otherwise."""
         if self.p is None:
             if not _RATIONAL.fullmatch(s):
                 raise ValueError(f"invalid rational {s!r}")
             return Fraction(s)
-        return int(s, 10) % self.p
+        if not _INTEGER.fullmatch(s):
+            raise ValueError(f"invalid integer {s!r}")
+        return int(s) % self.p
 
     def format(self, x) -> str:
         return str(x)

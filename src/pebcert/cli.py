@@ -1,8 +1,9 @@
 """Command-line front end: generators, solvers, certificates, trade-off tables.
 
 Subcommands: gen, solve, cert, tradeoff.  Exit codes: 0 success, 1 invalid
-input (including certificates that fail verification), 2 infeasible or over
-the state budget, 3 internal consistency violation.
+input (including certificates that fail verification), 2 infeasible, over
+the state budget, or a search on more than 64 vertices, 3 internal
+consistency violation.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .errors import (
     PebblingError,
     SearchError,
     SpaceInfeasible,
+    TooManyVertices,
 )
 from .graphs import (
     bit_reversal,
@@ -352,7 +354,7 @@ def main(argv=None) -> int:
     except InstanceTooLarge as exc:
         print(f"error: {exc} (raise --state-budget to proceed)", file=sys.stderr)
         return 2
-    except SpaceInfeasible as exc:
+    except (SpaceInfeasible, TooManyVertices) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalConsistencyError as exc:

@@ -96,15 +96,30 @@ class SpaceInfeasible(SearchError):
 class InstanceTooLarge(SearchError):
     """State-count budget exceeded; pass a larger state_budget to proceed.
 
-    `discovered` counts the configurations found when the search stopped and
-    `layer` is the deepest BFS layer it had discovered in full.
+    `discovered` counts the configurations found when the search stopped.
+    The reversible searches check the budget after each layer, so the count
+    holds the whole layer that crossed it; the standard search checks after
+    each configuration it expands.
+    - Reversible visiting and standard search from {} alone: `layer` is the
+      deepest breadth-first layer finished before the stop.
+    - Reversible persistent searches from {} and from {z} and counts both
+      sides, both starts included: `layer` is the number of moves ruled
+      out, the sum of the depths the two sides had finished: every
+      persistent pebbling takes more moves than that.
     """
 
-    def __init__(self, budget: int, discovered: int, layer: int):
+    def __init__(self, budget: int, discovered: int, layer: int, two_ended: bool = False):
+        reach = (f"no persistent pebbling within {layer} moves" if two_ended
+                 else f"layers 0..{layer} complete")
         super().__init__(f"state budget {budget} exceeded: {discovered} configurations "
-                         f"discovered, layers 0..{layer} complete")
+                         f"discovered, {reach}")
         self.discovered = discovered
         self.layer = layer
+
+
+class TooManyVertices(SearchError):
+    """Searches hold a configuration in one 64-bit word, so they refuse
+    graphs of more than 64 vertices before doing any work."""
 
 
 class AlgebraError(ValueError):

@@ -2,17 +2,29 @@
 
 Configurations are bitmasks over topological indices, and every move is read
 from the DAG's move table `Dag.toggles`; states with more than the budgeted
-number of pebbles are never generated.  Every search runs
-forward from the empty configuration, one breadth-first layer at a time, and
-counts each configuration it discovers, {} included, against the state
-budget.
+number of pebbles are never generated.  A search stores each finished
+breadth-first layer as an `array('Q')`, one 64-bit word per configuration,
+so graphs of more than 64 vertices raise `TooManyVertices` before any work.
+Each pebble budget is one search, and the state budget caps the
+configurations it discovers.
 
-Reversible moves are symmetric (toggle v whenever pred(v) is pebbled), so an
-optimal reversible pebbling follows a shortest path.  The search stops at the
-first layer that holds a goal, once that whole layer is discovered: any
-sink-containing configuration for the visiting flavor (time twice the
-distance: shortest half, then mirror), {z} for the persistent one (time the
-distance).
+Reversible moves are symmetric (toggle v whenever pred(v) is pebbled) and
+change the pebble count by one, so an optimal reversible pebbling follows a
+shortest path, and layer k+1 is the neighbours of layer k minus layer k-1:
+frontier search, which keeps only the two newest layers as sets.
+- Visiting: layers grow from {} up to the first that holds a sink
+  configuration.  Time is twice that distance: the shortest half, then its
+  mirror.  The state budget counts every configuration of those layers,
+  {} included.
+- Persistent: the goal is the single configuration {z}, so layers grow
+  from {} and from {z}, each round on the side whose newest layer is
+  smaller (from {} on a tie), until the newest layer meets the other
+  side's newest layer.  Time is the sum of the two depths.  If either side
+  runs out first, the budget is infeasible.  The state budget counts the
+  layers of both sides, {} and {z} included; a configuration both sides
+  discover counts twice.
+The reversible searches check the state budget after each layer, so an
+`InstanceTooLarge` counts the whole layer that crossed it.
 
 Standard moves are not symmetric, since a pebble may always be removed.  A
 sink-containing configuration T discovered at layer k finishes in k + |T|
@@ -20,19 +32,24 @@ moves, the path and then the clean-up.  Such configurations are not expanded,
 because leaving one never makes the clean-up cheaper, so each is discovered
 exactly once, by placing z.  As T holds z and all of pred(z), layer k+1
 cannot finish in fewer than k + 2 + |pred(z)| moves; the search stops once
-that exceeds the best finish found.
+that exceeds the best finish found.  This search runs forward from {}, keeps
+a set of every configuration seen, and counts each one, {} and the sink
+configurations included, against the state budget as it is discovered.
 
 Witnesses are deterministic: among equal-length solutions the walk picks the
 lexicographically smallest move sequence under topological vertex order.  The
-discovered layers are first pruned backward from the optimal goals to the
-shortest-path DAG: from each on-path configuration of layer k+1 only its
-neighbours that lie in layer k are visited.  The walk then goes forward from
-{}, each step taking the lowest vertex whose move reaches an on-path
-configuration of the next layer.
+stored layers are first pruned to the shortest-path DAG: the on-path
+configurations of a layer are the neighbours of the next layer's on-path set
+that lie in it.  For the persistent flavor the pruning starts from the
+meeting set and runs back to {} through the layers from {}, and forward to
+{z} through the layers from {z}.  The walk then goes forward from {}, each
+step taking the lowest vertex whose move reaches an on-path configuration of
+the next layer.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -43,6 +60,7 @@ from .errors import (
     NoDesignatedSink,
     SearchError,
     SpaceInfeasible,
+    TooManyVertices,
 )
 from .graphs import Dag
 from .pebbling import (
@@ -58,6 +76,7 @@ from .pebbling import (
 )
 
 DEFAULT_STATE_BUDGET = 50_000_000
+MAX_VERTICES = 64
 
 
 @dataclass(frozen=True)
@@ -67,83 +86,113 @@ class TradeoffPoint:
     witness: Strategy
 
 
-def _require_single_sink(dag):
+def _check_search(dag, game, flavor):
     if dag.designated_sink is None:
         raise NoDesignatedSink("search needs a designated sink")
     if len(dag.sinks) != 1:
         raise NoDesignatedSink(
             "graph has several sinks; apply single_sink_restriction first")
-
-
-def _check_game(game, flavor):
+    if len(dag) > MAX_VERTICES:
+        raise TooManyVertices(f"search holds a configuration in {MAX_VERTICES} bits; "
+                              f"the graph has {len(dag)} vertices")
     if game not in (STANDARD, REVERSIBLE):
         raise SearchError(f"unknown game {game!r}")
     if game == REVERSIBLE and flavor not in (VISITING, PERSISTENT):
         raise SearchError(f"reversible search needs a flavor, got {flavor!r}")
 
 
-def _rev_layers(dag, space, persistent, limit):
-    """Reversible BFS from {} to the first goal layer.
+class _End:
+    """One end of a reversible search: its finished layers and its two newest layers."""
 
-    Returns (dist, goals): the layer of every discovered configuration, and
-    the goals of the last layer with their layer; None when no goal is
-    reachable.
+    __slots__ = ("layers", "prev", "cur")
+
+    def __init__(self, start):
+        self.layers = [array("Q", [start])]
+        self.prev = set()
+        self.cur = {start}
+
+
+def _grow(toggles, removals, space, end):
+    """Advance `end` by one layer and return it: the neighbours of layer k minus layer k-1.
+
+    Every move changes the pebble count by one, so no neighbour of layer k
+    lies in layer k itself.  A configuration at the budget may only remove a
+    pebble; `removals` pairs each bit with the mask its removal needs.
+    """
+    cur = end.cur
+    at = [u for u in cur if u.bit_count() == space]
+    below = [u for u in cur if u.bit_count() < space] if at else cur
+    nxt = {u ^ bit for u in below for bit, pm in toggles if u & pm == pm}
+    if at:
+        nxt.update([u ^ bit for u in at for bit, need in removals if u & need == need])
+    nxt.difference_update(end.prev)
+    end.prev, end.cur = cur, nxt
+    return nxt
+
+
+def _back(toggles, on, layer, free_removal=False):
+    """The configurations of `layer` with a move into the set `on`."""
+    return {x ^ bit for x in on for bit, pm in toggles
+            if x & pm == pm or (free_removal and not x & bit)}.intersection(layer)
+
+
+def _rev_search(dag, space, persistent, limit):
+    """On-path layers of the optimal reversible pebblings; None when there is none.
+
+    on[k] holds every configuration at distance k from {} on a shortest path
+    to a goal: on[0] holds only {} and the last entry holds the goals.
     """
     toggles = dag.toggles
+    removals = [(bit, bit | pm) for bit, pm in toggles]
     zbit = 1 << dag.designated_sink
-    dist = {0: 0}
-    frontier = [0]
-    layer = 0
-    while frontier:
-        layer += 1
-        nxt = []
-        for u in frontier:
-            if u.bit_count() < space:
-                for bit, pm in toggles:
-                    if u & pm == pm:
-                        x = u ^ bit
-                        if x not in dist:
-                            dist[x] = layer
-                            nxt.append(x)
-            else:
-                for bit, pm in toggles:
-                    if u & bit and u & pm == pm:
-                        x = u ^ bit
-                        if x not in dist:
-                            dist[x] = layer
-                            nxt.append(x)
-            if len(dist) > limit:
-                raise InstanceTooLarge(limit, len(dist), layer - 1)
+    ends = (_End(0), _End(zbit)) if persistent else (_End(0),)
+    start, goal = ends[0], ends[-1]
+    total = len(ends)
+    while True:
+        end = goal if len(goal.cur) < len(start.cur) else start
+        nxt = _grow(toggles, removals, space, end)
+        if not nxt:
+            return None
+        total += len(nxt)
+        if total > limit:
+            done = sum(len(e.layers) - 1 for e in ends)
+            raise InstanceTooLarge(limit, total, done, two_ended=persistent)
+        end.layers.append(array("Q", nxt))
         if persistent:
-            if zbit in dist:
-                return dist, {zbit: layer}
+            meet = nxt & (start.cur if end is goal else goal.cur)
         else:
-            goals = [x for x in nxt if x & zbit]
-            if goals:
-                return dist, dict.fromkeys(goals, layer)
-        frontier = nxt
-    return None
+            meet = {x for x in nxt if x & zbit}
+        if meet:
+            break
+    on = [meet]
+    for layer in reversed(start.layers[:-1]):
+        on.append(_back(toggles, on[-1], layer))
+    on.reverse()
+    if persistent:
+        for layer in reversed(goal.layers[:-1]):
+            on.append(_back(toggles, on[-1], layer))
+    return on
 
 
-def _std_layers(dag, space, limit):
+def _std_search(dag, space, limit):
     """Standard BFS from {}, scoring each sink configuration T at layer k as k + |T|.
 
-    Returns (dist, goals, best): the layer of every discovered configuration
-    without the sink, the optimal sink configurations with their layer, and
-    their finishing time; None when the sink cannot be pebbled.
+    Returns (on, goals, best): the on-path configurations of each layer, the
+    optimal sink configurations, and their finishing time; None when the
+    sink cannot be pebbled.
     """
     z = dag.designated_sink
     zbit, zpm = dag.toggles[z]
     others = dag.toggles[:z] + dag.toggles[z + 1:]
     least = 1 + zpm.bit_count()
-    dist = {0: 0}
+    seen = {0}
+    layers = [array("Q", [0])]
     sinks = 0
     frontier = [0]
-    layer = 0
     best = None
     goals = {}
-    while frontier and (best is None or layer + 1 + least <= best):
-        layer += 1
+    while frontier and (best is None or len(layers) + least <= best):
+        layer = len(layers)
         nxt = []
         for u in frontier:
             if u.bit_count() < space:
@@ -154,8 +203,8 @@ def _std_layers(dag, space, limit):
                         x = u | bit
                     else:
                         continue
-                    if x not in dist:
-                        dist[x] = layer
+                    if x not in seen:
+                        seen.add(x)
                         nxt.append(x)
                 if u & zpm == zpm:
                     sinks += 1
@@ -168,35 +217,30 @@ def _std_layers(dag, space, limit):
                 for bit, _ in others:
                     if u & bit:
                         x = u ^ bit
-                        if x not in dist:
-                            dist[x] = layer
+                        if x not in seen:
+                            seen.add(x)
                             nxt.append(x)
-            if len(dist) + sinks > limit:
-                raise InstanceTooLarge(limit, len(dist) + sinks, layer - 1)
+            if len(seen) + sinks > limit:
+                raise InstanceTooLarge(limit, len(seen) + sinks, layer - 1)
+        layers.append(array("Q", nxt))
         frontier = nxt
     if best is None:
         return None
-    return dist, goals, best
+    on = [set() for _ in range(max(goals.values()) + 1)]
+    for g, layer in goals.items():
+        on[layer].add(g)
+    for k in range(len(on) - 1, 1, -1):
+        on[k - 1] |= _back(dag.toggles, on[k], layers[k - 1], True)
+    return on, goals, best
 
 
-def _walk(dag, dist, goals, free_removal):
+def _walk(dag, on, goals, free_removal):
     """Lexicographically smallest shortest path from {} to a goal.
 
-    `goals` maps each goal to its layer; `dist` gives the layer of every
-    configuration a path may pass.  `free_removal` makes every removal legal
-    (standard game); otherwise a move needs pred(v) pebbled.
+    on[k] holds the on-path configurations at distance k.  `free_removal`
+    makes every removal legal (standard game); otherwise a move needs
+    pred(v) pebbled.
     """
-    on = {}
-    for g, layer in goals.items():
-        on.setdefault(layer, set()).add(g)
-    for k in range(max(on), 1, -1):
-        below = on.setdefault(k - 1, set())
-        for x in on[k]:
-            for bit, pm in dag.toggles:
-                if x & pm == pm or (free_removal and not x & bit):
-                    y = x ^ bit
-                    if dist.get(y) == k - 1:
-                        below.add(y)
     moves = []
     cur = 0
     k = 0
@@ -218,19 +262,18 @@ def _walk(dag, dist, goals, free_removal):
 def _solve(dag, game, flavor, space, state_budget):
     """Optimal (time, witness) within `space` pebbles; None when infeasible."""
     if game == REVERSIBLE:
-        found = _rev_layers(dag, space, flavor == PERSISTENT, state_budget)
-        if found is None:
+        on = _rev_search(dag, space, flavor == PERSISTENT, state_budget)
+        if on is None:
             return None
-        dist, goals = found
-        moves, _ = _walk(dag, dist, goals, False)
+        moves, _ = _walk(dag, on, on[-1], False)
         if flavor == PERSISTENT:
             return len(moves), Strategy(REVERSIBLE, PERSISTENT, tuple(moves))
         return 2 * len(moves), mirror_extend(dag, moves)
-    found = _std_layers(dag, space, state_budget)
+    found = _std_search(dag, space, state_budget)
     if found is None:
         return None
-    dist, goals, best = found
-    moves, cur = _walk(dag, dist, goals, True)
+    on, goals, best = found
+    moves, cur = _walk(dag, on, goals, True)
     for v in range(len(dag)):
         if cur >> v & 1:
             moves.append(Move(REMOVE, dag.names[v]))
@@ -246,8 +289,7 @@ def min_time_within_space(dag: Dag, game: str, flavor: str | None, space: int,
     from {} to {z}.  Standard: min over sink configurations of path length
     plus final clean-up size.  Raises SpaceInfeasible below min_space.
     """
-    _require_single_sink(dag)
-    _check_game(game, flavor)
+    _check_search(dag, game, flavor)
     if space < 1:
         raise SpaceInfeasible("budget below one pebble")
     found = _solve(dag, game, flavor, space, state_budget)
@@ -264,8 +306,7 @@ def min_space(dag: Dag, game: str, flavor: str | None = VISITING,
     Searches the budgets 1, 2, ... in turn; the witness is the deterministic
     time-optimal strategy of the first one that succeeds.
     """
-    _require_single_sink(dag)
-    _check_game(game, flavor)
+    _check_search(dag, game, flavor)
     for s in range(1, len(dag) + 1):
         found = _solve(dag, game, flavor, s, state_budget)
         if found is not None:

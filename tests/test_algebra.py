@@ -60,6 +60,15 @@ def test_rational_parse_accepts_only_decimal_forms():
         f.parse("1/0")
 
 
+def test_prime_parse_accepts_only_sign_and_ascii_digits():
+    f = Field.prime(5)
+    for text, value in (("7", 2), ("-3", 2), ("+12", 2), ("007", 2), ("0", 0)):
+        assert f.parse(text) == value
+    for bad in (" 7\n", "7 ", "1_0", "\u0663", "", "+", "1.0", "1/2", "0x1", "1e3"):
+        with pytest.raises(ValueError):
+            f.parse(bad)
+
+
 def test_prime_check_large_moduli():
     start = time.perf_counter()
     assert Field.prime(10**18 + 3).p == 10**18 + 3

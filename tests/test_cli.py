@@ -172,6 +172,27 @@ def test_cert_verify_bad_field_or_coefficient_exits_one(tmp_path, capsys, field,
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("lenient", [
+    lambda n: f" {n}\n", lambda n: f"0_{n}", lambda n: "".join(chr(0x660 + int(d)) for d in str(n)),
+])
+def test_cert_verify_rejects_non_decimal_gfp_coefficient(tmp_path, capsys, lenient):
+    # each form is int()'s spelling of coefficient + 5, so a lenient reader
+    # over GF(5) would load the compiled certificate unchanged
+    graph, witness, cert = (tmp_path / name for name in ("g.json", "w.json", "c.json"))
+    run(capsys, "gen", "--family", "line", "--n", "2", "--out", str(graph))
+    run(capsys, "solve", "--mode", "min-space", str(graph), "--witness", str(witness))
+    run(capsys, "cert", "compile", "--field", "5", str(graph), str(witness), "--out", str(cert))
+    assert run(capsys, "cert", "verify", str(graph), str(cert))[0] == 0
+    data = json.loads(cert.read_text())
+    for mult in data["multipliers"]:
+        for term in mult["poly"]:
+            term["coeff"] = lenient(int(term["coeff"]) + 5)
+    cert.write_text(json.dumps(data))
+    code, _, err = run(capsys, "cert", "verify", str(graph), str(cert))
+    assert code == 1
+    assert "invalid coefficient" in err
+
+
 def test_field_beyond_exact_primality_exits_one(tmp_path, capsys):
     graph = tmp_path / "line2.json"
     run(capsys, "gen", "--family", "line", "--n", "2", "--out", str(graph))
@@ -257,6 +278,16 @@ def test_state_budget_only_on_searching_commands(capsys):
     code, _, err = run(capsys, "gen", "--family", "line", "--n", "2", "--state-budget", "5")
     assert code == 1
     assert "--state-budget" in err
+
+
+def test_search_on_more_than_64_vertices_exits_two(tmp_path, capsys):
+    graph = tmp_path / "line65.json"
+    run(capsys, "gen", "--family", "line", "--n", "65", "--out", str(graph))
+    for mode in (["--mode", "min-space"], ["--mode", "min-time", "--space", "3"]):
+        code, _, err = run(capsys, "solve", *mode, str(graph))
+        assert code == 2
+        assert "65 vertices" in err
+        assert "state-budget" not in err
 
 
 def test_state_budget_report(tmp_path, capsys):

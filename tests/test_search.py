@@ -24,7 +24,7 @@ from pebcert import (
     verify_strategy,
 )
 from pebcert.cli import main
-from pebcert.errors import InstanceTooLarge, NoDesignatedSink, SpaceInfeasible
+from pebcert.errors import InstanceTooLarge, NoDesignatedSink, SpaceInfeasible, TooManyVertices
 
 
 def _cs_prime(c, r):
@@ -88,6 +88,24 @@ def test_multi_sink_rejected():
 def test_state_budget_guard():
     with pytest.raises(InstanceTooLarge):
         min_space(pyramid(3), "reversible", "visiting", state_budget=5)
+
+
+def test_more_than_64_vertices_refused():
+    dag = line(65)
+    for game, flavor in (("reversible", "visiting"), ("reversible", "persistent"),
+                         ("standard", None)):
+        with pytest.raises(TooManyVertices):
+            min_time_within_space(dag, game, flavor, 2, state_budget=0)
+        with pytest.raises(TooManyVertices):
+            min_space(dag, game, flavor, state_budget=0)
+        with pytest.raises(TooManyVertices):
+            pareto(dag, game, flavor, 3, state_budget=0)
+    # 64 vertices fit, the sink's configuration in the top bit included
+    dag = line(64)
+    assert min_time_within_space(dag, "standard", None, 2)[0] == 128
+    for flavor in ("visiting", "persistent"):
+        with pytest.raises(SpaceInfeasible):
+            min_time_within_space(dag, "reversible", flavor, 2)
 
 
 def test_witnesses_deterministic():
@@ -185,7 +203,8 @@ def test_oracle_vs_enumeration_on_random_dags():
     rng = _random.Random(20240817)
     for _ in range(40):
         dag = random_single_sink_dag(rng, max_n=5)
-        for game, flavor in (("reversible", "visiting"), ("standard", None)):
+        for game, flavor in (("reversible", "visiting"), ("reversible", "persistent"),
+                             ("standard", None)):
             space, _ = min_space(dag, game, flavor)
             optimum, witness = min_time_within_space(dag, game, flavor, space)
             assert verify_strategy(dag, witness).time == optimum
@@ -228,6 +247,58 @@ def test_golden_witnesses(pair):
         assert _move_text(witness) == expected[str(s)]["moves"]
 
 
+def _oracle_witness(dag, flavor, space):
+    """(time, moves) of the lexicographically smallest optimal reversible pebbling.
+
+    Computed from BFS distances alone: from {} and to the goals ({z}, or
+    every sink configuration for the visiting flavor).  The walk takes the
+    lowest vertex whose move keeps d_start + d_goal on the optimum; a
+    visiting pebbling then undoes its moves in reverse.  None when no goal
+    is reachable.
+    """
+    z = 1 << dag.designated_sink
+    if flavor == "persistent":
+        goals = [z]
+    else:
+        goals = [x for x in range(1 << len(dag)) if x & z and x.bit_count() <= space]
+    start = _reversible_distances(dag, space)
+    reached = [start[g] for g in goals if g in start]
+    if not reached:
+        return None
+    d = min(reached)
+    to_goal = _reversible_distances(dag, space, goals)
+    moves, cur = [], 0
+    for k in range(d):
+        for v in range(len(dag)):
+            x = cur ^ (1 << v)
+            if (all(cur >> p & 1 for p in dag.preds[v])
+                    and start.get(x) == k + 1 and to_goal.get(x) == d - k - 1):
+                moves.append(("+" if x > cur else "-") + dag.names[v])
+                cur = x
+                break
+    if flavor == "visiting":
+        moves += [("-" if m[0] == "+" else "+") + m[1:] for m in reversed(moves)]
+    return len(moves), " ".join(moves)
+
+
+def test_witnesses_match_distance_oracle_on_random_dags():
+    from conftest import random_single_sink_dag
+    import random as _random
+
+    rng = _random.Random(20261018)
+    for _ in range(100):
+        dag = random_single_sink_dag(rng, max_n=8)
+        for flavor in ("visiting", "persistent"):
+            for space in range(1, len(dag) + 1):
+                expected = _oracle_witness(dag, flavor, space)
+                if expected is None:
+                    with pytest.raises(SpaceInfeasible):
+                        min_time_within_space(dag, "reversible", flavor, space)
+                else:
+                    t, witness = min_time_within_space(dag, "reversible", flavor, space)
+                    assert (t, _move_text(witness)) == expected
+
+
 @pytest.mark.parametrize("game,flavor", [
     ("reversible", "visiting"), ("reversible", "persistent"), ("standard", "visiting"),
 ])
@@ -248,10 +319,10 @@ def test_tradeoff_searches_each_budget_once(monkeypatch, capsys, game, flavor):
     assert budgets == list(range(1, smax + 1))
 
 
-def _reversible_distances(dag, space):
-    """BFS distances from {} over all configurations of at most `space` pebbles."""
-    dist = {0: 0}
-    queue = [0]
+def _reversible_distances(dag, space, starts=(0,)):
+    """BFS distances from `starts` over all configurations of at most `space` pebbles."""
+    dist = dict.fromkeys(starts, 0)
+    queue = list(dist)
     for u in queue:
         for v in range(len(dag)):
             if all(u >> p & 1 for p in dag.preds[v]):
@@ -260,6 +331,29 @@ def _reversible_distances(dag, space):
                     dist[x] = dist[u] + 1
                     queue.append(x)
     return dist
+
+
+def _two_ended_count(dag, space):
+    """Configurations the persistent search discovers, by its documented rule.
+
+    Layers grow from {} and from {z}, each round on the side whose newest
+    layer is smaller ({} on a tie), until the depths add up to the distance
+    between them: only then can the two newest layers share a configuration.
+    """
+    z = 1 << dag.designated_sink
+    sizes = []
+    for start in (0, z):
+        dist = _reversible_distances(dag, space, (start,))
+        sizes.append([sum(1 for d in dist.values() if d == k)
+                      for k in range(max(dist.values()) + 1)])
+    goal = _reversible_distances(dag, space)[z]
+    depth = [0, 0]
+    discovered = 2
+    while sum(depth) < goal:
+        side = 1 if sizes[1][depth[1]] < sizes[0][depth[0]] else 0
+        depth[side] += 1
+        discovered += sizes[side][depth[side]]
+    return discovered, goal, depth
 
 
 @pytest.mark.parametrize("flavor", ["visiting", "persistent"])
@@ -271,11 +365,14 @@ def test_state_budget_boundary(flavor):
     z = 1 << dag.designated_sink
     if flavor == "visiting":
         goal = min(d for x, d in dist.items() if x & z)
+        discovered = sum(1 for d in dist.values() if d <= goal)
     else:
-        goal = dist[z]
-    discovered = sum(1 for d in dist.values() if d <= goal)
+        discovered, goal, depth = _two_ended_count(dag, space)
+        assert min(depth) > 0  # both ends grew
     t, _ = min_time_within_space(dag, "reversible", flavor, space, state_budget=discovered)
     assert t == (2 * goal if flavor == "visiting" else goal)
     with pytest.raises(InstanceTooLarge) as info:
         min_time_within_space(dag, "reversible", flavor, space, state_budget=discovered - 1)
     assert (info.value.discovered, info.value.layer) == (discovered, goal - 1)
+    if flavor == "persistent":
+        assert f"no persistent pebbling within {goal - 1} moves" in str(info.value)
