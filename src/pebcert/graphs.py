@@ -126,6 +126,16 @@ class Dag:
         }
 
 
+def mask_names(names, mask) -> frozenset:
+    """Names of the set bits of a configuration mask; bit i stands for names[i]."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(names[low.bit_length() - 1])
+        mask ^= low
+    return frozenset(out)
+
+
 def _hashable(name) -> bool:
     try:
         hash(name)
@@ -338,11 +348,15 @@ def load_graph(path) -> Dag:
 
 def graph_from_json(data) -> Dag:
     try:
-        vertices = data["vertices"]
+        vertices = list(data["vertices"])
         edges = [tuple(e) for e in data["edges"]]
     except (KeyError, TypeError) as exc:
         raise UnknownVertex(f"malformed graph JSON: {exc}") from None
-    return build_dag(vertices, edges, data.get("sink"))
+    dag = build_dag(vertices, edges, data.get("sink"))
+    for name in dag.names:
+        if not isinstance(name, str):
+            raise GraphError(f"vertex name {name!r} is not a string")
+    return dag
 
 
 def save_graph(dag: Dag, path) -> None:

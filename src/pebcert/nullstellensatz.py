@@ -14,19 +14,20 @@ reversible pebbling prefix into the telescoping term sign * x_R * A_v with
 R = P_i - {v_i} - pred(v_i), read off the DAG's move table, and closes with
 A_sink * x_{P_t' - {z}}.  The extractor walks the configuration graph whose
 edges come from sink-free multiplier monomials, appends the mirror of the
-path and replays the result once; configuration weights
-follow the signed occurrence accounting (a monomial q of Q_v contributes its
-coefficient at W + pred(v) and minus it at W + pred(v) + {v}), under which
-the empty configuration weighs 1 and every other sink-free endpoint weighs 0
-for a valid certificate.
+path and replays the result once; configuration weights follow the signed
+occurrence accounting (a monomial q of Q_v contributes its coefficient at
+W + pred(v) and minus it at W + pred(v) + {v}), under which the empty
+configuration weighs 1 and every other sink-free endpoint weighs 0 for a
+valid certificate.
 
-Each certificate operation is one pass, linear in its number of terms:
-verify adds every product term into one coefficient map in both modes
-(A_v = x_P - x_{P+v} takes two updates per multiplier term), the compiler
-accumulates {R mask: coefficient} per axiom and translates each distinct
-mask to vertex names once, JSON loading fills one map per multiplier, and
-check_weights sums all configuration weights in one pass over the edges.
-Multiplier `terms` stay keyed by vertex names at the API.
+Configurations are bitmasks over topological indices, as in the game and the
+search; a multiplier variable outside the DAG (syzygy moves bring such
+variables in) gets its own bit above len(dag).  Multiplier `terms` stay keyed
+by names, and masks go back to names only through `graphs.mask_names`.  Each
+operation is one pass, linear in its number of terms: verify adds every
+product term into one coefficient map, the compiler accumulates
+{R mask: coefficient} per axiom, and check_weights sums all configuration
+weights over the edges and translates only its violations to names.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .errors import (
     StrategyIllegal,
     UnknownAxiom,
 )
-from .graphs import Dag
+from .graphs import Dag, mask_names
 from .pebbling import (
     PLACE,
     REMOVE,
@@ -82,9 +83,8 @@ class PebblingFormula:
         self.sink_name = dag.designated_sink_name
         # axiom id -> (pred names, vertex name or None for the sink axiom)
         self._axioms = {}
-        for v, name in enumerate(dag.names):
-            preds = frozenset(dag.names[p] for p in dag.preds[v])
-            self._axioms[vertex_axiom_id(name)] = (preds, name)
+        for name, (_, pm) in zip(dag.names, dag.toggles):
+            self._axioms[vertex_axiom_id(name)] = (mask_names(dag.names, pm), name)
         self._axioms[SINK_AXIOM] = (frozenset({self.sink_name}), None)
         self.axiom_ids = tuple(self._axioms)
 
@@ -224,14 +224,6 @@ def compile_strategy(dag: Dag, strategy: Strategy, field: Field) -> Certificate:
             f"strategy runs past its palindromic closure; compiling only the "
             f"{t_prime}-move prefix up to the first sink visit", stacklevel=2)
 
-    names = {}  # mask -> frozenset of vertex names, each translated once
-
-    def names_of(mask):
-        if mask not in names:
-            names[mask] = frozenset(dag.names[i] for i in range(mask.bit_length())
-                                    if mask >> i & 1)
-        return names[mask]
-
     plus, minus = field.one, field.neg(field.one)
     terms = {}  # axiom id -> {R mask: coefficient}
     for i in range(1, t_prime + 1):
@@ -240,53 +232,44 @@ def compile_strategy(dag: Dag, strategy: Strategy, field: Field) -> Certificate:
         field.accumulate(terms.setdefault(vertex_axiom_id(name), {}),
                          configs[i] & ~(bit | pm),
                          plus if configs[i] > configs[i - 1] else minus)
-    multipliers = {axiom_id: MultilinearPoly._of(field, {names_of(m): c for m, c in q.items()})
+    multipliers = {axiom_id: MultilinearPoly._of(field, {mask_names(dag.names, m): c
+                                                         for m, c in q.items()})
                    for axiom_id, q in terms.items()}
     multipliers[SINK_AXIOM] = MultilinearPoly._of(
-        field, {names_of(configs[t_prime] & ~zbit): field.one})
+        field, {mask_names(dag.names, configs[t_prime] & ~zbit): field.one})
     return Certificate(field, MULTILINEAR, multipliers)
 
 
-@dataclass(frozen=True)
-class ConfigEdge:
-    """Edge of the configuration graph, from monomial x_W of Q_vertex.
+class ConfigGraph:
+    """Multigraph on pebble configurations induced by a multilinear certificate.
 
-    Connects lo = W + pred(v) with hi = lo + {v}; the weight is the monomial
-    coefficient and counts positively at lo and negatively at hi.
+    Bit i of a configuration mask is names[i]: the DAG's vertices (the sink
+    at bit `sink`), then the multiplier variables outside the DAG in order of
+    first appearance.  Each sink-free multiplier term c*x_W of Q_v is one
+    edge (lo, hi, c) with lo = W + pred(v) and hi = lo + {v}; c counts at lo
+    and -c at hi.
     """
 
-    lo: frozenset
-    hi: frozenset
-    weight: object
-
-
-class ConfigGraph:
-    """Multigraph on pebble configurations induced by a multilinear certificate."""
-
-    def __init__(self, sink_name, field, edges):
-        self.sink_name = sink_name
+    def __init__(self, names, sink, field, edges):
+        self.names = names
+        self.sink = sink
         self.field = field
         self.edges = tuple(edges)
 
     def weights(self):
-        """Signed occurrence weight of every endpoint configuration, in one pass."""
+        """Signed occurrence weight of every endpoint mask, in one pass."""
         f = self.field
         out = {}
-        for e in self.edges:
-            out[e.lo] = f.add(out.get(e.lo, f.zero), e.weight)
-            out[e.hi] = f.sub(out.get(e.hi, f.zero), e.weight)
+        for lo, hi, weight in self.edges:
+            out[lo] = f.add(out.get(lo, f.zero), weight)
+            out[hi] = f.sub(out.get(hi, f.zero), weight)
         return out
 
     def weight(self, config):
-        """Signed occurrence weight of a configuration."""
-        return self.weights().get(frozenset(config), self.field.zero)
-
-    def adjacency(self):
-        adj = {}
-        for e in self.edges:
-            adj.setdefault(e.lo, set()).add(e.hi)
-            adj.setdefault(e.hi, set()).add(e.lo)
-        return adj
+        """Signed occurrence weight of a configuration given by its names."""
+        config = frozenset(config)
+        return next((w for c, w in self.weights().items()
+                     if mask_names(self.names, c) == config), self.field.zero)
 
 
 def config_graph(dag: Dag, cert: Certificate) -> ConfigGraph:
@@ -299,34 +282,43 @@ def config_graph(dag: Dag, cert: Certificate) -> ConfigGraph:
     if cert.mode != MULTILINEAR:
         raise NotMultilinear("configuration graphs need a multilinear certificate")
     formula = pebbling_formula(dag)
+    bits = {name: 1 << i for i, name in enumerate(dag.names)}
     edges = []
     for axiom_id, q in cert.multipliers.items():
-        preds, name = formula.axiom(axiom_id)
+        name = formula.axiom(axiom_id)[1]
         if name is None:
             continue
+        bit, pm = dag.toggles[dag.index[name]]
         for mono, coeff in q.terms.items():
-            if name not in mono:
-                lo = mono | preds
-                edges.append(ConfigEdge(lo, lo | {name}, coeff))
-    return ConfigGraph(formula.sink_name, cert.field, edges)
+            # a variable outside the DAG takes the next free bit
+            lo = sum(bits.setdefault(var, 1 << len(bits)) for var in mono)
+            if not lo & bit:
+                lo |= pm
+                edges.append((lo, lo | bit, coeff))
+    return ConfigGraph(tuple(bits), dag.designated_sink, cert.field, edges)
 
 
 @dataclass(frozen=True)
 class WeightReport:
     ok: bool
     empty_weight: object
-    violations: tuple  # (configuration, weight) pairs
+    violations: tuple  # (configuration names, weight) pairs
+
+
+def _config_key(config):
+    return (len(config), sorted(config))
 
 
 def check_weights(cg: ConfigGraph) -> WeightReport:
     """Claim-8 style check: weight({}) = 1, sink-free endpoints weigh 0."""
     f = cg.field
+    zbit = 1 << cg.sink
     weights = cg.weights()
-    empty_weight = weights.get(frozenset(), f.zero)
+    empty_weight = weights.get(0, f.zero)
     violations = [] if empty_weight == f.one else [(frozenset(), empty_weight)]
-    for config in sorted(weights, key=lambda c: (len(c), sorted(c))):
-        if config and cg.sink_name not in config and weights[config] != f.zero:
-            violations.append((config, weights[config]))
+    violations += sorted(((mask_names(cg.names, c), w) for c, w in weights.items()
+                          if c and not c & zbit and w != f.zero),
+                         key=lambda cw: _config_key(cw[0]))
     return WeightReport(not violations, empty_weight, tuple(violations))
 
 
@@ -335,8 +327,9 @@ def extract(dag: Dag, cert: Certificate) -> Strategy:
 
     Multilinearizes standard-mode input, walks the configuration graph from
     the empty configuration to a sink-containing one by BFS, and mirrors the
-    path.  Space is at most the certificate degree and time at most size - 1;
-    both hold with equality for compiled search witnesses.
+    path.  Neighbours are visited in (size, sorted names) order.  Space is at
+    most the certificate degree and time at most size - 1; both hold with
+    equality for compiled search witnesses.
     """
     formula = pebbling_formula(dag)
     if cert.mode != MULTILINEAR:
@@ -346,44 +339,43 @@ def extract(dag: Dag, cert: Certificate) -> Strategy:
         raise CertificateInvalid("certificate does not verify")
 
     cg = config_graph(dag, cert)
-    adj = cg.adjacency()
-    start = frozenset()
-    if start not in adj:
+    adj = {}
+    for lo, hi, _ in cg.edges:
+        adj.setdefault(lo, set()).add(hi)
+        adj.setdefault(hi, set()).add(lo)
+    if 0 not in adj:
         raise NoPathToSink("empty configuration touches no edge")
-    order = {c: (len(c), sorted(c)) for c in adj}
-    parent = {start: None}
-    queue = deque([start])
-    target = None
+    zbit = 1 << dag.designated_sink
+    parent = {0: None}
+    queue = deque([0])
     while queue:
         u = queue.popleft()
-        if cg.sink_name in u:
-            target = u
+        if u & zbit:
             break
-        for w in sorted(adj[u], key=order.__getitem__):
-            if w not in parent:
-                parent[w] = u
-                queue.append(w)
-    if target is None:
+        fresh = [w for w in adj[u] if w not in parent]
+        if len(fresh) > 1:  # each endpoint is keyed at most once, when first reached
+            fresh.sort(key=lambda c: _config_key(mask_names(cg.names, c)))
+        for w in fresh:
+            parent[w] = u
+            queue.append(w)
+    else:
         raise NoPathToSink("no path from the empty configuration to the sink")
 
-    path = []
-    node = target
-    while node is not None:
-        path.append(node)
-        node = parent[node]
-    path.reverse()
-    moves = tuple(Move(PLACE, next(iter(b - a))) if len(b) > len(a)
-                  else Move(REMOVE, next(iter(a - b))) for a, b in zip(path, path[1:]))
+    moves = []
+    while parent[u] is not None:
+        a = parent[u]
+        moves.append(Move(PLACE if u > a else REMOVE, dag.names[(a ^ u).bit_length() - 1]))
+        u = a
+    moves = tuple(reversed(moves))
     strategy = Strategy(REVERSIBLE, VISITING, moves + mirrored(moves))
     verify_strategy(dag, strategy)
     return strategy
 
 
 def _clamped(cert: Certificate) -> Certificate:
-    multipliers = {}
-    for axiom_id, q in cert.multipliers.items():
-        multipliers[axiom_id] = q.clamp() if isinstance(q, ExpPoly) else q
-    return Certificate(cert.field, MULTILINEAR, multipliers)
+    return Certificate(cert.field, MULTILINEAR, {
+        axiom_id: q.clamp() if isinstance(q, ExpPoly) else q
+        for axiom_id, q in cert.multipliers.items()})
 
 
 def multilinearize(formula: PebblingFormula, cert: Certificate) -> Certificate:
@@ -397,20 +389,14 @@ def multilinearize(formula: PebblingFormula, cert: Certificate) -> Certificate:
     return out
 
 
-def _axiom_sort_key(axiom_id):
-    return (axiom_id == SINK_AXIOM, axiom_id)
-
-
 def certificate_to_json(cert: Certificate) -> dict:
     f = cert.field
     data = {
         "field": "rationals" if f.is_rationals else {"prime": f.p},
         "mode": cert.mode,
-        "multipliers": [],
+        "multipliers": [{"axiom": a, "poly": _poly_to_json(f, cert.multipliers[a])}
+                        for a in sorted(cert.multipliers, key=lambda a: (a == SINK_AXIOM, a))],
     }
-    for axiom_id in sorted(cert.multipliers, key=_axiom_sort_key):
-        q = cert.multipliers[axiom_id]
-        data["multipliers"].append({"axiom": axiom_id, "poly": _poly_to_json(f, q)})
     if cert.boolean_multipliers:
         data["boolean_multipliers"] = [
             {"var": var, "poly": _poly_to_json(f, s)}
@@ -420,17 +406,11 @@ def certificate_to_json(cert: Certificate) -> dict:
 
 
 def _poly_to_json(f, poly):
-    out = []
     if isinstance(poly, MultilinearPoly):
-        monos = sorted(poly.terms, key=lambda m: (len(m), sorted(m)))
-        for m in monos:
-            out.append({"coeff": f.format(poly.terms[m]), "vars": sorted(m)})
-    else:
-        monos = sorted(poly.terms, key=lambda m: (sum(e for _, e in m), m))
-        for m in monos:
-            names = [v for v, e in m for _ in range(e)]
-            out.append({"coeff": f.format(poly.terms[m]), "vars": names})
-    return out
+        return [{"coeff": f.format(poly.terms[m]), "vars": sorted(m)}
+                for m in sorted(poly.terms, key=_config_key)]
+    return [{"coeff": f.format(poly.terms[m]), "vars": [v for v, e in m for _ in range(e)]}
+            for m in sorted(poly.terms, key=lambda m: (sum(e for _, e in m), m))]
 
 
 def certificate_from_json(data, field: Field | None = None) -> Certificate:
@@ -444,6 +424,8 @@ def certificate_from_json(data, field: Field | None = None) -> Certificate:
             multipliers[entry["axiom"]] = _poly_from_json(field, entry["poly"], mode)
         booleans = {}
         for entry in data.get("boolean_multipliers", []):
+            if not isinstance(entry["var"], str):
+                raise CertificateError(f'"var" must be a name string, got {entry["var"]!r}')
             booleans[entry["var"]] = _poly_from_json(field, entry["poly"], STANDARD_MODE)
     except (KeyError, TypeError) as exc:
         raise CertificateError(f"malformed certificate JSON: {exc}") from None
@@ -452,8 +434,8 @@ def certificate_from_json(data, field: Field | None = None) -> Certificate:
 
 def _vars_from_json(entry):
     names = entry["vars"]
-    if not isinstance(names, list) or not all(isinstance(v, (str, int)) for v in names):
-        raise CertificateError(f'"vars" must be a list of vertex names, got {names!r}')
+    if not isinstance(names, list) or not all(isinstance(v, str) for v in names):
+        raise CertificateError(f'"vars" must be a list of name strings, got {names!r}')
     return names
 
 

@@ -29,7 +29,7 @@ from .errors import (
     SinkNeverPebbled,
     SinkNotReached,
 )
-from .graphs import Dag
+from .graphs import Dag, mask_names
 
 STANDARD = "standard"
 REVERSIBLE = "reversible"
@@ -95,8 +95,7 @@ def step(dag: Dag, config, move: Move, game: str) -> frozenset:
     mask = 0
     for name in config:
         mask |= 1 << dag._idx(name)
-    out = _move_mask(dag, mask, move, game)
-    return frozenset(dag.names[i] for i in range(len(dag)) if out >> i & 1)
+    return mask_names(dag.names, _move_mask(dag, mask, move, game))
 
 
 def replay(dag: Dag, moves, game: str) -> list[int]:
@@ -178,6 +177,9 @@ def strategy_from_json(data) -> Strategy:
         moves = tuple(Move(m["op"], m["v"]) for m in data["moves"])
     except (KeyError, TypeError) as exc:
         raise PebblingError(f"malformed strategy JSON: {exc}") from None
+    for m in moves:
+        if not (isinstance(m.op, str) and isinstance(m.vertex, str)):
+            raise PebblingError(f'move "op" and "v" must be strings, got {m.op!r}, {m.vertex!r}')
     return Strategy(game, data.get("flavor"), moves)
 
 

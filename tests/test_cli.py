@@ -5,10 +5,14 @@ metrics.  Exit codes: 0 success, 1 invalid input, 2 infeasible/too-large,
 3 internal consistency violation.
 """
 
+import contextlib
+import copy
+import io
 import json
 import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pebcert import load_certificate, load_graph, load_strategy, verify_strategy
 from pebcert.cli import main
@@ -257,6 +261,27 @@ def test_exit_code_unhashable_vertex(tmp_path, capsys):
     assert "not hashable" in err
 
 
+def test_exit_code_non_string_names(tmp_path, capsys):
+    graph, strategy, cert = (tmp_path / name for name in ("g.json", "s.json", "c.json"))
+    run(capsys, "gen", "--family", "line", "--n", "2", "--out", str(graph))
+    strategy.write_text(json.dumps({"game": "reversible", "flavor": "visiting",
+                                    "moves": [{"op": "place", "v": ["a"]}]}))
+    code, _, err = run(capsys, "cert", "compile", str(graph), str(strategy))
+    assert code == 1 and err.startswith("error: ") and '"v"' in err
+    graph.write_text(json.dumps({"vertices": [1, 2], "edges": [[1, 2]], "sink": 2}))
+    for mode in ("multilinear", "standard"):
+        cert.write_text(json.dumps({"field": {"prime": 2}, "mode": mode, "multipliers": [
+            {"axiom": "sink", "poly": [{"coeff": "1", "vars": ["a"]}]}]}))
+        code, _, err = run(capsys, "cert", "verify", str(graph), str(cert))
+        assert code == 1 and err.startswith("error: ") and "not a string" in err
+    graph.write_text(json.dumps({"vertices": ["a"], "edges": [], "sink": "a"}))
+    cert.write_text(json.dumps({"field": {"prime": 2}, "mode": "standard", "multipliers": [],
+                                "boolean_multipliers": [{"var": 1, "poly": [
+                                    {"coeff": "1", "vars": ["a"]}]}]}))
+    code, _, err = run(capsys, "cert", "verify", str(graph), str(cert))
+    assert code == 1 and err.startswith("error: ") and '"var"' in err
+
+
 def test_exit_code_infeasible(tmp_path, capsys):
     graph = tmp_path / "line2.json"
     run(capsys, "gen", "--family", "line", "--n", "2", "--out", str(graph))
@@ -298,3 +323,92 @@ def test_state_budget_report(tmp_path, capsys):
     assert code == 2
     assert "3 configurations discovered, layers 0..1 complete" in err
     assert "raise --state-budget" in err
+
+
+# -- exit-code contract under fuzzed input -------------------------------------
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3) | st.floats(allow_nan=False)
+    | st.sampled_from(["", "a", "z", "sink", "vertex:a", "place", "1"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=2),
+    max_leaves=4)
+_NAMES = st.sampled_from(["a", "z", 1]) | _JSON
+
+
+def _nodes(doc, path=()):
+    yield path
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield from _nodes(value, path + (key,))
+
+
+@st.composite
+def _mutated(draw, docs):
+    """A near-valid document with at most one node replaced by a random JSON value."""
+    doc = copy.deepcopy(draw(docs))  # sampled values are shared between examples
+    if draw(st.booleans()):
+        path = draw(st.sampled_from(list(_nodes(doc))))
+        if not path:
+            return draw(_JSON)
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = draw(_JSON)
+    return doc
+
+
+_GRAPHS = _mutated(st.fixed_dictionaries({
+    "vertices": st.lists(_NAMES, max_size=3),
+    "edges": st.lists(st.lists(_NAMES, min_size=2, max_size=2), max_size=2),
+    "sink": _NAMES,
+}))
+_STRATEGIES = _mutated(st.fixed_dictionaries({
+    "game": st.sampled_from(["reversible", "standard"]),
+    "flavor": st.sampled_from(["visiting", "persistent"]),
+    "moves": st.lists(st.fixed_dictionaries({"op": st.sampled_from(["place", "remove"]),
+                                             "v": _NAMES}), max_size=4),
+}))
+_POLYS = st.lists(st.fixed_dictionaries({"coeff": st.sampled_from(["1", "2", "-1/2"]),
+                                         "vars": st.lists(_NAMES, max_size=2)}), max_size=2)
+_CERTS = _mutated(st.fixed_dictionaries({
+    "field": st.sampled_from([{"prime": 2}, {"prime": 3}, "rationals"]),
+    "mode": st.sampled_from(["multilinear", "standard"]),
+    "multipliers": st.lists(st.fixed_dictionaries({
+        "axiom": st.sampled_from(["sink", "vertex:a", "vertex:z"]), "poly": _POLYS}), max_size=3),
+}, optional={"boolean_multipliers": st.lists(st.fixed_dictionaries({
+    "var": _NAMES, "poly": _POLYS}), max_size=1)}))
+
+
+# upper-case words stand for the written files
+_COMMANDS = st.sampled_from([("solve", "--mode", "min-space", "GRAPH"),
+                             ("cert", "compile", "GRAPH", "STRATEGY"),
+                             ("cert", "verify", "GRAPH", "CERT"),
+                             ("cert", "extract", "GRAPH", "CERT")])
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(argv=_COMMANDS, graph=_GRAPHS, strategy=_STRATEGIES, cert=_CERTS)
+@example(argv=("cert", "compile", "GRAPH", "STRATEGY"),
+         graph={"vertices": ["a", "z"], "edges": [["a", "z"]], "sink": "z"},
+         strategy={"game": "reversible", "moves": [{"op": "place", "v": ["a"]}]}, cert={})
+@example(argv=("cert", "verify", "GRAPH", "CERT"),
+         graph={"vertices": [1, 2], "edges": [[1, 2]], "sink": 2}, strategy={},
+         cert={"field": {"prime": 2}, "mode": "multilinear",
+               "multipliers": [{"axiom": "sink", "poly": [{"coeff": "1", "vars": ["a"]}]}]})
+@example(argv=("cert", "verify", "GRAPH", "CERT"),
+         graph={"vertices": ["a"], "edges": [], "sink": "a"}, strategy={},
+         cert={"field": {"prime": 2}, "mode": "standard", "multipliers": [],
+               "boolean_multipliers": [{"var": 1, "poly": [{"coeff": "1", "vars": ["a"]}]}]})
+def test_cli_exit_codes_on_fuzzed_json(tmp_path_factory, argv, graph, strategy, cert):
+    # random and mutated graph, strategy and certificate files end in a
+    # documented exit code, never in an escaping exception
+    folder = tmp_path_factory.mktemp("fuzz")
+    paths = {}
+    for name, doc in (("GRAPH", graph), ("STRATEGY", strategy), ("CERT", cert)):
+        paths[name] = str(folder / f"{name}.json")
+        with open(paths[name], "w") as fh:
+            json.dump(doc, fh)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main([paths.get(a, a) for a in argv]) in (0, 1, 2, 3)

@@ -15,6 +15,7 @@ Core claims:
 import json
 import random
 import time
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from pebcert import (
     Certificate,
     Move,
     Strategy,
+    bit_reversal,
     build_dag,
     carlson_savage,
     certificate_from_json,
@@ -40,6 +42,8 @@ from pebcert import (
     pebbling_formula,
     pyramid,
     single_sink_restriction,
+    strat_bit_reversal_small_space,
+    strat_carlson_savage,
     verify,
     verify_strategy,
 )
@@ -55,6 +59,7 @@ from pebcert.errors import (
     StrategyIllegal,
     UnknownAxiom,
 )
+from pebcert.graphs import mask_names
 
 F2 = Field.prime(2)
 F3 = Field.prime(3)
@@ -262,7 +267,8 @@ def _line2_cert(field):
 def test_config_graph_line_two():
     dag, cert = _line2_cert(F2)
     cg = config_graph(dag, cert)
-    pairs = sorted((sorted(e.lo), sorted(e.hi)) for e in cg.edges)
+    pairs = sorted((sorted(mask_names(cg.names, lo)), sorted(mask_names(cg.names, hi)))
+                   for lo, hi, _ in cg.edges)
     assert pairs == [([], ["v1"]), (["v1"], ["v1", "v2"])]
 
 
@@ -279,7 +285,8 @@ def test_config_graph_single_vertex():
     dag = _single_vertex()
     cert = compile_strategy(dag, _rv(("place", "z"), ("remove", "z")), F3)
     cg = config_graph(dag, cert)
-    assert [(sorted(e.lo), sorted(e.hi)) for e in cg.edges] == [([], ["z"])]
+    assert [(sorted(mask_names(cg.names, lo)), sorted(mask_names(cg.names, hi)))
+            for lo, hi, _ in cg.edges] == [([], ["z"])]
 
 
 @pytest.mark.parametrize("axiom_id", ["vertex:bogus", "bogus"])
@@ -316,6 +323,8 @@ def test_check_weights_line_two(field):
     assert report.empty_weight == field.one
     # {v1} sits between two +1 edges; signed sum cancels in every field
     assert config_graph(dag, cert).weight({"v1"}) == field.zero
+    # a name that no multiplier holds weighs zero
+    assert config_graph(dag, cert).weight({"elsewhere"}) == field.zero
 
 
 def test_check_weights_flags_violations():
@@ -346,6 +355,25 @@ def test_extract_single_vertex():
     assert [(m.op, m.vertex) for m in strat.moves] == [("place", "z"), ("remove", "z")]
 
 
+@pytest.mark.parametrize("field", [F3, Q])
+def test_extract_breaks_ties_by_names(field):
+    # the average of two compiled certificates is valid and its configuration
+    # graph has two shortest paths; names order a before b, topological
+    # order (and masks) b before a
+    dag = build_dag(["b", "a", "z"], [("b", "z"), ("a", "z")], "z")
+    certs = [compile_strategy(dag, _rv(("place", x), ("place", y), ("place", "z"),
+                                       ("remove", "z"), ("remove", y), ("remove", x)), field)
+             for x, y in (("b", "a"), ("a", "b"))]
+    half = MultilinearPoly.monomial(field, [], Fraction(1, 2) if field.p is None else 2)
+    multipliers = {a: (certs[0].multipliers[a] + certs[1].multipliers[a]) * half
+                   for a in certs[0].multipliers}
+    cert = Certificate(field, "multilinear", multipliers)
+    assert verify(pebbling_formula(dag), cert).valid
+    assert [(m.op, m.vertex) for m in extract(dag, cert).moves] == [
+        ("place", "a"), ("place", "b"), ("place", "z"),
+        ("remove", "z"), ("remove", "b"), ("remove", "a")]
+
+
 # Reversible search witnesses pinned in tests/golden_witnesses.json.
 GOLDEN = json.loads(Path(__file__).with_name("golden_witnesses.json").read_text())
 GOLDEN_GRAPHS = {
@@ -374,6 +402,58 @@ def test_extract_golden_witnesses(pair):
         for field in (F2, F3, Q):
             got = extract(dag, compile_strategy(dag, witness, field))
             assert [(m.op, m.vertex) for m in got.moves] == want
+
+
+# check_weights and extract on large compiled certificates, pinned in
+# tests/golden_certificates.json before configurations became masks.
+GOLDEN_CERTS = json.loads(Path(__file__).with_name("golden_certificates.json").read_text())
+GOLDEN_CERT_CASES = {
+    "cs(3,3,1)": lambda: (single_sink_restriction(carlson_savage(3, 3), "spine1/sec2/v6"),
+                          strat_carlson_savage(3, 3, 1)),
+    "br_small(16)": lambda: (bit_reversal(16), strat_bit_reversal_small_space(16)),
+}
+GOLDEN_CERT_FIELDS = {"GF(2)": F2, "GF(3)": F3, "Q": Q}
+
+
+def _one_coefficient_perturbed(cert):
+    """cert with c -> c + 1 on the largest monomial of the middle vertex axiom."""
+    f = cert.field
+    axiom_id = sorted(a for a in cert.multipliers if a != "sink")[len(cert.multipliers) // 2]
+    terms = dict(cert.multipliers[axiom_id].terms)
+    mono = max(terms, key=lambda m: (len(m), sorted(m)))
+    terms[mono] = f.add(terms[mono], f.one)
+    multipliers = dict(cert.multipliers)
+    multipliers[axiom_id] = MultilinearPoly(f, terms)
+    return Certificate(f, "multilinear", multipliers)
+
+
+def _weights_record(dag, cert):
+    f = cert.field
+    report = check_weights(config_graph(dag, cert))
+    return {"ok": report.ok, "empty": f.format(report.empty_weight),
+            "violations": [[sorted(c), f.format(w)] for c, w in report.violations]}
+
+
+def _golden_cert_record(instance):
+    """Extracted moves per field, and check_weights of the compiled and of the
+    one-coefficient-perturbed certificate, in the golden file's layout."""
+    dag, strategy = GOLDEN_CERT_CASES[instance]()
+    moves, fields = {}, {}
+    for name, field in GOLDEN_CERT_FIELDS.items():
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "strategy runs past its palindromic closure")
+            cert = compile_strategy(dag, strategy, field)
+        moves[name] = " ".join(("+" if m.op == "place" else "-") + m.vertex
+                               for m in extract(dag, cert).moves)
+        fields[name] = {"weights": _weights_record(dag, cert),
+                        "perturbed": _weights_record(dag, _one_coefficient_perturbed(cert))}
+    assert len(set(moves.values())) == 1  # the extraction does not depend on the field
+    return {"moves": moves["GF(2)"], "fields": fields}
+
+
+@pytest.mark.parametrize("instance", sorted(GOLDEN_CERT_CASES))
+def test_golden_certificates(instance):
+    assert _golden_cert_record(instance) == GOLDEN_CERTS[instance]
 
 
 def test_extract_rejects_invalid():
@@ -526,7 +606,8 @@ def _certificates(draw, perturb):
     """A compiled optimal certificate on a random small DAG, changed by syzygy
     moves Q_a += k*x_m*A_b, Q_b -= k*x_m*A_a (still valid) and, when
     `perturb` draws True, by one coefficient k*x_m added to some Q_a with m
-    free of a's own vertex, so that Q_a*A_a and the sum change."""
+    free of a's own vertex, so that Q_a*A_a and the sum change.  Monomials m
+    draw from the DAG's vertices and two variables outside the DAG."""
     from conftest import random_single_sink_dag
 
     dag = random_single_sink_dag(random.Random(draw(st.integers(0, 2**32 - 1))), max_n=6)
@@ -536,9 +617,10 @@ def _certificates(draw, perturb):
     multipliers = dict(compile_strategy(dag, witness, field).multipliers)
     zero = MultilinearPoly.zero(field)
     axioms = st.sampled_from(formula.axiom_ids)
+    variables = dag.names + ("foreign1", "foreign2")
     for _ in range(draw(st.integers(1, 4))):
         a, b = draw(axioms), draw(axioms)
-        m = MultilinearPoly.monomial(field, draw(st.sets(st.sampled_from(dag.names))),
+        m = MultilinearPoly.monomial(field, draw(st.sets(st.sampled_from(variables))),
                                      draw(_nonzero(field)))
         multipliers[a] = multipliers.get(a, zero) + m * formula.axiom_poly(b, field)
         multipliers[b] = multipliers.get(b, zero) - m * formula.axiom_poly(a, field)
@@ -546,7 +628,7 @@ def _certificates(draw, perturb):
     if perturbed:
         a = draw(axioms)
         own = a.split(":", 1)[1] if a != "sink" else None
-        names = draw(st.sets(st.sampled_from([v for v in dag.names if v != own])))
+        names = draw(st.sets(st.sampled_from([v for v in variables if v != own])))
         multipliers[a] = multipliers.get(a, zero) + MultilinearPoly.monomial(
             field, names, draw(_nonzero(field)))
     return dag, formula, Certificate(field, "multilinear", multipliers), perturbed
@@ -578,15 +660,22 @@ def _naive_verify(dag, cert):
     return _reduced(cert.field, total), size, degree
 
 
-def _naive_weight(cg, config):
-    """Signed occurrence weight of one configuration, scanning every edge."""
-    total = Fraction(0)
-    for e in cg.edges:
-        if e.lo == config:
-            total += Fraction(e.weight)
-        if e.hi == config:
-            total -= Fraction(e.weight)
-    return _reduced(cg.field, {config: total}).get(config, 0)
+def _naive_weights(dag, cert):
+    """Edge count and signed occurrence weight of every endpoint configuration
+    (plus {}), summed straight from the multipliers: a term c*x_W of Q_v with
+    v not in W is one edge, adding c at W + pred(v) and -c at W + pred(v) + {v}."""
+    total = {frozenset(): Fraction(0)}
+    edges = 0
+    for axiom_id, q in cert.multipliers.items():
+        v = axiom_id.split(":", 1)[1] if axiom_id != "sink" else None
+        for m, c in q.terms.items():
+            if v is not None and v not in m:
+                lo = m | frozenset(dag.pred_names(v))
+                total[lo] = total.get(lo, 0) + Fraction(c)
+                total[lo | {v}] = total.get(lo | {v}, 0) - Fraction(c)
+                edges += 1
+    reduced = _reduced(cert.field, total)
+    return edges, {c: reduced.get(c, 0) for c in total}
 
 
 CERT_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -608,13 +697,13 @@ def test_verify_and_weights_match_naive_sums(case):
     assert (standard.failure_residual or ExpPoly.zero(f)).clamp().terms == residual
 
     cg = config_graph(dag, cert)
-    configs = {c for e in cg.edges for c in (e.lo, e.hi)}
-    naive = {c: _naive_weight(cg, c) for c in configs | {frozenset()}}
+    edges, naive = _naive_weights(dag, cert)
+    assert len(cg.edges) == edges
     assert {c: cg.weight(c) for c in naive} == naive
     empty = naive[frozenset()]
     expected = [] if empty == f.one else [(frozenset(), empty)]
-    expected += [(c, naive[c]) for c in sorted(configs, key=lambda c: (len(c), sorted(c)))
-                 if c and cg.sink_name not in c and naive[c] != f.zero]
+    expected += [(c, naive[c]) for c in sorted(naive, key=lambda c: (len(c), sorted(c)))
+                 if c and dag.designated_sink_name not in c and naive[c] != f.zero]
     weights = check_weights(cg)
     assert (weights.empty_weight, weights.violations) == (empty, tuple(expected))
     if not perturbed:
