@@ -42,7 +42,6 @@ from .pebbling import (
     PebblingMetrics,
     Strategy,
     load_strategy,
-    mirror_extend,
     save_strategy,
     step,
     strategy_from_json,

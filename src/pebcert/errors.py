@@ -77,14 +77,6 @@ class BadFinalConfig(PebblingError):
     pass
 
 
-class PrefixIllegal(PebblingError):
-    pass
-
-
-class SinkNotReached(PebblingError):
-    pass
-
-
 class SearchError(ValueError):
     pass
 
@@ -97,9 +89,8 @@ class InstanceTooLarge(SearchError):
     """State-count budget exceeded; pass a larger state_budget to proceed.
 
     `discovered` counts the configurations found when the search stopped.
-    The reversible searches check the budget after each layer, so the count
-    holds the whole layer that crossed it; the standard search checks after
-    each configuration it expands.
+    Every search checks the budget once per layer, so the count holds the
+    whole layer that crossed it.
     - Reversible visiting and standard search from {} alone: `layer` is the
       deepest breadth-first layer finished before the stop.
     - Reversible persistent searches from {} and from {z} and counts both

@@ -348,11 +348,15 @@ def load_graph(path) -> Dag:
 
 def graph_from_json(data) -> Dag:
     try:
-        vertices = list(data["vertices"])
-        edges = [tuple(e) for e in data["edges"]]
+        vertices, edges = data["vertices"], data["edges"]
     except (KeyError, TypeError) as exc:
         raise UnknownVertex(f"malformed graph JSON: {exc}") from None
-    dag = build_dag(vertices, edges, data.get("sink"))
+    if not isinstance(vertices, list):
+        raise GraphError(f'"vertices" must be a list of names, got {vertices!r}')
+    if not (isinstance(edges, list)
+            and all(isinstance(e, list) and len(e) == 2 for e in edges)):
+        raise GraphError(f'"edges" must be a list of [tail, head] pairs, got {edges!r}')
+    dag = build_dag(vertices, [tuple(e) for e in edges], data.get("sink"))
     for name in dag.names:
         if not isinstance(name, str):
             raise GraphError(f"vertex name {name!r} is not a string")

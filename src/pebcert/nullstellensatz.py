@@ -421,11 +421,15 @@ def certificate_from_json(data, field: Field | None = None) -> Certificate:
         mode = data["mode"]
         multipliers = {}
         for entry in data["multipliers"]:
+            if entry["axiom"] in multipliers:
+                raise CertificateError(f'repeated "axiom" {entry["axiom"]!r}')
             multipliers[entry["axiom"]] = _poly_from_json(field, entry["poly"], mode)
         booleans = {}
         for entry in data.get("boolean_multipliers", []):
             if not isinstance(entry["var"], str):
                 raise CertificateError(f'"var" must be a name string, got {entry["var"]!r}')
+            if entry["var"] in booleans:
+                raise CertificateError(f'repeated "var" {entry["var"]!r}')
             booleans[entry["var"]] = _poly_from_json(field, entry["poly"], STANDARD_MODE)
     except (KeyError, TypeError) as exc:
         raise CertificateError(f"malformed certificate JSON: {exc}") from None

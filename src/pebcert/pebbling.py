@@ -25,9 +25,7 @@ from .errors import (
     IllegalRemoval,
     NoDesignatedSink,
     PebblingError,
-    PrefixIllegal,
     SinkNeverPebbled,
-    SinkNotReached,
 )
 from .graphs import Dag, mask_names
 
@@ -142,25 +140,6 @@ def verify_strategy(dag: Dag, strategy: Strategy) -> PebblingMetrics:
     space = max(m.bit_count() for m in configs)
     return PebblingMetrics(time=len(strategy.moves), space=space,
                            first_sink_step=first_sink)
-
-
-def mirror_extend(dag: Dag, prefix) -> Strategy:
-    """Extend a sink-reaching reversible prefix by its own reversal.
-
-    The prefix must replay legally from empty under reversible rules and end
-    with the sink pebbled; the result is a visiting strategy with time
-    2*len(prefix) and the prefix's replay space.
-    """
-    if dag.designated_sink is None:
-        raise NoDesignatedSink("mirror_extend needs a designated sink")
-    prefix = tuple(prefix)
-    try:
-        configs = replay(dag, prefix, REVERSIBLE)
-    except IllegalMoveAt as exc:
-        raise PrefixIllegal(str(exc)) from None
-    if not configs[-1] >> dag.designated_sink & 1:
-        raise SinkNotReached("prefix does not end with the sink pebbled")
-    return Strategy(REVERSIBLE, VISITING, prefix + mirrored(prefix))
 
 
 def strategy_to_json(strategy: Strategy) -> dict:

@@ -6,7 +6,8 @@ number of pebbles are never generated.  A search stores each finished
 breadth-first layer as an `array('Q')`, one 64-bit word per configuration,
 so graphs of more than 64 vertices raise `TooManyVertices` before any work.
 Each pebble budget is one search, and the state budget caps the
-configurations it discovers.
+configurations it discovers.  Every search checks the state budget once per
+layer, so an `InstanceTooLarge` counts the whole layer that crossed it.
 
 Reversible moves are symmetric (toggle v whenever pred(v) is pebbled) and
 change the pebble count by one, so an optimal reversible pebbling follows a
@@ -23,8 +24,6 @@ frontier search, which keeps only the two newest layers as sets.
   runs out first, the budget is infeasible.  The state budget counts the
   layers of both sides, {} and {z} included; a configuration both sides
   discover counts twice.
-The reversible searches check the state budget after each layer, so an
-`InstanceTooLarge` counts the whole layer that crossed it.
 
 Standard moves are not symmetric, since a pebble may always be removed.  A
 sink-containing configuration T discovered at layer k finishes in k + |T|
@@ -33,8 +32,8 @@ because leaving one never makes the clean-up cheaper, so each is discovered
 exactly once, by placing z.  As T holds z and all of pred(z), layer k+1
 cannot finish in fewer than k + 2 + |pred(z)| moves; the search stops once
 that exceeds the best finish found.  This search runs forward from {}, keeps
-a set of every configuration seen, and counts each one, {} and the sink
-configurations included, against the state budget as it is discovered.
+a set of every configuration seen, and counts every configuration of its
+layers against the state budget, {} and the sink configurations included.
 
 Witnesses are deterministic: among equal-length solutions the walk picks the
 lexicographically smallest move sequence under topological vertex order.  The
@@ -44,7 +43,8 @@ that lie in it.  For the persistent flavor the pruning starts from the
 meeting set and runs back to {} through the layers from {}, and forward to
 {z} through the layers from {z}.  The walk then goes forward from {}, each
 step taking the lowest vertex whose move reaches an on-path configuration of
-the next layer.
+the next layer.  Every witness is replayed by `verify_strategy` before it
+is returned; one that fails raises `InternalConsistencyError`.
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ from .errors import (
     InstanceTooLarge,
     InternalConsistencyError,
     NoDesignatedSink,
+    PebblingError,
     SearchError,
     SpaceInfeasible,
     TooManyVertices,
@@ -72,7 +73,8 @@ from .pebbling import (
     VISITING,
     Move,
     Strategy,
-    mirror_extend,
+    mirrored,
+    verify_strategy,
 )
 
 DEFAULT_STATE_BUDGET = 50_000_000
@@ -177,9 +179,9 @@ def _rev_search(dag, space, persistent, limit):
 def _std_search(dag, space, limit):
     """Standard BFS from {}, scoring each sink configuration T at layer k as k + |T|.
 
-    Returns (on, goals, best): the on-path configurations of each layer, the
-    optimal sink configurations, and their finishing time; None when the
-    sink cannot be pebbled.
+    Returns (on, goals): the on-path configurations of each layer and the
+    optimal sink configurations with their layers; None when the sink cannot
+    be pebbled.
     """
     z = dag.designated_sink
     zbit, zpm = dag.toggles[z]
@@ -187,41 +189,30 @@ def _std_search(dag, space, limit):
     least = 1 + zpm.bit_count()
     seen = {0}
     layers = [array("Q", [0])]
-    sinks = 0
+    total = 1
     frontier = [0]
     best = None
     goals = {}
     while frontier and (best is None or len(layers) + least <= best):
         layer = len(layers)
-        nxt = []
-        for u in frontier:
-            if u.bit_count() < space:
-                for bit, pm in others:
-                    if u & bit:
-                        x = u ^ bit
-                    elif u & pm == pm:
-                        x = u | bit
-                    else:
-                        continue
-                    if x not in seen:
-                        seen.add(x)
-                        nxt.append(x)
-                if u & zpm == zpm:
-                    sinks += 1
-                    score = layer + u.bit_count() + 1
-                    if best is None or score < best:
-                        best, goals = score, {}
-                    if score == best:
-                        goals[u | zbit] = layer
-            else:
-                for bit, _ in others:
-                    if u & bit:
-                        x = u ^ bit
-                        if x not in seen:
-                            seen.add(x)
-                            nxt.append(x)
-            if len(seen) + sinks > limit:
-                raise InstanceTooLarge(limit, len(seen) + sinks, layer - 1)
+        at = [u for u in frontier if u.bit_count() == space]
+        below = [u for u in frontier if u.bit_count() < space] if at else frontier
+        sinks = [u for u in below if u & zpm == zpm]
+        for u in sinks:
+            score = layer + u.bit_count() + 1
+            if best is None or score < best:
+                best, goals = score, {}
+            if score == best:
+                goals[u | zbit] = layer
+        # a list deduplicated against `seen` as it grows: a set-valued layer
+        # would raise the peak memory by 5-8% on the benchmark's tables
+        nxt = [x for u in below for bit, pm in others
+               if (u & bit or u & pm == pm) and (x := u ^ bit) not in seen and not seen.add(x)]
+        nxt += [x for u in at for bit, _ in others
+                if u & bit and (x := u ^ bit) not in seen and not seen.add(x)]
+        total += len(nxt) + len(sinks)
+        if total > limit:
+            raise InstanceTooLarge(limit, total, layer - 1)
         layers.append(array("Q", nxt))
         frontier = nxt
     if best is None:
@@ -231,7 +222,7 @@ def _std_search(dag, space, limit):
         on[layer].add(g)
     for k in range(len(on) - 1, 1, -1):
         on[k - 1] |= _back(dag.toggles, on[k], layers[k - 1], True)
-    return on, goals, best
+    return on, goals
 
 
 def _walk(dag, on, goals, free_removal):
@@ -260,24 +251,29 @@ def _walk(dag, on, goals, free_removal):
 
 
 def _solve(dag, game, flavor, space, state_budget):
-    """Optimal (time, witness) within `space` pebbles; None when infeasible."""
+    """Optimal (time, witness) within `space` pebbles, replayed; None when infeasible."""
     if game == REVERSIBLE:
         on = _rev_search(dag, space, flavor == PERSISTENT, state_budget)
         if on is None:
             return None
         moves, _ = _walk(dag, on, on[-1], False)
-        if flavor == PERSISTENT:
-            return len(moves), Strategy(REVERSIBLE, PERSISTENT, tuple(moves))
-        return 2 * len(moves), mirror_extend(dag, moves)
-    found = _std_search(dag, space, state_budget)
-    if found is None:
-        return None
-    on, goals, best = found
-    moves, cur = _walk(dag, on, goals, True)
-    for v in range(len(dag)):
-        if cur >> v & 1:
-            moves.append(Move(REMOVE, dag.names[v]))
-    return best, Strategy(STANDARD, None, tuple(moves))
+        if flavor == VISITING:
+            moves += mirrored(moves)
+    else:
+        flavor = None
+        found = _std_search(dag, space, state_budget)
+        if found is None:
+            return None
+        moves, cur = _walk(dag, *found, True)
+        moves += [Move(REMOVE, dag.names[v]) for v in range(len(dag)) if cur >> v & 1]
+    witness = Strategy(game, flavor, tuple(moves))
+    try:
+        used = verify_strategy(dag, witness).space
+    except PebblingError as exc:
+        raise InternalConsistencyError(f"search witness fails its replay: {exc}") from None
+    if used > space:
+        raise InternalConsistencyError(f"search witness uses {used} pebbles, budget {space}")
+    return len(moves), witness
 
 
 def min_time_within_space(dag: Dag, game: str, flavor: str | None, space: int,

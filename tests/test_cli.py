@@ -64,6 +64,18 @@ def test_solve_min_space(tmp_path, capsys):
     assert verify_strategy(load_graph(graph), strat).space == 2
 
 
+def test_solve_min_time(tmp_path, capsys):
+    graph = tmp_path / "pyr2.json"
+    witness = tmp_path / "w.json"
+    run(capsys, "gen", "--family", "pyramid", "--height", "2", "--out", str(graph))
+    code, out, _ = run(capsys, "solve", "--mode", "min-time", "--space", "4", str(graph),
+                       "--witness", str(witness))
+    assert code == 0
+    assert out.splitlines() == ["min-time within space 4: 16", "witness: time 16 space 4"]
+    metrics = verify_strategy(load_graph(graph), load_strategy(witness))
+    assert (metrics.time, metrics.space) == (16, 4)
+
+
 def test_solve_pareto_csv(tmp_path, capsys):
     graph = tmp_path / "line3.json"
     table = tmp_path / "pareto.csv"
@@ -121,6 +133,21 @@ def test_cert_verify_invalid_exits_one(tmp_path, capsys):
     code, out, err = run(capsys, "cert", "verify", str(graph), str(bad))
     assert code == 1
     assert "valid: false" in out
+
+
+def test_cert_verify_repeated_axiom_exits_one(tmp_path, capsys):
+    # keeping only the last entry would drop a term and still verify
+    graph, witness, cert = (tmp_path / name for name in ("g.json", "w.json", "c.json"))
+    run(capsys, "gen", "--family", "line", "--n", "2", "--out", str(graph))
+    run(capsys, "solve", "--mode", "min-space", str(graph), "--witness", str(witness))
+    run(capsys, "cert", "compile", str(graph), str(witness), "--out", str(cert))
+    data = json.loads(cert.read_text())
+    data["multipliers"].insert(0, {"axiom": "vertex:v1",
+                                   "poly": [{"coeff": "1", "vars": ["zzz"]}]})
+    cert.write_text(json.dumps(data))
+    code, out, err = run(capsys, "cert", "verify", str(graph), str(cert))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "repeated" in err and "Traceback" not in err
 
 
 def test_cert_verify_invalid_prints_residual_summary(tmp_path, capsys):
@@ -251,6 +278,19 @@ def test_exit_code_invalid_graph(tmp_path, capsys):
                                "edges": [["a", "b"], ["b", "a"]], "sink": None}))
     code, _, err = run(capsys, "solve", "--mode", "min-space", str(bad))
     assert code == 1
+
+
+@pytest.mark.parametrize("graph", [
+    {"vertices": "az", "edges": ["az"], "sink": "z"},
+    {"vertices": ["a", "z"], "edges": ["az"], "sink": "z"},
+    {"vertices": ["a", "z"], "edges": [["a", "z", "z"]], "sink": "z"},
+])
+def test_exit_code_graph_strings_not_read_letter_by_letter(tmp_path, capsys, graph):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(graph))
+    code, out, err = run(capsys, "solve", "--mode", "min-space", str(bad))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_exit_code_unhashable_vertex(tmp_path, capsys):
@@ -401,6 +441,8 @@ _COMMANDS = st.sampled_from([("solve", "--mode", "min-space", "GRAPH"),
          graph={"vertices": ["a"], "edges": [], "sink": "a"}, strategy={},
          cert={"field": {"prime": 2}, "mode": "standard", "multipliers": [],
                "boolean_multipliers": [{"var": 1, "poly": [{"coeff": "1", "vars": ["a"]}]}]})
+@example(argv=("solve", "--mode", "min-space", "GRAPH"),
+         graph={"vertices": "az", "edges": ["az"], "sink": "z"}, strategy={}, cert={})
 def test_cli_exit_codes_on_fuzzed_json(tmp_path_factory, argv, graph, strategy, cert):
     # random and mutated graph, strategy and certificate files end in a
     # documented exit code, never in an escaping exception

@@ -25,6 +25,7 @@ from pebcert import (
 from pebcert.errors import (
     CycleDetected,
     DuplicateVertex,
+    GraphError,
     NotASink,
     NotASinkVertex,
     NotPowerOfTwo,
@@ -226,6 +227,19 @@ def test_graph_json_rejects_cycles():
     with pytest.raises(CycleDetected):
         graph_from_json({"vertices": ["a", "b"], "edges": [["a", "b"], ["b", "a"]],
                          "sink": None})
+
+
+@pytest.mark.parametrize("data", [
+    {"vertices": "az", "edges": [], "sink": "z"},
+    {"vertices": ["a", "z"], "edges": ["az"], "sink": "z"},
+    {"vertices": ["a", "z"], "edges": [["a"]], "sink": "z"},
+    {"vertices": ["a", "z"], "edges": [["a", "z", "z"]], "sink": "z"},
+    {"vertices": ["a", "z"], "edges": {"a": "z"}, "sink": "z"},
+])
+def test_graph_json_rejects_strings_and_bad_edges(data):
+    # a string is not read letter by letter as a list of names
+    with pytest.raises(GraphError):
+        graph_from_json(data)
 
 
 def test_move_table_holds_bit_and_predecessor_mask():

@@ -491,6 +491,23 @@ def test_multilinearize_standard_cert():
     assert after.degree <= before.degree
 
 
+def test_extract_standard_mode_matches_multilinearized():
+    # a compiled witness restated in standard mode: Q_sink * x_z squares x_z,
+    # and the Boolean multiplier s_z = -Q_sink cancels the excess
+    dag = pyramid(2)
+    f = pebbling_formula(dag)
+    witness = min_space(dag, "reversible", "visiting")[1]
+    cert = compile_strategy(dag, witness, Q)
+    z = dag.designated_sink_name
+    q_sink = ExpPoly.from_multilinear(cert.multipliers["sink"])
+    multipliers = {a: ExpPoly.from_multilinear(q) for a, q in cert.multipliers.items()}
+    multipliers["sink"] = q_sink * ExpPoly.monomial(Q, ((z, 1),))
+    std = Certificate(Q, "standard", multipliers, {z: -q_sink})
+    assert verify(f, std).valid
+    moves = extract(dag, std).moves
+    assert moves == extract(dag, multilinearize(f, std)).moves == witness.moves
+
+
 def test_multilinearize_idempotent():
     dag, cert = _line2_cert(F5)
     f = pebbling_formula(dag)
@@ -556,6 +573,18 @@ def test_certificate_json_rejects_non_integer_prime(prime):
             "multipliers": [{"axiom": "sink", "poly": [{"coeff": "1", "vars": []}]}]}
     with pytest.raises(NotPrime):
         certificate_from_json(data)
+
+
+@pytest.mark.parametrize("mode,key", [("multilinear", "multipliers"),
+                                      ("standard", "boolean_multipliers")])
+def test_certificate_json_rejects_repeated_ids(mode, key):
+    entry = ({"axiom": "sink"} if key == "multipliers" else {"var": "a"})
+    entry["poly"] = [{"coeff": "1", "vars": []}]
+    data = {"field": {"prime": 2}, "mode": mode, "multipliers": [], key: [entry, entry]}
+    with pytest.raises(CertificateError, match="repeated"):
+        certificate_from_json(data)
+    data[key] = [entry]
+    certificate_from_json(data)
 
 
 def test_certificate_json_field_override():

@@ -4,7 +4,6 @@ Core claims:
     - step enforces placement/removal rules of both games
     - reversible removal needs predecessors pebbled, standard removal does not
     - verify_strategy replays, checks endpoint conditions, reports metrics
-    - mirror_extend doubles a legal sink-reaching prefix
     - the move-wise inverse of a legal reversible strategy is legal
     - reversible-legal strategies replay under standard rules with the same
       metrics
@@ -23,7 +22,6 @@ from pebcert import (
     Move,
     Strategy,
     line,
-    mirror_extend,
     pyramid,
     step,
     strategy_from_json,
@@ -36,9 +34,7 @@ from pebcert.errors import (
     IllegalPlacement,
     IllegalRemoval,
     NoDesignatedSink,
-    PrefixIllegal,
     SinkNeverPebbled,
-    SinkNotReached,
 )
 from pebcert.graphs import carlson_savage
 from pebcert.pebbling import (
@@ -131,24 +127,6 @@ def test_verify_standard_game():
 def test_verify_needs_designated_sink():
     with pytest.raises(NoDesignatedSink):
         verify_strategy(carlson_savage(2, 1), _rv((PLACE, "s1")))
-
-
-def test_mirror_extend_single_vertex():
-    strat = mirror_extend(line(1), _moves((PLACE, "v1")))
-    assert strat.moves == _moves((PLACE, "v1"), (REMOVE, "v1"))
-
-
-def test_mirror_extend_line_two():
-    strat = mirror_extend(line(2), _moves((PLACE, "v1"), (PLACE, "v2")))
-    m = verify_strategy(line(2), strat)
-    assert (m.time, m.space) == (4, 2)
-
-
-def test_mirror_extend_errors():
-    with pytest.raises(SinkNotReached):
-        mirror_extend(line(2), _moves((PLACE, "v1")))
-    with pytest.raises(PrefixIllegal):
-        mirror_extend(line(2), _moves((PLACE, "v2"),))
 
 
 def _constructed_samples():

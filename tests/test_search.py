@@ -24,7 +24,13 @@ from pebcert import (
     verify_strategy,
 )
 from pebcert.cli import main
-from pebcert.errors import InstanceTooLarge, NoDesignatedSink, SpaceInfeasible, TooManyVertices
+from pebcert.errors import (
+    InstanceTooLarge,
+    InternalConsistencyError,
+    NoDesignatedSink,
+    SpaceInfeasible,
+    TooManyVertices,
+)
 
 
 def _cs_prime(c, r):
@@ -356,10 +362,52 @@ def _two_ended_count(dag, space):
     return discovered, goal, depth
 
 
-@pytest.mark.parametrize("flavor", ["visiting", "persistent"])
+def _standard_distances(dag, space):
+    """BFS distances from {} under standard moves; sink configurations are not left."""
+    z = 1 << dag.designated_sink
+    dist = {0: 0}
+    queue = [0]
+    for u in queue:
+        if u & z:
+            continue
+        for v in range(len(dag)):
+            x = u ^ (1 << v)
+            legal = u >> v & 1 or all(u >> p & 1 for p in dag.preds[v])
+            if legal and x.bit_count() <= space and x not in dist:
+                dist[x] = dist[u] + 1
+                queue.append(x)
+    return dist
+
+
+def _standard_budget_boundary(dag):
+    # the budget is checked once per layer, so a stop reports the whole layer
+    # that crossed it: `discovered` is always a count of finished layers
+    space = min_space(dag, "standard", None)[0] + 1
+    dist = _standard_distances(dag, space)
+    counts = [sum(1 for d in dist.values() if d <= k) for k in range(max(dist.values()) + 1)]
+    budget = 1
+    while True:
+        try:
+            t, _ = min_time_within_space(dag, "standard", None, space, state_budget=budget)
+            break
+        except InstanceTooLarge as exc:
+            crossed = min(c for c in counts if c > budget)
+            assert (exc.discovered, exc.layer) == (crossed, counts.index(crossed) - 1)
+        budget += 1
+    assert t == min_time_within_space(dag, "standard", None, space)[0]
+    assert budget in counts
+    with pytest.raises(InstanceTooLarge) as info:
+        min_time_within_space(dag, "standard", None, space, state_budget=budget - 1)
+    assert (info.value.discovered, info.value.layer) == (budget, counts.index(budget) - 1)
+
+
+@pytest.mark.parametrize("flavor", ["visiting", "persistent", "standard"])
 def test_state_budget_boundary(flavor):
     # the search discovers exactly the configurations up to the first goal layer
     dag = pyramid(2)
+    if flavor == "standard":
+        _standard_budget_boundary(dag)
+        return
     space = min_space(dag, "reversible", flavor)[0]
     dist = _reversible_distances(dag, space)
     z = 1 << dag.designated_sink
@@ -376,3 +424,23 @@ def test_state_budget_boundary(flavor):
     assert (info.value.discovered, info.value.layer) == (discovered, goal - 1)
     if flavor == "persistent":
         assert f"no persistent pebbling within {goal - 1} moves" in str(info.value)
+
+
+@pytest.mark.parametrize("game,flavor", [
+    ("reversible", "visiting"), ("reversible", "persistent"), ("standard", None),
+])
+def test_witness_failing_replay_is_internal_error(monkeypatch, tmp_path, capsys, game, flavor):
+    walk = search._walk
+
+    def dropping(*args):
+        moves, cur = walk(*args)
+        return moves[1:], cur  # lose the first move
+
+    monkeypatch.setattr(search, "_walk", dropping)
+    with pytest.raises(InternalConsistencyError):
+        min_time_within_space(line(3), game, flavor, 3)
+    graph = tmp_path / "line3.json"
+    graph.write_text(json.dumps(line(3).to_json()))
+    argv = ["solve", "--mode", "min-space", "--game", game, str(graph)]
+    assert main(argv + (["--flavor", flavor] if flavor else [])) == 3
+    assert capsys.readouterr().err.startswith("internal consistency violation: ")
