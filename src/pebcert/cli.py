@@ -50,11 +50,10 @@ from .pebbling import (
     REVERSIBLE,
     STANDARD,
     VISITING,
-    Strategy,
     load_strategy,
-    mirrored,
     save_strategy,
     verify_strategy,
+    visiting,
 )
 from .search import DEFAULT_STATE_BUDGET, cs_lower_bound, min_space, min_time_within_space, pareto
 from .strategies import (
@@ -147,25 +146,24 @@ def cmd_solve(args) -> int:
         if args.witness:
             save_strategy(witness, args.witness)
         return 0
-    if args.mode == "pareto":
-        if args.smax is None:
-            raise _UsageError("pareto needs --smax")
-        points = pareto(dag, game, flavor, args.smax, args.state_budget)
-        rows = ["space,time,witness_file"]
-        for p in points:
-            witness_file = ""
-            if args.witness_dir:
-                witness_file = str(Path(args.witness_dir) / f"witness_s{p.space}.json")
-                save_strategy(p.witness, witness_file)
-            rows.append(f"{p.space},{p.time},{witness_file}")
-        table = "\n".join(rows) + "\n"
-        if args.out:
-            Path(args.out).write_text(table)
-            print(f"wrote {args.out} ({len(points)} rows)")
-        else:
-            sys.stdout.write(table)
-        return 0
-    raise _UsageError(f"unknown mode {args.mode!r}")
+    # args.mode == "pareto", the last of the parser's choices
+    if args.smax is None:
+        raise _UsageError("pareto needs --smax")
+    points = pareto(dag, game, flavor, args.smax, args.state_budget)
+    rows = ["space,time,witness_file"]
+    for p in points:
+        witness_file = ""
+        if args.witness_dir:
+            witness_file = str(Path(args.witness_dir) / f"witness_s{p.space}.json")
+            save_strategy(p.witness, witness_file)
+        rows.append(f"{p.space},{p.time},{witness_file}")
+    table = "\n".join(rows) + "\n"
+    if args.out:
+        Path(args.out).write_text(table)
+        print(f"wrote {args.out} ({len(points)} rows)")
+    else:
+        sys.stdout.write(table)
+    return 0
 
 
 def cmd_cert(args) -> int:
@@ -196,14 +194,13 @@ def cmd_cert(args) -> int:
         if args.out:
             save_strategy(strategy, args.out)
         return 0
-    if args.action == "multilinearize":
-        out = multilinearize(formula, cert)
-        report = verify(formula, out)
-        print(f"size: {report.size} degree: {report.degree}")
-        if args.out:
-            save_certificate(out, args.out)
-        return 0
-    raise _UsageError(f"unknown action {args.action!r}")
+    # args.action == "multilinearize", the last of the parser's choices
+    out = multilinearize(formula, cert)
+    report = verify(formula, out)
+    print(f"size: {report.size} degree: {report.degree}")
+    if args.out:
+        save_certificate(out, args.out)
+    return 0
 
 
 def _upper_bound_candidates(args, dag, flavor):
@@ -223,8 +220,7 @@ def _upper_bound_candidates(args, dag, flavor):
         if flavor == PERSISTENT:
             out.append(persistent)
         else:
-            out.append(Strategy(REVERSIBLE, VISITING,
-                                persistent.moves + mirrored(persistent.moves)))
+            out.append(visiting(persistent.moves, dag.designated_sink_name))
     elif family == "cs" and flavor != PERSISTENT:
         out.append(strat_carlson_savage(args.c, args.r, 1))
     elif family == "bit-reversal" and flavor != PERSISTENT:

@@ -13,12 +13,12 @@ verify, axiom_poly and config_graph share.  The compiler turns each step of a
 reversible pebbling prefix into the telescoping term sign * x_R * A_v with
 R = P_i - {v_i} - pred(v_i), read off the DAG's move table, and closes with
 A_sink * x_{P_t' - {z}}.  The extractor walks the configuration graph whose
-edges come from sink-free multiplier monomials, appends the mirror of the
-path and replays the result once; configuration weights follow the signed
-occurrence accounting (a monomial q of Q_v contributes its coefficient at
-W + pred(v) and minus it at W + pred(v) + {v}), under which the empty
-configuration weighs 1 and every other sink-free endpoint weighs 0 for a
-valid certificate.
+edges come from sink-free multiplier monomials, closes the path through
+`pebbling.visiting` and replays the result once; configuration weights follow
+the signed occurrence accounting (a monomial q of Q_v contributes its
+coefficient at W + pred(v) and minus it at W + pred(v) + {v}), under which
+the empty configuration weighs 1 and every other sink-free endpoint weighs 0
+for a valid certificate.
 
 Configurations are bitmasks over topological indices, as in the game and the
 search; a multiplier variable outside the DAG (syzygy moves bring such
@@ -55,12 +55,11 @@ from .pebbling import (
     PLACE,
     REMOVE,
     REVERSIBLE,
-    VISITING,
     Move,
     Strategy,
-    mirrored,
     replay,
     verify_strategy,
+    visiting,
 )
 
 SINK_AXIOM = "sink"
@@ -198,10 +197,11 @@ def verify(formula: PebblingFormula, cert: Certificate) -> VerifyReport:
 def compile_strategy(dag: Dag, strategy: Strategy, field: Field) -> Certificate:
     """Telescoping certificate of the palindromic prefix of a reversible strategy.
 
-    Only the prefix up to the first sink-containing configuration is used;
-    trailing moves are ignored with a warning.  For step i on vertex v_i the
-    monomial sign * x_{R_i} with R_i = P_i - {v_i} - pred(v_i) joins Q_{v_i}
-    (sign +1 for a placement, -1 for a removal), and Q_sink = x_{P_t' - {z}}.
+    Only the prefix up to the first sink-containing configuration is used.
+    Moves past its closure, the prefix and its mirror that `pebbling.visiting`
+    builds, are ignored with a warning.  For step i on vertex v_i the monomial
+    sign * x_{R_i} with R_i = P_i - {v_i} - pred(v_i) joins Q_{v_i} (sign +1
+    for a placement, -1 for a removal), and Q_sink = x_{P_t' - {z}}.
     Verification accepts the result with size 2t'+1 and degree equal to the
     prefix replay space whenever the prefix visits distinct configurations
     (always true for search witnesses).
@@ -366,8 +366,7 @@ def extract(dag: Dag, cert: Certificate) -> Strategy:
         a = parent[u]
         moves.append(Move(PLACE if u > a else REMOVE, dag.names[(a ^ u).bit_length() - 1]))
         u = a
-    moves = tuple(reversed(moves))
-    strategy = Strategy(REVERSIBLE, VISITING, moves + mirrored(moves))
+    strategy = visiting(reversed(moves), dag.designated_sink_name)
     verify_strategy(dag, strategy)
     return strategy
 

@@ -66,6 +66,17 @@ def mirrored(moves) -> tuple[Move, ...]:
     return tuple(m.inverse() for m in reversed(moves))
 
 
+def visiting(moves, sink: str) -> Strategy:
+    """Reversible visiting strategy: `moves` up to and including the first
+    placement on `sink`, then that prefix's mirror (all a certificate reads)."""
+    moves = tuple(moves)
+    try:
+        t = moves.index(Move(PLACE, sink)) + 1
+    except ValueError:
+        raise SinkNeverPebbled(f"sink {sink!r} never placed") from None
+    return Strategy(REVERSIBLE, VISITING, moves[:t] + mirrored(moves[:t]))
+
+
 def _move_mask(dag, config_mask, move, game, step=None):
     """Next configuration bitmask, or raise for an illegal move."""
     v = dag.index.get(move.vertex)

@@ -73,8 +73,8 @@ from .pebbling import (
     VISITING,
     Move,
     Strategy,
-    mirrored,
     verify_strategy,
+    visiting,
 )
 
 DEFAULT_STATE_BUDGET = 50_000_000
@@ -88,7 +88,7 @@ class TradeoffPoint:
     witness: Strategy
 
 
-def _check_search(dag, game, flavor):
+def _check_search(dag, game, flavor, state_budget):
     if dag.designated_sink is None:
         raise NoDesignatedSink("search needs a designated sink")
     if len(dag.sinks) != 1:
@@ -97,6 +97,8 @@ def _check_search(dag, game, flavor):
     if len(dag) > MAX_VERTICES:
         raise TooManyVertices(f"search holds a configuration in {MAX_VERTICES} bits; "
                               f"the graph has {len(dag)} vertices")
+    if state_budget < 1:
+        raise SearchError(f"state budget must be at least 1, got {state_budget}")
     if game not in (STANDARD, REVERSIBLE):
         raise SearchError(f"unknown game {game!r}")
     if game == REVERSIBLE and flavor not in (VISITING, PERSISTENT):
@@ -257,8 +259,6 @@ def _solve(dag, game, flavor, space, state_budget):
         if on is None:
             return None
         moves, _ = _walk(dag, on, on[-1], False)
-        if flavor == VISITING:
-            moves += mirrored(moves)
     else:
         flavor = None
         found = _std_search(dag, space, state_budget)
@@ -266,14 +266,15 @@ def _solve(dag, game, flavor, space, state_budget):
             return None
         moves, cur = _walk(dag, *found, True)
         moves += [Move(REMOVE, dag.names[v]) for v in range(len(dag)) if cur >> v & 1]
-    witness = Strategy(game, flavor, tuple(moves))
+    witness = (visiting(moves, dag.designated_sink_name) if flavor == VISITING
+               else Strategy(game, flavor, tuple(moves)))
     try:
         used = verify_strategy(dag, witness).space
     except PebblingError as exc:
         raise InternalConsistencyError(f"search witness fails its replay: {exc}") from None
     if used > space:
         raise InternalConsistencyError(f"search witness uses {used} pebbles, budget {space}")
-    return len(moves), witness
+    return len(witness.moves), witness
 
 
 def min_time_within_space(dag: Dag, game: str, flavor: str | None, space: int,
@@ -285,7 +286,7 @@ def min_time_within_space(dag: Dag, game: str, flavor: str | None, space: int,
     from {} to {z}.  Standard: min over sink configurations of path length
     plus final clean-up size.  Raises SpaceInfeasible below min_space.
     """
-    _check_search(dag, game, flavor)
+    _check_search(dag, game, flavor, state_budget)
     if space < 1:
         raise SpaceInfeasible("budget below one pebble")
     found = _solve(dag, game, flavor, space, state_budget)
@@ -302,7 +303,7 @@ def min_space(dag: Dag, game: str, flavor: str | None = VISITING,
     Searches the budgets 1, 2, ... in turn; the witness is the deterministic
     time-optimal strategy of the first one that succeeds.
     """
-    _check_search(dag, game, flavor)
+    _check_search(dag, game, flavor, state_budget)
     for s in range(1, len(dag) + 1):
         found = _solve(dag, game, flavor, s, state_budget)
         if found is not None:

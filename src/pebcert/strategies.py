@@ -1,9 +1,9 @@
 """Constructive pebbling strategies with known space/time guarantees.
 
 Each constructor returns a Strategy for the named generated graph; callers
-verify it with verify_strategy against the matching generator output.  All
-reversible visiting strategies are built as a forward half that reaches the
-sink followed by its mirror.
+verify it with verify_strategy against the matching generator output.  Every
+reversible visiting strategy is a forward half passed to `pebbling.visiting`,
+which keeps it up to its first sink visit and appends that prefix's mirror.
 
 Chain climbing: the forward half of the space-optimal visiting pebbling of a
 chain of d vertices uses ceil(log2(d+1)) pebbles.  With budget k it reaches
@@ -22,10 +22,10 @@ from .pebbling import (
     PLACE,
     REMOVE,
     REVERSIBLE,
-    VISITING,
     Move,
     Strategy,
     mirrored,
+    visiting,
 )
 
 
@@ -67,8 +67,7 @@ def strat_line_visiting(n: int) -> Strategy:
     if n < 1:
         raise ParamOutOfRange("need n >= 1")
     chain = [f"v{i}" for i in range(1, n + 1)]
-    fwd = _chain_fwd_moves(chain)
-    return Strategy(REVERSIBLE, VISITING, tuple(fwd) + mirrored(fwd))
+    return visiting(_chain_fwd_moves(chain), chain[-1])
 
 
 def strat_line_persistent(n: int) -> Strategy:
@@ -79,8 +78,6 @@ def strat_line_persistent(n: int) -> Strategy:
     """
     if n < 1:
         raise ParamOutOfRange("need n >= 1")
-    if n == 1:
-        return Strategy(REVERSIBLE, PERSISTENT, (Move(PLACE, "v1"),))
     chain = [f"v{i}" for i in range(1, n + 1)]
     fwd = _chain_fwd_moves(chain, n - 1)
     moves = tuple(fwd) + (Move(PLACE, chain[-1]),) + mirrored(fwd)
@@ -157,8 +154,7 @@ def strat_line_checkpoint(n: int, k: int) -> Strategy:
     chain = [f"v{i}" for i in range(1, n + 1)]
     out = []
     _ck_fwd(out.append, 0, n, k)
-    fwd = _moves_on_chain(out, chain)
-    return Strategy(REVERSIBLE, VISITING, tuple(fwd) + mirrored(fwd))
+    return visiting(_moves_on_chain(out, chain), chain[-1])
 
 
 def _persist_moves(dag, v, memo):
@@ -227,8 +223,7 @@ def strat_carlson_savage(c: int, r: int, sink_index: int) -> Strategy:
         raise ParamOutOfRange("need c >= 2, r >= 1, 1 <= sink_index <= c")
     full = carlson_savage(c, r)
     dag = single_sink_restriction(full, full.sink_names[sink_index - 1])
-    fwd = _cs_fwd(dag, c, r, sink_index, "", {})
-    return Strategy(REVERSIBLE, VISITING, tuple(fwd) + mirrored(fwd))
+    return visiting(_cs_fwd(dag, c, r, sink_index, "", {}), dag.designated_sink_name)
 
 
 def strat_bit_reversal_small_space(n: int) -> Strategy:
@@ -246,7 +241,7 @@ def strat_bit_reversal_small_space(n: int) -> Strategy:
     _climb(raw.append, 0, n, n.bit_length())
     out = _serviced(raw, top,
                     lambda pos: _chain_fwd_moves(bottom, bit_reverse_index(pos - 1, bits) + 1))
-    return Strategy(REVERSIBLE, VISITING, tuple(out) + mirrored(out))
+    return visiting(out, top[-1])
 
 
 def strat_bit_reversal_checkpoint(n: int, k: int) -> Strategy:
@@ -288,7 +283,7 @@ def strat_bit_reversal_checkpoint(n: int, k: int) -> Strategy:
     raw_top = []
     _ck_fwd(raw_top.append, 0, n, k)
     fwd += _serviced(raw_top, top, service)
-    return Strategy(REVERSIBLE, VISITING, tuple(fwd) + mirrored(fwd))
+    return visiting(fwd, top[-1])
 
 
 def line_visiting_price(n: int) -> int:

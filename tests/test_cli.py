@@ -247,14 +247,56 @@ def test_tradeoff_cs_table(tmp_path, capsys):
 
 
 def test_tradeoff_pyramid_golden(capsys):
-    # recorded before the strategies shared one mirror; the upper-time column
-    # is the mirrored strat_by_depth pebbling
+    # the time and certificate columns were recorded before the strategies
+    # shared one mirror; the upper-time column is strat_by_depth's persistent
+    # pebbling closed at its first sink visit
     code, out, _ = run(capsys, "tradeoff", "--family", "pyramid", "--height", "3")
     assert code == 0
     assert out == ("space,optimal_time,theorem_bound,strategy_upper_time,cert_size,cert_degree\n"
                    "5,34,,,35,5\n"
                    "6,28,,,29,6\n"
-                   "7,26,,106,27,7\n")
+                   "7,26,,54,27,7\n")
+
+
+def test_tradeoff_cs_golden(capsys):
+    # the upper-time column is strat_carlson_savage(3, 2, 1), the one candidate
+    code, out, _ = run(capsys, "tradeoff", "--family", "cs", "--c", "3", "--r", "2")
+    assert code == 0
+    assert out == ("space,optimal_time,theorem_bound,strategy_upper_time,cert_size,cert_degree\n"
+                   "6,88,0,148,89,6\n"
+                   "7,70,0,148,71,7\n"
+                   "8,64,0,148,65,8\n")
+
+
+def test_tradeoff_bit_reversal_golden(tmp_path, capsys):
+    # the small-space and checkpoint candidates; written with --out
+    table = tmp_path / "br4.csv"
+    code, out, _ = run(capsys, "tradeoff", "--family", "bit-reversal", "--n", "4",
+                       "--out", str(table))
+    assert (code, out) == (0, f"wrote {table} (3 rows)\n")
+    assert table.read_text() == (
+        "space,optimal_time,theorem_bound,strategy_upper_time,cert_size,cert_degree\n"
+        "5,22,,34,23,5\n"
+        "6,20,,34,21,6\n"
+        "7,18,,34,19,7\n")
+
+
+def test_tradeoff_line_persistent_golden(capsys):
+    # strat_line_persistent is the one candidate; no certificate columns
+    code, out, _ = run(capsys, "tradeoff", "--family", "line", "--n", "5",
+                       "--flavor", "persistent")
+    assert code == 0
+    assert out == ("space,optimal_time,theorem_bound,strategy_upper_time,cert_size,cert_degree\n"
+                   "4,11,,19,,\n"
+                   "5,9,,19,,\n"
+                   "6,9,,19,,\n")
+
+
+def test_solve_pareto_to_stdout(tmp_path, capsys):
+    graph = tmp_path / "line3.json"
+    run(capsys, "gen", "--family", "line", "--n", "3", "--out", str(graph))
+    code, out, _ = run(capsys, "solve", "--mode", "pareto", "--smax", "3", str(graph))
+    assert (code, out) == (0, "space,time,witness_file\n2,8,\n3,6,\n")
 
 
 def test_tradeoff_reversible_cert_identity(tmp_path, capsys):
@@ -353,6 +395,18 @@ def test_search_on_more_than_64_vertices_exits_two(tmp_path, capsys):
         assert code == 2
         assert "65 vertices" in err
         assert "state-budget" not in err
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_state_budget_below_one_exits_one(tmp_path, capsys, budget):
+    # a budget below one configuration is invalid input, not an exceeded budget
+    graph = tmp_path / "line3.json"
+    run(capsys, "gen", "--family", "line", "--n", "3", "--out", str(graph))
+    for argv in (["solve", "--mode", "min-space", str(graph)],
+                 ["tradeoff", "--family", "line", "--n", "3"]):
+        code, out, err = run(capsys, *argv, "--state-budget", budget)
+        assert (code, out) == (1, "")
+        assert err == f"error: state budget must be at least 1, got {budget}\n"
 
 
 def test_state_budget_report(tmp_path, capsys):

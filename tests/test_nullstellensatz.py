@@ -15,7 +15,6 @@ Core claims:
 import json
 import random
 import time
-import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -440,9 +439,7 @@ def _golden_cert_record(instance):
     dag, strategy = GOLDEN_CERT_CASES[instance]()
     moves, fields = {}, {}
     for name, field in GOLDEN_CERT_FIELDS.items():
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "strategy runs past its palindromic closure")
-            cert = compile_strategy(dag, strategy, field)
+        cert = compile_strategy(dag, strategy, field)
         moves[name] = " ".join(("+" if m.op == "place" else "-") + m.vertex
                                for m in extract(dag, cert).moves)
         fields[name] = {"weights": _weights_record(dag, cert),

@@ -5,6 +5,8 @@ Core claims:
     - reversible removal needs predecessors pebbled, standard removal does not
     - verify_strategy replays, checks endpoint conditions, reports metrics
     - the move-wise inverse of a legal reversible strategy is legal
+    - visiting keeps a move list up to its first sink placement and appends
+      that prefix's mirror
     - reversible-legal strategies replay under standard rules with the same
       metrics
     - strategy JSON round-trips
@@ -46,6 +48,7 @@ from pebcert.pebbling import (
     VISITING,
     mirrored,
     replay,
+    visiting,
 )
 
 from conftest import random_single_sink_dag
@@ -153,6 +156,34 @@ def test_reversal_closure():
         fwd = verify_strategy(dag, strat)
         rev = verify_strategy(dag, back)
         assert (fwd.time, fwd.space) == (rev.time, rev.space)
+
+
+def test_visiting_cuts_at_first_sink_placement():
+    # the sink is placed again after the first visit; only the first counts
+    dag = line(2)
+    moves = _moves(("place", "v1"), ("place", "v2"), ("remove", "v2"), ("remove", "v1"),
+                   ("place", "v1"), ("place", "v2"))
+    strat = visiting(moves, "v2")
+    assert strat == _rv(("place", "v1"), ("place", "v2"), ("remove", "v2"), ("remove", "v1"))
+    metrics = verify_strategy(dag, strat)
+    assert (metrics.time, metrics.space, metrics.first_sink_step) == (4, 2, 2)
+
+
+def test_visiting_keeps_a_prefix_that_ends_at_the_sink():
+    dag = pyramid(1)
+    fwd = _moves(("place", "v0_1"), ("place", "v0_2"), ("place", "v1_1"))
+    strat = visiting(iter(fwd), "v1_1")
+    assert strat.moves == fwd + mirrored(fwd)
+    assert verify_strategy(dag, strat).first_sink_step == 3
+
+
+def test_visiting_needs_a_sink_placement():
+    with pytest.raises(SinkNeverPebbled):
+        visiting(_moves(("place", "v1"), ("remove", "v1")), "v2")
+    with pytest.raises(SinkNeverPebbled):
+        visiting((), "v1")
+    with pytest.raises(SinkNeverPebbled):  # a removal of the sink is no visit
+        visiting(_moves(("remove", "v1")), "v1")
 
 
 def test_standard_rules_relax_reversible():

@@ -28,6 +28,7 @@ from pebcert.errors import (
     InstanceTooLarge,
     InternalConsistencyError,
     NoDesignatedSink,
+    SearchError,
     SpaceInfeasible,
     TooManyVertices,
 )
@@ -94,6 +95,24 @@ def test_multi_sink_rejected():
 def test_state_budget_guard():
     with pytest.raises(InstanceTooLarge):
         min_space(pyramid(3), "reversible", "visiting", state_budget=5)
+
+
+def test_state_budget_below_one_refused():
+    for budget in (0, -5):
+        for game, flavor in (("reversible", "visiting"), ("reversible", "persistent"),
+                             ("standard", None)):
+            for call in (lambda: min_space(line(3), game, flavor, budget),
+                         lambda: min_time_within_space(line(3), game, flavor, 2, budget),
+                         lambda: pareto(line(3), game, flavor, 3, budget)):
+                with pytest.raises(SearchError, match="state budget must be at least 1") as exc:
+                    call()
+                assert type(exc.value) is SearchError
+
+
+def test_space_below_one_infeasible():
+    for game, flavor in (("reversible", "visiting"), ("standard", None)):
+        with pytest.raises(SpaceInfeasible, match="below one pebble"):
+            min_time_within_space(line(3), game, flavor, 0)
 
 
 def test_more_than_64_vertices_refused():

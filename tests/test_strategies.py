@@ -2,10 +2,14 @@
 
 Every constructor's output must replay legally and meet its stated space or
 time bound as a hard inequality on verifier-measured metrics; the line
-strategies hit their closed forms exactly.
+strategies hit their closed forms exactly.  Every visiting strategy, from the
+library and among the trade-off table's candidates, ends at the mirror of its
+first sink visit, so it compiles without the past-closure warning.
 """
 
+import argparse
 import math
+import warnings
 
 import pytest
 
@@ -26,7 +30,10 @@ from pebcert import (
     strat_line_visiting,
     verify_strategy,
 )
+from pebcert.algebra import Field
+from pebcert.cli import _upper_bound_candidates
 from pebcert.errors import ParamOutOfRange
+from pebcert.nullstellensatz import compile_strategy
 from pebcert.pebbling import PLACE
 from pebcert.strategies import _iroot_ceil
 
@@ -136,3 +143,68 @@ def test_bit_reversal_checkpoint_k1_pins_whole_bottom_line():
     assert placed == [f"x{i}" for i in range(1, 17)]
     metrics = verify_strategy(bit_reversal(16), strat)
     assert metrics.space == 32
+
+
+def _cs(c, r, j):
+    full = carlson_savage(c, r)
+    return single_sink_restriction(full, full.sink_names[j - 1])
+
+
+VISITING_LIBRARY = {
+    "line_visiting(1)": lambda: (line(1), strat_line_visiting(1)),
+    "line_visiting(8)": lambda: (line(8), strat_line_visiting(8)),
+    "line_visiting(9)": lambda: (line(9), strat_line_visiting(9)),
+    "line_checkpoint(9,2)": lambda: (line(9), strat_line_checkpoint(9, 2)),
+    "line_checkpoint(16,1)": lambda: (line(16), strat_line_checkpoint(16, 1)),
+    "cs(2,1,2)": lambda: (_cs(2, 1, 2), strat_carlson_savage(2, 1, 2)),
+    "cs(2,2,1)": lambda: (_cs(2, 2, 1), strat_carlson_savage(2, 2, 1)),
+    "cs(3,2,2)": lambda: (_cs(3, 2, 2), strat_carlson_savage(3, 2, 2)),
+    "br_small(4)": lambda: (bit_reversal(4), strat_bit_reversal_small_space(4)),
+    "br_small(8)": lambda: (bit_reversal(8), strat_bit_reversal_small_space(8)),
+    "br_checkpoint(8,2)": lambda: (bit_reversal(8), strat_bit_reversal_checkpoint(8, 2)),
+    "br_checkpoint(8,3)": lambda: (bit_reversal(8), strat_bit_reversal_checkpoint(8, 3)),
+}
+
+
+def _closed(dag, strat):
+    """The strategy ends with the mirror of its prefix up to the first sink
+    visit, and compiles without warning."""
+    assert strat.flavor == "visiting"
+    metrics = verify_strategy(dag, strat)
+    assert len(strat.moves) == 2 * metrics.first_sink_step
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        compile_strategy(dag, strat, Field.prime(2))
+    return metrics
+
+
+@pytest.mark.parametrize("name", sorted(VISITING_LIBRARY))
+def test_library_visiting_strategies_close_at_first_sink_visit(name):
+    _closed(*VISITING_LIBRARY[name]())
+
+
+@pytest.mark.parametrize("family,params,dag", [
+    ("line", {"n": 6}, line(6)),
+    ("pyramid", {}, pyramid(3)),
+    ("cs", {"c": 2, "r": 2}, _cs(2, 2, 1)),
+    ("bit-reversal", {"n": 8}, bit_reversal(8)),
+])
+def test_tradeoff_candidates_close_at_first_sink_visit(family, params, dag):
+    args = argparse.Namespace(family=family, **params)
+    candidates = _upper_bound_candidates(args, dag, "visiting")
+    assert candidates
+    for metrics, strat in candidates:
+        assert _closed(dag, strat) == metrics
+
+
+@pytest.mark.parametrize("name,make,moves,space", [
+    # the forward halves of these run past their first sink visit
+    ("line_visiting(8)", lambda: (line(8), strat_line_visiting(8)), 28, 4),
+    ("br_small(16)", lambda: (bit_reversal(16), strat_bit_reversal_small_space(16)), 2620, 9),
+    ("cs(3,2,1)", lambda: (_cs(3, 2, 1), strat_carlson_savage(3, 2, 1)), 148, 6),
+    ("cs(4,3,1)", lambda: (_cs(4, 3, 1), strat_carlson_savage(4, 3, 1)), 11260, 11),
+])
+def test_closed_strategy_sizes(name, make, moves, space):
+    dag, strat = make()
+    metrics = verify_strategy(dag, strat)
+    assert (metrics.time, metrics.space) == (moves, space)
