@@ -14,16 +14,11 @@ import math
 import sys
 from pathlib import Path
 
-from .algebra import Field
+from .algebra import _INTEGER, Field
 from .errors import (
-    AlgebraError,
-    CertificateError,
-    GraphError,
     InstanceTooLarge,
     InternalConsistencyError,
     ParamOutOfRange,
-    PebblingError,
-    SearchError,
     SpaceInfeasible,
     TooManyVertices,
 )
@@ -79,6 +74,8 @@ class _Parser(argparse.ArgumentParser):
 def _parse_field(text: str) -> Field:
     if text.lower() in ("q", "rationals"):
         return Field.rationals()
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"invalid field {text!r}: expected a prime or 'rationals'")
     return Field.prime(int(text))
 
 
@@ -96,16 +93,15 @@ def _gen_graph(args):
         if args.n is None:
             raise _UsageError("bit-reversal needs --n")
         return bit_reversal(args.n)
-    if family == "cs":
-        if args.c is None or args.r is None:
-            raise _UsageError("cs needs --c and --r")
-        dag = carlson_savage(args.c, args.r)
-        if args.single_sink is not None:
-            if not 1 <= args.single_sink <= args.c:
-                raise ParamOutOfRange(f"--single-sink must be in 1..{args.c}")
-            dag = single_sink_restriction(dag, dag.sink_names[args.single_sink - 1])
-        return dag
-    raise _UsageError(f"unknown family {family!r}")
+    # family == "cs", the last of the parser's choices
+    if args.c is None or args.r is None:
+        raise _UsageError("cs needs --c and --r")
+    dag = carlson_savage(args.c, args.r)
+    if args.single_sink is not None:
+        if not 1 <= args.single_sink <= args.c:
+            raise ParamOutOfRange(f"--single-sink must be in 1..{args.c}")
+        dag = single_sink_restriction(dag, dag.sink_names[args.single_sink - 1])
+    return dag
 
 
 def cmd_gen(args) -> int:
@@ -169,7 +165,7 @@ def cmd_solve(args) -> int:
 def cmd_cert(args) -> int:
     dag = load_graph(args.graph)
     formula = pebbling_formula(dag)
-    field = _parse_field(args.field) if args.field else None
+    field = None if args.field is None else _parse_field(args.field)
     if args.action == "compile":
         strategy = load_strategy(args.input)
         cert = compile_strategy(dag, strategy, field or Field.prime(2))
@@ -237,8 +233,6 @@ def cmd_tradeoff(args) -> int:
     if args.family == "cs":
         args.single_sink = 1
     dag = _gen_graph(args)
-    if dag.designated_sink is None:
-        raise _UsageError("trade-off tables need a single-sink graph")
     game = args.game
     flavor = None if game == STANDARD else args.flavor
     field = _parse_field(args.field)
@@ -287,8 +281,10 @@ def _add_family_flags(parser):
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="pebcert", description=__doc__)
-    budget = _Parser(add_help=False)
-    budget.add_argument("--state-budget", type=int, default=DEFAULT_STATE_BUDGET,
+    search = _Parser(add_help=False)
+    search.add_argument("--game", choices=[STANDARD, REVERSIBLE], default=REVERSIBLE)
+    search.add_argument("--flavor", choices=[VISITING, PERSISTENT], default=VISITING)
+    search.add_argument("--state-budget", type=int, default=DEFAULT_STATE_BUDGET,
                         help="search state budget (default %(default)s)")
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
@@ -301,10 +297,8 @@ def _build_parser() -> _Parser:
     p_gen.add_argument("--dimacs", help="also write the pebbling formula as DIMACS CNF")
     p_gen.set_defaults(func=cmd_gen)
 
-    p_solve = sub.add_parser("solve", help="exact pebbling optima", parents=[budget])
+    p_solve = sub.add_parser("solve", help="exact pebbling optima", parents=[search])
     p_solve.add_argument("graph", help="graph JSON file")
-    p_solve.add_argument("--game", choices=[STANDARD, REVERSIBLE], default=REVERSIBLE)
-    p_solve.add_argument("--flavor", choices=[VISITING, PERSISTENT], default=VISITING)
     p_solve.add_argument("--mode", choices=["min-space", "min-time", "pareto"],
                          required=True)
     p_solve.add_argument("--space", type=int, help="budget for min-time")
@@ -326,10 +320,8 @@ def _build_parser() -> _Parser:
     p_cert.set_defaults(func=cmd_cert)
 
     p_trade = sub.add_parser("tradeoff", help="space/time table with bound columns",
-                             parents=[budget])
+                             parents=[search])
     _add_family_flags(p_trade)
-    p_trade.add_argument("--game", choices=[STANDARD, REVERSIBLE], default=REVERSIBLE)
-    p_trade.add_argument("--flavor", choices=[VISITING, PERSISTENT], default=VISITING)
     p_trade.add_argument("--smax", type=int,
                          help="largest budget (default min space + 2)")
     p_trade.add_argument("--field", default="2",
@@ -356,9 +348,7 @@ def main(argv=None) -> int:
     except InternalConsistencyError as exc:
         print(f"internal consistency violation: {exc}", file=sys.stderr)
         return 3
-    except (GraphError, PebblingError, ParamOutOfRange, AlgebraError,
-            CertificateError, SearchError, OSError, json.JSONDecodeError,
-            ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -5,10 +5,15 @@ verify it with verify_strategy against the matching generator output.  Every
 reversible visiting strategy is a forward half passed to `pebbling.visiting`,
 which keeps it up to its first sink visit and appends that prefix's mirror.
 
-Chain climbing: the forward half of the space-optimal visiting pebbling of a
-chain of d vertices uses ceil(log2(d+1)) pebbles.  With budget k it reaches
-distance 2^k - 1: first bring a lone pebble to the midpoint (climb with k-1,
-place, unwind the climb), then continue beyond it with k-1.
+All chain strategies come from one recursion, `_fwd`/`_place`: level 1
+sweeps, and level k plants checkpoints with level k-1 (place, then unwind the
+climb) and carries on from the last one with level k-1.  A cut rule says
+where a level's checkpoints go:
+
+- `_halves`, space-optimal climbing: one checkpoint at 2^(k-1), so k pebbles
+  reach distance 2^k - 1 and a chain of d vertices needs ceil(log2(d+1)).
+- `_segments`, k-level checkpointing: ceil(d^(1/k)) equal segments, trading
+  space 2k*ceil(d^(1/k)) against time 2^k*d.
 """
 
 from __future__ import annotations
@@ -17,71 +22,7 @@ import math
 
 from .errors import ParamOutOfRange
 from .graphs import Dag, bit_reverse_index, carlson_savage, single_sink_restriction
-from .pebbling import (
-    PERSISTENT,
-    PLACE,
-    REMOVE,
-    REVERSIBLE,
-    Move,
-    Strategy,
-    mirrored,
-    visiting,
-)
-
-
-def _climb(emit, base, d, k):
-    """Forward moves bringing a pebble to chain position base+d (junk allowed).
-
-    Positions are 1-based chain offsets; `base` 0 means the chain boundary.
-    Requires d <= 2^k - 1; peak count of pebbles above `base` is at most k.
-    """
-    if d == 0:
-        return
-    if k <= 0:
-        raise ParamOutOfRange(f"cannot reach distance {d} with no pebbles")
-    half = 1 << (k - 1)
-    if d <= half - 1:
-        _climb(emit, base, d, k - 1)
-        return
-    hop = []
-    _climb(hop.append, base, half - 1, k - 1)
-    for pos in hop:
-        emit(pos)
-    emit(base + half)
-    for pos in reversed(hop):
-        emit(-pos)  # negative = removal
-    _climb(emit, base + half, d - half, k - 1)
-
-
-def _chain_fwd_moves(chain, d=None):
-    """Space-optimal forward half on the first d vertices of a name chain."""
-    if d is None:
-        d = len(chain)
-    out = []
-    _climb(out.append, 0, d, d.bit_length())  # d.bit_length() == ceil(log2(d+1))
-    return _moves_on_chain(out, chain)
-
-
-def strat_line_visiting(n: int) -> Strategy:
-    """Visiting pebbling of line(n) with space exactly ceil(log2(n+1))."""
-    if n < 1:
-        raise ParamOutOfRange("need n >= 1")
-    chain = [f"v{i}" for i in range(1, n + 1)]
-    return visiting(_chain_fwd_moves(chain), chain[-1])
-
-
-def strat_line_persistent(n: int) -> Strategy:
-    """Persistent pebbling of line(n); space floor(log2(n-1)) + 2 for n >= 2.
-
-    Reaches v_{n-1} with the visiting forward half, places v_n, and unwinds
-    the forward half with the sink pebble in place.
-    """
-    if n < 1:
-        raise ParamOutOfRange("need n >= 1")
-    chain = [f"v{i}" for i in range(1, n + 1)]
-    fwd = _chain_fwd_moves(chain, n - 1)
-    moves = tuple(fwd) + (Move(PLACE, chain[-1]),) + mirrored(fwd)
-    return Strategy(REVERSIBLE, PERSISTENT, moves)
+from .pebbling import PERSISTENT, PLACE, REMOVE, REVERSIBLE, Move, Strategy, mirrored, visiting
 
 
 def _iroot_ceil(n, k):
@@ -94,38 +35,70 @@ def _iroot_ceil(n, k):
     return r
 
 
-def _ck_fwd(emit, base, d, k):
-    """Checkpointed forward half reaching base+d.
+def _halves(d, k):
+    """One checkpoint at 2^(k-1), if the climb gets that far."""
+    half = 1 << (k - 1)
+    return [half] if d >= half else []
 
-    Level 1 sweeps sequentially; level k splits into ceil(d^(1/k)) segments,
-    plants a checkpoint at each boundary with the level-(k-1) routine (place
-    and unwind), and recurses into the final segment.
-    """
-    if d == 0:
-        return
-    if k <= 1:
-        for pos in range(base + 1, base + d + 1):
-            emit(pos)
-        return
+
+def _segments(d, k):
+    """Inner boundaries of ceil(d^(1/k)) equal segments of d."""
     nseg = _iroot_ceil(d, k)
     seg = -(-d // nseg)  # ceil
-    bounds = [base + min(i * seg, d) for i in range(nseg + 1)]
-    for i in range(1, nseg):
-        _ck_place(emit, bounds[i - 1], bounds[i] - bounds[i - 1], k - 1)
-    _ck_fwd(emit, bounds[nseg - 1], bounds[nseg] - bounds[nseg - 1], k - 1)
+    return [min(i * seg, d) for i in range(1, nseg)]
 
 
-def _ck_place(emit, base, d, k):
-    """From a pebble at `base`: end with pebbles at base and base+d only."""
+def _fwd(base, d, k, cuts):
+    """Signed chain positions (negative = removal) bringing a pebble to base+d.
+
+    Positions are 1-based chain offsets; `base` 0 means the chain boundary.
+    Level k plants a checkpoint at each offset of cuts(d, k) with level k-1,
+    then carries on from the last one at level k-1; level 1 sweeps.  Under
+    `_halves`, level k reaches any d <= 2^k - 1 with at most k pebbles above
+    `base`; a farther target is still reached, but its level-1 sweep takes
+    more pebbles.
+    """
+    if k <= 1:
+        return list(range(base + 1, base + d + 1))
+    out, prev = [], 0
+    for cut in cuts(d, k):
+        out += _place(base + prev, cut - prev, k - 1, cuts)
+        prev = cut
+    return out + _fwd(base + prev, d - prev, k - 1, cuts)
+
+
+def _place(base, d, k, cuts):
+    """`_fwd` to base+d-1, place base+d, undo the climb: leaves only base+d above base."""
     if d == 0:
-        return
-    sub = []
-    _ck_fwd(sub.append, base, d - 1, k)
-    for pos in sub:
-        emit(pos)
-    emit(base + d)
-    for pos in reversed(sub):
-        emit(-pos)
+        return []
+    climb = _fwd(base, d - 1, k, cuts)
+    return climb + [base + d] + [-pos for pos in reversed(climb)]
+
+
+def _space_optimal(d):
+    """Space-optimal forward half to chain position d, in ceil(log2(d+1)) pebbles."""
+    return _fwd(0, d, d.bit_length(), _halves)  # d.bit_length() == ceil(log2(d+1))
+
+
+def strat_line_visiting(n: int) -> Strategy:
+    """Visiting pebbling of line(n) with space exactly ceil(log2(n+1))."""
+    if n < 1:
+        raise ParamOutOfRange("need n >= 1")
+    chain = [f"v{i}" for i in range(1, n + 1)]
+    return visiting(_moves_on_chain(_space_optimal(n), chain), chain[-1])
+
+
+def strat_line_persistent(n: int) -> Strategy:
+    """Persistent pebbling of line(n); space floor(log2(n-1)) + 2 for n >= 2.
+
+    Reaches v_{n-1} with the visiting forward half, places v_n, and unwinds
+    the forward half with the sink pebble in place.
+    """
+    if n < 1:
+        raise ParamOutOfRange("need n >= 1")
+    chain = [f"v{i}" for i in range(1, n + 1)]
+    moves = _moves_on_chain(_place(0, n, (n - 1).bit_length(), _halves), chain)
+    return Strategy(REVERSIBLE, PERSISTENT, tuple(moves))
 
 
 def _moves_on_chain(positions, chain):
@@ -152,9 +125,7 @@ def strat_line_checkpoint(n: int, k: int) -> Strategy:
     if n < 1 or k < 1:
         raise ParamOutOfRange("need n >= 1 and k >= 1")
     chain = [f"v{i}" for i in range(1, n + 1)]
-    out = []
-    _ck_fwd(out.append, 0, n, k)
-    return visiting(_moves_on_chain(out, chain), chain[-1])
+    return visiting(_moves_on_chain(_fwd(0, n, k, _segments), chain), chain[-1])
 
 
 def _persist_moves(dag, v, memo):
@@ -203,15 +174,13 @@ def _cs_fwd(dag, c, r, sink_index, prefix, memo):
     length = two_c * (r - 1)
     chain = [f"{prefix}spine{sink_index}/sec{(p - 1) // two_c + 1}/v{(p - 1) % two_c + 1}"
              for p in range(1, length + 1)]
-    raw = []
-    _climb(raw.append, 0, length, length.bit_length())
 
     def service(pos):
         m = (pos - 1) % two_c + 1
         if m <= c:
             return _visit_fwd_prefix(dag, dag.index[f"{prefix}pyr{m}/v{r - 1}_1"], memo)
         return _cs_fwd(dag, c, r - 1, m - c, prefix + "sub/", memo)
-    return _serviced(raw, chain, service)
+    return _serviced(_space_optimal(length), chain, service)
 
 
 def strat_carlson_savage(c: int, r: int, sink_index: int) -> Strategy:
@@ -237,10 +206,8 @@ def strat_bit_reversal_small_space(n: int) -> Strategy:
     bits = n.bit_length() - 1
     bottom = [f"x{i}" for i in range(1, n + 1)]
     top = [f"y{i}" for i in range(1, n + 1)]
-    raw = []
-    _climb(raw.append, 0, n, n.bit_length())
-    out = _serviced(raw, top,
-                    lambda pos: _chain_fwd_moves(bottom, bit_reverse_index(pos - 1, bits) + 1))
+    out = _serviced(_space_optimal(n), top, lambda pos: _moves_on_chain(
+        _space_optimal(bit_reverse_index(pos - 1, bits) + 1), bottom))
     return visiting(out, top[-1])
 
 
@@ -260,29 +227,15 @@ def strat_bit_reversal_checkpoint(n: int, k: int) -> Strategy:
     bits = n.bit_length() - 1
     bottom = [f"x{i}" for i in range(1, n + 1)]
     top = [f"y{i}" for i in range(1, n + 1)]
-
-    nfix = _iroot_ceil(n, k)
-    seg = -(-n // nfix)
-    fixed = sorted({min(i * seg, n) for i in range(1, nfix + 1)})
-
-    fwd = []
-    prev = 0
-    for pos in fixed:
-        raw = []
-        _ck_place(raw.append, prev, pos - prev, k - 1)
-        fwd += _moves_on_chain(raw, bottom)
-        prev = pos
+    fixed = _segments(n, k) + [n]
+    plant = [pos for lo, hi in zip([0] + fixed, fixed)
+             for pos in _place(lo, hi - lo, k - 1, _segments)]
 
     def service(pos):
         target = bit_reverse_index(pos - 1, bits) + 1
         base = max((f for f in fixed if f <= target), default=0)
-        raw = []
-        _ck_fwd(raw.append, base, target - base, k - 1)
-        return _moves_on_chain(raw, bottom)
-
-    raw_top = []
-    _ck_fwd(raw_top.append, 0, n, k)
-    fwd += _serviced(raw_top, top, service)
+        return _moves_on_chain(_fwd(base, target - base, k - 1, _segments), bottom)
+    fwd = _moves_on_chain(plant, bottom) + _serviced(_fwd(0, n, k, _segments), top, service)
     return visiting(fwd, top[-1])
 
 

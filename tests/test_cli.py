@@ -235,6 +235,22 @@ def test_field_beyond_exact_primality_exits_one(tmp_path, capsys):
     assert "too large" in err
 
 
+@pytest.mark.parametrize("field", [" 5", "1_1", "٥"])  # U+0665: Arabic-Indic five
+def test_field_not_decimal_integer_exits_one(capsys, field):
+    code, out, err = run(capsys, "tradeoff", "--family", "line", "--n", "3", "--field", field)
+    assert (code, out) == (1, "")
+    assert "invalid field" in err
+
+
+def test_cert_empty_field_exits_one(tmp_path, capsys):
+    graph, witness = tmp_path / "line2.json", tmp_path / "w.json"
+    run(capsys, "gen", "--family", "line", "--n", "2", "--out", str(graph))
+    run(capsys, "solve", "--mode", "min-space", str(graph), "--witness", str(witness))
+    code, _, err = run(capsys, "cert", "compile", "--field", "", str(graph), str(witness))
+    assert code == 1
+    assert "invalid field" in err
+
+
 def test_tradeoff_cs_table(tmp_path, capsys):
     code, out, _ = run(capsys, "tradeoff", "--family", "cs", "--c", "4", "--r", "1",
                        "--game", "standard")

@@ -4,12 +4,16 @@ Every constructor's output must replay legally and meet its stated space or
 time bound as a hard inequality on verifier-measured metrics; the line
 strategies hit their closed forms exactly.  Every visiting strategy, from the
 library and among the trade-off table's candidates, ends at the mirror of its
-first sink visit, so it compiles without the past-closure warning.
+first sink visit, so it compiles without the past-closure warning.  The
+exact move sequences of a fixed set of instances are pinned in
+tests/golden_strategies.json.
 """
 
 import argparse
+import json
 import math
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -208,3 +212,21 @@ def test_closed_strategy_sizes(name, make, moves, space):
     dag, strat = make()
     metrics = verify_strategy(dag, strat)
     assert (metrics.time, metrics.space) == (moves, space)
+
+
+# Exact move sequences of library strategies: the certificates compiled from
+# them and the tables' strategy_upper_time column depend on every move.
+GOLDEN = json.loads(Path(__file__).with_name("golden_strategies.json").read_text())
+GOLDEN_LIBRARY = {
+    **{name: lambda make=make: make()[1] for name, make in VISITING_LIBRARY.items()},
+    "line_persistent(9)": lambda: strat_line_persistent(9),
+    "line_checkpoint(27,3)": lambda: strat_line_checkpoint(27, 3),
+    "br_checkpoint(16,2)": lambda: strat_bit_reversal_checkpoint(16, 2),
+    "by_depth(pyramid(3))": lambda: strat_by_depth(pyramid(3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_LIBRARY))
+def test_golden_strategies(name):
+    moves = GOLDEN_LIBRARY[name]().moves
+    assert " ".join(("+" if m.op == PLACE else "-") + m.vertex for m in moves) == GOLDEN[name]
