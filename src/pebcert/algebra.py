@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import FieldMismatch, ModulusTooLarge, NotPrime
+from .errors import AlgebraError
 
 
 # The first 13 primes.  As Miller-Rabin bases they decide primality exactly
@@ -33,15 +33,15 @@ _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+|\.[0-9]+)?")
 
 
 def _is_prime(p):
-    """Deterministic Miller-Rabin; raises ModulusTooLarge where it is not exact."""
+    """Deterministic Miller-Rabin; raises AlgebraError where it is not exact."""
     if p < 2:
         return False
     for b in _MR_BASES:
         if p % b == 0:
             return p == b
     if p >= _MR_LIMIT:
-        raise ModulusTooLarge(f"{p} is too large to test for primality "
-                              f"(limit {_MR_LIMIT})")
+        raise AlgebraError(f"{p} is too large to test for primality "
+                           f"(limit {_MR_LIMIT})")
     d, r = p - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -65,7 +65,7 @@ class Field:
 
     def __init__(self, p=None):
         if p is not None and (type(p) is not int or not _is_prime(p)):
-            raise NotPrime(f"{p!r} is not a prime integer")
+            raise AlgebraError(f"{p!r} is not a prime integer")
         self.p = p
         self.zero = Fraction(0) if p is None else 0
         self.one = Fraction(1) if p is None else 1
@@ -134,7 +134,7 @@ class Field:
 
 def _check_same_field(a, b):
     if a.field != b.field:
-        raise FieldMismatch(f"{a.field!r} vs {b.field!r}")
+        raise AlgebraError(f"{a.field!r} vs {b.field!r}")
 
 
 class _Poly:

@@ -1,47 +1,21 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package: one class per exit-code concern.
 
-Grouped by subsystem; the CLI maps them onto exit codes (bad input -> 1,
-infeasible or over budget -> 2, broken internal guarantee -> 3).
+The message carries the detail, and the CLI prints `str(exc)`.  Exit codes:
+
+- 1, invalid input: `GraphError` (graph files and lookups, a missing or
+  non-sink designated sink), `ParamOutOfRange` (generator and strategy
+  parameters), `PebblingError` and its `IllegalMoveAt` (moves, strategies
+  and their files), `SearchError` (search arguments), `AlgebraError`
+  (fields) and `CertificateError` (certificates and their files).
+- 2, infeasible or too large: `SpaceInfeasible`, `InstanceTooLarge` and
+  `TooManyVertices`.
+- 3, a broken internal guarantee: `InternalConsistencyError`.
 """
 
 
 class GraphError(ValueError):
-    """Invalid graph construction or lookup."""
-
-
-class DuplicateVertex(GraphError):
-    pass
-
-
-class UnknownVertex(GraphError):
-    pass
-
-
-class UnhashableVertex(GraphError):
-    """A vertex name that cannot key a dict, such as a JSON list."""
-
-
-class CycleDetected(GraphError):
-    pass
-
-
-class NotASink(GraphError):
-    """Designated sink has outgoing edges."""
-
-
-class NotASinkVertex(GraphError):
-    """Restriction target is not a sink of the graph."""
-
-
-class NotPowerOfTwo(GraphError):
-    pass
-
-
-class NoDesignatedSink(GraphError):
-    """Operation needs a graph with a single designated sink.
-
-    Multi-sink graphs must go through single_sink_restriction first.
-    """
+    """Invalid graph construction or lookup, or a graph without the one
+    designated sink an operation needs (see single_sink_restriction)."""
 
 
 class ParamOutOfRange(ValueError):
@@ -52,14 +26,6 @@ class PebblingError(ValueError):
     """Illegal move or malformed strategy."""
 
 
-class IllegalPlacement(PebblingError):
-    pass
-
-
-class IllegalRemoval(PebblingError):
-    pass
-
-
 class IllegalMoveAt(PebblingError):
     """Replay failed; step is the 1-based index of the offending move."""
 
@@ -67,14 +33,6 @@ class IllegalMoveAt(PebblingError):
         super().__init__(f"illegal move at step {step}: {cause}")
         self.step = step
         self.cause = cause
-
-
-class SinkNeverPebbled(PebblingError):
-    pass
-
-
-class BadFinalConfig(PebblingError):
-    pass
 
 
 class SearchError(ValueError):
@@ -114,52 +72,14 @@ class TooManyVertices(SearchError):
 
 
 class AlgebraError(ValueError):
-    pass
-
-
-class FieldMismatch(AlgebraError):
-    pass
-
-
-class NotPrime(AlgebraError):
-    pass
-
-
-class ModulusTooLarge(AlgebraError):
-    """Prime modulus beyond the range where the primality test is exact."""
+    """A field that is not prime, or whose primality cannot be decided
+    exactly, or operands over different fields."""
 
 
 class CertificateError(ValueError):
-    pass
-
-
-class UnknownAxiom(CertificateError):
-    pass
-
-
-class NotMultilinear(CertificateError):
-    pass
-
-
-class StrategyIllegal(CertificateError):
-    """Certificate compilation needs a verifier-legal reversible strategy."""
-
-
-class SinkNeverReached(CertificateError):
-    pass
-
-
-class CertificateInvalid(CertificateError):
-    pass
-
-
-class ResultInvalid(CertificateError):
-    """Multilinearization input was not a valid refutation."""
+    """Malformed certificate, one that does not refute its formula, or a
+    strategy that cannot compile to one."""
 
 
 class InternalConsistencyError(RuntimeError):
     """A guaranteed identity failed; indicates a bug, not bad input."""
-
-
-class NoPathToSink(InternalConsistencyError):
-    """Valid certificates always admit a path to a sink configuration."""

@@ -23,17 +23,7 @@ from __future__ import annotations
 import heapq
 import json
 
-from .errors import (
-    CycleDetected,
-    DuplicateVertex,
-    GraphError,
-    NotASink,
-    NotASinkVertex,
-    NotPowerOfTwo,
-    ParamOutOfRange,
-    UnhashableVertex,
-    UnknownVertex,
-)
+from .errors import GraphError, ParamOutOfRange
 
 
 class Dag:
@@ -93,7 +83,7 @@ class Dag:
         try:
             return self.index[name]
         except KeyError:
-            raise UnknownVertex(f"unknown vertex {name!r}") from None
+            raise GraphError(f"unknown vertex {name!r}") from None
 
     def ancestors_of(self, name):
         """All vertices with a path to `name`, including `name` itself."""
@@ -148,16 +138,16 @@ def build_dag(vertices, edges, designated_sink=None) -> Dag:
     """Validate and index a DAG given vertex names and (pred, succ) pairs.
 
     Vertices are re-ordered topologically (stable: ties broken by declaration
-    order).  Raises UnhashableVertex, DuplicateVertex, UnknownVertex,
-    CycleDetected, or NotASink if the designated sink has a successor.
+    order).  Raises GraphError for an unhashable, duplicate or undeclared
+    name, a cycle, or a designated sink that has a successor.
     """
     vertices = list(vertices)
     declared = {}
     for pos, name in enumerate(vertices):
         if not _hashable(name):
-            raise UnhashableVertex(f"vertex name {name!r} is not hashable")
+            raise GraphError(f"vertex name {name!r} is not hashable")
         if name in declared:
-            raise DuplicateVertex(f"vertex {name!r} declared twice")
+            raise GraphError(f"vertex {name!r} declared twice")
         declared[name] = pos
 
     succs = {name: set() for name in vertices}
@@ -165,7 +155,7 @@ def build_dag(vertices, edges, designated_sink=None) -> Dag:
     for a, b in edges:
         for end in (a, b):
             if not _hashable(end) or end not in declared:
-                raise UnknownVertex(f"edge endpoint {end!r} not declared")
+                raise GraphError(f"edge endpoint {end!r} not declared")
         succs[a].add(b)
         preds[b].add(a)
 
@@ -184,7 +174,7 @@ def build_dag(vertices, edges, designated_sink=None) -> Dag:
                 heapq.heappush(ready, declared[succ])
     if len(order) != len(vertices):
         stuck = sorted(set(vertices) - set(order))
-        raise CycleDetected(f"cycle through {stuck}")
+        raise GraphError(f"cycle through {stuck}")
 
     index = {name: i for i, name in enumerate(order)}
     pred_idx = tuple(tuple(sorted(index[p] for p in preds[name])) for name in order)
@@ -194,10 +184,10 @@ def build_dag(vertices, edges, designated_sink=None) -> Dag:
     sink_idx = None
     if designated_sink is not None:
         if not _hashable(designated_sink) or designated_sink not in index:
-            raise UnknownVertex(f"designated sink {designated_sink!r} not declared")
+            raise GraphError(f"designated sink {designated_sink!r} not declared")
         sink_idx = index[designated_sink]
         if succs[designated_sink]:
-            raise NotASink(f"{designated_sink!r} has successors")
+            raise GraphError(f"{designated_sink!r} has successors")
 
     return Dag(tuple(order), index, pred_idx, edge_idx, sinks, sink_idx)
 
@@ -243,7 +233,7 @@ def bit_reversal(n: int) -> Dag:
     where sigma reverses the log2(n)-bit representation of i-1 (1-based).
     """
     if n < 2 or n & (n - 1):
-        raise NotPowerOfTwo(f"bit_reversal needs a power of two >= 2, got {n}")
+        raise ParamOutOfRange(f"bit_reversal needs a power of two >= 2, got {n}")
     bits = n.bit_length() - 1
     xs = [f"x{i}" for i in range(1, n + 1)]
     ys = [f"y{i}" for i in range(1, n + 1)]
@@ -325,7 +315,7 @@ def single_sink_restriction(dag: Dag, sink: str) -> Dag:
     """
     idx = dag._idx(sink)
     if idx not in dag.sinks:
-        raise NotASinkVertex(f"{sink!r} is not a sink")
+        raise GraphError(f"{sink!r} is not a sink")
     keep = dag.ancestors_of(sink)
     names = [dag.names[i] for i in sorted(keep)]
     kept = set(names)
@@ -338,19 +328,16 @@ def load_graph(path) -> Dag:
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise GraphError(f"{path}: {exc}") from None
-    try:
         return graph_from_json(data)
-    except GraphError as exc:
-        raise type(exc)(f"{path}: {exc}") from None
+    except (GraphError, json.JSONDecodeError) as exc:
+        raise GraphError(f"{path}: {exc}") from None
 
 
 def graph_from_json(data) -> Dag:
     try:
         vertices, edges = data["vertices"], data["edges"]
     except (KeyError, TypeError) as exc:
-        raise UnknownVertex(f"malformed graph JSON: {exc}") from None
+        raise GraphError(f"malformed graph JSON: {exc}") from None
     if not isinstance(vertices, list):
         raise GraphError(f'"vertices" must be a list of names, got {vertices!r}')
     if not (isinstance(edges, list)

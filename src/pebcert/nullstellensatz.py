@@ -38,18 +38,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, field as dataclass_field
 
 from .algebra import ExpPoly, Field, MultilinearPoly
-from .errors import (
-    CertificateError,
-    CertificateInvalid,
-    NoDesignatedSink,
-    NoPathToSink,
-    NotMultilinear,
-    PebblingError,
-    ResultInvalid,
-    SinkNeverReached,
-    StrategyIllegal,
-    UnknownAxiom,
-)
+from .errors import CertificateError, GraphError, InternalConsistencyError
 from .graphs import Dag, mask_names
 from .pebbling import (
     PLACE,
@@ -77,7 +66,7 @@ class PebblingFormula:
 
     def __init__(self, dag: Dag):
         if dag.designated_sink is None or len(dag.sinks) != 1:
-            raise NoDesignatedSink("pebbling formula needs a unique designated sink")
+            raise GraphError("pebbling formula needs a unique designated sink")
         self.dag = dag
         self.sink_name = dag.designated_sink_name
         # axiom id -> (pred names, vertex name or None for the sink axiom)
@@ -92,7 +81,7 @@ class PebblingFormula:
         try:
             return self._axioms[axiom_id]
         except KeyError:
-            raise UnknownAxiom(f"unknown axiom {axiom_id!r}") from None
+            raise CertificateError(f"unknown axiom {axiom_id!r}") from None
 
     def axiom_poly(self, axiom_id: str, field: Field) -> MultilinearPoly:
         """A_v = x_pred - x_{pred + v}; A_sink = x_z."""
@@ -175,7 +164,7 @@ def verify(formula: PebblingFormula, cert: Certificate) -> VerifyReport:
     for axiom_id, q in cert.multipliers.items():
         if multilinear:
             if not isinstance(q, MultilinearPoly):
-                raise NotMultilinear(f"multiplier for {axiom_id!r} is not multilinear")
+                raise CertificateError(f"multiplier for {axiom_id!r} is not multilinear")
             axiom = formula.axiom_poly(axiom_id, f)
         else:
             if isinstance(q, MultilinearPoly):
@@ -204,21 +193,19 @@ def compile_strategy(dag: Dag, strategy: Strategy, field: Field) -> Certificate:
     for a placement, -1 for a removal), and Q_sink = x_{P_t' - {z}}.
     Verification accepts the result with size 2t'+1 and degree equal to the
     prefix replay space whenever the prefix visits distinct configurations
-    (always true for search witnesses).
+    (always true for search witnesses).  An illegal move raises IllegalMoveAt
+    with its step.
     """
     if dag.designated_sink is None or len(dag.sinks) != 1:
-        raise NoDesignatedSink("certificate compilation needs a unique designated sink")
+        raise GraphError("certificate compilation needs a unique designated sink")
     if strategy.game != REVERSIBLE:
-        raise StrategyIllegal("only reversible strategies compile to certificates")
-    try:
-        configs = replay(dag, strategy.moves, REVERSIBLE)
-    except PebblingError as exc:
-        raise StrategyIllegal(str(exc)) from None
+        raise CertificateError("only reversible strategies compile to certificates")
+    configs = replay(dag, strategy.moves, REVERSIBLE)
 
     zbit = 1 << dag.designated_sink
     t_prime = next((t for t, m in enumerate(configs) if m & zbit), None)
     if t_prime is None:
-        raise SinkNeverReached("strategy never pebbles the sink")
+        raise CertificateError("strategy never pebbles the sink")
     if len(strategy.moves) > 2 * t_prime:
         warnings.warn(
             f"strategy runs past its palindromic closure; compiling only the "
@@ -280,7 +267,7 @@ def config_graph(dag: Dag, cert: Certificate) -> ConfigGraph:
     unique designated sink.
     """
     if cert.mode != MULTILINEAR:
-        raise NotMultilinear("configuration graphs need a multilinear certificate")
+        raise CertificateError("configuration graphs need a multilinear certificate")
     formula = pebbling_formula(dag)
     bits = {name: 1 << i for i, name in enumerate(dag.names)}
     edges = []
@@ -336,7 +323,7 @@ def extract(dag: Dag, cert: Certificate) -> Strategy:
         cert = _clamped(cert)
     report = verify(formula, cert)
     if not report.valid:
-        raise CertificateInvalid("certificate does not verify")
+        raise CertificateError("certificate does not verify")
 
     cg = config_graph(dag, cert)
     adj = {}
@@ -344,7 +331,7 @@ def extract(dag: Dag, cert: Certificate) -> Strategy:
         adj.setdefault(lo, set()).add(hi)
         adj.setdefault(hi, set()).add(lo)
     if 0 not in adj:
-        raise NoPathToSink("empty configuration touches no edge")
+        raise InternalConsistencyError("empty configuration touches no edge")
     zbit = 1 << dag.designated_sink
     parent = {0: None}
     queue = deque([0])
@@ -359,7 +346,7 @@ def extract(dag: Dag, cert: Certificate) -> Strategy:
             parent[w] = u
             queue.append(w)
     else:
-        raise NoPathToSink("no path from the empty configuration to the sink")
+        raise InternalConsistencyError("no path from the empty configuration to the sink")
 
     moves = []
     while parent[u] is not None:
@@ -380,11 +367,11 @@ def _clamped(cert: Certificate) -> Certificate:
 def multilinearize(formula: PebblingFormula, cert: Certificate) -> Certificate:
     """Clamp exponents and drop Boolean multipliers; size and degree never grow.
 
-    Raises ResultInvalid when the input was not a valid refutation.
+    Raises CertificateError when the input was not a valid refutation.
     """
     out = _clamped(cert) if cert.mode != MULTILINEAR else cert
     if not verify(formula, out).valid:
-        raise ResultInvalid("input certificate was not a valid refutation")
+        raise CertificateError("input certificate was not a valid refutation")
     return out
 
 

@@ -18,15 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import (
-    BadFinalConfig,
-    IllegalMoveAt,
-    IllegalPlacement,
-    IllegalRemoval,
-    NoDesignatedSink,
-    PebblingError,
-    SinkNeverPebbled,
-)
+from .errors import GraphError, IllegalMoveAt, PebblingError
 from .graphs import Dag, mask_names
 
 STANDARD = "standard"
@@ -73,27 +65,27 @@ def visiting(moves, sink: str) -> Strategy:
     try:
         t = moves.index(Move(PLACE, sink)) + 1
     except ValueError:
-        raise SinkNeverPebbled(f"sink {sink!r} never placed") from None
+        raise PebblingError(f"sink {sink!r} never placed") from None
     return Strategy(REVERSIBLE, VISITING, moves[:t] + mirrored(moves[:t]))
 
 
-def _move_mask(dag, config_mask, move, game, step=None):
-    """Next configuration bitmask, or raise for an illegal move."""
+def _move_mask(dag, config_mask, move, game):
+    """Next configuration bitmask, or raise PebblingError for an illegal move."""
     v = dag.index.get(move.vertex)
     if v is None:
-        raise IllegalMoveAt(step or 0, f"unknown vertex {move.vertex!r}")
+        raise PebblingError(f"unknown vertex {move.vertex!r}")
     bit, pred_mask = dag.toggles[v]
     if move.op == PLACE:
         if config_mask & bit:
-            raise IllegalPlacement(f"{move.vertex} already pebbled")
+            raise PebblingError(f"{move.vertex} already pebbled")
         if config_mask & pred_mask != pred_mask:
-            raise IllegalPlacement(f"{move.vertex} has unpebbled predecessors")
+            raise PebblingError(f"{move.vertex} has unpebbled predecessors")
         return config_mask | bit
     if move.op == REMOVE:
         if not config_mask & bit:
-            raise IllegalRemoval(f"{move.vertex} not pebbled")
+            raise PebblingError(f"{move.vertex} not pebbled")
         if game == REVERSIBLE and config_mask & pred_mask != pred_mask:
-            raise IllegalRemoval(
+            raise PebblingError(
                 f"reversible removal from {move.vertex} needs its predecessors pebbled")
         return config_mask & ~bit
     raise PebblingError(f"unknown move op {move.op!r}")
@@ -113,8 +105,8 @@ def replay(dag: Dag, moves, game: str) -> list[int]:
     mask = 0
     for i, move in enumerate(moves, start=1):
         try:
-            mask = _move_mask(dag, mask, move, game, step=i)
-        except (IllegalPlacement, IllegalRemoval) as exc:
+            mask = _move_mask(dag, mask, move, game)
+        except PebblingError as exc:
             raise IllegalMoveAt(i, str(exc)) from None
         configs.append(mask)
     return configs
@@ -128,7 +120,7 @@ def verify_strategy(dag: Dag, strategy: Strategy) -> PebblingMetrics:
     (flavor ignored).  Returns time, space, and the first sink step.
     """
     if dag.designated_sink is None:
-        raise NoDesignatedSink("strategy verification needs a designated sink")
+        raise GraphError("strategy verification needs a designated sink")
     if strategy.game not in (STANDARD, REVERSIBLE):
         raise PebblingError(f"unknown game {strategy.game!r}")
     if strategy.game == REVERSIBLE and strategy.flavor not in (VISITING, PERSISTENT):
@@ -138,15 +130,15 @@ def verify_strategy(dag: Dag, strategy: Strategy) -> PebblingMetrics:
     zbit = 1 << dag.designated_sink
     first_sink = next((t for t, m in enumerate(configs) if m & zbit), None)
     if first_sink is None:
-        raise SinkNeverPebbled("sink never pebbled")
+        raise PebblingError("sink never pebbled")
 
     final = configs[-1]
     if strategy.game == REVERSIBLE and strategy.flavor == PERSISTENT:
         if final != zbit:
-            raise BadFinalConfig("persistent pebbling must end with exactly the sink")
+            raise PebblingError("persistent pebbling must end with exactly the sink")
     else:
         if final != 0:
-            raise BadFinalConfig("pebbling must end with the empty configuration")
+            raise PebblingError("pebbling must end with the empty configuration")
 
     space = max(m.bit_count() for m in configs)
     return PebblingMetrics(time=len(strategy.moves), space=space,

@@ -55,9 +55,9 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import (
+    GraphError,
     InstanceTooLarge,
     InternalConsistencyError,
-    NoDesignatedSink,
     PebblingError,
     SearchError,
     SpaceInfeasible,
@@ -90,10 +90,9 @@ class TradeoffPoint:
 
 def _check_search(dag, game, flavor, state_budget):
     if dag.designated_sink is None:
-        raise NoDesignatedSink("search needs a designated sink")
+        raise GraphError("search needs a designated sink")
     if len(dag.sinks) != 1:
-        raise NoDesignatedSink(
-            "graph has several sinks; apply single_sink_restriction first")
+        raise GraphError("graph has several sinks; apply single_sink_restriction first")
     if len(dag) > MAX_VERTICES:
         raise TooManyVertices(f"search holds a configuration in {MAX_VERTICES} bits; "
                               f"the graph has {len(dag)} vertices")
@@ -248,7 +247,7 @@ def _walk(dag, on, goals, free_removal):
                     cur = x
                     break
         else:
-            raise SearchError("walk failed to make progress")  # unreachable
+            raise InternalConsistencyError("walk failed to make progress")  # unreachable
     return moves, cur
 
 
@@ -308,7 +307,7 @@ def min_space(dag: Dag, game: str, flavor: str | None = VISITING,
         found = _solve(dag, game, flavor, s, state_budget)
         if found is not None:
             return s, found[1]
-    raise SpaceInfeasible("no legal pebbling at any budget")  # unreachable
+    raise InternalConsistencyError("no legal pebbling at any budget")  # unreachable
 
 
 def pareto(dag: Dag, game: str, flavor: str | None, s_max: int | None = None,

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import ParamOutOfRange
+from .errors import GraphError, ParamOutOfRange
 from .graphs import Dag, bit_reverse_index, carlson_savage, single_sink_restriction
 from .pebbling import PERSISTENT, PLACE, REMOVE, REVERSIBLE, Move, Strategy, mirrored, visiting
 
@@ -155,7 +155,7 @@ def _visit_fwd_prefix(dag, v, memo):
 def strat_by_depth(dag: Dag) -> Strategy:
     """Persistent strategy in space at most depth * max_indegree + 1."""
     if dag.designated_sink is None:
-        raise ParamOutOfRange("strat_by_depth needs a designated sink")
+        raise GraphError("strat_by_depth needs a designated sink")
     moves = _persist_moves(dag, dag.designated_sink, {})
     return Strategy(REVERSIBLE, PERSISTENT, tuple(moves))
 

@@ -10,6 +10,7 @@ import copy
 import io
 import json
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -423,6 +424,20 @@ def test_state_budget_below_one_exits_one(tmp_path, capsys, budget):
         code, out, err = run(capsys, *argv, "--state-budget", budget)
         assert (code, out) == (1, "")
         assert err == f"error: state budget must be at least 1, got {budget}\n"
+
+
+_GOLDEN_ERRORS = json.loads((Path(__file__).parent / "golden_cli_errors.json").read_text())
+
+
+@pytest.mark.parametrize("entry", _GOLDEN_ERRORS, ids=[e["name"] for e in _GOLDEN_ERRORS])
+def test_cli_error_golden(tmp_path, monkeypatch, capsys, entry):
+    # every error the CLI can reach, with its exit code and its exact output;
+    # the input files are written to the working directory, so the paths in
+    # the messages are the file names of the entry
+    monkeypatch.chdir(tmp_path)
+    for name, doc in entry["files"].items():
+        (tmp_path / name).write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    assert run(capsys, *entry["argv"]) == (entry["code"], entry["stdout"], entry["stderr"])
 
 
 def test_state_budget_report(tmp_path, capsys):

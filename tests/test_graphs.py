@@ -22,17 +22,7 @@ from pebcert import (
     pyramid,
     single_sink_restriction,
 )
-from pebcert.errors import (
-    CycleDetected,
-    DuplicateVertex,
-    GraphError,
-    NotASink,
-    NotASinkVertex,
-    NotPowerOfTwo,
-    ParamOutOfRange,
-    UnhashableVertex,
-    UnknownVertex,
-)
+from pebcert.errors import GraphError, ParamOutOfRange
 from pebcert.graphs import bit_reverse_index
 
 
@@ -44,31 +34,31 @@ def test_build_single_vertex():
 
 
 def test_build_two_cycle_rejected():
-    with pytest.raises(CycleDetected):
+    with pytest.raises(GraphError, match="cycle through"):
         build_dag(["a", "b"], [("a", "b"), ("b", "a")], "b")
 
 
 def test_build_duplicate_vertex():
-    with pytest.raises(DuplicateVertex):
+    with pytest.raises(GraphError, match="'a' declared twice"):
         build_dag(["a", "a"], [])
 
 
 def test_build_unknown_edge_endpoint():
-    with pytest.raises(UnknownVertex):
+    with pytest.raises(GraphError, match="edge endpoint 'b' not declared"):
         build_dag(["a"], [("a", "b")])
 
 
 def test_build_unhashable_names():
-    with pytest.raises(UnhashableVertex):
+    with pytest.raises(GraphError, match="is not hashable"):
         build_dag([["a"]], [])
-    with pytest.raises(UnknownVertex):
+    with pytest.raises(GraphError, match=r"edge endpoint \['b'\] not declared"):
         build_dag(["a"], [("a", ["b"])])
-    with pytest.raises(UnknownVertex):
+    with pytest.raises(GraphError, match=r"designated sink \['a'\] not declared"):
         build_dag(["a"], [], ["a"])
 
 
 def test_build_designated_sink_with_successor():
-    with pytest.raises(NotASink):
+    with pytest.raises(GraphError, match="'a' has successors"):
         build_dag(["a", "b"], [("a", "b")], "a")
 
 
@@ -181,7 +171,7 @@ def test_single_sink_restriction_identity_and_idempotence():
 
 
 def test_single_sink_restriction_rejects_non_sink():
-    with pytest.raises(NotASinkVertex):
+    with pytest.raises(GraphError, match="'v0_1' is not a sink"):
         single_sink_restriction(pyramid(2), "v0_1")
 
 
@@ -211,7 +201,7 @@ def test_bit_reversal_sixteen_properties():
 
 def test_bit_reversal_rejects_non_powers():
     for bad in (0, 1, 3, 6):
-        with pytest.raises(NotPowerOfTwo):
+        with pytest.raises(ParamOutOfRange, match="needs a power of two"):
             bit_reversal(bad)
 
 
@@ -224,7 +214,7 @@ def test_graph_json_round_trip(tmp_path):
 
 
 def test_graph_json_rejects_cycles():
-    with pytest.raises(CycleDetected):
+    with pytest.raises(GraphError, match="cycle through"):
         graph_from_json({"vertices": ["a", "b"], "edges": [["a", "b"], ["b", "a"]],
                          "sink": None})
 

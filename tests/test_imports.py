@@ -1,8 +1,10 @@
-"""Every module of the package uses every name it imports.
+"""Every module of the package uses every name it imports, and every
+exception class is raised or caught somewhere.
 
 No linter runs with the suite, so this parses each module with `ast` and
 fails on an imported name that no expression of the module refers to.
-`__init__.py` is skipped: its imports are the package's public API.
+`__init__.py` is skipped: its imports are the package's public API.  A class
+defined in `errors.py` that no other module raises or catches is dead code.
 """
 
 import ast
@@ -34,3 +36,32 @@ def test_detects_unused_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert _unused_imports((PACKAGE / module).read_text()) == []
+
+
+def _raised_or_caught(source):
+    """Names in `raise X`, `raise X(...)` and `except X` / `except (X, Y)` clauses."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            names.add(getattr(exc, "id", None))
+        elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            names |= {getattr(t, "id", None) for t in types}
+    return names
+
+
+def test_detects_unraised_class():
+    source = ("try:\n    raise A('x')\nexcept (B, C):\n    raise D\n"
+              "except E as exc:\n    F(exc)\n")
+    assert _raised_or_caught(source) - {None} == {"A", "B", "C", "D", "E"}
+
+
+def test_every_error_class_is_raised_or_caught():
+    tree = ast.parse((PACKAGE / "errors.py").read_text())
+    defined = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+    used = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name != "errors.py":
+            used |= _raised_or_caught(path.read_text())
+    assert sorted(defined - used) == []

@@ -30,14 +30,7 @@ from pebcert import (
     strategy_to_json,
     verify_strategy,
 )
-from pebcert.errors import (
-    BadFinalConfig,
-    IllegalMoveAt,
-    IllegalPlacement,
-    IllegalRemoval,
-    NoDesignatedSink,
-    SinkNeverPebbled,
-)
+from pebcert.errors import GraphError, IllegalMoveAt, PebblingError
 from pebcert.graphs import carlson_savage
 from pebcert.pebbling import (
     PERSISTENT,
@@ -72,17 +65,25 @@ def test_step_source_removal_always_reversible_legal():
 
 
 def test_step_reversible_removal_needs_predecessors():
-    with pytest.raises(IllegalRemoval):
+    with pytest.raises(PebblingError, match="reversible removal from v2 needs its predecessors"):
         step(line(2), {"v2"}, Move(REMOVE, "v2"), "reversible")
     # same input is legal in the standard game
     assert step(line(2), {"v2"}, Move(REMOVE, "v2"), "standard") == set()
 
 
 def test_step_placement_errors():
-    with pytest.raises(IllegalPlacement):
+    with pytest.raises(PebblingError, match="v2 has unpebbled predecessors"):
         step(line(2), frozenset(), Move(PLACE, "v2"), "reversible")
-    with pytest.raises(IllegalPlacement):
+    with pytest.raises(PebblingError, match="v1 already pebbled"):
         step(line(2), {"v1"}, Move(PLACE, "v1"), "standard")
+
+
+def test_step_unknown_vertex_names_no_step():
+    # a single move has no position in a strategy to report
+    with pytest.raises(PebblingError) as err:
+        step(line(3), set(), Move(PLACE, "zz"), "reversible")
+    assert str(err.value) == "unknown vertex 'zz'"
+    assert not isinstance(err.value, IllegalMoveAt)
 
 
 def test_verify_single_vertex_line():
@@ -105,17 +106,23 @@ def test_verify_reports_offending_step():
     with pytest.raises(IllegalMoveAt) as err:
         verify_strategy(line(2), strat)
     assert err.value.step == 4
+    # an unknown op is an illegal move like any other
+    strat = _rv((PLACE, "v1"), ("jump", "v2"))
+    with pytest.raises(IllegalMoveAt) as err:
+        verify_strategy(line(2), strat)
+    assert err.value.step == 2
+    assert str(err.value) == "illegal move at step 2: unknown move op 'jump'"
 
 
 def test_verify_endpoint_conditions():
-    with pytest.raises(BadFinalConfig):
+    with pytest.raises(PebblingError, match="pebbling must end with the empty configuration"):
         verify_strategy(line(1), _rv((PLACE, "v1"),))
-    with pytest.raises(SinkNeverPebbled):
+    with pytest.raises(PebblingError, match="sink never pebbled"):
         verify_strategy(line(2), _rv((PLACE, "v1"), (REMOVE, "v1")))
     persistent = Strategy("reversible", "persistent", _moves((PLACE, "v1")))
     m = verify_strategy(line(1), persistent)
     assert (m.time, m.space) == (1, 1)
-    with pytest.raises(BadFinalConfig):
+    with pytest.raises(PebblingError, match="must end with exactly the sink"):
         verify_strategy(line(1), Strategy("reversible", "persistent",
                                           _moves((PLACE, "v1"), (REMOVE, "v1"))))
 
@@ -128,7 +135,7 @@ def test_verify_standard_game():
 
 
 def test_verify_needs_designated_sink():
-    with pytest.raises(NoDesignatedSink):
+    with pytest.raises(GraphError, match="strategy verification needs a designated sink"):
         verify_strategy(carlson_savage(2, 1), _rv((PLACE, "s1")))
 
 
@@ -178,11 +185,11 @@ def test_visiting_keeps_a_prefix_that_ends_at_the_sink():
 
 
 def test_visiting_needs_a_sink_placement():
-    with pytest.raises(SinkNeverPebbled):
+    with pytest.raises(PebblingError, match="never placed"):
         visiting(_moves(("place", "v1"), ("remove", "v1")), "v2")
-    with pytest.raises(SinkNeverPebbled):
+    with pytest.raises(PebblingError, match="never placed"):
         visiting((), "v1")
-    with pytest.raises(SinkNeverPebbled):  # a removal of the sink is no visit
+    with pytest.raises(PebblingError, match="never placed"):  # a removal of the sink is no visit
         visiting(_moves(("remove", "v1")), "v1")
 
 
@@ -278,10 +285,10 @@ def test_replay_matches_set_simulator(seed, data, game, flavor):
     first = next((t for t, c in enumerate(configs) if z in c), None)
     want_final = {z} if strategy.flavor == PERSISTENT else set()
     if first is None:
-        with pytest.raises(SinkNeverPebbled):
+        with pytest.raises(PebblingError, match="sink never pebbled"):
             verify_strategy(dag, strategy)
     elif configs[-1] != want_final:
-        with pytest.raises(BadFinalConfig):
+        with pytest.raises(PebblingError, match="must end with"):
             verify_strategy(dag, strategy)
     else:
         m = verify_strategy(dag, strategy)

@@ -25,9 +25,9 @@ from pebcert import (
 )
 from pebcert.cli import main
 from pebcert.errors import (
+    GraphError,
     InstanceTooLarge,
     InternalConsistencyError,
-    NoDesignatedSink,
     SearchError,
     SpaceInfeasible,
     TooManyVertices,
@@ -88,7 +88,7 @@ def test_space_infeasible():
 
 
 def test_multi_sink_rejected():
-    with pytest.raises(NoDesignatedSink):
+    with pytest.raises(GraphError, match="search needs a designated sink"):
         min_space(carlson_savage(2, 1), "standard", "visiting")
 
 
@@ -463,3 +463,10 @@ def test_witness_failing_replay_is_internal_error(monkeypatch, tmp_path, capsys,
     argv = ["solve", "--mode", "min-space", "--game", game, str(graph)]
     assert main(argv + (["--flavor", flavor] if flavor else [])) == 3
     assert capsys.readouterr().err.startswith("internal consistency violation: ")
+
+
+def test_min_space_without_any_budget_is_internal_error(monkeypatch):
+    # the budget of every vertex always succeeds; running past it is a bug
+    monkeypatch.setattr(search, "_solve", lambda *args: None)
+    with pytest.raises(InternalConsistencyError, match="no legal pebbling at any budget"):
+        min_space(line(3), "reversible", "visiting")

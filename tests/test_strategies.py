@@ -36,7 +36,7 @@ from pebcert import (
 )
 from pebcert.algebra import Field
 from pebcert.cli import _upper_bound_candidates
-from pebcert.errors import ParamOutOfRange
+from pebcert.errors import GraphError, ParamOutOfRange
 from pebcert.nullstellensatz import compile_strategy
 from pebcert.pebbling import PLACE
 from pebcert.strategies import _iroot_ceil
@@ -92,6 +92,16 @@ def test_param_validation():
         strat_carlson_savage(2, 1, 3)
     with pytest.raises(ParamOutOfRange):
         strat_bit_reversal_small_space(6)
+
+
+def test_same_condition_same_class_as_the_graphs():
+    # a bad size and a missing sink raise what the generators and the
+    # other no-sink checks raise
+    for make in (bit_reversal, strat_bit_reversal_small_space):
+        with pytest.raises(ParamOutOfRange, match="power of two"):
+            make(3)
+    with pytest.raises(GraphError, match="strat_by_depth needs a designated sink"):
+        strat_by_depth(carlson_savage(2, 1))
 
 
 def test_by_depth_single_vertex():
