@@ -9,7 +9,6 @@ consistency violation.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
@@ -23,12 +22,12 @@ from .errors import (
     TooManyVertices,
 )
 from .graphs import (
+    _write_json,
     bit_reversal,
     carlson_savage,
     line,
     load_graph,
     pyramid,
-    save_graph,
     single_sink_restriction,
 )
 from .nullstellensatz import (
@@ -62,7 +61,7 @@ from .strategies import (
 )
 
 
-class _UsageError(Exception):
+class _UsageError(ValueError):
     pass
 
 
@@ -79,43 +78,43 @@ def _parse_field(text: str) -> Field:
     return Field.prime(int(text))
 
 
+# family: (the flags its generator takes, in order, the generator)
+_FAMILIES = {
+    "pyramid": (("height",), pyramid),
+    "line": (("n",), line),
+    "cs": (("c", "r"), carlson_savage),
+    "bit-reversal": (("n",), bit_reversal),
+}
+
+
 def _gen_graph(args):
-    family = args.family
-    if family == "pyramid":
-        if args.height is None:
-            raise _UsageError("pyramid needs --height")
-        return pyramid(args.height)
-    if family == "line":
-        if args.n is None:
-            raise _UsageError("line needs --n")
-        return line(args.n)
-    if family == "bit-reversal":
-        if args.n is None:
-            raise _UsageError("bit-reversal needs --n")
-        return bit_reversal(args.n)
-    # family == "cs", the last of the parser's choices
-    if args.c is None or args.r is None:
-        raise _UsageError("cs needs --c and --r")
-    dag = carlson_savage(args.c, args.r)
-    if args.single_sink is not None:
+    flags, generate = _FAMILIES[args.family]
+    values = [getattr(args, flag) for flag in flags]
+    if None in values:
+        raise _UsageError(f"{args.family} needs " + " and ".join(f"--{f}" for f in flags))
+    dag = generate(*values)
+    if args.family == "cs" and args.single_sink is not None:
         if not 1 <= args.single_sink <= args.c:
             raise ParamOutOfRange(f"--single-sink must be in 1..{args.c}")
         dag = single_sink_restriction(dag, dag.sink_names[args.single_sink - 1])
     return dag
 
 
+def _emit(text, out, what):
+    """Write `text` to the file `out` and say so, or to stdout when there is no `out`."""
+    if out:
+        Path(out).write_text(text, encoding="utf-8")
+        print(f"wrote {out} ({what})")
+    else:
+        sys.stdout.write(text)
+
+
 def cmd_gen(args) -> int:
     dag = _gen_graph(args)
-    if args.out:
-        save_graph(dag, args.out)
-        print(f"wrote {args.out} ({len(dag)} vertices, {len(dag.edges)} edges)")
-    else:
-        json.dump(dag.to_json(), sys.stdout, indent=2)
-        print()
+    _emit(_write_json(dag.to_json()), args.out, f"{len(dag)} vertices, {len(dag.edges)} edges")
     if args.dimacs:
         formula = pebbling_formula(dag)
-        Path(args.dimacs).write_text(formula.to_dimacs())
-        print(f"wrote {args.dimacs} ({len(formula.clauses)} clauses)")
+        _emit(formula.to_dimacs(), args.dimacs, f"{len(formula.clauses)} clauses")
     return 0
 
 
@@ -123,42 +122,33 @@ def cmd_solve(args) -> int:
     dag = load_graph(args.graph)
     game = args.game
     flavor = None if game == STANDARD else args.flavor
-    if args.mode == "min-space":
-        space, witness = min_space(dag, game, flavor, args.state_budget)
-        metrics = verify_strategy(dag, witness)
-        print(f"min-space: {space}")
-        print(f"witness: time {metrics.time} space {metrics.space}")
-        if args.witness:
-            save_strategy(witness, args.witness)
+    if args.mode == "pareto":
+        if args.smax is None:
+            raise _UsageError("pareto needs --smax")
+        points = pareto(dag, game, flavor, args.smax, args.state_budget)
+        rows = ["space,time,witness_file"]
+        for p in points:
+            witness_file = ""
+            if args.witness_dir:
+                witness_file = str(Path(args.witness_dir) / f"witness_s{p.space}.json")
+                save_strategy(p.witness, witness_file)
+            rows.append(f"{p.space},{p.time},{witness_file}")
+        _emit("\n".join(rows) + "\n", args.out, f"{len(points)} rows")
         return 0
-    if args.mode == "min-time":
+    if args.mode == "min-space":
+        label = "min-space"
+        value, witness = min_space(dag, game, flavor, args.state_budget)
+    else:
         if args.space is None:
             raise _UsageError("min-time needs --space")
-        time, witness = min_time_within_space(dag, game, flavor, args.space,
-                                              args.state_budget)
-        metrics = verify_strategy(dag, witness)
-        print(f"min-time within space {args.space}: {time}")
-        print(f"witness: time {metrics.time} space {metrics.space}")
-        if args.witness:
-            save_strategy(witness, args.witness)
-        return 0
-    # args.mode == "pareto", the last of the parser's choices
-    if args.smax is None:
-        raise _UsageError("pareto needs --smax")
-    points = pareto(dag, game, flavor, args.smax, args.state_budget)
-    rows = ["space,time,witness_file"]
-    for p in points:
-        witness_file = ""
-        if args.witness_dir:
-            witness_file = str(Path(args.witness_dir) / f"witness_s{p.space}.json")
-            save_strategy(p.witness, witness_file)
-        rows.append(f"{p.space},{p.time},{witness_file}")
-    table = "\n".join(rows) + "\n"
-    if args.out:
-        Path(args.out).write_text(table)
-        print(f"wrote {args.out} ({len(points)} rows)")
-    else:
-        sys.stdout.write(table)
+        label = f"min-time within space {args.space}"
+        value, witness = min_time_within_space(dag, game, flavor, args.space,
+                                               args.state_budget)
+    metrics = verify_strategy(dag, witness)
+    print(f"{label}: {value}")
+    print(f"witness: time {metrics.time} space {metrics.space}")
+    if args.witness:
+        save_strategy(witness, args.witness)
     return 0
 
 
@@ -167,14 +157,9 @@ def cmd_cert(args) -> int:
     formula = pebbling_formula(dag)
     field = None if args.field is None else _parse_field(args.field)
     if args.action == "compile":
-        strategy = load_strategy(args.input)
-        cert = compile_strategy(dag, strategy, field or Field.prime(2))
-        report = verify(formula, cert)
-        print(f"size: {report.size} degree: {report.degree}")
-        if args.out:
-            save_certificate(cert, args.out)
-        return 0
-    cert = load_certificate(args.input, field)
+        cert = compile_strategy(dag, load_strategy(args.input), field or Field.prime(2))
+    else:
+        cert = load_certificate(args.input, field)
     if args.action == "verify":
         report = verify(formula, cert)
         print(f"valid: {str(report.valid).lower()} size: {report.size} "
@@ -190,12 +175,12 @@ def cmd_cert(args) -> int:
         if args.out:
             save_strategy(strategy, args.out)
         return 0
-    # args.action == "multilinearize", the last of the parser's choices
-    out = multilinearize(formula, cert)
-    report = verify(formula, out)
+    if args.action == "multilinearize":
+        cert = multilinearize(formula, cert)
+    report = verify(formula, cert)
     print(f"size: {report.size} degree: {report.degree}")
     if args.out:
-        save_certificate(out, args.out)
+        save_certificate(cert, args.out)
     return 0
 
 
@@ -223,10 +208,7 @@ def _upper_bound_candidates(args, dag, flavor):
         out.append(strat_bit_reversal_small_space(args.n))
         for k in range(1, max(1, (args.n - 1).bit_length()) + 1):
             out.append(strat_bit_reversal_checkpoint(args.n, k))
-    measured = []
-    for strat in out:
-        measured.append((verify_strategy(dag, strat), strat))
-    return measured
+    return [(verify_strategy(dag, strat), strat) for strat in out]
 
 
 def cmd_tradeoff(args) -> int:
@@ -261,18 +243,13 @@ def cmd_tradeoff(args) -> int:
                     f"degree {report.degree} vs space {metrics.space}")
             cert_size, cert_degree = str(report.size), str(report.degree)
         rows.append(f"{p.space},{p.time},{bound},{upper_time},{cert_size},{cert_degree}")
-    table = "\n".join(rows) + "\n"
-    if args.out:
-        Path(args.out).write_text(table)
-        print(f"wrote {args.out} ({len(points)} rows)")
-    else:
-        sys.stdout.write(table)
+    _emit("\n".join(rows) + "\n", args.out, f"{len(points)} rows")
     return 0
 
 
 def _add_family_flags(parser):
     parser.add_argument("--family", required=True,
-                        choices=["pyramid", "line", "cs", "bit-reversal"])
+                        choices=list(_FAMILIES))
     parser.add_argument("--height", type=int, help="pyramid height")
     parser.add_argument("--n", type=int, help="line length / permutation size")
     parser.add_argument("--c", type=int, help="CS spine count")
@@ -336,9 +313,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except InstanceTooLarge as exc:
         print(f"error: {exc} (raise --state-budget to proceed)", file=sys.stderr)
         return 2

@@ -6,7 +6,9 @@ The message carries the detail, and the CLI prints `str(exc)`.  Exit codes:
   non-sink designated sink), `ParamOutOfRange` (generator and strategy
   parameters), `PebblingError` and its `IllegalMoveAt` (moves, strategies
   and their files), `SearchError` (search arguments), `AlgebraError`
-  (fields) and `CertificateError` (certificates and their files).
+  (fields) and `CertificateError` (certificates and their files; a
+  certificate file's field error arrives as a `CertificateError` with the
+  file name).
 - 2, infeasible or too large: `SpaceInfeasible`, `InstanceTooLarge` and
   `TooManyVertices`.
 - 3, a broken internal guarantee: `InternalConsistencyError`.

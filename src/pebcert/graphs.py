@@ -325,12 +325,7 @@ def single_sink_restriction(dag: Dag, sink: str) -> Dag:
 
 def load_graph(path) -> Dag:
     """Read the graph JSON format {"vertices": [...], "edges": [[a,b],...], "sink": z}."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-        return graph_from_json(data)
-    except (GraphError, json.JSONDecodeError) as exc:
-        raise GraphError(f"{path}: {exc}") from None
+    return _read_json(path, graph_from_json, GraphError)
 
 
 def graph_from_json(data) -> Dag:
@@ -351,6 +346,33 @@ def graph_from_json(data) -> Dag:
 
 
 def save_graph(dag: Dag, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(dag.to_json(), fh, indent=2)
+    _write_json(dag.to_json(), path)
+
+
+def _read_json(path, parse, error):
+    """`parse` of the JSON in the UTF-8 file `path`.
+
+    This and `_write_json` are the package's only JSON file access.  Every
+    ValueError, from decoding or from `parse`, and the RecursionError of a
+    too deeply nested document become `error` with the file name in front;
+    an OSError already names the file and passes unchanged.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse(json.load(fh))
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{path}: {exc}") from None
+
+
+def _write_json(data, path=None):
+    """Write `data` as JSON indented by 2, with a trailing newline, to the
+    UTF-8 file `path`; with no `path`, return that text instead.
+
+    A file is written as the encoder goes, so a large certificate is never
+    held as one string as well.
+    """
+    if path is None:
+        return json.dumps(data, indent=2) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=2)
         fh.write("\n")

@@ -32,14 +32,12 @@ weights over the edges and translates only its violations to names.
 
 from __future__ import annotations
 
-import json
-import warnings
 from collections import Counter, deque
 from dataclasses import dataclass, field as dataclass_field
 
 from .algebra import ExpPoly, Field, MultilinearPoly
 from .errors import CertificateError, GraphError, InternalConsistencyError
-from .graphs import Dag, mask_names
+from .graphs import Dag, _read_json, _write_json, mask_names
 from .pebbling import (
     PLACE,
     REMOVE,
@@ -186,9 +184,9 @@ def verify(formula: PebblingFormula, cert: Certificate) -> VerifyReport:
 def compile_strategy(dag: Dag, strategy: Strategy, field: Field) -> Certificate:
     """Telescoping certificate of the palindromic prefix of a reversible strategy.
 
-    Only the prefix up to the first sink-containing configuration is used.
-    Moves past its closure, the prefix and its mirror that `pebbling.visiting`
-    builds, are ignored with a warning.  For step i on vertex v_i the monomial
+    The strategy is read up to its first sink-containing configuration, the
+    half that `pebbling.visiting` keeps; the moves after it are replayed for
+    legality but not compiled.  For step i on vertex v_i the monomial
     sign * x_{R_i} with R_i = P_i - {v_i} - pred(v_i) joins Q_{v_i} (sign +1
     for a placement, -1 for a removal), and Q_sink = x_{P_t' - {z}}.
     Verification accepts the result with size 2t'+1 and degree equal to the
@@ -206,10 +204,6 @@ def compile_strategy(dag: Dag, strategy: Strategy, field: Field) -> Certificate:
     t_prime = next((t for t, m in enumerate(configs) if m & zbit), None)
     if t_prime is None:
         raise CertificateError("strategy never pebbles the sink")
-    if len(strategy.moves) > 2 * t_prime:
-        warnings.warn(
-            f"strategy runs past its palindromic closure; compiling only the "
-            f"{t_prime}-move prefix up to the first sink visit", stacklevel=2)
 
     plus, minus = field.one, field.neg(field.one)
     terms = {}  # axiom id -> {R mask: coefficient}
@@ -292,10 +286,6 @@ class WeightReport:
     violations: tuple  # (configuration names, weight) pairs
 
 
-def _config_key(config):
-    return (len(config), sorted(config))
-
-
 def check_weights(cg: ConfigGraph) -> WeightReport:
     """Claim-8 style check: weight({}) = 1, sink-free endpoints weigh 0."""
     f = cg.field
@@ -305,7 +295,7 @@ def check_weights(cg: ConfigGraph) -> WeightReport:
     violations = [] if empty_weight == f.one else [(frozenset(), empty_weight)]
     violations += sorted(((mask_names(cg.names, c), w) for c, w in weights.items()
                           if c and not c & zbit and w != f.zero),
-                         key=lambda cw: _config_key(cw[0]))
+                         key=lambda cw: MultilinearPoly._key(cw[0]))
     return WeightReport(not violations, empty_weight, tuple(violations))
 
 
@@ -341,7 +331,7 @@ def extract(dag: Dag, cert: Certificate) -> Strategy:
             break
         fresh = [w for w in adj[u] if w not in parent]
         if len(fresh) > 1:  # each endpoint is keyed at most once, when first reached
-            fresh.sort(key=lambda c: _config_key(mask_names(cg.names, c)))
+            fresh.sort(key=lambda c: MultilinearPoly._key(mask_names(cg.names, c)))
         for w in fresh:
             parent[w] = u
             queue.append(w)
@@ -394,7 +384,7 @@ def certificate_to_json(cert: Certificate) -> dict:
 def _poly_to_json(f, poly):
     if isinstance(poly, MultilinearPoly):
         return [{"coeff": f.format(poly.terms[m]), "vars": sorted(m)}
-                for m in sorted(poly.terms, key=_config_key)]
+                for m in sorted(poly.terms, key=MultilinearPoly._key)]
     return [{"coeff": f.format(poly.terms[m]), "vars": [v for v, e in m for _ in range(e)]}
             for m in sorted(poly.terms, key=lambda m: (sum(e for _, e in m), m))]
 
@@ -445,15 +435,8 @@ def _poly_from_json(field, entries, mode):
 
 
 def load_certificate(path, field: Field | None = None) -> Certificate:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-        return certificate_from_json(data, field)
-    except (CertificateError, json.JSONDecodeError) as exc:
-        raise CertificateError(f"{path}: {exc}") from None
+    return _read_json(path, lambda data: certificate_from_json(data, field), CertificateError)
 
 
 def save_certificate(cert: Certificate, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(certificate_to_json(cert), fh, indent=2)
-        fh.write("\n")
+    _write_json(certificate_to_json(cert), path)

@@ -15,11 +15,10 @@ verified with visiting semantics (start and end empty, sink visited).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .errors import GraphError, IllegalMoveAt, PebblingError
-from .graphs import Dag, mask_names
+from .graphs import Dag, _read_json, _write_json, mask_names
 
 STANDARD = "standard"
 REVERSIBLE = "reversible"
@@ -166,15 +165,8 @@ def strategy_from_json(data) -> Strategy:
 
 
 def load_strategy(path) -> Strategy:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-        return strategy_from_json(data)
-    except (PebblingError, json.JSONDecodeError) as exc:
-        raise PebblingError(f"{path}: {exc}") from None
+    return _read_json(path, strategy_from_json, PebblingError)
 
 
 def save_strategy(strategy: Strategy, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(strategy_to_json(strategy), fh, indent=2)
-        fh.write("\n")
+    _write_json(strategy_to_json(strategy), path)

@@ -9,6 +9,9 @@ import contextlib
 import copy
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -381,6 +384,54 @@ def test_exit_code_non_string_names(tmp_path, capsys):
     assert code == 1 and err.startswith("error: ") and '"var"' in err
 
 
+_LINE2 = {"vertices": ["v1", "v2"], "edges": [["v1", "v2"]], "sink": "v2"}
+
+
+@pytest.mark.parametrize("argv", [("solve", "--mode", "min-space", "bad.json"),
+                                  ("cert", "compile", "graph.json", "bad.json"),
+                                  ("cert", "verify", "graph.json", "bad.json")],
+                         ids=["graph", "strategy", "certificate"])
+@pytest.mark.parametrize("content", [b"\xff\xfe", b"[" * 100_000 + b"]" * 100_000,
+                                     b"9" * 5_000],
+                         ids=["not-utf8", "nested-100000-deep", "5000-digit-integer"])
+def test_malformed_file_names_the_file(tmp_path, monkeypatch, capsys, argv, content):
+    # Python's own texts for these failures vary between versions, so only
+    # the file-name prefix of the one error line is pinned
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "graph.json").write_text(json.dumps(_LINE2))
+    (tmp_path / "bad.json").write_bytes(content)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: bad.json: ") and err.count("\n") == 1
+
+
+def test_files_are_read_as_utf8_in_any_locale(tmp_path):
+    # under the C locale Python opens text files as ASCII unless told otherwise
+    (tmp_path / "graph.json").write_text(
+        json.dumps({"vertices": ["\u00e9"], "edges": [], "sink": "\u00e9"}, ensure_ascii=False),
+        encoding="utf-8")
+    env = {"PATH": os.environ.get("PATH", ""), "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONUTF8": "0", "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    done = subprocess.run([sys.executable, "-m", "pebcert.cli", "solve", "--mode", "min-space",
+                           "graph.json"], cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        0, "min-space: 1\nwitness: time 2 space 1\n", "")
+
+
+def test_compile_reads_up_to_the_first_sink_visit(tmp_path, monkeypatch, capsys):
+    # moves past the closure of the first sink visit are not compiled, and
+    # that is no warning
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "graph.json").write_text(json.dumps(_LINE2))
+    moves = [("place", "v1"), ("place", "v2"), ("remove", "v2"), ("remove", "v1"),
+             ("place", "v1"), ("remove", "v1")]
+    (tmp_path / "s.json").write_text(json.dumps({
+        "game": "reversible", "flavor": "visiting",
+        "moves": [{"op": op, "v": v} for op, v in moves]}))
+    assert run(capsys, "cert", "compile", "graph.json", "s.json") == (
+        0, "size: 5 degree: 2\n", "")
+
+
 def test_exit_code_infeasible(tmp_path, capsys):
     graph = tmp_path / "line2.json"
     run(capsys, "gen", "--family", "line", "--n", "2", "--out", str(graph))
@@ -438,6 +489,24 @@ def test_cli_error_golden(tmp_path, monkeypatch, capsys, entry):
     for name, doc in entry["files"].items():
         (tmp_path / name).write_text(doc if isinstance(doc, str) else json.dumps(doc))
     assert run(capsys, *entry["argv"]) == (entry["code"], entry["stdout"], entry["stderr"])
+
+
+_GOLDEN_OUTPUTS = json.loads((Path(__file__).parent / "golden_cli_outputs.json").read_text())
+
+
+@pytest.mark.parametrize("entry", _GOLDEN_OUTPUTS, ids=[e["name"] for e in _GOLDEN_OUTPUTS])
+def test_cli_output_golden(tmp_path, monkeypatch, capsys, entry):
+    # every success path, with its exact output and the exact bytes of every
+    # file it writes; "written" lists each file that is new or changed after
+    # the run, and nothing else may change
+    monkeypatch.chdir(tmp_path)
+    for name, doc in entry["files"].items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert run(capsys, *entry["argv"]) == (entry["code"], entry["stdout"], entry["stderr"])
+    after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert {name: data.decode() for name, data in after.items()
+            if before.get(name) != data} == entry["written"]
 
 
 def test_state_budget_report(tmp_path, capsys):

@@ -1,10 +1,14 @@
-"""Every module of the package uses every name it imports, and every
-exception class is raised or caught somewhere.
+"""Every module of the package uses every name it imports, every exception
+class is raised or caught somewhere, and files are opened and JSON is read
+or written only at the one file boundary.
 
 No linter runs with the suite, so this parses each module with `ast` and
 fails on an imported name that no expression of the module refers to.
 `__init__.py` is skipped: its imports are the package's public API.  A class
 defined in `errors.py` that no other module raises or catches is dead code.
+A call to `open` or to any `json` function outside `graphs._read_json` and
+`graphs._write_json` would be a loader or writer that decides on its own how
+a file is decoded and which failures name it.
 """
 
 import ast
@@ -65,3 +69,37 @@ def test_every_error_class_is_raised_or_caught():
         if path.name != "errors.py":
             used |= _raised_or_caught(path.read_text())
     assert sorted(defined - used) == []
+
+
+_FILE_BOUNDARY = {("graphs.py", "_read_json"), ("graphs.py", "_write_json")}
+
+
+def _file_calls(source):
+    """(enclosing top-level function or None, called name) of every call to
+    `open` or to a `json` function."""
+    calls = []
+    for top in ast.parse(source).body:
+        scope = top.name if isinstance(top, ast.FunctionDef) else None
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name) and func.id == "open":
+                calls.append((scope, "open"))
+            elif (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                  and func.value.id == "json"):
+                calls.append((scope, f"json.{func.attr}"))
+    return calls
+
+
+def test_detects_file_calls():
+    source = ("import json\nx = json.loads('1')\n"
+              "def f(p):\n    with open(p) as fh:\n        return json.load(fh)\n"
+              "def g(p):\n    return Path(p).open()\n")
+    assert _file_calls(source) == [(None, "json.loads"), ("f", "open"), ("f", "json.load")]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_files_are_read_and_written_only_at_the_boundary(module):
+    calls = _file_calls((PACKAGE / module).read_text())
+    assert [c for c in calls if (module, c[0]) not in _FILE_BOUNDARY] == []

@@ -218,11 +218,13 @@ def test_compile_pyramid_one():
 
 
 def test_compile_warns_past_palindrome():
+    # a strategy that runs past its palindromic closure compiles its prefix
+    # up to the first sink visit, and no longer warns: the suite turns any
+    # warning into an error
     dag = _single_vertex()
     strat = _rv(("place", "z"), ("remove", "z"), ("place", "z"), ("remove", "z"))
-    with pytest.warns(UserWarning):
-        cert = compile_strategy(dag, strat, F2)
-    assert verify(pebbling_formula(dag), cert).valid
+    report = verify(pebbling_formula(dag), compile_strategy(dag, strat, F2))
+    assert (report.valid, report.size, report.degree) == (True, 3, 1)
 
 
 def test_compile_rejects_bad_input():
@@ -373,7 +375,6 @@ GOLDEN_GRAPHS = {
 }
 
 
-@pytest.mark.filterwarnings("ignore:strategy runs past its palindromic closure")
 @pytest.mark.parametrize("pair", sorted(p for p in GOLDEN if "/reversible/" in p))
 def test_extract_golden_witnesses(pair):
     # extraction gives back the witness up to its first sink visit, then the

