@@ -1,9 +1,10 @@
 """Command-line front end: generators, solvers, certificates, trade-off tables.
 
-Subcommands: gen, solve, cert, tradeoff.  Exit codes: 0 success, 1 invalid
-input (including certificates that fail verification), 2 infeasible, over
-the state budget, or a search on more than 64 vertices, 3 internal
-consistency violation.
+Subcommands: gen, solve, cert (compile, verify, extract, multilinearize),
+tradeoff.  A flag the chosen family, mode or action does not read is invalid
+input.  Exit codes: 0 success, 1 invalid input (including certificates that
+fail verification), 2 infeasible, over the state budget, or a search on more
+than 64 vertices, 3 internal consistency violation.
 """
 
 from __future__ import annotations
@@ -70,6 +71,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
+def _refuse(args, flags, reader):
+    """Raise a usage error for the first of `flags` set in `args`: `reader` does not read it."""
+    for flag in sorted(flags):
+        if getattr(args, flag) is not None:
+            raise _UsageError(f"{reader} does not read --{flag.replace('_', '-')}")
+
+
 def _parse_field(text: str) -> Field:
     if text.lower() in ("q", "rationals"):
         return Field.rationals()
@@ -92,10 +100,11 @@ def _gen_graph(args):
     values = [getattr(args, flag) for flag in flags]
     if None in values:
         raise _UsageError(f"{args.family} needs " + " and ".join(f"--{f}" for f in flags))
+    _refuse(args, {f for fs, _ in _FAMILIES.values() for f in fs} - set(flags), args.family)
     dag = generate(*values)
-    if args.family == "cs" and args.single_sink is not None:
-        if not 1 <= args.single_sink <= args.c:
-            raise ParamOutOfRange(f"--single-sink must be in 1..{args.c}")
+    if args.single_sink is not None:
+        if not 1 <= args.single_sink <= len(dag.sinks):
+            raise ParamOutOfRange(f"--single-sink must be in 1..{len(dag.sinks)}")
         dag = single_sink_restriction(dag, dag.sink_names[args.single_sink - 1])
     return dag
 
@@ -111,20 +120,27 @@ def _emit(text, out, what):
 
 def cmd_gen(args) -> int:
     dag = _gen_graph(args)
+    formula = pebbling_formula(dag) if args.dimacs else None  # may raise: before any write
     _emit(_write_json(dag.to_json()), args.out, f"{len(dag)} vertices, {len(dag.edges)} edges")
-    if args.dimacs:
-        formula = pebbling_formula(dag)
+    if formula:
         _emit(formula.to_dimacs(), args.dimacs, f"{len(formula.clauses)} clauses")
     return 0
 
 
+# mode: the mode flags it reads; every other mode flag is refused
+_MODES = {
+    "min-space": {"witness"},
+    "min-time": {"space", "witness"},
+    "pareto": {"smax", "witness_dir", "out"},
+}
+
+
 def cmd_solve(args) -> int:
+    _refuse(args, set().union(*_MODES.values()) - _MODES[args.mode], f"--mode {args.mode}")
     dag = load_graph(args.graph)
     game = args.game
     flavor = None if game == STANDARD else args.flavor
     if args.mode == "pareto":
-        if args.smax is None:
-            raise _UsageError("pareto needs --smax")
         points = pareto(dag, game, flavor, args.smax, args.state_budget)
         rows = ["space,time,witness_file"]
         for p in points:
@@ -212,8 +228,6 @@ def _upper_bound_candidates(args, dag, flavor):
 
 
 def cmd_tradeoff(args) -> int:
-    if args.family == "cs":
-        args.single_sink = 1
     dag = _gen_graph(args)
     game = args.game
     flavor = None if game == STANDARD else args.flavor
@@ -269,31 +283,32 @@ def _build_parser() -> _Parser:
     p_gen = sub.add_parser("gen", help="generate a graph family instance")
     _add_family_flags(p_gen)
     p_gen.add_argument("--single-sink", type=int,
-                       help="restrict a CS graph to the given sink (1-based)")
+                       help="restrict the graph to the ancestors of its k-th sink (1-based)")
     p_gen.add_argument("--out", help="graph JSON output path (default stdout)")
     p_gen.add_argument("--dimacs", help="also write the pebbling formula as DIMACS CNF")
     p_gen.set_defaults(func=cmd_gen)
 
     p_solve = sub.add_parser("solve", help="exact pebbling optima", parents=[search])
     p_solve.add_argument("graph", help="graph JSON file")
-    p_solve.add_argument("--mode", choices=["min-space", "min-time", "pareto"],
-                         required=True)
+    p_solve.add_argument("--mode", choices=list(_MODES), required=True)
     p_solve.add_argument("--space", type=int, help="budget for min-time")
-    p_solve.add_argument("--smax", type=int, help="largest budget for pareto")
+    p_solve.add_argument("--smax", type=int, help="largest pareto budget (default min space + 2)")
     p_solve.add_argument("--witness", help="witness strategy JSON output path")
     p_solve.add_argument("--witness-dir", help="directory for pareto witness files")
     p_solve.add_argument("--out", help="pareto CSV output path (default stdout)")
     p_solve.set_defaults(func=cmd_solve)
 
     p_cert = sub.add_parser("cert", help="compile, verify, extract, multilinearize")
-    p_cert.add_argument("action",
-                        choices=["compile", "verify", "extract", "multilinearize"])
-    p_cert.add_argument("graph", help="graph JSON file")
-    p_cert.add_argument("input", help="strategy JSON (compile) or certificate JSON")
-    p_cert.add_argument("--field",
-                        help="prime p, or 'rationals' (compile defaults to 2; "
-                             "other actions default to the certificate's field)")
-    p_cert.add_argument("--out", help="output path for the produced file")
+    actions = p_cert.add_subparsers(dest="action", required=True, parser_class=_Parser)
+    for action in ("compile", "verify", "extract", "multilinearize"):
+        p_action = actions.add_parser(action)
+        p_action.add_argument("graph", help="graph JSON file")
+        p_action.add_argument("input", help="strategy JSON (compile) or certificate JSON")
+        p_action.add_argument("--field",
+                              help="prime p, or 'rationals' (compile defaults to 2; "
+                                   "other actions default to the certificate's field)")
+        if action != "verify":
+            p_action.add_argument("--out", help="output path for the produced file")
     p_cert.set_defaults(func=cmd_cert)
 
     p_trade = sub.add_parser("tradeoff", help="space/time table with bound columns",
@@ -304,7 +319,7 @@ def _build_parser() -> _Parser:
     p_trade.add_argument("--field", default="2",
                          help="field for the certificate columns (default 2)")
     p_trade.add_argument("--out", help="CSV output path (default stdout)")
-    p_trade.set_defaults(func=cmd_tradeoff)
+    p_trade.set_defaults(func=cmd_tradeoff, single_sink=1)
     return parser
 
 

@@ -39,7 +39,7 @@ class Dag:
     """
 
     __slots__ = ("names", "index", "preds", "edges", "sinks",
-                 "designated_sink", "max_indegree", "toggles", "_depth")
+                 "designated_sink", "max_indegree", "toggles")
 
     def __init__(self, names, index, preds, edges, sinks, designated_sink):
         self.names = names
@@ -50,7 +50,6 @@ class Dag:
         self.designated_sink = designated_sink
         self.max_indegree = max((len(p) for p in preds), default=0)
         self.toggles = tuple((1 << v, sum(1 << p for p in ps)) for v, ps in enumerate(preds))
-        self._depth = None
 
     def __len__(self):
         return len(self.names)
@@ -85,25 +84,12 @@ class Dag:
         except KeyError:
             raise GraphError(f"unknown vertex {name!r}") from None
 
-    def ancestors_of(self, name):
-        """All vertices with a path to `name`, including `name` itself."""
-        seen = {self._idx(name)}
-        stack = [self._idx(name)]
-        while stack:
-            for p in self.preds[stack.pop()]:
-                if p not in seen:
-                    seen.add(p)
-                    stack.append(p)
-        return seen
-
     def depth(self):
         """Length (in edges) of a longest directed path."""
-        if self._depth is None:
-            d = [0] * len(self)
-            for v in range(len(self)):
-                d[v] = max((d[p] + 1 for p in self.preds[v]), default=0)
-            self._depth = max(d, default=0)
-        return self._depth
+        d = [0] * len(self)
+        for v in range(len(self)):
+            d[v] = max((d[p] + 1 for p in self.preds[v]), default=0)
+        return max(d, default=0)
 
     def edge_names(self):
         return tuple((self.names[a], self.names[b]) for a, b in self.edges)
@@ -316,7 +302,10 @@ def single_sink_restriction(dag: Dag, sink: str) -> Dag:
     idx = dag._idx(sink)
     if idx not in dag.sinks:
         raise GraphError(f"{sink!r} is not a sink")
-    keep = dag.ancestors_of(sink)
+    keep = {idx}
+    for v in range(idx, -1, -1):  # every predecessor has a lower index
+        if v in keep:
+            keep.update(dag.preds[v])
     names = [dag.names[i] for i in sorted(keep)]
     kept = set(names)
     edges = [(a, b) for a, b in dag.edge_names() if a in kept and b in kept]

@@ -66,12 +66,11 @@ class PebblingFormula:
         if dag.designated_sink is None or len(dag.sinks) != 1:
             raise GraphError("pebbling formula needs a unique designated sink")
         self.dag = dag
-        self.sink_name = dag.designated_sink_name
         # axiom id -> (pred names, vertex name or None for the sink axiom)
         self._axioms = {}
         for name, (_, pm) in zip(dag.names, dag.toggles):
             self._axioms[vertex_axiom_id(name)] = (mask_names(dag.names, pm), name)
-        self._axioms[SINK_AXIOM] = (frozenset({self.sink_name}), None)
+        self._axioms[SINK_AXIOM] = (frozenset({dag.designated_sink_name}), None)
         self.axiom_ids = tuple(self._axioms)
 
     def axiom(self, axiom_id: str):

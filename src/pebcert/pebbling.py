@@ -34,9 +34,6 @@ class Move:
     op: str  # "place" | "remove"
     vertex: str
 
-    def inverse(self) -> "Move":
-        return Move(REMOVE if self.op == PLACE else PLACE, self.vertex)
-
 
 @dataclass(frozen=True)
 class Strategy:
@@ -54,7 +51,7 @@ class PebblingMetrics:
 
 def mirrored(moves) -> tuple[Move, ...]:
     """Inverse moves in reverse order; legal whenever `moves` is reversible-legal."""
-    return tuple(m.inverse() for m in reversed(moves))
+    return tuple(Move(REMOVE if m.op == PLACE else PLACE, m.vertex) for m in reversed(moves))
 
 
 def visiting(moves, sink: str) -> Strategy:

@@ -5,6 +5,7 @@ metrics.  Exit codes: 0 success, 1 invalid input, 2 infeasible/too-large,
 3 internal consistency violation.
 """
 
+import argparse
 import contextlib
 import copy
 import io
@@ -18,7 +19,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pebcert import load_certificate, load_graph, load_strategy, verify_strategy
+from pebcert import cli, load_certificate, load_graph, load_strategy, pareto, verify_strategy
 from pebcert.cli import main
 
 
@@ -332,6 +333,73 @@ def test_exit_code_usage_error(capsys):
     assert run(capsys, "gen", "--family", "nope")[0] == 1
     assert run(capsys, "solve", "--mode", "min-time", "missing.json")[0] == 1
     assert run(capsys, "gen", "--family", "pyramid")[0] == 1  # missing --height
+
+
+@pytest.mark.parametrize("argv", [
+    "cert verify G C --out v.json",
+    "gen --family line --n 3 --single-sink 7",
+    "gen --family line --n 3 --height 5",
+    "tradeoff --family line --n 3 --height 5",
+    "solve --mode min-space G --out t.csv",
+    "solve --mode min-space G --witness-dir wd",
+    "solve --mode min-space G --smax 9",
+    "solve --mode min-time --space 3 G --out t.csv",
+    "solve --mode pareto --smax 5 G --witness w.json",
+    "gen --family cs --c 2 --r 1 --dimacs x.cnf",
+    "gen --family cs --c 2 --r 1 --out g.json --dimacs x.cnf",
+])
+def test_refused_invocation_prints_one_error_and_writes_nothing(tmp_path, monkeypatch, capsys,
+                                                                argv):
+    # a flag the command path does not read, an out-of-range sink, and a
+    # DIMACS formula of a multi-sink graph are refused before any output
+    monkeypatch.chdir(tmp_path)
+    run(capsys, "gen", "--family", "line", "--n", "3", "--out", "G")
+    run(capsys, "solve", "--mode", "min-space", "G", "--witness", "W")
+    run(capsys, "cert", "compile", "G", "W", "--out", "C")
+    before = sorted(tmp_path.iterdir())
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("family", [("line", "--n", "3"), ("pyramid", "--height", "2"),
+                                    ("bit-reversal", "--n", "4")])
+def test_gen_single_sink_one_keeps_a_single_sink_graph(capsys, family):
+    argv = ("gen", "--family", *family)
+    assert run(capsys, *argv, "--single-sink", "1") == run(capsys, *argv)
+
+
+def test_solve_pareto_defaults_to_min_space_plus_two(tmp_path, capsys):
+    graph = tmp_path / "pyr2.json"
+    run(capsys, "gen", "--family", "pyramid", "--height", "2", "--out", str(graph))
+    points = pareto(load_graph(graph), "reversible", "visiting")
+    code, out, _ = run(capsys, "solve", "--mode", "pareto", str(graph))
+    assert (code, out) == (0, "space,time,witness_file\n"
+                           + "".join(f"{p.space},{p.time},\n" for p in points))
+    assert [p.space for p in points] == [4, 5, 6]
+
+
+def test_every_cli_flag_has_a_reader():
+    # each command path declares only the flags it reads, from the one table
+    # that says which of its flags each mode or family reads
+    def commands(parser):
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        return sub.choices
+
+    def options(parser):
+        return {a.dest for a in parser._actions if a.option_strings} - {"help"}
+
+    top = commands(cli._build_parser())
+    assert (options(top["solve"]) - {"game", "flavor", "state_budget", "mode"}
+            == set().union(*cli._MODES.values()))
+    family_flags = {f for flags, _ in cli._FAMILIES.values() for f in flags}
+    assert options(top["gen"]) - {"family", "single_sink", "out", "dimacs"} == family_flags
+    assert (options(top["tradeoff"])
+            - {"family", "game", "flavor", "state_budget", "smax", "field", "out"} == family_flags)
+    actions = commands(top["cert"])
+    assert list(actions) == ["compile", "verify", "extract", "multilinearize"]
+    assert [a for a, parser in actions.items() if "out" not in options(parser)] == ["verify"]
 
 
 def test_exit_code_invalid_graph(tmp_path, capsys):
