@@ -193,7 +193,10 @@ def cmd_cert(args) -> int:
         return 0
     if args.action == "multilinearize":
         cert = multilinearize(formula, cert)
-    report = verify(formula, cert)
+    report = verify(formula, cert)  # compiled and multilinearized certificates are valid
+    if not report.valid:
+        raise InternalConsistencyError(f"{args.action} gave a certificate that does not "
+                                       f"verify; residual: {report.failure_residual.summary()}")
     print(f"size: {report.size} degree: {report.degree}")
     if args.out:
         save_certificate(cert, args.out)

@@ -9,16 +9,18 @@ arity over multiplier/axiom monomial pairs, so a compiled certificate has
 size = time + 1 and degree = space exactly.
 
 Every axiom id is decoded by `PebblingFormula.axiom`, the one table that
-verify, axiom_poly and config_graph share.  The compiler turns each step of a
-reversible pebbling prefix into the telescoping term sign * x_R * A_v with
-R = P_i - {v_i} - pred(v_i), read off the DAG's move table, and closes with
-A_sink * x_{P_t' - {z}}.  The extractor walks the configuration graph whose
-edges come from sink-free multiplier monomials, closes the path through
-`pebbling.visiting` and replays the result once; configuration weights follow
-the signed occurrence accounting (a monomial q of Q_v contributes its
-coefficient at W + pred(v) and minus it at W + pred(v) + {v}), under which
-the empty configuration weighs 1 and every other sink-free endpoint weighs 0
-for a valid certificate.
+verify, axiom_poly and config_graph share.  `Certificate` checks its own
+shape (mode, multiplier kinds, one field) when built, and `verify` alone
+decides validity: `multilinearize` and `extract` judge their input by it.
+The compiler turns each step of a reversible pebbling prefix into the
+telescoping term sign * x_R * A_v with R = P_i - {v_i} - pred(v_i), read off
+the DAG's move table, and closes with A_sink * x_{P_t' - {z}}.  The
+extractor walks the configuration graph whose edges come from sink-free
+multiplier monomials, closes the path through `pebbling.visiting` and
+replays the result once; configuration weights follow the signed occurrence
+accounting (a monomial q of Q_v contributes its coefficient at W + pred(v)
+and minus it at W + pred(v) + {v}), under which the empty configuration
+weighs 1 and every other sink-free endpoint weighs 0 for a valid certificate.
 
 Configurations are bitmasks over topological indices, as in the game and the
 search; a multiplier variable outside the DAG (syzygy moves bring such
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass, field as dataclass_field
+from itertools import chain
 
 from .algebra import ExpPoly, Field, MultilinearPoly
 from .errors import CertificateError, GraphError, InternalConsistencyError
@@ -115,11 +118,12 @@ def pebbling_formula(dag: Dag) -> PebblingFormula:
 
 @dataclass(frozen=True)
 class Certificate:
-    """Per-axiom multiplier polynomials over one field.
+    """Per-axiom multiplier polynomials over one field; the one shape check.
 
     Multilinear mode holds MultilinearPoly multipliers and no Boolean-axiom
-    multipliers; standard mode holds ExpPoly multipliers plus optional
-    boolean_multipliers mapping variable -> multiplier of (x^2 - x).
+    multipliers; standard mode holds MultilinearPoly or ExpPoly multipliers
+    and boolean_multipliers (variable -> multiplier of x^2 - x) of either
+    kind.  Every polynomial is over `field`.
     """
 
     field: Field
@@ -132,6 +136,12 @@ class Certificate:
             raise CertificateError(f"unknown mode {self.mode!r}")
         if self.mode == MULTILINEAR and self.boolean_multipliers:
             raise CertificateError("multilinear certificates have no Boolean multipliers")
+        kinds = MultilinearPoly if self.mode == MULTILINEAR else (MultilinearPoly, ExpPoly)
+        for key, q in chain(self.multipliers.items(), self.boolean_multipliers.items()):
+            if not isinstance(q, kinds):
+                raise CertificateError(f"multiplier for {key!r} is not a {self.mode} polynomial")
+            if q.field != self.field:
+                raise CertificateError(f"multiplier for {key!r} is over {q.field!r}")
 
 
 @dataclass(frozen=True)
@@ -152,28 +162,18 @@ def verify(formula: PebblingFormula, cert: Certificate) -> VerifyReport:
     mode and the syntactic total degree of each product in standard mode.
     """
     f = cert.field
-    for axiom_id in cert.multipliers:
-        formula.axiom(axiom_id)
-
-    multilinear = cert.mode == MULTILINEAR
+    poly = MultilinearPoly if cert.mode == MULTILINEAR else ExpPoly
     size = degree = 0
     total = {}  # every product term is added here in place
-    for axiom_id, q in cert.multipliers.items():
-        if multilinear:
-            if not isinstance(q, MultilinearPoly):
-                raise CertificateError(f"multiplier for {axiom_id!r} is not multilinear")
-            axiom = formula.axiom_poly(axiom_id, f)
-        else:
-            if isinstance(q, MultilinearPoly):
-                q = ExpPoly.from_multilinear(q)
-            axiom = ExpPoly.from_multilinear(formula.axiom_poly(axiom_id, f))
+    products = chain(((q, formula.axiom_poly(a, f)) for a, q in cert.multipliers.items()),
+                     ((s, ExpPoly(f, {((var, 2),): 1, ((var, 1),): -1}))
+                      for var, s in cert.boolean_multipliers.items()))
+    for q, axiom in products:
+        if poly is ExpPoly:  # standard mode reads multilinear factors with exponent 1
+            q, axiom = (ExpPoly.from_multilinear(p) if isinstance(p, MultilinearPoly) else p
+                        for p in (q, axiom))
         degree = max(degree, q._mul_into(axiom, total))
         size += q.num_monomials() * axiom.num_monomials()
-    for var, s in cert.boolean_multipliers.items():
-        boolean_axiom = ExpPoly(f, {((var, 2),): 1, ((var, 1),): -1})
-        degree = max(degree, s._mul_into(boolean_axiom, total))
-        size += 2 * s.num_monomials()
-    poly = MultilinearPoly if multilinear else ExpPoly
     residual = poly._of(f, total) - poly.one(f)
     if residual.is_zero():
         return VerifyReport(True, size, degree)
@@ -301,19 +301,13 @@ def check_weights(cg: ConfigGraph) -> WeightReport:
 def extract(dag: Dag, cert: Certificate) -> Strategy:
     """Visiting pebbling read off a valid certificate.
 
-    Multilinearizes standard-mode input, walks the configuration graph from
-    the empty configuration to a sink-containing one by BFS, and mirrors the
-    path.  Neighbours are visited in (size, sorted names) order.  Space is at
+    Reads its input through `multilinearize`, then walks the configuration
+    graph from the empty configuration to a sink-containing one by BFS and
+    mirrors the path.  Neighbours are visited in (size, sorted names) order.  Space is at
     most the certificate degree and time at most size - 1; both hold with
     equality for compiled search witnesses.
     """
-    formula = pebbling_formula(dag)
-    if cert.mode != MULTILINEAR:
-        cert = _clamped(cert)
-    report = verify(formula, cert)
-    if not report.valid:
-        raise CertificateError("certificate does not verify")
-
+    cert = multilinearize(pebbling_formula(dag), cert)
     cg = config_graph(dag, cert)
     adj = {}
     for lo, hi, _ in cg.edges:
@@ -347,20 +341,24 @@ def extract(dag: Dag, cert: Certificate) -> Strategy:
     return strategy
 
 
-def _clamped(cert: Certificate) -> Certificate:
-    return Certificate(cert.field, MULTILINEAR, {
-        axiom_id: q.clamp() if isinstance(q, ExpPoly) else q
-        for axiom_id, q in cert.multipliers.items()})
-
-
 def multilinearize(formula: PebblingFormula, cert: Certificate) -> Certificate:
     """Clamp exponents and drop Boolean multipliers; size and degree never grow.
 
-    Raises CertificateError when the input was not a valid refutation.
+    `verify` judges `cert` as given; if it fails, CertificateError("certificate
+    does not verify; residual: ...").  Multilinear input comes back unchanged.
+    Clamping is a ring homomorphism modulo x_j^2 - x_j, so the clamped copy of
+    a valid standard refutation is valid: its check guards an identity.
     """
-    out = _clamped(cert) if cert.mode != MULTILINEAR else cert
+    report = verify(formula, cert)
+    if not report.valid:
+        raise CertificateError(
+            f"certificate does not verify; residual: {report.failure_residual.summary()}")
+    if cert.mode == MULTILINEAR:
+        return cert
+    out = Certificate(cert.field, MULTILINEAR, {a: q.clamp() if isinstance(q, ExpPoly) else q
+                                                for a, q in cert.multipliers.items()})
     if not verify(formula, out).valid:
-        raise CertificateError("input certificate was not a valid refutation")
+        raise InternalConsistencyError("the clamped copy of a valid certificate does not verify")
     return out
 
 
@@ -411,18 +409,13 @@ def certificate_from_json(data, field: Field | None = None) -> Certificate:
     return Certificate(field, mode, multipliers, booleans)
 
 
-def _vars_from_json(entry):
-    names = entry["vars"]
-    if not isinstance(names, list) or not all(isinstance(v, str) for v in names):
-        raise CertificateError(f'"vars" must be a list of name strings, got {names!r}')
-    return names
-
-
 def _poly_from_json(field, entries, mode):
     poly = MultilinearPoly if mode == MULTILINEAR else ExpPoly
     terms = {}
     for e in entries:
-        names = _vars_from_json(e)
+        names = e["vars"]
+        if not isinstance(names, list) or not all(isinstance(v, str) for v in names):
+            raise CertificateError(f'"vars" must be a list of name strings, got {names!r}')
         mono = (frozenset(names) if poly is MultilinearPoly
                 else tuple(sorted(Counter(names).items())))
         try:

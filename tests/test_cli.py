@@ -19,7 +19,8 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pebcert import cli, load_certificate, load_graph, load_strategy, pareto, verify_strategy
+from pebcert import (Certificate, cli, load_certificate, load_graph, load_strategy, pareto,
+                     verify_strategy)
 from pebcert.cli import main
 
 
@@ -174,6 +175,52 @@ def test_cert_verify_invalid_prints_residual_summary(tmp_path, capsys):
     # sum - 1 has 9 monomials; only the five of lowest degree are printed
     assert err == ("residual: 9 monomials of degree 0 to 3; lowest: 2*1 + 1*x[v2] + "
                    "1*x[v3] + 1*x[v1]*x[v2] + 2*x[v1]*x[v3]\n")
+
+
+def test_cert_readers_reject_what_verify_rejects(tmp_path, monkeypatch, capsys):
+    # (1 - x_z) + x_z * x_z in standard mode, with no Boolean multiplier for
+    # the x_z^2 - x_z left over: verify, multilinearize and extract all exit 1
+    # with the same residual, and neither reader writes its --out file
+    monkeypatch.chdir(tmp_path)
+    Path("g.json").write_text(json.dumps({"vertices": ["z"], "edges": [], "sink": "z"}))
+    Path("c.json").write_text(json.dumps({
+        "field": "rationals", "mode": "standard",
+        "multipliers": [{"axiom": "vertex:z", "poly": [{"coeff": "1", "vars": []}]},
+                        {"axiom": "sink", "poly": [{"coeff": "1", "vars": ["z"]}]}]}))
+    residual = "residual: 2 monomials of degree 1 to 2; lowest: -1*x[z]^1 + 1*x[z]^2\n"
+    assert run(capsys, "cert", "verify", "g.json", "c.json") == (
+        1, "valid: false size: 3 degree: 2\n", residual)
+    for action in ("multilinearize", "extract"):
+        assert run(capsys, "cert", action, "g.json", "c.json", "--out", "out.json") == (
+            1, "", f"error: certificate does not verify; {residual}")
+        assert not Path("out.json").exists()
+
+
+@pytest.mark.parametrize("action", ["compile", "multilinearize"])
+def test_cert_invalid_result_is_internal_violation(tmp_path, monkeypatch, capsys, action):
+    # compiled and multilinearized certificates are valid by construction, so
+    # the CLI treats an invalid one as an internal consistency violation
+    graph, witness, cert = (str(tmp_path / name) for name in ("g.json", "w.json", "c.json"))
+    run(capsys, "gen", "--family", "line", "--n", "2", "--out", graph)
+    run(capsys, "solve", "--mode", "min-space", graph, "--witness", witness)
+    run(capsys, "cert", "compile", graph, witness, "--out", cert)
+
+    def perturbed(real):
+        def wrapper(*args):
+            out = real(*args)
+            q = out.multipliers["sink"]
+            return Certificate(out.field, out.mode,
+                               {**out.multipliers, "sink": q + q.one(q.field)})
+        return wrapper
+
+    name = "compile_strategy" if action == "compile" else action
+    monkeypatch.setattr(cli, name, perturbed(getattr(cli, name)))
+    code, out, err = run(capsys, "cert", action, graph, witness if action == "compile" else cert,
+                         "--out", str(tmp_path / "out.json"))
+    assert (code, out) == (3, "")
+    assert err.startswith(f"internal consistency violation: {action} gave a certificate "
+                          "that does not verify; residual: 1 monomials of degree 1 to 1")
+    assert not (tmp_path / "out.json").exists()
 
 
 @pytest.mark.parametrize("mode", ["multilinear", "standard"])

@@ -1,0 +1,108 @@
+"""The degree half of the paper's theorem, checked against an independent oracle.
+
+`ns_oracle` decides by Gaussian elimination whether a multilinear
+Nullstellensatz refutation of degree d exists, with none of pebcert's
+polynomials, certificates or search.  Core claims:
+    - (a) its least degree equals the reversible visiting min space, over
+      GF(2), GF(3), GF(5) and Q on small family members, and over GF(2) on
+      random single-sink DAGs
+    - (b) a random point of its solution space at d = min space, a
+      certificate the compiler did not produce, passes verify and
+      check_weights, and extract meets space <= degree, time <= size - 1
+"""
+
+import ast
+import random
+from pathlib import Path
+
+import pytest
+
+import ns_oracle
+from conftest import random_single_sink_dag
+from pebcert import (
+    Certificate,
+    bit_reversal,
+    carlson_savage,
+    check_weights,
+    compile_strategy,
+    config_graph,
+    extract,
+    line,
+    min_space,
+    pebbling_formula,
+    pyramid,
+    single_sink_restriction,
+    verify,
+    verify_strategy,
+)
+from pebcert.algebra import Field, MultilinearPoly
+from pebcert.graphs import mask_names
+
+FIELDS = {"GF(2)": 2, "GF(3)": 3, "GF(5)": 5, "Q": None}
+
+
+def _single_sink_cs22():
+    dag = carlson_savage(2, 2)
+    return single_sink_restriction(dag, dag.sink_names[0])
+
+
+# graph -> (builder, reversible visiting min space)
+GRAPHS = {
+    "line(8)": (lambda: line(8), 4),
+    "pyramid(2)": (lambda: pyramid(2), 4),
+    "pyramid(3)": (lambda: pyramid(3), 5),
+    "bit_reversal(4)": (lambda: bit_reversal(4), 5),
+    "single-sink CS(2,2)": (_single_sink_cs22, 5),
+}
+
+
+def test_oracle_shares_no_pebcert_code():
+    # the oracle imports only the standard library and reads only the DAG's
+    # predecessor lists and its designated sink
+    tree = ast.parse(Path(ns_oracle.__file__).read_text())
+    modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names}
+    modules |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert modules == {"fractions", "itertools"}
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "dag"}
+    assert read == {"preds", "designated_sink"}
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("graph", GRAPHS)
+def test_min_degree_equals_reversible_min_space(graph, field):
+    build, space = GRAPHS[graph]
+    dag = build()
+    assert min_space(dag, "reversible", "visiting")[0] == space
+    assert ns_oracle.min_degree(dag, FIELDS[field]) == space
+
+
+def test_min_degree_equals_min_space_on_random_dags():
+    rng = random.Random(2001)
+    for _ in range(20):
+        dag = random_single_sink_dag(rng, max_n=7)
+        assert ns_oracle.min_degree(dag, 2) == min_space(dag, "reversible", "visiting")[0], dag
+
+
+@pytest.mark.parametrize("field", ["GF(3)", "Q"])
+@pytest.mark.parametrize("graph", ["pyramid(2)", "line(8)"])
+def test_random_refutation_passes_every_check(graph, field):
+    build, space = GRAPHS[graph]
+    dag = build()
+    p = FIELDS[field]
+    f = Field.rationals() if p is None else Field.prime(p)
+    terms = {}
+    for (axiom, m), c in ns_oracle.random_refutation(dag, p, space, random.Random(7)).items():
+        axiom_id = "sink" if axiom == ns_oracle.SINK else f"vertex:{dag.names[axiom]}"
+        terms.setdefault(axiom_id, {})[mask_names(dag.names, m)] = c
+    cert = Certificate(f, "multilinear", {a: MultilinearPoly(f, t) for a, t in terms.items()})
+    witness = min_space(dag, "reversible", "visiting")[1]
+    assert cert.multipliers != compile_strategy(dag, witness, f).multipliers
+
+    report = verify(pebbling_formula(dag), cert)
+    assert report.valid and report.degree <= space
+    assert check_weights(config_graph(dag, cert)).ok
+    metrics = verify_strategy(dag, extract(dag, cert))
+    assert metrics.space <= report.degree
+    assert metrics.time <= report.size - 1

@@ -10,10 +10,13 @@ Core claims:
       monomials; signed weights satisfy the empty-is-1 / rest-is-0 law
     - extraction inverts compilation with identical metrics
     - multilinearization never grows size or degree and rejects invalid input
+    - Certificate rejects a malformed shape; verify alone judges validity,
+      and multilinearize and extract judge the certificate they are given
 """
 
 import json
 import random
+import re
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -38,6 +41,7 @@ from pebcert import (
     min_space,
     min_time_within_space,
     multilinearize,
+    nullstellensatz,
     pebbling_formula,
     pyramid,
     single_sink_restriction,
@@ -184,6 +188,38 @@ def test_verify_standard_mode_with_boolean_multiplier():
     assert report.valid
     assert report.size == 5  # 1*2 + 1*1 + 2*1
     assert report.degree == 2  # deg(x_z * x_z) and deg(s_z) + 2
+
+
+@pytest.mark.parametrize("mode, multipliers, booleans, message", [
+    # config_graph and check_weights would read either without a complaint
+    ("multilinear", {"sink": ExpPoly.one(Q)}, {}, "not a multilinear polynomial"),
+    ("multilinear", {"sink": MultilinearPoly.one(F3)}, {}, "over Field(GF(3))"),
+    ("standard", {"sink": ExpPoly.one(F3)}, {}, "over Field(GF(3))"),
+    ("standard", {}, {"z": "1"}, "not a standard polynomial"),
+    ("standard", {}, {"z": ExpPoly.one(F5)}, "over Field(GF(5))"),
+    ("standard", {}, {"z": MultilinearPoly.one(F2)}, "over Field(GF(2))"),
+    ("standard", {"vertex:z": 1}, {}, "not a standard polynomial"),
+    ("multilinear", {"vertex:z": None}, {}, "not a multilinear polynomial"),
+])
+def test_certificate_rejects_bad_shape(mode, multipliers, booleans, message):
+    with pytest.raises(CertificateError, match=re.escape(message)):
+        Certificate(Q, mode, multipliers, booleans)
+
+
+def test_standard_mode_reads_multilinear_multipliers_with_exponent_one():
+    # standard certificates over MultilinearPoly multipliers, as the
+    # benchmark builds them, verify; so do MultilinearPoly Boolean multipliers
+    dag, cert = _line2_cert(F5)
+    f = pebbling_formula(dag)
+    report = verify(f, Certificate(F5, "standard", cert.multipliers))
+    assert (report.valid, report.size, report.degree) == (True, 5, 2)
+    one, x = MultilinearPoly.one(Q), MultilinearPoly.monomial(Q, ["z"])
+    f = pebbling_formula(_single_vertex())
+    for kind in (lambda p: p, ExpPoly.from_multilinear):
+        cert = Certificate(Q, "standard", {"vertex:z": kind(one), "sink": kind(x)},
+                           {"z": kind(-one)})
+        report = verify(f, cert)
+        assert (report.valid, report.size, report.degree) == (True, 5, 2)
 
 
 # -- compile ------------------------------------------------------------------
@@ -448,7 +484,7 @@ def test_golden_certificates(instance):
 def test_extract_rejects_invalid():
     dag = _single_vertex()
     cert = Certificate(F2, "multilinear", {"vertex:z": MultilinearPoly.one(F2)})
-    with pytest.raises(CertificateError, match="certificate does not verify"):
+    with pytest.raises(CertificateError, match="certificate does not verify; residual: "):
         extract(dag, cert)
 
 
@@ -508,8 +544,59 @@ def test_multilinearize_rejects_invalid():
     dag = _single_vertex()
     f = pebbling_formula(dag)
     bad = Certificate(Q, "multilinear", {"vertex:z": MultilinearPoly.one(Q)})
-    with pytest.raises(CertificateError, match="was not a valid refutation"):
+    with pytest.raises(CertificateError, match="certificate does not verify; residual: "):
         multilinearize(f, bad)
+
+
+def _no_boolean_multiplier():
+    # (1 - x_z) + x_z * x_z: the x_z^2 - x_z left over has no Boolean multiplier
+    return Certificate(Q, "standard", {"vertex:z": ExpPoly.one(Q),
+                                       "sink": ExpPoly.monomial(Q, (("z", 1),))})
+
+
+def test_readers_reject_a_standard_cert_that_verify_rejects():
+    # the clamped copy of this certificate is valid, but the certificate is not
+    dag = _single_vertex()
+    f = pebbling_formula(dag)
+    cert = _no_boolean_multiplier()
+    assert not verify(f, cert).valid
+    message = "certificate does not verify; residual: 2 monomials of degree 1 to 2"
+    with pytest.raises(CertificateError, match=message):
+        multilinearize(f, cert)
+    with pytest.raises(CertificateError, match=message):
+        extract(dag, cert)
+
+
+def test_readers_judge_the_certificate_they_are_given(monkeypatch):
+    # verify is the one judge: the first certificate that extract and
+    # multilinearize hand it is the very object they were passed, and a
+    # multilinear certificate is judged once
+    seen = []
+    real_verify = nullstellensatz.verify
+
+    def spy(formula, cert):
+        seen.append(cert)
+        return real_verify(formula, cert)
+
+    monkeypatch.setattr(nullstellensatz, "verify", spy)
+    dag = _single_vertex()
+    f = pebbling_formula(dag)
+    valid_standard = Certificate(Q, "standard", {
+        "vertex:z": ExpPoly.one(Q), "sink": ExpPoly.monomial(Q, (("z", 1),)),
+    }, {"z": ExpPoly.monomial(Q, (), -1)})
+    multilinear = compile_strategy(dag, _rv(("place", "z"), ("remove", "z")), Q)
+    invalid = _no_boolean_multiplier()
+    for read in (lambda c: extract(dag, c), lambda c: multilinearize(f, c)):
+        seen.clear()
+        read(valid_standard)
+        assert seen[0] is valid_standard and len(seen) == 2  # then its clamped copy
+        seen.clear()
+        read(multilinear)
+        assert seen == [multilinear]
+        seen.clear()
+        with pytest.raises(CertificateError):
+            read(invalid)
+        assert seen == [invalid]
 
 
 # -- JSON ----------------------------------------------------------------------
