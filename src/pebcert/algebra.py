@@ -213,8 +213,9 @@ class _Poly:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = times(m1, m2)
-                if deg(m) > top:
-                    top = deg(m)
+                d = deg(m)
+                if d > top:
+                    top = d
                 f.accumulate(out, m, f.mul(c1, c2))
         return top
 

@@ -354,14 +354,53 @@ def _read_json(path, parse, error):
 
 
 def _write_json(data, path=None):
-    """Write `data` as JSON indented by 2, with a trailing newline, to the
-    UTF-8 file `path`; with no `path`, return that text instead.
+    """Write `data` as the bytes of `json.dumps(data, indent=2)` plus a
+    newline to the UTF-8 file `path`; with no `path`, return that text.
 
-    A file is written as the encoder goes, so a large certificate is never
-    held as one string as well.
+    `json` encodes in C only without `indent`, and its pure-Python indenting
+    encoder is the slowest part of saving a certificate, so the text is
+    built here: strings by the C `encode_basestring_ascii`, other scalars by
+    `json.dumps`, container items joined by a comma, a newline and the
+    indent.  A file is written as it is built: the top-level object one key
+    at a time, and each element of a top-level list (the moves, multipliers,
+    vertices and edges) as its own string, so a large certificate is never
+    held as one string.
     """
+    quote = json.encoder.encode_basestring_ascii
+
+    def text(x, pad):
+        if isinstance(x, str):
+            return quote(x)
+        inner = pad + "  "
+        if isinstance(x, (list, tuple)) and x:
+            return (f"[\n{inner}" + f",\n{inner}".join([text(v, inner) for v in x])
+                    + f"\n{pad}]")
+        if isinstance(x, dict) and x:
+            return (f"{{\n{inner}"
+                    + f",\n{inner}".join([f"{quote(k)}: {text(v, inner)}" for k, v in x.items()])
+                    + f"\n{pad}}}")
+        return json.dumps(x)
+
+    def chunks():
+        if not (isinstance(data, dict) and data):
+            yield text(data, "")
+            return
+        lead = "{\n  "
+        for k, v in data.items():
+            if isinstance(v, (list, tuple)) and v:
+                sep = f"{lead}{quote(k)}: [\n    "
+                for item in v:
+                    yield sep + text(item, "    ")
+                    sep = ",\n    "
+                yield "\n  ]"
+            else:
+                yield f"{lead}{quote(k)}: {text(v, '  ')}"
+            lead = ",\n  "
+        yield "\n}"
+
     if path is None:
-        return json.dumps(data, indent=2) + "\n"
+        return "".join(chunks()) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2)
+        for chunk in chunks():
+            fh.write(chunk)
         fh.write("\n")

@@ -248,8 +248,10 @@ class ConfigGraph:
     def weight(self, config):
         """Signed occurrence weight of a configuration given by its names."""
         config = frozenset(config)
-        return next((w for c, w in self.weights().items()
-                     if mask_names(self.names, c) == config), self.field.zero)
+        if not config <= set(self.names):
+            return self.field.zero
+        mask = sum(1 << i for i, name in enumerate(self.names) if name in config)
+        return self.weights().get(mask, self.field.zero)
 
 
 def config_graph(dag: Dag, cert: Certificate) -> ConfigGraph:
@@ -379,9 +381,9 @@ def certificate_to_json(cert: Certificate) -> dict:
 
 
 def _poly_to_json(f, poly):
-    if isinstance(poly, MultilinearPoly):
-        return [{"coeff": f.format(poly.terms[m]), "vars": sorted(m)}
-                for m in sorted(poly.terms, key=MultilinearPoly._key)]
+    if isinstance(poly, MultilinearPoly):  # the order of MultilinearPoly._key
+        return [{"coeff": f.format(c), "vars": names}
+                for _, names, c in sorted((len(m), sorted(m), c) for m, c in poly.terms.items())]
     return [{"coeff": f.format(poly.terms[m]), "vars": [v for v, e in m for _ in range(e)]}
             for m in sorted(poly.terms, key=lambda m: (sum(e for _, e in m), m))]
 
@@ -412,16 +414,21 @@ def certificate_from_json(data, field: Field | None = None) -> Certificate:
 def _poly_from_json(field, entries, mode):
     poly = MultilinearPoly if mode == MULTILINEAR else ExpPoly
     terms = {}
+    parsed = {}  # coefficient text -> element; a text is parsed once per polynomial
     for e in entries:
         names = e["vars"]
         if not isinstance(names, list) or not all(isinstance(v, str) for v in names):
             raise CertificateError(f'"vars" must be a list of name strings, got {names!r}')
         mono = (frozenset(names) if poly is MultilinearPoly
                 else tuple(sorted(Counter(names).items())))
-        try:
-            coeff = field.parse(e["coeff"])
-        except (ValueError, ZeroDivisionError):
-            raise CertificateError(f"invalid coefficient {e['coeff']!r}") from None
+        text = e["coeff"]
+        if isinstance(text, str) and text in parsed:
+            coeff = parsed[text]
+        else:  # anything but a string fails in `parse` with its own TypeError
+            try:
+                coeff = parsed[text] = field.parse(text)
+            except (ValueError, ZeroDivisionError):
+                raise CertificateError(f"invalid coefficient {text!r}") from None
         field.accumulate(terms, mono, coeff)
     return poly._of(field, terms)
 

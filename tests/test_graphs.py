@@ -7,11 +7,14 @@ Core claims:
     - bit_reversal cross edges reverse binary indices; sigma is an involution
     - single_sink_restriction keeps exactly the ancestors and is idempotent
     - graph JSON round-trips through the loader's validation
+    - the JSON writer gives the bytes of json.dumps(indent=2) plus a newline,
+      and streams a file one top-level list element at a time
 """
 
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pebcert import (
     bit_reversal,
@@ -22,8 +25,11 @@ from pebcert import (
     pyramid,
     single_sink_restriction,
 )
+from pebcert import graphs
 from pebcert.errors import GraphError, ParamOutOfRange
-from pebcert.graphs import bit_reverse_index
+from pebcert.graphs import _write_json, bit_reverse_index
+from pebcert.pebbling import (PLACE, REMOVE, REVERSIBLE, VISITING, Move, Strategy, save_strategy,
+                              strategy_to_json)
 
 
 def test_build_single_vertex():
@@ -230,6 +236,74 @@ def test_graph_json_rejects_strings_and_bad_edges(data):
     # a string is not read letter by letter as a list of names
     with pytest.raises(GraphError):
         graph_from_json(data)
+
+
+class _Name(str):
+    pass
+
+
+# every str of the writer goes through one escape, so the alphabet leans on
+# the characters it changes: quotes, backslashes, control, non-ASCII, astral
+_TEXT = st.text(st.sampled_from('a"\\/\x00\x1f\n\t\x7f\xe9\u2028\U0001f600') | st.characters(),
+                max_size=6)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**80, 2**80) | _TEXT | _TEXT.map(_Name),
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_TEXT, inner, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(value=_JSON)
+@example(value={"a": [{"b": ({"c": [[], {}, ()]},)}], "": None})
+@example(value=[True, False, None, 2**64 + 1, -2**70, 0, "", _Name("\U0001f600\\\"")])
+@example(value={_Name("k"): {"moves": [], "x": ()}, "\xe9\x00": "\ud7ff\U00010000"})
+@example(value=())
+@example(value="\x1f")
+def test_writer_matches_json_dumps_indent_2(tmp_path_factory, value):
+    want = json.dumps(value, indent=2) + "\n"
+    assert _write_json(value) == want
+    path = tmp_path_factory.getbasetemp() / "writer_parity.json"
+    _write_json(value, path)
+    assert path.read_bytes() == want.encode("utf-8")
+
+
+class _WriteSpy:
+    """A text file that records every string written to it."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.writes = []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.writes.append(text)
+        return self.fh.write(text)
+
+
+def test_writer_streams_one_move_per_write(tmp_path, monkeypatch):
+    names = [f"v{i}" for i in range(1, 101)]
+    moves = tuple(Move(op, v) for _ in range(100) for op in (PLACE, REMOVE) for v in names)
+    strategy = Strategy(REVERSIBLE, VISITING, moves)
+    assert len(moves) == 20_000
+    spies = []
+
+    def spy_open(*args, **kwargs):
+        spies.append(_WriteSpy(open(*args, **kwargs)))
+        return spies[-1]
+
+    monkeypatch.setattr(graphs, "open", spy_open, raising=False)
+    path = tmp_path / "s.json"
+    save_strategy(strategy, path)
+    [spy] = spies
+    assert max(w.count('"op"') for w in spy.writes) == 1
+    assert sum(w.count('"op"') for w in spy.writes) == len(moves)
+    assert path.read_text() == json.dumps(strategy_to_json(strategy), indent=2) + "\n"
 
 
 def test_move_table_holds_bit_and_predecessor_mask():

@@ -6,9 +6,10 @@ polynomials, certificates or search.  Core claims:
     - (a) its least degree equals the reversible visiting min space, over
       GF(2), GF(3), GF(5) and Q on small family members, and over GF(2) on
       random single-sink DAGs
-    - (b) a random point of its solution space at d = min space, a
-      certificate the compiler did not produce, passes verify and
-      check_weights, and extract meets space <= degree, time <= size - 1
+    - (b) a random point of its solution space at d = min space and at
+      d = min space + 1, a certificate the compiler did not produce, passes
+      verify and check_weights, and extract meets space <= degree,
+      time <= size - 1
 """
 
 import ast
@@ -88,12 +89,23 @@ def test_min_degree_equals_min_space_on_random_dags():
 @pytest.mark.parametrize("field", ["GF(3)", "Q"])
 @pytest.mark.parametrize("graph", ["pyramid(2)", "line(8)"])
 def test_random_refutation_passes_every_check(graph, field):
+    _check_random_refutation(graph, field, 0)
+
+
+@pytest.mark.parametrize("field", ["GF(3)", "Q"])
+@pytest.mark.parametrize("graph", ["pyramid(2)", "line(8)"])
+def test_random_refutation_above_min_space_passes_every_check(graph, field):
+    _check_random_refutation(graph, field, 1)
+
+
+def _check_random_refutation(graph, field, slack):
     build, space = GRAPHS[graph]
     dag = build()
     p = FIELDS[field]
     f = Field.rationals() if p is None else Field.prime(p)
+    degree = space + slack
     terms = {}
-    for (axiom, m), c in ns_oracle.random_refutation(dag, p, space, random.Random(7)).items():
+    for (axiom, m), c in ns_oracle.random_refutation(dag, p, degree, random.Random(7)).items():
         axiom_id = "sink" if axiom == ns_oracle.SINK else f"vertex:{dag.names[axiom]}"
         terms.setdefault(axiom_id, {})[mask_names(dag.names, m)] = c
     cert = Certificate(f, "multilinear", {a: MultilinearPoly(f, t) for a, t in terms.items()})
@@ -101,7 +113,7 @@ def test_random_refutation_passes_every_check(graph, field):
     assert cert.multipliers != compile_strategy(dag, witness, f).multipliers
 
     report = verify(pebbling_formula(dag), cert)
-    assert report.valid and report.degree <= space
+    assert report.valid and report.degree <= degree
     assert check_weights(config_graph(dag, cert)).ok
     metrics = verify_strategy(dag, extract(dag, cert))
     assert metrics.space <= report.degree
