@@ -43,7 +43,6 @@ from .pebbling import (
     Strategy,
     load_strategy,
     save_strategy,
-    step,
     strategy_from_json,
     strategy_to_json,
     verify_strategy,

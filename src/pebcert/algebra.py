@@ -257,9 +257,6 @@ class MultilinearPoly(_Poly):
     def _mono(m):
         return "*".join(f"x[{v}]" for v in sorted(m)) or "1"
 
-    def coefficient(self, variables):
-        return self.terms.get(frozenset(variables), self.field.zero)
-
 
 class ExpPoly(_Poly):
     """Exponent-tracking polynomial for the standard (non-multilinear) setting.

@@ -245,14 +245,6 @@ class ConfigGraph:
             out[hi] = f.sub(out.get(hi, f.zero), weight)
         return out
 
-    def weight(self, config):
-        """Signed occurrence weight of a configuration given by its names."""
-        config = frozenset(config)
-        if not config <= set(self.names):
-            return self.field.zero
-        mask = sum(1 << i for i, name in enumerate(self.names) if name in config)
-        return self.weights().get(mask, self.field.zero)
-
 
 def config_graph(dag: Dag, cert: Certificate) -> ConfigGraph:
     """Edges from every monomial of Q_v that does not contain x_v.

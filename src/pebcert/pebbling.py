@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import GraphError, IllegalMoveAt, PebblingError
-from .graphs import Dag, _read_json, _write_json, mask_names
+from .graphs import Dag, _read_json, _write_json
 
 STANDARD = "standard"
 REVERSIBLE = "reversible"
@@ -85,14 +85,6 @@ def _move_mask(dag, config_mask, move, game):
                 f"reversible removal from {move.vertex} needs its predecessors pebbled")
         return config_mask & ~bit
     raise PebblingError(f"unknown move op {move.op!r}")
-
-
-def step(dag: Dag, config, move: Move, game: str) -> frozenset:
-    """Apply one move to a configuration given as a set of vertex names."""
-    mask = 0
-    for name in config:
-        mask |= 1 << dag._idx(name)
-    return mask_names(dag.names, _move_mask(dag, mask, move, game))
 
 
 def replay(dag: Dag, moves, game: str) -> list[int]:

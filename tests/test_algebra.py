@@ -123,8 +123,8 @@ def test_poly_degree_and_counts():
     p = MultilinearPoly(f, {frozenset(): 1, frozenset({"a", "b"}): 2})
     assert p.num_monomials() == 2
     assert p.degree() == 2
-    assert p.coefficient(["a", "b"]) == 2
-    assert p.coefficient(["a"]) == 0
+    assert p.terms[frozenset({"a", "b"})] == 2
+    assert frozenset({"a"}) not in p.terms
     assert MultilinearPoly.zero(f).degree() == 0
 
 

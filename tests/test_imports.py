@@ -1,6 +1,7 @@
 """Every module of the package uses every name it imports, every exception
 class is raised or caught somewhere, and files are opened and JSON is read
-or written only at the one file boundary.
+or written only at the one file boundary, and one place turns a search's
+layers into a witness.
 
 No linter runs with the suite, so this parses each module with `ast` and
 fails on an imported name that no expression of the module refers to.
@@ -8,7 +9,9 @@ fails on an imported name that no expression of the module refers to.
 defined in `errors.py` that no other module raises or catches is dead code.
 A call to `open` or to any `json` function outside `graphs._read_json` and
 `graphs._write_json` would be a loader or writer that decides on its own how
-a file is decoded and which failures name it.
+a file is decoded and which failures name it.  A call to `search._back` or
+`search._walk` outside `search._solve` would be a second prune or walk that
+decides on its own how on-path configurations come from a search's layers.
 """
 
 import ast
@@ -74,21 +77,25 @@ def test_every_error_class_is_raised_or_caught():
 _FILE_BOUNDARY = {("graphs.py", "_read_json"), ("graphs.py", "_write_json")}
 
 
+def _scoped_calls(source):
+    """(enclosing top-level function or None, called expression) of every call."""
+    for top in ast.parse(source).body:
+        scope = top.name if isinstance(top, ast.FunctionDef) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                yield scope, node.func
+
+
 def _file_calls(source):
     """(enclosing top-level function or None, called name) of every call to
     `open` or to a `json` function."""
     calls = []
-    for top in ast.parse(source).body:
-        scope = top.name if isinstance(top, ast.FunctionDef) else None
-        for node in ast.walk(top):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if isinstance(func, ast.Name) and func.id == "open":
-                calls.append((scope, "open"))
-            elif (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
-                  and func.value.id == "json"):
-                calls.append((scope, f"json.{func.attr}"))
+    for scope, func in _scoped_calls(source):
+        if isinstance(func, ast.Name) and func.id == "open":
+            calls.append((scope, "open"))
+        elif (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+              and func.value.id == "json"):
+            calls.append((scope, f"json.{func.attr}"))
     return calls
 
 
@@ -103,3 +110,31 @@ def test_detects_file_calls():
 def test_files_are_read_and_written_only_at_the_boundary(module):
     calls = _file_calls((PACKAGE / module).read_text())
     assert [c for c in calls if (module, c[0]) not in _FILE_BOUNDARY] == []
+
+
+_PRUNE = ("_back", "_walk")
+
+
+def _prune_calls(source):
+    """(enclosing top-level function or None, called name) of every call to
+    `_back` or `_walk`, bare or as an attribute such as `search._walk`."""
+    calls = []
+    for scope, func in _scoped_calls(source):
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name in _PRUNE:
+            calls.append((scope, name))
+    return calls
+
+
+def test_detects_prune_calls():
+    source = ("def _solve(d):\n    return _walk(d, _back(d))\n"
+              "def other(d):\n    return search._back(d)\n"
+              "x = _walk\n")
+    assert _prune_calls(source) == [("_solve", "_walk"), ("_solve", "_back"), ("other", "_back")]
+
+
+def test_search_layers_are_pruned_and_walked_only_in_solve():
+    calls = [(module, *call) for module in sorted(p.name for p in PACKAGE.glob("*.py"))
+             for call in _prune_calls((PACKAGE / module).read_text())]
+    assert {(module, scope) for module, scope, _ in calls} == {("search.py", "_solve")}
+    assert [name for *_, name in calls].count("_walk") == 1

@@ -1,7 +1,8 @@
 """Pebble-game semantics and strategy verification.
 
 Core claims:
-    - step enforces placement/removal rules of both games
+    - replay enforces placement/removal rules of both games, naming the
+      offending move's step and cause
     - reversible removal needs predecessors pebbled, standard removal does not
     - verify_strategy replays, checks endpoint conditions, reports metrics
     - the move-wise inverse of a legal reversible strategy is legal
@@ -25,13 +26,12 @@ from pebcert import (
     Strategy,
     line,
     pyramid,
-    step,
     strategy_from_json,
     strategy_to_json,
     verify_strategy,
 )
 from pebcert.errors import GraphError, IllegalMoveAt, PebblingError
-from pebcert.graphs import carlson_savage
+from pebcert.graphs import carlson_savage, mask_names
 from pebcert.pebbling import (
     PERSISTENT,
     PLACE,
@@ -55,35 +55,47 @@ def _rv(*pairs):
     return Strategy("reversible", "visiting", _moves(*pairs))
 
 
+def _after(dag, game, *pairs):
+    """Names pebbled once `pairs` replay from the empty configuration."""
+    return mask_names(dag.names, replay(dag, _moves(*pairs), game)[-1])
+
+
+def _illegal(dag, game, *pairs):
+    """The IllegalMoveAt raised by replaying `pairs`."""
+    with pytest.raises(IllegalMoveAt) as err:
+        replay(dag, _moves(*pairs), game)
+    return err.value
+
+
 def test_step_source_placement():
-    assert step(line(2), frozenset(), Move(PLACE, "v1"), "reversible") == {"v1"}
+    assert _after(line(2), "reversible", (PLACE, "v1")) == {"v1"}
 
 
 def test_step_source_removal_always_reversible_legal():
-    out = step(line(2), {"v1", "v2"}, Move(REMOVE, "v1"), "reversible")
+    out = _after(line(2), "reversible", (PLACE, "v1"), (PLACE, "v2"), (REMOVE, "v1"))
     assert out == {"v2"}
 
 
 def test_step_reversible_removal_needs_predecessors():
-    with pytest.raises(PebblingError, match="reversible removal from v2 needs its predecessors"):
-        step(line(2), {"v2"}, Move(REMOVE, "v2"), "reversible")
-    # same input is legal in the standard game
-    assert step(line(2), {"v2"}, Move(REMOVE, "v2"), "standard") == set()
+    moves = [(PLACE, "v1"), (PLACE, "v2"), (REMOVE, "v1"), (REMOVE, "v2")]
+    err = _illegal(line(2), "reversible", *moves)
+    assert (err.step, err.cause) == (4, "reversible removal from v2 needs its predecessors pebbled")
+    # same moves are legal in the standard game
+    assert _after(line(2), "standard", *moves) == set()
 
 
 def test_step_placement_errors():
-    with pytest.raises(PebblingError, match="v2 has unpebbled predecessors"):
-        step(line(2), frozenset(), Move(PLACE, "v2"), "reversible")
-    with pytest.raises(PebblingError, match="v1 already pebbled"):
-        step(line(2), {"v1"}, Move(PLACE, "v1"), "standard")
+    err = _illegal(line(2), "reversible", (PLACE, "v2"))
+    assert (err.step, err.cause) == (1, "v2 has unpebbled predecessors")
+    err = _illegal(line(2), "standard", (PLACE, "v1"), (PLACE, "v1"))
+    assert (err.step, err.cause) == (2, "v1 already pebbled")
 
 
 def test_step_unknown_vertex_names_no_step():
-    # a single move has no position in a strategy to report
-    with pytest.raises(PebblingError) as err:
-        step(line(3), set(), Move(PLACE, "zz"), "reversible")
-    assert str(err.value) == "unknown vertex 'zz'"
-    assert not isinstance(err.value, IllegalMoveAt)
+    # the cause names no step; the IllegalMoveAt around it does
+    err = _illegal(line(3), "reversible", (PLACE, "zz"))
+    assert err.cause == "unknown vertex 'zz'"
+    assert str(err) == "illegal move at step 1: unknown vertex 'zz'"
 
 
 def test_verify_single_vertex_line():

@@ -445,6 +445,24 @@ def test_state_budget_boundary(flavor):
         assert f"no persistent pebbling within {goal - 1} moves" in str(info.value)
 
 
+@pytest.mark.parametrize("flavor", ["visiting", "persistent"])
+@pytest.mark.parametrize("dag", [pyramid(2), line(6)], ids=["pyramid2", "line6"])
+def test_search_result_holds_every_discovered_layer(dag, flavor):
+    # the layers the search hands to `_solve` are all it discovered: with the
+    # state budget one short, the same search stops and counts exactly them
+    space = min_space(dag, "reversible", flavor)[0]
+    persistent = flavor == "persistent"
+    layers, goals, zlayers = search._rev_search(dag, space, persistent, search.DEFAULT_STATE_BUDGET)
+    assert bool(zlayers) == persistent
+    assert set(goals.values()) == {len(layers) - 1}
+    assert set(goals) <= set(layers[-1]) and (not persistent or set(goals) <= set(zlayers[-1]))
+    discovered = sum(map(len, layers)) + sum(map(len, zlayers))
+    with pytest.raises(InstanceTooLarge) as info:
+        search._rev_search(dag, space, persistent, discovered - 1)
+    assert info.value.discovered == discovered
+    assert info.value.layer == len(layers) + len(zlayers) - (3 if persistent else 2)
+
+
 @pytest.mark.parametrize("game,flavor", [
     ("reversible", "visiting"), ("reversible", "persistent"), ("standard", None),
 ])
