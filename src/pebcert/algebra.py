@@ -3,9 +3,11 @@
 Two polynomial representations: MultilinearPoly maps square-free monomials
 (frozensets of variable names) to nonzero field elements, multiplying by set
 union; ExpPoly tracks exponents for the standard, non-multilinear setting and
-clamps down to a MultilinearPoly.  `terms` is keyed by vertex names at the
-API.  No floating point anywhere: prime-field elements are ints mod p,
-rational elements are fractions.
+clamps down to a MultilinearPoly.  An ExpPoly monomial is the sorted tuple of
+its names, each repeated once per unit of exponent: a certificate file's
+"vars" list.  In both, a monomial's degree is its `len`.  `terms` is keyed by
+vertex names at the API.  No floating point anywhere: prime-field elements
+are ints mod p, rational elements are fractions.
 
 Every sum is accumulated in place, one term at a time, by
 `Field.accumulate`; results are wrapped by the private `_of`, which trusts
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import groupby
 
 from .errors import AlgebraError
 
@@ -119,9 +122,6 @@ class Field:
             raise ValueError(f"invalid integer {s!r}")
         return int(s) % self.p
 
-    def format(self, x) -> str:
-        return str(x)
-
     def __eq__(self, other):
         return isinstance(other, Field) and self.p == other.p
 
@@ -140,9 +140,9 @@ def _check_same_field(a, b):
 class _Poly:
     """Finite map `terms` from monomials to nonzero field elements.
 
-    Subclasses fix the monomial type: `_ONE` is the constant monomial,
-    `_norm` turns input into a monomial, `_deg` gives its degree, `_times`
-    multiplies two, `_key` orders the printed terms and `_mono` prints one.
+    Subclasses fix the monomial type, whose degree is its `len`: `_norm`
+    turns input into a monomial, `_times` multiplies two, `_key` orders the
+    printed terms and `_mono` prints one.
     """
 
     __slots__ = ("field", "terms")
@@ -170,7 +170,7 @@ class _Poly:
 
     @classmethod
     def one(cls, field):
-        return cls._of(field, {cls._ONE: field.one})
+        return cls._of(field, {cls._norm(()): field.one})
 
     @classmethod
     def monomial(cls, field, mono, coeff=1):
@@ -183,7 +183,7 @@ class _Poly:
         return len(self.terms)
 
     def degree(self):
-        return max(map(self._deg, self.terms), default=0)
+        return max(map(len, self.terms), default=0)
 
     def __add__(self, other):
         _check_same_field(self, other)
@@ -201,19 +201,21 @@ class _Poly:
 
     def __mul__(self, other):
         out = {}
-        self._mul_into(other, out)
+        self._mul_into(self, other, out)
         return self._of(self.field, out)
 
-    def _mul_into(self, other, out):
-        """Add self * other into the term dict `out` in place; return the
-        largest degree of a product monomial before cancellation (0 if none)."""
-        _check_same_field(self, other)
-        f, times, deg = self.field, self._times, self._deg
+    @classmethod
+    def _mul_into(cls, a, b, out):
+        """Add a * b by this class's product rule into the term dict `out` in
+        place; return the largest degree of a product monomial before
+        cancellation (0 if none)."""
+        _check_same_field(a, b)
+        f, times = a.field, cls._times
         top = 0
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+        for m1, c1 in a.terms.items():
+            for m2, c2 in b.terms.items():
                 m = times(m1, m2)
-                d = deg(m)
+                d = len(m)
                 if d > top:
                     top = d
                 f.accumulate(out, m, f.mul(c1, c2))
@@ -234,8 +236,8 @@ class _Poly:
         """Monomial count, degree range and the five lowest-degree terms."""
         if not self.terms:
             return "0"
-        degrees = [self._deg(m) for m in self.terms]
-        lowest = sorted(self.terms, key=lambda m: (self._deg(m), self._key(m)))[:5]
+        degrees = [len(m) for m in self.terms]
+        lowest = sorted(self.terms, key=lambda m: (len(m), self._key(m)))[:5]
         return (f"{len(degrees)} monomials of degree {min(degrees)} to {max(degrees)}; "
                 f"lowest: {self._format(lowest)}")
 
@@ -244,9 +246,7 @@ class MultilinearPoly(_Poly):
     """Square-free monomials (frozensets of variable names); product by union."""
 
     __slots__ = ()
-    _ONE = frozenset()
     _norm = staticmethod(frozenset)
-    _deg = staticmethod(len)
     _times = staticmethod(frozenset.union)
 
     @staticmethod
@@ -261,44 +261,33 @@ class MultilinearPoly(_Poly):
 class ExpPoly(_Poly):
     """Exponent-tracking polynomial for the standard (non-multilinear) setting.
 
-    Monomials are sorted tuples of (variable, exponent >= 1) pairs.
+    A monomial is the sorted tuple of its variable names, each repeated once
+    per unit of exponent: x^2*y is ("x", "x", "y").
     """
 
     __slots__ = ()
-    _ONE = ()
 
     @staticmethod
     def _norm(mono):
-        return tuple(sorted((v, int(e)) for v, e in mono if int(e) > 0))
+        return tuple(sorted(mono))
 
     @staticmethod
-    def _deg(m):
-        return sum(e for _, e in m)
+    def _times(m1, m2):  # a frozenset factor reads with exponent 1
+        return tuple(sorted((*m1, *m2)))
 
     @staticmethod
     def _key(m):
-        return m
-
-    @staticmethod
-    def _mono(m):
-        return "*".join(f"x[{v}]^{e}" for v, e in m) or "1"
+        """The (name, exponent) pairs, so that x*y sorts before x*x."""
+        return tuple((v, len(list(run))) for v, run in groupby(m))
 
     @classmethod
-    def from_multilinear(cls, poly: MultilinearPoly) -> "ExpPoly":
-        return cls._of(poly.field, {tuple((v, 1) for v in sorted(m)): c
-                                    for m, c in poly.terms.items()})
-
-    @staticmethod
-    def _times(m1, m2):
-        exps = dict(m1)
-        for v, e in m2:
-            exps[v] = exps.get(v, 0) + e
-        return tuple(sorted(exps.items()))
+    def _mono(cls, m):
+        return "*".join(f"x[{v}]^{e}" for v, e in cls._key(m)) or "1"
 
     def clamp(self) -> MultilinearPoly:
         """Multilinearize: send every positive exponent to 1, combine terms."""
         f = self.field
         out = {}
         for m, c in self.terms.items():
-            f.accumulate(out, frozenset(v for v, _ in m), c)
+            f.accumulate(out, frozenset(m), c)
         return MultilinearPoly._of(f, out)

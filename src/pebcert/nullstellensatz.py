@@ -29,12 +29,14 @@ by names, and masks go back to names only through `graphs.mask_names`.  Each
 operation is one pass, linear in its number of terms: verify adds every
 product term into one coefficient map, the compiler accumulates
 {R mask: coefficient} per axiom, and check_weights sums all configuration
-weights over the edges and translates only its violations to names.
+weights over the edges and translates only its violations to names.  A
+standard-mode monomial is the file's sorted "vars" list, read and written as
+is.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field as dataclass_field
 from itertools import chain
 
@@ -160,19 +162,19 @@ def verify(formula: PebblingFormula, cert: Certificate) -> VerifyReport:
     exponent arithmetic.  Size counts #mon(Q_a) * #mon(A_a) (+ 2 * #mon(s_j))
     before cancellation; degree is the pairwise set-union arity in multilinear
     mode and the syntactic total degree of each product in standard mode.
+    Every (multiplier, axiom) pair goes through the one product rule of the
+    mode's polynomial class, whatever the factors' own kinds: in standard mode
+    a multilinear factor reads with exponent 1, and no factor is converted.
     """
     f = cert.field
     poly = MultilinearPoly if cert.mode == MULTILINEAR else ExpPoly
     size = degree = 0
     total = {}  # every product term is added here in place
     products = chain(((q, formula.axiom_poly(a, f)) for a, q in cert.multipliers.items()),
-                     ((s, ExpPoly(f, {((var, 2),): 1, ((var, 1),): -1}))
+                     ((s, ExpPoly(f, {(var, var): 1, (var,): -1}))
                       for var, s in cert.boolean_multipliers.items()))
     for q, axiom in products:
-        if poly is ExpPoly:  # standard mode reads multilinear factors with exponent 1
-            q, axiom = (ExpPoly.from_multilinear(p) if isinstance(p, MultilinearPoly) else p
-                        for p in (q, axiom))
-        degree = max(degree, q._mul_into(axiom, total))
+        degree = max(degree, poly._mul_into(q, axiom, total))
         size += q.num_monomials() * axiom.num_monomials()
     residual = poly._of(f, total) - poly.one(f)
     if residual.is_zero():
@@ -361,23 +363,24 @@ def certificate_to_json(cert: Certificate) -> dict:
     data = {
         "field": "rationals" if f.is_rationals else {"prime": f.p},
         "mode": cert.mode,
-        "multipliers": [{"axiom": a, "poly": _poly_to_json(f, cert.multipliers[a])}
+        "multipliers": [{"axiom": a, "poly": _poly_to_json(cert.multipliers[a])}
                         for a in sorted(cert.multipliers, key=lambda a: (a == SINK_AXIOM, a))],
     }
     if cert.boolean_multipliers:
         data["boolean_multipliers"] = [
-            {"var": var, "poly": _poly_to_json(f, s)}
+            {"var": var, "poly": _poly_to_json(s)}
             for var, s in sorted(cert.boolean_multipliers.items())
         ]
     return data
 
 
-def _poly_to_json(f, poly):
-    if isinstance(poly, MultilinearPoly):  # the order of MultilinearPoly._key
-        return [{"coeff": f.format(c), "vars": names}
-                for _, names, c in sorted((len(m), sorted(m), c) for m, c in poly.terms.items())]
-    return [{"coeff": f.format(poly.terms[m]), "vars": [v for v, e in m for _ in range(e)]}
-            for m in sorted(poly.terms, key=lambda m: (sum(e for _, e in m), m))]
+def _poly_to_json(poly):
+    """Terms by degree, then by the polynomial's `_key`; "vars" is the sorted names."""
+    if isinstance(poly, MultilinearPoly):  # its _key is (degree, sorted names): sort once
+        rows = sorted((len(m), sorted(m), c) for m, c in poly.terms.items())
+    else:  # an ExpPoly monomial is sorted already
+        rows = sorted((len(m), poly._key(m), list(m), c) for m, c in poly.terms.items())
+    return [{"coeff": str(row[-1]), "vars": row[-2]} for row in rows]
 
 
 def certificate_from_json(data, field: Field | None = None) -> Certificate:
@@ -411,8 +414,7 @@ def _poly_from_json(field, entries, mode):
         names = e["vars"]
         if not isinstance(names, list) or not all(isinstance(v, str) for v in names):
             raise CertificateError(f'"vars" must be a list of name strings, got {names!r}')
-        mono = (frozenset(names) if poly is MultilinearPoly
-                else tuple(sorted(Counter(names).items())))
+        mono = poly._norm(names)
         text = e["coeff"]
         if isinstance(text, str) and text in parsed:
             coeff = parsed[text]

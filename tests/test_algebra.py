@@ -21,14 +21,14 @@ def test_prime_field_arithmetic():
     assert f.neg(2) == 3
     assert f.coerce(-1) == 4
     assert f.parse("-1") == 4
-    assert f.format(3) == "3"
+    assert str(f.parse("8")) == "3"
 
 
 def test_rational_field_arithmetic():
     f = Field.rationals()
     assert f.add(Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
     assert f.parse("2/3") == Fraction(2, 3)
-    assert f.format(Fraction(-7, 2)) == "-7/2"
+    assert str(f.parse("-14/4")) == "-7/2"
     assert f.coerce(2) == Fraction(2)
 
 
@@ -136,23 +136,23 @@ def test_zero_coefficients_pruned():
 
 def test_exp_poly_product_tracks_exponents():
     f = Field.rationals()
-    x = ExpPoly.monomial(f, (("x", 1),))
+    x = ExpPoly.monomial(f, ("x",))
     sq = x * x
-    assert sq == ExpPoly.monomial(f, (("x", 2),))
+    assert sq == ExpPoly.monomial(f, ("x", "x"))
     assert sq.degree() == 2
 
 
 def test_exp_poly_clamp():
     f = Field.rationals()
-    p = ExpPoly(f, {(("x", 2),): 1, (("x", 1),): 1})
+    p = ExpPoly(f, {("x", "x"): 1, ("x",): 1})
     clamped = p.clamp()
     assert clamped == MultilinearPoly(f, {frozenset({"x"}): 2})
     # clamping can cancel terms
-    q = ExpPoly(f, {(("x", 2),): 1, (("x", 1),): -1})
+    q = ExpPoly(f, {("x", "x"): 1, ("x",): -1})
     assert q.clamp().is_zero()
 
 
 def test_exp_poly_from_multilinear_round_trip():
     f = Field.prime(5)
     p = MultilinearPoly(f, {frozenset({"a"}): 2, frozenset({"a", "b"}): 3})
-    assert ExpPoly.from_multilinear(p).clamp() == p
+    assert ExpPoly(f, p.terms).clamp() == p

@@ -1,7 +1,7 @@
 """Every module of the package uses every name it imports, every exception
 class is raised or caught somewhere, and files are opened and JSON is read
-or written only at the one file boundary, and one place turns a search's
-layers into a witness.
+or written only at the one file boundary, one place turns a search's
+layers into a witness, and one product path serves both polynomial kinds.
 
 No linter runs with the suite, so this parses each module with `ast` and
 fails on an imported name that no expression of the module refers to.
@@ -12,6 +12,9 @@ A call to `open` or to any `json` function outside `graphs._read_json` and
 a file is decoded and which failures name it.  A call to `search._back` or
 `search._walk` outside `search._solve` would be a second prune or walk that
 decides on its own how on-path configurations come from a search's layers.
+A call to `_mul_into` outside `_Poly.__mul__` and `nullstellensatz.verify`
+would be a second product rule, such as one that takes the multiplier's
+class where standard-mode `verify` needs the mode's.
 """
 
 import ast
@@ -78,12 +81,18 @@ _FILE_BOUNDARY = {("graphs.py", "_read_json"), ("graphs.py", "_write_json")}
 
 
 def _scoped_calls(source):
-    """(enclosing top-level function or None, called expression) of every call."""
+    """(enclosing top-level function, "Class.method" for a method of a
+    top-level class, or None; called expression) of every call."""
     for top in ast.parse(source).body:
         scope = top.name if isinstance(top, ast.FunctionDef) else None
+        methods = {}  # node -> "Class.method" of the method it sits in
+        if isinstance(top, ast.ClassDef):
+            for item in top.body:
+                if isinstance(item, ast.FunctionDef):
+                    methods.update(dict.fromkeys(ast.walk(item), f"{top.name}.{item.name}"))
         for node in ast.walk(top):
             if isinstance(node, ast.Call):
-                yield scope, node.func
+                yield methods.get(node, scope), node.func
 
 
 def _file_calls(source):
@@ -138,3 +147,24 @@ def test_search_layers_are_pruned_and_walked_only_in_solve():
              for call in _prune_calls((PACKAGE / module).read_text())]
     assert {(module, scope) for module, scope, _ in calls} == {("search.py", "_solve")}
     assert [name for *_, name in calls].count("_walk") == 1
+
+
+def _product_calls(source):
+    """(enclosing scope, as `_scoped_calls` names it) of every call to
+    `_mul_into`, bare or as an attribute such as `poly._mul_into`."""
+    return [scope for scope, func in _scoped_calls(source)
+            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None))
+            == "_mul_into"]
+
+
+def test_detects_product_calls():
+    source = ("class P:\n    def __mul__(self, o):\n        return self._mul_into(self, o, {})\n"
+              "    x = _mul_into(1)\n"
+              "def verify(c):\n    return P._mul_into(c, c, {})\n")
+    assert _product_calls(source) == [None, "P.__mul__", "verify"]
+
+
+def test_one_product_path_for_both_polynomial_kinds():
+    calls = [(module, scope) for module in sorted(p.name for p in PACKAGE.glob("*.py"))
+             for scope in _product_calls((PACKAGE / module).read_text())]
+    assert calls == [("algebra.py", "_Poly.__mul__"), ("nullstellensatz.py", "verify")]

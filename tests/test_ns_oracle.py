@@ -10,6 +10,10 @@ polynomials, certificates or search.  Core claims:
       d = min space + 1, a certificate the compiler did not produce, passes
       verify and check_weights, and extract meets space <= degree,
       time <= size - 1
+    - (c, first half) the same refutation restated in standard mode: read
+      as given it verifies with the same size and degree; with Q_sink*x_z
+      and the Boolean multiplier s_z = -Q_sink it verifies at one degree
+      more, and multilinearize and extract still meet both bounds
 """
 
 import ast
@@ -30,13 +34,14 @@ from pebcert import (
     extract,
     line,
     min_space,
+    multilinearize,
     pebbling_formula,
     pyramid,
     single_sink_restriction,
     verify,
     verify_strategy,
 )
-from pebcert.algebra import Field, MultilinearPoly
+from pebcert.algebra import ExpPoly, Field, MultilinearPoly
 from pebcert.graphs import mask_names
 
 FIELDS = {"GF(2)": 2, "GF(3)": 3, "GF(5)": 5, "Q": None}
@@ -112,9 +117,28 @@ def _check_random_refutation(graph, field, slack):
     witness = min_space(dag, "reversible", "visiting")[1]
     assert cert.multipliers != compile_strategy(dag, witness, f).multipliers
 
-    report = verify(pebbling_formula(dag), cert)
+    formula = pebbling_formula(dag)
+    report = verify(formula, cert)
     assert report.valid and report.degree <= degree
     assert check_weights(config_graph(dag, cert)).ok
     metrics = verify_strategy(dag, extract(dag, cert))
     assert metrics.space <= report.degree
     assert metrics.time <= report.size - 1
+
+    # standard mode reads the multilinear multipliers with exponent 1
+    as_given = verify(formula, Certificate(f, "standard", cert.multipliers))
+    assert (as_given.valid, as_given.size, as_given.degree) == (True, report.size, report.degree)
+    # Q_sink*x_z*x_z - Q_sink*(x_z^2 - x_z) = Q_sink*x_z: valid, one degree more
+    z = dag.designated_sink_name
+    q_sink = ExpPoly(f, cert.multipliers["sink"].terms)
+    std = Certificate(f, "standard", {**cert.multipliers,
+                                      "sink": q_sink * ExpPoly.monomial(f, [z])}, {z: -q_sink})
+    std_report = verify(formula, std)
+    assert (std_report.valid, std_report.degree) == (True, report.degree + 1)
+    assert std_report.size == report.size + 2 * q_sink.num_monomials()
+    clamped = verify(formula, multilinearize(formula, std))
+    assert clamped.valid
+    assert clamped.size <= std_report.size and clamped.degree <= std_report.degree
+    metrics = verify_strategy(dag, extract(dag, std))
+    assert metrics.space <= clamped.degree
+    assert metrics.time <= clamped.size - 1

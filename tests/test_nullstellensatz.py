@@ -18,7 +18,9 @@ import json
 import random
 import re
 import time
+from collections import Counter
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -182,7 +184,7 @@ def test_verify_standard_mode_with_boolean_multiplier():
     f = pebbling_formula(dag)
     cert = Certificate(Q, "standard", {
         "vertex:z": ExpPoly.one(Q),
-        "sink": ExpPoly.monomial(Q, (("z", 1),)),
+        "sink": ExpPoly.monomial(Q, ("z",)),
     }, {"z": ExpPoly.monomial(Q, (), -1)})
     report = verify(f, cert)
     assert report.valid
@@ -215,7 +217,7 @@ def test_standard_mode_reads_multilinear_multipliers_with_exponent_one():
     assert (report.valid, report.size, report.degree) == (True, 5, 2)
     one, x = MultilinearPoly.one(Q), MultilinearPoly.monomial(Q, ["z"])
     f = pebbling_formula(_single_vertex())
-    for kind in (lambda p: p, ExpPoly.from_multilinear):
+    for kind in (lambda p: p, lambda p: ExpPoly(Q, p.terms)):
         cert = Certificate(Q, "standard", {"vertex:z": kind(one), "sink": kind(x)},
                            {"z": kind(-one)})
         report = verify(f, cert)
@@ -467,10 +469,9 @@ def _one_coefficient_perturbed(cert):
 
 
 def _weights_record(dag, cert):
-    f = cert.field
     report = check_weights(config_graph(dag, cert))
-    return {"ok": report.ok, "empty": f.format(report.empty_weight),
-            "violations": [[sorted(c), f.format(w)] for c, w in report.violations]}
+    return {"ok": report.ok, "empty": str(report.empty_weight),
+            "violations": [[sorted(c), str(w)] for c, w in report.violations]}
 
 
 def _golden_cert_record(instance):
@@ -517,7 +518,7 @@ def test_multilinearize_standard_cert():
     f = pebbling_formula(dag)
     std = Certificate(Q, "standard", {
         "vertex:z": ExpPoly.one(Q),
-        "sink": ExpPoly.monomial(Q, (("z", 1),)),
+        "sink": ExpPoly.monomial(Q, ("z",)),
     }, {"z": ExpPoly.monomial(Q, (), -1)})
     before = verify(f, std)
     out = multilinearize(f, std)
@@ -536,9 +537,9 @@ def test_extract_standard_mode_matches_multilinearized():
     witness = min_space(dag, "reversible", "visiting")[1]
     cert = compile_strategy(dag, witness, Q)
     z = dag.designated_sink_name
-    q_sink = ExpPoly.from_multilinear(cert.multipliers["sink"])
-    multipliers = {a: ExpPoly.from_multilinear(q) for a, q in cert.multipliers.items()}
-    multipliers["sink"] = q_sink * ExpPoly.monomial(Q, ((z, 1),))
+    q_sink = ExpPoly(Q, cert.multipliers["sink"].terms)
+    multipliers = {a: ExpPoly(Q, q.terms) for a, q in cert.multipliers.items()}
+    multipliers["sink"] = q_sink * ExpPoly.monomial(Q, (z,))
     std = Certificate(Q, "standard", multipliers, {z: -q_sink})
     assert verify(f, std).valid
     moves = extract(dag, std).moves
@@ -563,7 +564,7 @@ def test_multilinearize_rejects_invalid():
 def _no_boolean_multiplier():
     # (1 - x_z) + x_z * x_z: the x_z^2 - x_z left over has no Boolean multiplier
     return Certificate(Q, "standard", {"vertex:z": ExpPoly.one(Q),
-                                       "sink": ExpPoly.monomial(Q, (("z", 1),))})
+                                       "sink": ExpPoly.monomial(Q, ("z",))})
 
 
 def test_readers_reject_a_standard_cert_that_verify_rejects():
@@ -594,7 +595,7 @@ def test_readers_judge_the_certificate_they_are_given(monkeypatch):
     dag = _single_vertex()
     f = pebbling_formula(dag)
     valid_standard = Certificate(Q, "standard", {
-        "vertex:z": ExpPoly.one(Q), "sink": ExpPoly.monomial(Q, (("z", 1),)),
+        "vertex:z": ExpPoly.one(Q), "sink": ExpPoly.monomial(Q, ("z",)),
     }, {"z": ExpPoly.monomial(Q, (), -1)})
     multilinear = compile_strategy(dag, _rv(("place", "z"), ("remove", "z")), Q)
     invalid = _no_boolean_multiplier()
@@ -626,7 +627,7 @@ def test_certificate_json_round_trip():
 def test_certificate_json_rationals_and_exponents():
     from fractions import Fraction
     cert = Certificate(Q, "standard", {
-        "sink": ExpPoly(Q, {(("z", 2),): Fraction(2, 3)}),
+        "sink": ExpPoly(Q, {("z", "z"): Fraction(2, 3)}),
     }, {"z": ExpPoly.monomial(Q, (), Fraction(-1, 3))})
     data = certificate_to_json(cert)
     assert data["multipliers"][0]["poly"][0] == {"coeff": "2/3", "vars": ["z", "z"]}
@@ -836,3 +837,136 @@ def test_extract_meets_backward_bounds(case):
     metrics = verify_strategy(dag, extract(dag, cert))
     assert metrics.space <= report.degree
     assert metrics.time <= report.size - 1
+
+
+# -- standard mode against a Counter expansion ---------------------------------
+
+
+def _mono(names):
+    """A monomial as the frozenset of its (name, exponent) pairs."""
+    return frozenset(Counter(names).items())
+
+
+def _times(m1, m2):
+    return frozenset((Counter(dict(m1)) + Counter(dict(m2))).items())
+
+
+def _counter_axioms(dag):
+    """Every axiom id and every Boolean variable -> [(monomial, coefficient)]."""
+    axioms = {"sink": [(_mono([dag.designated_sink_name]), 1)]}
+    for v in dag.names:
+        preds = list(dag.pred_names(v))
+        axioms[f"vertex:{v}"] = [(_mono(preds), 1), (_mono(preds + [v]), -1)]
+    return axioms, {v: [(_mono([v, v]), 1), (_mono([v]), -1)] for v in dag.names}
+
+
+def _add(poly, mono, c):
+    poly[mono] = poly.get(mono, 0) + c
+
+
+@st.composite
+def _standard_certificates(draw):
+    """The compiled certificate of pyramid(1) or line(3) over GF(3) or Q,
+    restated in standard mode by moves Q_a += k*x_T*(y^2 - y) with
+    s_y -= k*x_T*A_a (still valid; x_T has exponents up to 3), by
+    Q_sink -> Q_sink*x_z with s_z -= Q_sink (still valid), and, when drawn,
+    by one term k*x_T added to some Q_a or s_y.  Each multiplier whose
+    monomials are square-free is drawn as a MultilinearPoly or as an ExpPoly
+    read from JSON.  Returns the DAG, the certificate, whether it was
+    perturbed and its multipliers as plain {monomial: coefficient} dicts."""
+    build, n = draw(st.sampled_from([(pyramid, 1), (line, 3)]))
+    dag = build(n)
+    field = draw(st.sampled_from([F3, Q]))
+    axioms, boolean_axioms = _counter_axioms(dag)
+    witness = min_space(dag, "reversible", "visiting")[1]
+    multipliers = {a: {_mono(m): c for m, c in q.terms.items()}
+                   for a, q in compile_strategy(dag, witness, field).multipliers.items()}
+    booleans = {}
+    names = st.sampled_from(dag.names)
+    monos = st.dictionaries(names, st.integers(1, 3), max_size=2).map(
+        lambda exps: frozenset(exps.items()))
+    for _ in range(draw(st.integers(0, 3))):
+        a, y = draw(st.sampled_from(sorted(axioms))), draw(names)
+        t, k = draw(monos), draw(_nonzero(field))
+        _add(multipliers.setdefault(a, {}), _times(t, _mono([y, y])), k)
+        _add(multipliers[a], _times(t, _mono([y])), -k)
+        for m, c in axioms[a]:
+            _add(booleans.setdefault(y, {}), _times(t, m), -k * c)
+    if draw(st.booleans()):
+        z = dag.designated_sink_name
+        q_sink = multipliers["sink"]
+        multipliers["sink"] = {_times(m, _mono([z])): c for m, c in q_sink.items()}
+        for m, c in q_sink.items():
+            _add(booleans.setdefault(z, {}), m, -c)
+    perturbed = draw(st.booleans())
+    if perturbed:
+        if draw(st.booleans()):
+            target = multipliers.setdefault(draw(st.sampled_from(sorted(axioms))), {})
+        else:
+            target = booleans.setdefault(draw(names), {})
+        _add(target, draw(monos), draw(_nonzero(field)))
+    multipliers, booleans = ({key: _reduced(field, q) for key, q in polys.items()}
+                             for polys in (multipliers, booleans))
+
+    def to_json(q):
+        return [{"coeff": str(c), "vars": sorted(Counter(dict(m)).elements())}
+                for m, c in q.items()]
+    data = {"field": "rationals" if field.is_rationals else {"prime": field.p},
+            "mode": "standard",
+            "multipliers": [{"axiom": a, "poly": to_json(q)} for a, q in multipliers.items()],
+            "boolean_multipliers": [{"var": v, "poly": to_json(s)} for v, s in booleans.items()]}
+    loaded = certificate_from_json(data)
+
+    def kind(q, read):  # a square-free multiplier may also be a MultilinearPoly
+        if all(e == 1 for m in q for _, e in m) and draw(st.booleans()):
+            return MultilinearPoly(field, {frozenset(dict(m)): c for m, c in q.items()})
+        return read
+    cert = Certificate(field, "standard",
+                       {a: kind(q, loaded.multipliers[a]) for a, q in multipliers.items()},
+                       {y: kind(s, loaded.boolean_multipliers[y]) for y, s in booleans.items()})
+    return dag, cert, perturbed, multipliers, booleans
+
+
+def _counter_verify(dag, field, multipliers, booleans):
+    """sum_a Q_a*A_a + sum_y s_y*(y^2 - y) - 1 over Counter monomials and
+    Fraction arithmetic, sharing no code with pebcert's polynomials: the
+    residual terms, the pre-cancellation size and the largest total degree
+    of a product of a multiplier and an axiom monomial."""
+    axioms, boolean_axioms = _counter_axioms(dag)
+    total = {frozenset(): Fraction(-1)}
+    size = degree = 0
+    for q, axiom in chain(((q, axioms[a]) for a, q in multipliers.items()),
+                          ((s, boolean_axioms[y]) for y, s in booleans.items())):
+        size += len(q) * len(axiom)
+        for m1, c1 in q.items():
+            for m2, c2 in axiom:
+                m = _times(m1, m2)
+                total[m] = total.get(m, 0) + Fraction(c1) * c2
+                degree = max(degree, sum(e for _, e in m))
+    return _reduced(field, total), size, degree
+
+
+@CERT_SETTINGS
+@given(_standard_certificates())
+def test_standard_verify_matches_counter_expansion(case):
+    dag, cert, perturbed, multipliers, booleans = case
+    residual, size, degree = _counter_verify(dag, cert.field, multipliers, booleans)
+    report = verify(pebbling_formula(dag), cert)
+    assert (report.valid, report.size, report.degree) == (not perturbed, size, degree)
+    assert bool(residual) == perturbed
+    if perturbed:  # the residual's terms, read back through its JSON form
+        terms = certificate_to_json(Certificate(cert.field, "standard", {
+            "sink": report.failure_residual}))["multipliers"][0]["poly"]
+        assert {_mono(t["vars"]): cert.field.parse(t["coeff"]) for t in terms} == residual
+
+
+def test_certificate_json_orders_standard_terms_by_exponent_pairs():
+    # by degree, then by the (name, exponent) pairs: x*y before x*x, and
+    # x*y*y before x*x*y
+    given_vars = [["x", "x"], ["y", "x"], [], ["y", "y", "x"], ["y"], ["x", "y", "x"],
+                  ["y", "y"], ["x"]]
+    data = {"field": {"prime": 5}, "mode": "standard", "multipliers": [
+        {"axiom": "sink", "poly": [{"coeff": "1", "vars": v} for v in given_vars]}]}
+    poly = certificate_to_json(certificate_from_json(data))["multipliers"][0]["poly"]
+    assert [t["vars"] for t in poly] == [[], ["x"], ["y"], ["x", "y"], ["x", "x"], ["y", "y"],
+                                         ["x", "y", "y"], ["x", "x", "y"]]
