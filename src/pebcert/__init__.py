@@ -10,7 +10,6 @@ from .graphs import (
     line,
     load_graph,
     pyramid,
-    save_graph,
     single_sink_restriction,
 )
 from .nullstellensatz import (

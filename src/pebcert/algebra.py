@@ -9,9 +9,10 @@ its names, each repeated once per unit of exponent: a certificate file's
 vertex names at the API.  No floating point anywhere: prime-field elements
 are ints mod p, rational elements are fractions.
 
-Every sum is accumulated in place, one term at a time, by
-`Field.accumulate`; results are wrapped by the private `_of`, which trusts
-reduced nonzero coefficients, so only the public constructor coerces.
+`Field.accumulate` is the only coefficient arithmetic: every sum, product and
+negation is added into a term map in place and reduced there.  The public
+constructor coerces coefficients exactly and sums equal monomials through it,
+as the certificate reader does; `_of` wraps terms that are already reduced.
 """
 
 from __future__ import annotations
@@ -62,7 +63,10 @@ def _is_prime(p):
     return True
 
 class Field:
-    """A prime field GF(p) or the rationals, with exact element arithmetic."""
+    """A prime field GF(p) or the rationals, with exact element arithmetic.
+
+    `coerce` reads a number, `parse` reads text, `accumulate` is the arithmetic.
+    """
 
     __slots__ = ("p", "zero", "one")
 
@@ -86,27 +90,20 @@ class Field:
         return self.p is None
 
     def coerce(self, x):
-        if self.p is None:
-            return Fraction(x)
-        return int(x) % self.p
-
-    def add(self, a, b):
-        return a + b if self.p is None else (a + b) % self.p
-
-    def sub(self, a, b):
-        return a - b if self.p is None else (a - b) % self.p
-
-    def mul(self, a, b):
-        return a * b if self.p is None else (a * b) % self.p
-
-    def neg(self, a):
-        return -a if self.p is None else (-a) % self.p
+        """An int (not a bool), or over Q a Fraction, as an element; AlgebraError otherwise."""
+        if isinstance(x, int) and not isinstance(x, bool):
+            return Fraction(x) if self.p is None else x % self.p
+        if self.p is None and isinstance(x, Fraction):
+            return x
+        raise AlgebraError(f"{x!r} is not an exact coefficient in {self!r}")
 
     def accumulate(self, terms, mono, c):
-        """terms[mono] += c in place for a reduced c; a term that cancels is dropped."""
+        """terms[mono] += c for an int or element c, reduced; a term that cancels is dropped."""
         s = terms.get(mono)
         if s is not None:
-            c = s + c if self.p is None else (s + c) % self.p
+            c += s
+        if self.p is not None:
+            c %= self.p
         if c:
             terms[mono] = c
         elif s is not None:
@@ -148,13 +145,18 @@ class _Poly:
     __slots__ = ("field", "terms")
 
     def __init__(self, field: Field, terms=None):
+        """Coerce every coefficient exactly and sum equal monomials, as a certificate file does."""
         self.field = field
         self.terms = {}
-        if terms:
-            for mono, coeff in dict(terms).items():
-                c = field.coerce(coeff)
-                if c != field.zero:
-                    self.terms[self._norm(mono)] = c
+        for mono, coeff in dict(terms or ()).items():
+            field.accumulate(self.terms, self._read(mono), field.coerce(coeff))
+
+    @classmethod
+    def _read(cls, mono):
+        """A monomial from a collection of names; a bare string is refused."""
+        if isinstance(mono, str):
+            raise AlgebraError(f"monomial {mono!r} is a string, not a collection of names")
+        return cls._norm(mono)
 
     @classmethod
     def _of(cls, field, terms):
@@ -174,7 +176,7 @@ class _Poly:
 
     @classmethod
     def monomial(cls, field, mono, coeff=1):
-        return cls(field, {cls._norm(mono): coeff})
+        return cls(field, {cls._read(mono): coeff})
 
     def is_zero(self):
         return not self.terms
@@ -193,8 +195,10 @@ class _Poly:
         return self._of(self.field, out)
 
     def __neg__(self):
-        f = self.field
-        return self._of(f, {m: f.neg(c) for m, c in self.terms.items()})
+        out = {}
+        for m, c in self.terms.items():
+            self.field.accumulate(out, m, -c)
+        return self._of(self.field, out)
 
     def __sub__(self, other):
         return self + (-other)
@@ -218,7 +222,7 @@ class _Poly:
                 d = len(m)
                 if d > top:
                     top = d
-                f.accumulate(out, m, f.mul(c1, c2))
+                f.accumulate(out, m, c1 * c2)
         return top
 
     def __eq__(self, other):

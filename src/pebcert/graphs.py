@@ -334,10 +334,6 @@ def graph_from_json(data) -> Dag:
     return dag
 
 
-def save_graph(dag: Dag, path) -> None:
-    _write_json(dag.to_json(), path)
-
-
 def _read_json(path, parse, error):
     """`parse` of the JSON in the UTF-8 file `path`.
 

@@ -176,10 +176,10 @@ def verify(formula: PebblingFormula, cert: Certificate) -> VerifyReport:
     for q, axiom in products:
         degree = max(degree, poly._mul_into(q, axiom, total))
         size += q.num_monomials() * axiom.num_monomials()
-    residual = poly._of(f, total) - poly.one(f)
-    if residual.is_zero():
+    f.accumulate(total, poly._norm(()), -f.one)  # total becomes sum - 1
+    if not total:
         return VerifyReport(True, size, degree)
-    return VerifyReport(False, size, degree, residual)
+    return VerifyReport(False, size, degree, poly._of(f, total))
 
 
 def compile_strategy(dag: Dag, strategy: Strategy, field: Field) -> Certificate:
@@ -206,7 +206,7 @@ def compile_strategy(dag: Dag, strategy: Strategy, field: Field) -> Certificate:
     if t_prime is None:
         raise CertificateError("strategy never pebbles the sink")
 
-    plus, minus = field.one, field.neg(field.one)
+    plus, minus = field.one, field.coerce(-1)
     terms = {}  # axiom id -> {R mask: coefficient}
     for i in range(1, t_prime + 1):
         name = strategy.moves[i - 1].vertex
@@ -239,12 +239,12 @@ class ConfigGraph:
         self.edges = tuple(edges)
 
     def weights(self):
-        """Signed occurrence weight of every endpoint mask, in one pass."""
+        """Nonzero signed occurrence weight of endpoint masks, in one pass."""
         f = self.field
         out = {}
         for lo, hi, weight in self.edges:
-            out[lo] = f.add(out.get(lo, f.zero), weight)
-            out[hi] = f.sub(out.get(hi, f.zero), weight)
+            f.accumulate(out, lo, weight)
+            f.accumulate(out, hi, -weight)
         return out
 
 
@@ -289,7 +289,7 @@ def check_weights(cg: ConfigGraph) -> WeightReport:
     empty_weight = weights.get(0, f.zero)
     violations = [] if empty_weight == f.one else [(frozenset(), empty_weight)]
     violations += sorted(((mask_names(cg.names, c), w) for c, w in weights.items()
-                          if c and not c & zbit and w != f.zero),
+                          if c and not c & zbit),
                          key=lambda cw: MultilinearPoly._key(cw[0]))
     return WeightReport(not violations, empty_weight, tuple(violations))
 

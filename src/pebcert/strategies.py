@@ -18,8 +18,6 @@ where a level's checkpoints go:
 
 from __future__ import annotations
 
-import math
-
 from .errors import GraphError, ParamOutOfRange
 from .graphs import Dag, bit_reverse_index, carlson_savage, single_sink_restriction
 from .pebbling import PERSISTENT, PLACE, REMOVE, REVERSIBLE, Move, Strategy, mirrored, visiting
@@ -240,12 +238,10 @@ def strat_bit_reversal_checkpoint(n: int, k: int) -> Strategy:
 
 
 def line_visiting_price(n: int) -> int:
-    """Closed form ceil(log2(n+1))."""
-    return math.ceil(math.log2(n + 1))
+    """Closed form ceil(log2(n+1)), in integers."""
+    return n.bit_length()
 
 
 def line_persistent_price(n: int) -> int:
-    """Closed form floor(log2(n-1)) + 2 for n >= 2."""
-    if n < 2:
-        return 1
-    return math.floor(math.log2(n - 1)) + 2
+    """Closed form floor(log2(n-1)) + 2 for n >= 2, in integers; 1 below."""
+    return (n - 1).bit_length() + 1 if n >= 2 else 1

@@ -4,21 +4,31 @@ Everything is exact: prime-field elements are ints mod p, rationals are
 fractions; multilinear products clamp exponents by monomial union.
 """
 
+import re
 import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pebcert.algebra import ExpPoly, Field, MultilinearPoly
 from pebcert.errors import AlgebraError
+from pebcert.nullstellensatz import certificate_from_json
+
+Q = Field.rationals()
 
 
 def test_prime_field_arithmetic():
     f = Field.prime(5)
-    assert f.add(3, 4) == 2
-    assert f.mul(3, 4) == 2
-    assert f.neg(2) == 3
+    terms = {}
+    f.accumulate(terms, "sum", 3)
+    f.accumulate(terms, "sum", 4)
+    f.accumulate(terms, "product", 3 * 4)
+    f.accumulate(terms, "negation", -2)
+    assert terms == {"sum": 2, "product": 2, "negation": 3}
+    f.accumulate(terms, "sum", 3)
+    assert "sum" not in terms
     assert f.coerce(-1) == 4
     assert f.parse("-1") == 4
     assert str(f.parse("8")) == "3"
@@ -26,7 +36,12 @@ def test_prime_field_arithmetic():
 
 def test_rational_field_arithmetic():
     f = Field.rationals()
-    assert f.add(Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
+    terms = {}
+    f.accumulate(terms, "sum", Fraction(1, 2))
+    f.accumulate(terms, "sum", Fraction(1, 3))
+    assert terms == {"sum": Fraction(5, 6)}
+    f.accumulate(terms, "sum", -Fraction(5, 6))
+    assert terms == {}
     assert f.parse("2/3") == Fraction(2, 3)
     assert str(f.parse("-14/4")) == "-7/2"
     assert f.coerce(2) == Fraction(2)
@@ -156,3 +171,76 @@ def test_exp_poly_from_multilinear_round_trip():
     f = Field.prime(5)
     p = MultilinearPoly(f, {frozenset({"a"}): 2, frozenset({"a", "b"}): 3})
     assert ExpPoly(f, p.terms).clamp() == p
+
+
+def test_constructor_sums_equal_monomials():
+    assert MultilinearPoly(Q, {("a", "b"): 1, ("b", "a"): -1}).is_zero()
+    assert ExpPoly(Q, {("x", "y"): 1, ("y", "x"): 1}) == ExpPoly.monomial(Q, ("x", "y"), 2)
+    f = Field.prime(3)
+    assert MultilinearPoly(f, {("a",): 2, frozenset({"a"}): 2, ("a", "a"): 1}) == \
+        MultilinearPoly.monomial(f, ["a"], 2)
+
+
+@pytest.mark.parametrize("field,value,element", [
+    (Field.prime(5), 7, 2), (Field.prime(5), -1, 4), (Q, -3, Fraction(-3)),
+    (Q, Fraction(7, 2), Fraction(7, 2)),
+], ids=repr)
+def test_coerce_reads_exact_numbers(field, value, element):
+    c = field.coerce(value)
+    assert c == element and type(c) is type(element)
+
+
+@pytest.mark.parametrize("field,value", [
+    (Field.prime(5), Fraction(1, 2)), (Field.prime(5), Fraction(7, 2)),
+    (Field.prime(5), Fraction(4)), (Field.prime(5), 1.5), (Field.prime(5), 2.0),
+    (Field.prime(5), "3"), (Field.prime(5), True), (Field.prime(5), None),
+    (Q, 0.1), (Q, 2.0), (Q, "3"), (Q, "1/2"), (Q, False), (Q, None),
+], ids=repr)
+def test_coerce_refuses_inexact_numbers_and_text(field, value):
+    message = f"^{re.escape(repr(value))} is not an exact coefficient in "
+    with pytest.raises(AlgebraError, match=message):
+        field.coerce(value)
+    for poly in (MultilinearPoly, ExpPoly):
+        with pytest.raises(AlgebraError, match=message):
+            poly(field, {("a",): value})
+        with pytest.raises(AlgebraError, match=message):
+            poly.monomial(field, ["a"], value)
+
+
+@pytest.mark.parametrize("poly", [MultilinearPoly, ExpPoly])
+def test_string_monomials_refused(poly):
+    message = "^monomial 'v1' is a string, not a collection of names$"
+    with pytest.raises(AlgebraError, match=message):
+        poly.monomial(Q, "v1")
+    with pytest.raises(AlgebraError, match=message):
+        poly(Q, {("a",): 1, "v1": 1})
+
+
+@pytest.mark.parametrize("value,expected", [
+    (lambda: repr(MultilinearPoly(Q, {(): 2, ("b", "a"): -1})), "2*1 + -1*x[a]*x[b]"),
+    (lambda: repr(ExpPoly(Q, {("y", "x", "x"): 3, ("y",): 1})), "3*x[x]^2*x[y]^1 + 1*x[y]^1"),
+    (lambda: repr(ExpPoly.zero(Q)), "0"),
+    (lambda: MultilinearPoly.zero(Q).summary(), "0"),
+    (lambda: MultilinearPoly.one(Q).__eq__(ExpPoly.one(Q)), NotImplemented),
+    (lambda: MultilinearPoly.one(Q) == 1, False),
+], ids=["repr", "repr-exponents", "repr-zero", "summary-zero", "eq-other-kind", "eq-int"])
+def test_poly_repr_summary_and_foreign_equality(value, expected):
+    assert value() == expected
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.data())
+def test_constructor_sums_like_the_certificate_reader(data):
+    # the same terms, spelled as dict keys in any name order, make the same
+    # polynomial as the certificate file's "vars" lists
+    field = data.draw(st.sampled_from([Field.prime(3), Q]))
+    mode, poly = data.draw(st.sampled_from([("multilinear", MultilinearPoly),
+                                            ("standard", ExpPoly)]))
+    coefficients = (st.integers(-4, 4) if field.p else
+                    st.fractions(min_value=-4, max_value=4, max_denominator=3))
+    terms = data.draw(st.dictionaries(st.lists(st.sampled_from("ab"), max_size=3).map(tuple),
+                                      coefficients, max_size=8))
+    entries = [{"coeff": str(c), "vars": list(mono)} for mono, c in terms.items()]
+    cert = certificate_from_json({"mode": mode, "multipliers": [{"axiom": "sink", "poly": entries}]},
+                                 field)
+    assert poly(field, terms) == cert.multipliers["sink"]

@@ -117,6 +117,21 @@ def test_line_basics():
     assert nine.max_indegree == 1
 
 
+@pytest.mark.parametrize("value,expected", [
+    (lambda: repr(line(2)), "Dag(2 vertices, 1 edges, sink='v2')"),
+    (lambda: repr(carlson_savage(2, 1)), "Dag(4 vertices, 4 edges, sink=None)"),
+    (lambda: line(2).__eq__(line(2).edge_names()), NotImplemented),
+    (lambda: line(2) == "v1 v2", False),
+], ids=["repr", "repr-no-sink", "eq-other-type", "eq-str"])
+def test_dag_repr_and_foreign_equality(value, expected):
+    assert value() == expected
+
+
+def test_unknown_vertex_name():
+    with pytest.raises(GraphError, match="^unknown vertex 'nope'$"):
+        line(2).pred_names("nope")
+
+
 def _cs_expected_size(c, r):
     # independent recount straight off the construction
     if r == 1:

@@ -28,6 +28,7 @@ from hypothesis import given, settings, strategies as st
 
 from pebcert import (
     Certificate,
+    ConfigGraph,
     Move,
     Strategy,
     bit_reversal,
@@ -131,6 +132,11 @@ def test_clause_and_polynomial_views_agree():
 def test_formula_rejects_multi_sink():
     with pytest.raises(GraphError, match="pebbling formula needs a unique designated sink"):
         pebbling_formula(carlson_savage(2, 1))
+
+
+def test_compile_rejects_multi_sink():
+    with pytest.raises(GraphError, match="^certificate compilation needs a unique designated sink$"):
+        compile_strategy(carlson_savage(2, 1), Strategy("reversible", "visiting", ()), Q)
 
 
 def test_dimacs_smoke():
@@ -369,6 +375,15 @@ def test_check_weights_line_two(field):
     assert _weight(cg, {"elsewhere"}) == field.zero
 
 
+@pytest.mark.parametrize("field", ALL_FIELDS)
+def test_weights_drop_cancelled_and_zero_weights(field):
+    # lo and hi cancel across the two edges; a zero-weight edge adds nothing
+    one = field.one
+    cg = ConfigGraph(("a", "b"), 1, field, [(0, 1, one), (0, 1, -one), (1, 3, field.zero)])
+    assert cg.weights() == {}
+    assert check_weights(cg).violations == ((frozenset(), field.zero),)
+
+
 def test_check_weights_flags_violations():
     dag = line(2)
     cert = Certificate(F3, "multilinear", {
@@ -462,7 +477,7 @@ def _one_coefficient_perturbed(cert):
     axiom_id = sorted(a for a in cert.multipliers if a != "sink")[len(cert.multipliers) // 2]
     terms = dict(cert.multipliers[axiom_id].terms)
     mono = max(terms, key=lambda m: (len(m), sorted(m)))
-    terms[mono] = f.add(terms[mono], f.one)
+    f.accumulate(terms, mono, f.one)
     multipliers = dict(cert.multipliers)
     multipliers[axiom_id] = MultilinearPoly(f, terms)
     return Certificate(f, "multilinear", multipliers)

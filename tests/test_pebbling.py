@@ -151,6 +151,16 @@ def test_verify_needs_designated_sink():
         verify_strategy(carlson_savage(2, 1), _rv((PLACE, "s1")))
 
 
+@pytest.mark.parametrize("game,flavor,message", [
+    ("chess", None, "unknown game 'chess'"),
+    (REVERSIBLE, None, "reversible strategy needs a flavor, got None"),
+    (REVERSIBLE, "standard", "reversible strategy needs a flavor, got 'standard'"),
+])
+def test_verify_rejects_unknown_game_and_missing_flavor(game, flavor, message):
+    with pytest.raises(PebblingError, match=f"^{message}$"):
+        verify_strategy(line(1), Strategy(game, flavor, _moves((PLACE, "v1"), (REMOVE, "v1"))))
+
+
 def _constructed_samples():
     from pebcert import (
         bit_reversal,

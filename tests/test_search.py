@@ -92,6 +92,19 @@ def test_multi_sink_rejected():
         min_space(carlson_savage(2, 1), "standard", "visiting")
 
 
+@pytest.mark.parametrize("game,flavor,message", [
+    ("chess", None, "unknown game 'chess'"),
+    ("reversible", None, "reversible search needs a flavor, got None"),
+    ("reversible", "standard", "reversible search needs a flavor, got 'standard'"),
+])
+def test_search_rejects_unknown_game_and_missing_flavor(game, flavor, message):
+    for call in (lambda: min_space(line(3), game, flavor),
+                 lambda: min_time_within_space(line(3), game, flavor, 2),
+                 lambda: pareto(line(3), game, flavor, 3)):
+        with pytest.raises(SearchError, match=f"^{message}$"):
+            call()
+
+
 def test_state_budget_guard():
     with pytest.raises(InstanceTooLarge):
         min_space(pyramid(3), "reversible", "visiting", state_budget=5)

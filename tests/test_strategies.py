@@ -66,6 +66,24 @@ def test_line_persistent_degenerate():
     assert verify_strategy(line(5), strat_line_persistent(5)).space == 4
 
 
+def _least_power_at_least(m):
+    """Least s with 2**s >= m."""
+    s = 0
+    while 2 ** s < m:
+        s += 1
+    return s
+
+
+def test_line_prices_are_exact_for_huge_lines():
+    # floating-point log2 rounds 2**49 - 1 and 2**49 + 1 to 2**49
+    for k in range(1, 71):
+        for n in (2 ** k - 1, 2 ** k, 2 ** k + 1):
+            assert line_visiting_price(n) == _least_power_at_least(n + 1)
+            # floor(log2(n - 1)) is one less than the least s with 2**s >= n
+            persistent = _least_power_at_least(n) + 1 if n >= 2 else 1
+            assert line_persistent_price(n) == persistent, n
+
+
 @pytest.mark.parametrize("n,k", [(16, 2), (27, 3), (64, 3), (16, 1), (5, 2), (7, 3), (1, 1)])
 def test_line_checkpoint_bounds(n, k):
     metrics = verify_strategy(line(n), strat_line_checkpoint(n, k))
@@ -90,6 +108,16 @@ def test_param_validation():
         strat_carlson_savage(2, 1, 3)
     with pytest.raises(ParamOutOfRange):
         strat_bit_reversal_small_space(6)
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: strat_line_persistent(0), "need n >= 1"),
+    (lambda: strat_bit_reversal_checkpoint(6, 1), "need a power of two >= 2"),
+    (lambda: strat_bit_reversal_checkpoint(8, 0), "need k >= 1"),
+], ids=["line_persistent(0)", "br_checkpoint(6,1)", "br_checkpoint(8,0)"])
+def test_param_validation_messages(make, message):
+    with pytest.raises(ParamOutOfRange, match=f"^{message}$"):
+        make()
 
 
 def test_same_condition_same_class_as_the_graphs():
