@@ -2,17 +2,20 @@
 
 Two polynomial representations: MultilinearPoly maps square-free monomials
 (frozensets of variable names) to nonzero field elements, multiplying by set
-union; ExpPoly tracks exponents for the standard, non-multilinear setting and
-clamps down to a MultilinearPoly.  An ExpPoly monomial is the sorted tuple of
-its names, each repeated once per unit of exponent: a certificate file's
-"vars" list.  In both, a monomial's degree is its `len`.  `terms` is keyed by
-vertex names at the API.  No floating point anywhere: prime-field elements
-are ints mod p, rational elements are fractions.
+union; ExpPoly tracks exponents for the standard, non-multilinear setting.
+An ExpPoly monomial is the sorted tuple of its names, each repeated once per
+unit of exponent: a certificate file's "vars" list.  In both, a monomial's
+degree is its `len`, and `MultilinearPoly(f, q.terms)` clamps an ExpPoly q
+(every positive exponent becomes 1).  No floating point anywhere:
+prime-field elements are ints mod p, rational elements are fractions.
 
-`Field.accumulate` is the only coefficient arithmetic: every sum, product and
-negation is added into a term map in place and reduced there.  The public
-constructor coerces coefficients exactly and sums equal monomials through it,
-as the certificate reader does; `_of` wraps terms that are already reduced.
+A variable name is a `str`, at the API as in every file.  `_read` is where a
+monomial enters: a collection of name strings, never a bare string.  The
+public constructor reads every monomial there, coerces every coefficient
+exactly and sums equal monomials, as the certificate reader does; `_of` wraps
+terms that are already reduced.  `Field.accumulate` is the only coefficient
+arithmetic: every sum, product and negation is added into a term map in
+place and reduced there.
 """
 
 from __future__ import annotations
@@ -153,10 +156,16 @@ class _Poly:
 
     @classmethod
     def _read(cls, mono):
-        """A monomial from a collection of names; a bare string is refused."""
+        """A monomial from a collection of `str` names; AlgebraError for a
+        bare string or anything else."""
         if isinstance(mono, str):
             raise AlgebraError(f"monomial {mono!r} is a string, not a collection of names")
-        return cls._norm(mono)
+        try:
+            names = cls._norm(mono)
+            "".join(names)  # a TypeError unless every name is a str
+        except TypeError:  # also for no collection, or names that cannot be hashed or sorted
+            raise AlgebraError(f"monomial {mono!r} is not a collection of name strings") from None
+        return names
 
     @classmethod
     def _of(cls, field, terms):
@@ -287,11 +296,3 @@ class ExpPoly(_Poly):
     @classmethod
     def _mono(cls, m):
         return "*".join(f"x[{v}]^{e}" for v, e in cls._key(m)) or "1"
-
-    def clamp(self) -> MultilinearPoly:
-        """Multilinearize: send every positive exponent to 1, combine terms."""
-        f = self.field
-        out = {}
-        for m, c in self.terms.items():
-            f.accumulate(out, frozenset(m), c)
-        return MultilinearPoly._of(f, out)

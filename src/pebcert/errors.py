@@ -6,9 +6,9 @@ The message carries the detail, and the CLI prints `str(exc)`.  Exit codes:
   non-sink designated sink), `ParamOutOfRange` (generator and strategy
   parameters), `PebblingError` and its `IllegalMoveAt` (moves, strategies
   and their files), `SearchError` (search arguments), `AlgebraError`
-  (fields) and `CertificateError` (certificates and their files; a
-  certificate file's field error arrives as a `CertificateError` with the
-  file name).
+  (fields, coefficients and monomials) and `CertificateError` (certificates
+  and their files; a certificate file's algebra error arrives as a
+  `CertificateError` with the file name).
 - 2, infeasible or too large: `SpaceInfeasible`, `InstanceTooLarge` and
   `TooManyVertices`.
 - 3, a broken internal guarantee: `InternalConsistencyError`.
@@ -75,7 +75,9 @@ class TooManyVertices(SearchError):
 
 class AlgebraError(ValueError):
     """A field that is not prime, or whose primality cannot be decided
-    exactly, or operands over different fields."""
+    exactly, operands over different fields, a coefficient that is not
+    exact, or a monomial that is a bare string or holds a name that is not a
+    string."""
 
 
 class CertificateError(ValueError):

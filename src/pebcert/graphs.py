@@ -81,7 +81,7 @@ class Dag:
     def _idx(self, name):
         try:
             return self.index[name]
-        except KeyError:
+        except (KeyError, TypeError):  # an unhashable name is unknown too
             raise GraphError(f"unknown vertex {name!r}") from None
 
     def depth(self):
@@ -112,26 +112,19 @@ def mask_names(names, mask) -> frozenset:
     return frozenset(out)
 
 
-def _hashable(name) -> bool:
-    try:
-        hash(name)
-    except TypeError:
-        return False
-    return True
-
-
 def build_dag(vertices, edges, designated_sink=None) -> Dag:
     """Validate and index a DAG given vertex names and (pred, succ) pairs.
 
     Vertices are re-ordered topologically (stable: ties broken by declaration
-    order).  Raises GraphError for an unhashable, duplicate or undeclared
-    name, a cycle, or a designated sink that has a successor.
+    order).  A name is a `str`, as in every file.  Raises GraphError for a
+    vertex name that is not a string, a duplicate or undeclared name, a
+    cycle, or a designated sink that has a successor.
     """
     vertices = list(vertices)
     declared = {}
     for pos, name in enumerate(vertices):
-        if not _hashable(name):
-            raise GraphError(f"vertex name {name!r} is not hashable")
+        if not isinstance(name, str):
+            raise GraphError(f"vertex name {name!r} is not a string")
         if name in declared:
             raise GraphError(f"vertex {name!r} declared twice")
         declared[name] = pos
@@ -140,7 +133,7 @@ def build_dag(vertices, edges, designated_sink=None) -> Dag:
     preds = {name: set() for name in vertices}
     for a, b in edges:
         for end in (a, b):
-            if not _hashable(end) or end not in declared:
+            if not isinstance(end, str) or end not in declared:
                 raise GraphError(f"edge endpoint {end!r} not declared")
         succs[a].add(b)
         preds[b].add(a)
@@ -169,7 +162,7 @@ def build_dag(vertices, edges, designated_sink=None) -> Dag:
 
     sink_idx = None
     if designated_sink is not None:
-        if not _hashable(designated_sink) or designated_sink not in index:
+        if not isinstance(designated_sink, str) or designated_sink not in index:
             raise GraphError(f"designated sink {designated_sink!r} not declared")
         sink_idx = index[designated_sink]
         if succs[designated_sink]:
@@ -327,11 +320,7 @@ def graph_from_json(data) -> Dag:
     if not (isinstance(edges, list)
             and all(isinstance(e, list) and len(e) == 2 for e in edges)):
         raise GraphError(f'"edges" must be a list of [tail, head] pairs, got {edges!r}')
-    dag = build_dag(vertices, [tuple(e) for e in edges], data.get("sink"))
-    for name in dag.names:
-        if not isinstance(name, str):
-            raise GraphError(f"vertex name {name!r} is not a string")
-    return dag
+    return build_dag(vertices, [tuple(e) for e in edges], data.get("sink"))
 
 
 def _read_json(path, parse, error):

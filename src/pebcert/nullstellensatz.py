@@ -10,8 +10,9 @@ size = time + 1 and degree = space exactly.
 
 Every axiom id is decoded by `PebblingFormula.axiom`, the one table that
 verify, axiom_poly and config_graph share.  `Certificate` checks its own
-shape (mode, multiplier kinds, one field) when built, and `verify` alone
-decides validity: `multilinearize` and `extract` judge their input by it.
+shape (mode, string keys, multiplier kinds, one field) when built, and
+`verify` alone decides validity: `multilinearize` and `extract` judge their
+input by it.
 The compiler turns each step of a reversible pebbling prefix into the
 telescoping term sign * x_R * A_v with R = P_i - {v_i} - pred(v_i), read off
 the DAG's move table, and closes with A_sink * x_{P_t' - {z}}.  The
@@ -82,7 +83,7 @@ class PebblingFormula:
         """(pred names, vertex name) of a vertex axiom; ({z}, None) for the sink axiom."""
         try:
             return self._axioms[axiom_id]
-        except KeyError:
+        except (KeyError, TypeError):  # an unhashable id is unknown too
             raise CertificateError(f"unknown axiom {axiom_id!r}") from None
 
     def axiom_poly(self, axiom_id: str, field: Field) -> MultilinearPoly:
@@ -125,7 +126,8 @@ class Certificate:
     Multilinear mode holds MultilinearPoly multipliers and no Boolean-axiom
     multipliers; standard mode holds MultilinearPoly or ExpPoly multipliers
     and boolean_multipliers (variable -> multiplier of x^2 - x) of either
-    kind.  Every polynomial is over `field`.
+    kind.  Every key, an axiom id or a variable name, is a `str`, and every
+    polynomial is over `field`.
     """
 
     field: Field
@@ -140,6 +142,8 @@ class Certificate:
             raise CertificateError("multilinear certificates have no Boolean multipliers")
         kinds = MultilinearPoly if self.mode == MULTILINEAR else (MultilinearPoly, ExpPoly)
         for key, q in chain(self.multipliers.items(), self.boolean_multipliers.items()):
+            if not isinstance(key, str):
+                raise CertificateError(f"multiplier key {key!r} is not a string")
             if not isinstance(q, kinds):
                 raise CertificateError(f"multiplier for {key!r} is not a {self.mode} polynomial")
             if q.field != self.field:
@@ -351,8 +355,9 @@ def multilinearize(formula: PebblingFormula, cert: Certificate) -> Certificate:
             f"certificate does not verify; residual: {report.failure_residual.summary()}")
     if cert.mode == MULTILINEAR:
         return cert
-    out = Certificate(cert.field, MULTILINEAR, {a: q.clamp() if isinstance(q, ExpPoly) else q
-                                                for a, q in cert.multipliers.items()})
+    out = Certificate(cert.field, MULTILINEAR, {  # the constructor clamps an ExpPoly's terms
+        a: MultilinearPoly(cert.field, q.terms) if isinstance(q, ExpPoly) else q
+        for a, q in cert.multipliers.items()})
     if not verify(formula, out).valid:
         raise InternalConsistencyError("the clamped copy of a valid certificate does not verify")
     return out
@@ -396,8 +401,6 @@ def certificate_from_json(data, field: Field | None = None) -> Certificate:
             multipliers[entry["axiom"]] = _poly_from_json(field, entry["poly"], mode)
         booleans = {}
         for entry in data.get("boolean_multipliers", []):
-            if not isinstance(entry["var"], str):
-                raise CertificateError(f'"var" must be a name string, got {entry["var"]!r}')
             if entry["var"] in booleans:
                 raise CertificateError(f'repeated "var" {entry["var"]!r}')
             booleans[entry["var"]] = _poly_from_json(field, entry["poly"], STANDARD_MODE)
@@ -412,9 +415,9 @@ def _poly_from_json(field, entries, mode):
     parsed = {}  # coefficient text -> element; a text is parsed once per polynomial
     for e in entries:
         names = e["vars"]
-        if not isinstance(names, list) or not all(isinstance(v, str) for v in names):
+        if not isinstance(names, list):
             raise CertificateError(f'"vars" must be a list of name strings, got {names!r}')
-        mono = poly._norm(names)
+        mono = poly._read(names)
         text = e["coeff"]
         if isinstance(text, str) and text in parsed:
             coeff = parsed[text]

@@ -67,10 +67,10 @@ def visiting(moves, sink: str) -> Strategy:
 
 def _move_mask(dag, config_mask, move, game):
     """Next configuration bitmask, or raise PebblingError for an illegal move."""
-    v = dag.index.get(move.vertex)
-    if v is None:
-        raise PebblingError(f"unknown vertex {move.vertex!r}")
-    bit, pred_mask = dag.toggles[v]
+    try:
+        bit, pred_mask = dag.toggles[dag.index[move.vertex]]
+    except (KeyError, TypeError):  # an unhashable name is unknown too
+        raise PebblingError(f"unknown vertex {move.vertex!r}") from None
     if move.op == PLACE:
         if config_mask & bit:
             raise PebblingError(f"{move.vertex} already pebbled")

@@ -55,7 +55,7 @@ def test_build_unknown_edge_endpoint():
 
 
 def test_build_unhashable_names():
-    with pytest.raises(GraphError, match="is not hashable"):
+    with pytest.raises(GraphError, match=r"^vertex name \['a'\] is not a string$"):
         build_dag([["a"]], [])
     with pytest.raises(GraphError, match=r"edge endpoint \['b'\] not declared"):
         build_dag(["a"], [("a", ["b"])])
@@ -130,6 +130,16 @@ def test_dag_repr_and_foreign_equality(value, expected):
 def test_unknown_vertex_name():
     with pytest.raises(GraphError, match="^unknown vertex 'nope'$"):
         line(2).pred_names("nope")
+
+
+def test_unhashable_vertex_name_is_unknown():
+    with pytest.raises(GraphError, match=r"^unknown vertex \{'a'\}$"):
+        line(2).pred_names({"a"})
+
+
+def test_restriction_to_unhashable_sink_is_unknown():
+    with pytest.raises(GraphError, match=r"^unknown vertex \['a'\]$"):
+        single_sink_restriction(line(2), ["a"])
 
 
 def _cs_expected_size(c, r):

@@ -1,15 +1,20 @@
-"""Every module of the package uses every name it imports, every exception
-class is raised or caught somewhere, and files are opened and JSON is read
-or written only at the one file boundary, one place turns a search's
-layers into a witness, and one product path serves both polynomial kinds.
+"""Every module of the package uses every name it imports, every private
+function, class and method is referenced somewhere, every exception class
+is raised or caught somewhere, and files are opened and JSON is read or
+written only at the one file boundary, one place turns a search's layers
+into a witness, and one product path serves both polynomial kinds.
 
 No linter runs with the suite, so this parses each module with `ast` and
 fails on an imported name that no expression of the module refers to.
-`__init__.py` is skipped: its imports are the package's public API.  A class
-defined in `errors.py` that no other module raises or catches is dead code.
-A call to `open` or to any `json` function outside `graphs._read_json` and
-`graphs._write_json` would be a loader or writer that decides on its own how
-a file is decoded and which failures name it.  A call to `search._back` or
+`__init__.py` is skipped: its imports are the package's public API.  A
+private top-level function or class, or a private method of a top-level
+class, that no name or attribute in the package refers to is dead code, as
+is a class defined in `errors.py` that no other module raises or catches.
+A call to `open`, to a `Path`-style `.open`, `.read_text`, `.write_text`,
+`.read_bytes` or `.write_bytes`, or to any `json` function outside
+`graphs._read_json`, `graphs._write_json` and `cli._emit` (the one writer of
+CSV, DIMACS and generated graph text) would be a loader or writer that
+decides on its own how a file is decoded and which failures name it.  A call to `search._back` or
 `search._walk` outside `search._solve` would be a second prune or walk that
 decides on its own how on-path configurations come from a search's layers.
 A call to `_mul_into` outside `_Poly.__mul__` and `nullstellensatz.verify`
@@ -48,6 +53,44 @@ def test_no_unused_imports(module):
     assert _unused_imports((PACKAGE / module).read_text()) == []
 
 
+def _private_definitions(source):
+    """Private names (`_x`, not dunders) of the top-level functions and
+    classes of `source` and of the methods of its top-level classes."""
+    names = []
+    for top in ast.parse(source).body:
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            names.append(top.name)
+        if isinstance(top, ast.ClassDef):
+            names += [item.name for item in top.body if isinstance(item, ast.FunctionDef)]
+    return {n for n in names if n.startswith("_") and not (n.startswith("__") and n.endswith("__"))}
+
+
+def _unreferenced_private(sources):
+    """Private definitions of `sources` that no `ast.Name` or `ast.Attribute`
+    of any of them refers to."""
+    defined, used = set(), set()
+    for source in sources:
+        defined |= _private_definitions(source)
+        used |= {node.id if isinstance(node, ast.Name) else node.attr
+                 for node in ast.walk(ast.parse(source))
+                 if isinstance(node, (ast.Name, ast.Attribute))}
+    return sorted(defined - used)
+
+
+def test_detects_unreferenced_private_code():
+    defining = ("def _dead():\n    pass\ndef _used():\n    pass\n"
+                "class _Box:\n    def __init__(self):\n        self._live()\n"
+                "    def _live(self):\n        pass\n    def _idle(self):\n        pass\n"
+                "    def _nested(self):\n        def _inner():\n            pass\n")
+    using = "from m import _used\n_used()\nx = _Box()._nested\n"
+    assert _unreferenced_private([defining, using]) == ["_dead", "_idle"]
+    assert _unreferenced_private([defining]) == ["_Box", "_dead", "_idle", "_nested", "_used"]
+
+
+def test_every_private_definition_is_referenced():
+    assert _unreferenced_private([p.read_text() for p in PACKAGE.glob("*.py")]) == []
+
+
 def _raised_or_caught(source):
     """Names in `raise X`, `raise X(...)` and `except X` / `except (X, Y)` clauses."""
     names = set()
@@ -77,7 +120,9 @@ def test_every_error_class_is_raised_or_caught():
     assert sorted(defined - used) == []
 
 
-_FILE_BOUNDARY = {("graphs.py", "_read_json"), ("graphs.py", "_write_json")}
+_FILE_BOUNDARY = {("graphs.py", "_read_json"), ("graphs.py", "_write_json"),
+                  ("cli.py", "_emit")}
+_PATH_FILE_METHODS = {"open", "read_text", "write_text", "read_bytes", "write_bytes"}
 
 
 def _scoped_calls(source):
@@ -97,7 +142,8 @@ def _scoped_calls(source):
 
 def _file_calls(source):
     """(enclosing top-level function or None, called name) of every call to
-    `open` or to a `json` function."""
+    `open`, to a `json` function, or to a method named in _PATH_FILE_METHODS
+    (as ".name")."""
     calls = []
     for scope, func in _scoped_calls(source):
         if isinstance(func, ast.Name) and func.id == "open":
@@ -105,14 +151,20 @@ def _file_calls(source):
         elif (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
               and func.value.id == "json"):
             calls.append((scope, f"json.{func.attr}"))
+        elif isinstance(func, ast.Attribute) and func.attr in _PATH_FILE_METHODS:
+            calls.append((scope, f".{func.attr}"))
     return calls
 
 
 def test_detects_file_calls():
     source = ("import json\nx = json.loads('1')\n"
               "def f(p):\n    with open(p) as fh:\n        return json.load(fh)\n"
-              "def g(p):\n    return Path(p).open()\n")
-    assert _file_calls(source) == [(None, "json.loads"), ("f", "open"), ("f", "json.load")]
+              "def g(p):\n    return Path(p).open()\n"
+              "def h(p, t):\n    p.write_text(t)\n    p.read_bytes()\n"
+              "    return Path(p).read_text(), p.write_bytes(b''), p.name.upper()\n")
+    assert _file_calls(source) == [
+        (None, "json.loads"), ("f", "open"), ("f", "json.load"), ("g", ".open"),
+        ("h", ".write_text"), ("h", ".read_bytes"), ("h", ".read_text"), ("h", ".write_bytes")]
 
 
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))

@@ -184,6 +184,11 @@ def test_verify_unknown_axiom():
         verify(f, cert)
 
 
+def test_unhashable_axiom_is_unknown():
+    with pytest.raises(CertificateError, match=r"^unknown axiom \['sink'\]$"):
+        pebbling_formula(line(2)).axiom_poly(["sink"], F2)
+
+
 def test_verify_standard_mode_with_boolean_multiplier():
     # Q_z = 1, Q_sink = x_z, s_z = -1:  (1-x) + x*x - (x^2-x) = 1
     dag = _single_vertex()
@@ -280,6 +285,12 @@ def test_compile_rejects_bad_input():
     assert info.value.step == 1
     with pytest.raises(CertificateError, match="strategy never pebbles the sink"):
         compile_strategy(dag, _rv(("place", "v1"), ("remove", "v1")), F2)
+
+
+def test_compile_unhashable_vertex_is_unknown():
+    with pytest.raises(IllegalMoveAt) as info:
+        compile_strategy(line(2), _rv(("place", ["v1"]),), F2)
+    assert (info.value.step, info.value.cause) == (1, "unknown vertex ['v1']")
 
 
 def test_compile_field_independent():
@@ -827,7 +838,8 @@ def test_verify_and_weights_match_naive_sums(case):
     # the standard-mode residual clamps to the multilinear one
     standard = verify(formula, Certificate(f, "standard", cert.multipliers))
     assert standard.size == size
-    assert (standard.failure_residual or ExpPoly.zero(f)).clamp().terms == residual
+    assert MultilinearPoly(f, (standard.failure_residual or ExpPoly.zero(f)).terms).terms \
+        == residual
 
     cg = config_graph(dag, cert)
     edges, naive = _naive_weights(dag, cert)

@@ -98,6 +98,12 @@ def test_step_unknown_vertex_names_no_step():
     assert str(err) == "illegal move at step 1: unknown vertex 'zz'"
 
 
+def test_verify_unhashable_vertex_is_unknown():
+    with pytest.raises(IllegalMoveAt) as err:
+        verify_strategy(line(2), _rv((PLACE, ["v1"])))
+    assert (err.value.step, err.value.cause) == (1, "unknown vertex ['v1']")
+
+
 def test_verify_single_vertex_line():
     m = verify_strategy(line(1), _rv((PLACE, "v1"), (REMOVE, "v1")))
     assert (m.time, m.space, m.first_sink_step) == (2, 1, 1)
