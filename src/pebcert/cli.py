@@ -204,7 +204,7 @@ def cmd_cert(args) -> int:
 
 
 def _upper_bound_candidates(args, dag, flavor):
-    """Constructive strategies applicable to the family, measured on `dag`."""
+    """Metrics on `dag` of the constructive strategies applicable to the family."""
     family = args.family
     out = []
     if family == "line":
@@ -227,7 +227,7 @@ def _upper_bound_candidates(args, dag, flavor):
         out.append(strat_bit_reversal_small_space(args.n))
         for k in range(1, max(1, (args.n - 1).bit_length()) + 1):
             out.append(strat_bit_reversal_checkpoint(args.n, k))
-    return [(verify_strategy(dag, strat), strat) for strat in out]
+    return [verify_strategy(dag, strat) for strat in out]
 
 
 def cmd_tradeoff(args) -> int:
@@ -245,7 +245,7 @@ def cmd_tradeoff(args) -> int:
         if args.family == "cs":
             value = cs_lower_bound(args.c, args.r, p.space)
             bound = str(math.ceil(value))
-        upper = [m.time for m, _ in candidates if m.space <= p.space]
+        upper = [m.time for m in candidates if m.space <= p.space]
         upper_time = str(min(upper)) if upper else ""
         cert_size = cert_degree = ""
         if game == REVERSIBLE and flavor == VISITING:

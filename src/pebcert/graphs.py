@@ -1,12 +1,13 @@
 """DAG model, validation, and the graph families used by the toolkit.
 
-Vertices carry string names.  Validation assigns every vertex a dense integer
-index in topological order, so every edge goes from a lower to a higher index;
-this is the acyclicity certificate.  All structures are immutable after
-construction.
+Vertices carry string names.  build_dag judges a graph's shape, names and
+acyclicity for the API and the graph file alike, and indexes the vertices
+densely in topological order, so every edge goes from a lower to a higher
+index; Dag derives its tables from that.  All structures are immutable.
 
-Generated-family naming is fixed so strategies and certificate files stay
-portable across runs:
+The generators judge each family's parameters (an `int`, not a `bool`), and
+the strategies take their checks and chain names from them.  Generated-family
+naming is fixed so strategies and certificate files stay portable across runs:
 
   line(n)              v1 .. vn
   pyramid(h)           v{row}_{i}; row 0 holds the h+1 sources, row h the
@@ -29,24 +30,26 @@ from .errors import GraphError, ParamOutOfRange
 class Dag:
     """Validated directed acyclic graph with optional designated sink.
 
-    Do not construct directly; use build_dag or a family generator.
-    `names` is the vertex list in topological-index order, `preds[i]` the
-    sorted predecessor indices of vertex i, and `sinks` every vertex with
-    outdegree 0 (ascending index).  `toggles[i]` is the move table entry
-    (1 << i, predecessor mask of i): a reversible move on i, and a placement
-    on i in either game, is legal exactly when the predecessor mask is
-    pebbled.
+    Built only by build_dag and single_sink_restriction from checked input:
+    `names` in topological-index order, `preds[i]` the sorted predecessor
+    indices of vertex i, and the designated sink's index or None.  Derived
+    here: `index` (name to index), `edges` (ascending (tail, head) index
+    pairs) and `sinks` (every vertex of outdegree 0, ascending).  `toggles[i]`
+    is the move table entry (1 << i, predecessor mask of i): a reversible
+    move on i, and a placement on i in either game, is legal exactly when
+    the predecessor mask is pebbled.
     """
 
     __slots__ = ("names", "index", "preds", "edges", "sinks",
                  "designated_sink", "max_indegree", "toggles")
 
-    def __init__(self, names, index, preds, edges, sinks, designated_sink):
+    def __init__(self, names, preds, designated_sink):
         self.names = names
-        self.index = index
+        self.index = {name: i for i, name in enumerate(names)}
         self.preds = preds
-        self.edges = edges
-        self.sinks = sinks
+        self.edges = tuple(sorted((p, v) for v, ps in enumerate(preds) for p in ps))
+        tails = {p for ps in preds for p in ps}
+        self.sinks = tuple(v for v in range(len(names)) if v not in tails)
         self.designated_sink = designated_sink
         self.max_indegree = max((len(p) for p in preds), default=0)
         self.toggles = tuple((1 << v, sum(1 << p for p in ps)) for v, ps in enumerate(preds))
@@ -57,9 +60,8 @@ class Dag:
     def __eq__(self, other):
         if not isinstance(other, Dag):
             return NotImplemented
-        return (self.names == other.names
-                and self.edge_names() == other.edge_names()
-                and self.designated_sink_name == other.designated_sink_name)
+        return ((self.names, self.preds, self.designated_sink)
+                == (other.names, other.preds, other.designated_sink))
 
     def __repr__(self):
         sink = self.designated_sink_name
@@ -67,9 +69,7 @@ class Dag:
 
     @property
     def designated_sink_name(self):
-        if self.designated_sink is None:
-            return None
-        return self.names[self.designated_sink]
+        return None if self.designated_sink is None else self.names[self.designated_sink]
 
     @property
     def sink_names(self):
@@ -116,11 +116,16 @@ def build_dag(vertices, edges, designated_sink=None) -> Dag:
     """Validate and index a DAG given vertex names and (pred, succ) pairs.
 
     Vertices are re-ordered topologically (stable: ties broken by declaration
-    order).  A name is a `str`, as in every file.  Raises GraphError for a
-    vertex name that is not a string, a duplicate or undeclared name, a
-    cycle, or a designated sink that has a successor.
+    order).  `vertices` is a list or tuple of `str` names and `edges` one of
+    two-item lists or tuples, as in the graph file.  Raises GraphError, with
+    the file reader's messages, for any other shape, and for a duplicate or
+    undeclared name, a cycle, or a designated sink that has a successor.
     """
-    vertices = list(vertices)
+    if not isinstance(vertices, (list, tuple)):
+        raise GraphError(f'"vertices" must be a list of names, got {vertices!r}')
+    if not (isinstance(edges, (list, tuple))
+            and all(isinstance(e, (list, tuple)) and len(e) == 2 for e in edges)):
+        raise GraphError(f'"edges" must be a list of [tail, head] pairs, got {edges!r}')
     declared = {}
     for pos, name in enumerate(vertices):
         if not isinstance(name, str):
@@ -129,51 +134,46 @@ def build_dag(vertices, edges, designated_sink=None) -> Dag:
             raise GraphError(f"vertex {name!r} declared twice")
         declared[name] = pos
 
-    succs = {name: set() for name in vertices}
-    preds = {name: set() for name in vertices}
+    succs = [set() for _ in vertices]
+    preds = [set() for _ in vertices]
     for a, b in edges:
         for end in (a, b):
             if not isinstance(end, str) or end not in declared:
                 raise GraphError(f"edge endpoint {end!r} not declared")
-        succs[a].add(b)
-        preds[b].add(a)
+        succs[declared[a]].add(declared[b])
+        preds[declared[b]].add(declared[a])
 
-    # Kahn's algorithm; min-heap on declaration position keeps the output
-    # order deterministic and close to the declared order.
-    indeg = {name: len(preds[name]) for name in vertices}
-    ready = [declared[name] for name in vertices if indeg[name] == 0]
-    heapq.heapify(ready)
+    # Kahn's algorithm over declaration positions; the min-heap keeps the
+    # output order deterministic and close to the declared order.
+    indeg = [len(p) for p in preds]
+    ready = [pos for pos, d in enumerate(indeg) if d == 0]  # ascending: a heap
     order = []
     while ready:
-        name = vertices[heapq.heappop(ready)]
-        order.append(name)
-        for succ in succs[name]:
+        pos = heapq.heappop(ready)
+        order.append(pos)
+        for succ in succs[pos]:
             indeg[succ] -= 1
             if indeg[succ] == 0:
-                heapq.heappush(ready, declared[succ])
+                heapq.heappush(ready, succ)
     if len(order) != len(vertices):
-        stuck = sorted(set(vertices) - set(order))
-        raise GraphError(f"cycle through {stuck}")
+        raise GraphError(f"cycle through {sorted(v for v, d in zip(vertices, indeg) if d)}")
 
-    index = {name: i for i, name in enumerate(order)}
-    pred_idx = tuple(tuple(sorted(index[p] for p in preds[name])) for name in order)
-    edge_idx = tuple(sorted((index[a], index[b]) for a, b in set(map(tuple, edges))))
-    sinks = tuple(i for i, name in enumerate(order) if not succs[name])
-
+    rank = {pos: i for i, pos in enumerate(order)}
     sink_idx = None
     if designated_sink is not None:
-        if not isinstance(designated_sink, str) or designated_sink not in index:
+        if not isinstance(designated_sink, str) or designated_sink not in declared:
             raise GraphError(f"designated sink {designated_sink!r} not declared")
-        sink_idx = index[designated_sink]
-        if succs[designated_sink]:
+        if succs[declared[designated_sink]]:
             raise GraphError(f"{designated_sink!r} has successors")
+        sink_idx = rank[declared[designated_sink]]
 
-    return Dag(tuple(order), index, pred_idx, edge_idx, sinks, sink_idx)
+    return Dag(tuple(vertices[pos] for pos in order),
+               tuple(tuple(sorted(rank[p] for p in preds[pos])) for pos in order), sink_idx)
 
 
 def line(n: int) -> Dag:
     """Path v1 -> v2 -> ... -> vn with sink vn."""
-    if n < 1:
+    if type(n) is not int or n < 1:
         raise ParamOutOfRange("line needs n >= 1")
     names = [f"v{i}" for i in range(1, n + 1)]
     edges = [(names[i], names[i + 1]) for i in range(n - 1)]
@@ -186,7 +186,7 @@ def pyramid(h: int) -> Dag:
     Row 0 holds the h+1 sources; vertex v{r}_{i} (1-based i) has
     predecessors v{r-1}_{i} and v{r-1}_{i+1}.  (h+1)(h+2)/2 vertices.
     """
-    if h < 0:
+    if type(h) is not int or h < 0:
         raise ParamOutOfRange("pyramid needs h >= 0")
     names, edges = _pyramid_parts(h, "")
     return build_dag(names, edges, names[-1])
@@ -210,8 +210,9 @@ def bit_reversal(n: int) -> Dag:
 
     Two chained lines x1..xn and y1..yn plus cross edges x_i -> y_{sigma(i)},
     where sigma reverses the log2(n)-bit representation of i-1 (1-based).
+    `names` is x1..xn, then y1..yn.
     """
-    if n < 2 or n & (n - 1):
+    if type(n) is not int or n < 2 or n & (n - 1):
         raise ParamOutOfRange(f"bit_reversal needs a power of two >= 2, got {n}")
     bits = n.bit_length() - 1
     xs = [f"x{i}" for i in range(1, n + 1)]
@@ -242,7 +243,7 @@ def carlson_savage(c: int, r: int) -> Dag:
     ends in sink j.  `sinks` lists the c sinks in spine order; no designated
     sink is set.
     """
-    if c < 2 or r < 1:
+    if type(c) is not int or type(r) is not int or c < 2 or r < 1:
         raise ParamOutOfRange("carlson_savage needs c >= 2 and r >= 1")
     names, edges, _ = _cs_parts(c, r, "")
     return build_dag(names, edges, None)
@@ -299,10 +300,10 @@ def single_sink_restriction(dag: Dag, sink: str) -> Dag:
     for v in range(idx, -1, -1):  # every predecessor has a lower index
         if v in keep:
             keep.update(dag.preds[v])
-    names = [dag.names[i] for i in sorted(keep)]
-    kept = set(names)
-    edges = [(a, b) for a, b in dag.edge_names() if a in kept and b in kept]
-    return build_dag(names, edges, sink)
+    keep = sorted(keep)  # ascending indices: already a topological order
+    new = {v: i for i, v in enumerate(keep)}
+    return Dag(tuple(dag.names[v] for v in keep),
+               tuple(tuple(new[p] for p in dag.preds[v]) for v in keep), new[idx])
 
 
 def load_graph(path) -> Dag:
@@ -315,12 +316,7 @@ def graph_from_json(data) -> Dag:
         vertices, edges = data["vertices"], data["edges"]
     except (KeyError, TypeError) as exc:
         raise GraphError(f"malformed graph JSON: {exc}") from None
-    if not isinstance(vertices, list):
-        raise GraphError(f'"vertices" must be a list of names, got {vertices!r}')
-    if not (isinstance(edges, list)
-            and all(isinstance(e, list) and len(e) == 2 for e in edges)):
-        raise GraphError(f'"edges" must be a list of [tail, head] pairs, got {edges!r}')
-    return build_dag(vertices, [tuple(e) for e in edges], data.get("sink"))
+    return build_dag(vertices, edges, data.get("sink"))
 
 
 def _read_json(path, parse, error):

@@ -101,12 +101,19 @@ def _check_search(dag, game, flavor, state_budget):
     if len(dag) > MAX_VERTICES:
         raise TooManyVertices(f"search holds a configuration in {MAX_VERTICES} bits; "
                               f"the graph has {len(dag)} vertices")
+    _check_int("state budget", state_budget)
     if state_budget < 1:
-        raise SearchError(f"state budget must be at least 1, got {state_budget}")
+        raise SearchError(f"state budget must be at least 1, got {state_budget!r}")
     if game not in (STANDARD, REVERSIBLE):
         raise SearchError(f"unknown game {game!r}")
     if game == REVERSIBLE and flavor not in (VISITING, PERSISTENT):
         raise SearchError(f"reversible search needs a flavor, got {flavor!r}")
+
+
+def _check_int(what, value):
+    """Refuse a count that is not an `int`; a `bool` is not one."""
+    if type(value) is not int:
+        raise SearchError(f"{what} must be an integer, got {value!r}")
 
 
 class _End:
@@ -283,12 +290,13 @@ def min_time_within_space(dag: Dag, game: str, flavor: str | None, space: int,
     plus final clean-up size.  Raises SpaceInfeasible below min_space.
     """
     _check_search(dag, game, flavor, state_budget)
+    _check_int("space", space)
     if space < 1:
         raise SpaceInfeasible("budget below one pebble")
     found = _solve(dag, game, flavor, space, state_budget)
     if found is None:
         kind = f"{flavor} reversible" if game == REVERSIBLE else "standard"
-        raise SpaceInfeasible(f"no {kind} pebbling in space {space}")
+        raise SpaceInfeasible(f"no {kind} pebbling in space {space!r}")
     return found
 
 
@@ -313,11 +321,13 @@ def pareto(dag: Dag, game: str, flavor: str | None, s_max: int | None = None,
 
     s_max defaults to min_space + 2.  Each budget is searched once.
     """
+    if s_max is not None:
+        _check_int("s_max", s_max)
     ms, witness = min_space(dag, game, flavor, state_budget)
     if s_max is None:
         s_max = ms + 2
     if s_max < ms:
-        raise SpaceInfeasible(f"s_max {s_max} below min space {ms}")
+        raise SpaceInfeasible(f"s_max {s_max!r} below min space {ms}")
     points = [TradeoffPoint(ms, len(witness.moves), witness)]
     for s in range(ms + 1, s_max + 1):
         t, witness = min_time_within_space(dag, game, flavor, s, state_budget)

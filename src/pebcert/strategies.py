@@ -1,7 +1,9 @@
 """Constructive pebbling strategies with known space/time guarantees.
 
 Each constructor returns a Strategy for the named generated graph; callers
-verify it with verify_strategy against the matching generator output.  Every
+verify it with verify_strategy against the matching generator output.  The
+generator judges the family's parameters, and its graph's names are the
+chains: `line(n).names`, and `bit_reversal(n).names` (bottom, then top).  Every
 reversible visiting strategy is a forward half passed to `pebbling.visiting`,
 which keeps it up to its first sink visit and appends that prefix's mirror.
 
@@ -19,7 +21,8 @@ where a level's checkpoints go:
 from __future__ import annotations
 
 from .errors import GraphError, ParamOutOfRange
-from .graphs import Dag, bit_reverse_index, carlson_savage, single_sink_restriction
+from .graphs import (Dag, bit_reversal, bit_reverse_index, carlson_savage, line,
+                     single_sink_restriction)
 from .pebbling import PERSISTENT, PLACE, REMOVE, REVERSIBLE, Move, Strategy, mirrored, visiting
 
 
@@ -80,9 +83,7 @@ def _space_optimal(d):
 
 def strat_line_visiting(n: int) -> Strategy:
     """Visiting pebbling of line(n) with space exactly ceil(log2(n+1))."""
-    if n < 1:
-        raise ParamOutOfRange("need n >= 1")
-    chain = [f"v{i}" for i in range(1, n + 1)]
+    chain = line(n).names
     return visiting(_moves_on_chain(_space_optimal(n), chain), chain[-1])
 
 
@@ -92,9 +93,7 @@ def strat_line_persistent(n: int) -> Strategy:
     Reaches v_{n-1} with the visiting forward half, places v_n, and unwinds
     the forward half with the sink pebble in place.
     """
-    if n < 1:
-        raise ParamOutOfRange("need n >= 1")
-    chain = [f"v{i}" for i in range(1, n + 1)]
+    chain = line(n).names
     moves = _moves_on_chain(_place(0, n, (n - 1).bit_length(), _halves), chain)
     return Strategy(REVERSIBLE, PERSISTENT, tuple(moves))
 
@@ -120,9 +119,9 @@ def _serviced(positions, chain, service):
 
 def strat_line_checkpoint(n: int, k: int) -> Strategy:
     """Visiting pebbling of line(n) in space <= 2k*ceil(n^(1/k)), time <= 2^k*n."""
-    if n < 1 or k < 1:
-        raise ParamOutOfRange("need n >= 1 and k >= 1")
-    chain = [f"v{i}" for i in range(1, n + 1)]
+    chain = line(n).names
+    if type(k) is not int or k < 1:
+        raise ParamOutOfRange("need k >= 1")
     return visiting(_moves_on_chain(_fwd(0, n, k, _segments), chain), chain[-1])
 
 
@@ -186,9 +185,9 @@ def strat_carlson_savage(c: int, r: int, sink_index: int) -> Strategy:
 
     Measured space stays within r * (log2(c*r) + 3).
     """
-    if c < 2 or r < 1 or not 1 <= sink_index <= c:
-        raise ParamOutOfRange("need c >= 2, r >= 1, 1 <= sink_index <= c")
     full = carlson_savage(c, r)
+    if type(sink_index) is not int or not 1 <= sink_index <= c:
+        raise ParamOutOfRange("need 1 <= sink_index <= c")
     dag = single_sink_restriction(full, full.sink_names[sink_index - 1])
     return visiting(_cs_fwd(dag, c, r, sink_index, "", {}), dag.designated_sink_name)
 
@@ -199,11 +198,8 @@ def strat_bit_reversal_small_space(n: int) -> Strategy:
     Climbs the top line space-optimally; each top move is bracketed by a
     forward/backward climb of the bottom line up to the cross predecessor.
     """
-    if n < 2 or n & (n - 1):
-        raise ParamOutOfRange("need a power of two >= 2")
-    bits = n.bit_length() - 1
-    bottom = [f"x{i}" for i in range(1, n + 1)]
-    top = [f"y{i}" for i in range(1, n + 1)]
+    names = bit_reversal(n).names
+    bottom, top, bits = names[:n], names[n:], n.bit_length() - 1
     out = _serviced(_space_optimal(n), top, lambda pos: _moves_on_chain(
         _space_optimal(bit_reverse_index(pos - 1, bits) + 1), bottom))
     return visiting(out, top[-1])
@@ -218,13 +214,10 @@ def strat_bit_reversal_checkpoint(n: int, k: int) -> Strategy:
     it with the level-(k-1) routine.  For 4*log2(n) <= 4k*ceil(n^(1/k)) <= 2n
     the measured space stays within 4k*ceil(n^(1/k)).
     """
-    if n < 2 or n & (n - 1):
-        raise ParamOutOfRange("need a power of two >= 2")
-    if k < 1:
+    names = bit_reversal(n).names
+    if type(k) is not int or k < 1:
         raise ParamOutOfRange("need k >= 1")
-    bits = n.bit_length() - 1
-    bottom = [f"x{i}" for i in range(1, n + 1)]
-    top = [f"y{i}" for i in range(1, n + 1)]
+    bottom, top, bits = names[:n], names[n:], n.bit_length() - 1
     fixed = _segments(n, k) + [n]
     plant = [pos for lo, hi in zip([0] + fixed, fixed)
              for pos in _place(lo, hi - lo, k - 1, _segments)]

@@ -1,8 +1,17 @@
-"""Shared helpers for randomized cross-validation tests."""
+"""Shared helpers for randomized cross-validation tests, and the one
+`hypothesis` profile of the suite."""
 
 import random
 
+from hypothesis import settings
+
 from pebcert import build_dag
+
+# Every property test draws the same examples on every run, keeps no example
+# database on disk and has no per-example deadline; a test sets only its
+# `max_examples`.
+settings.register_profile("pebcert", derandomize=True, database=None, deadline=None)
+settings.load_profile("pebcert")
 
 
 def random_single_sink_dag(rng: random.Random, max_n: int = 6):

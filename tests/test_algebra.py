@@ -230,7 +230,7 @@ def test_poly_repr_summary_and_foreign_equality(value, expected):
     assert value() == expected
 
 
-@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(st.data())
 def test_constructor_sums_like_the_certificate_reader(data):
     # the same terms, spelled as dict keys in any name order, make the same

@@ -697,7 +697,7 @@ _COMMANDS = st.sampled_from([("solve", "--mode", "min-space", "GRAPH"),
                              ("cert", "extract", "GRAPH", "CERT")])
 
 
-@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@settings(max_examples=50)
 @given(argv=_COMMANDS, graph=_GRAPHS, strategy=_STRATEGIES, cert=_CERTS)
 @example(argv=("cert", "compile", "GRAPH", "STRATEGY"),
          graph={"vertices": ["a", "z"], "edges": [["a", "z"]], "sink": "z"},

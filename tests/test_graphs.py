@@ -1,21 +1,26 @@
 """Graph model and family generators.
 
 Core claims:
-    - build_dag validates names, edges, acyclicity, and designated sinks
+    - build_dag validates names, edges, acyclicity, and designated sinks, and
+      refuses every container shape the graph file reader refuses, with its
+      messages: the reader is build_dag behind a key lookup
     - pyramid(h) has (h+1)(h+2)/2 vertices, indegree 2, a unique sink
     - carlson_savage counts match an independent component recount
     - bit_reversal cross edges reverse binary indices; sigma is an involution
-    - single_sink_restriction keeps exactly the ancestors and is idempotent
+    - single_sink_restriction keeps exactly the ancestors and is idempotent,
+      and builds the graph that rebuilding the kept names and edges builds
     - graph JSON round-trips through the loader's validation
     - the JSON writer gives the bytes of json.dumps(indent=2) plus a newline,
       and streams a file one top-level list element at a time
 """
 
 import json
+import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import random_single_sink_dag
 from pebcert import (
     bit_reversal,
     build_dag,
@@ -27,7 +32,7 @@ from pebcert import (
 )
 from pebcert import graphs
 from pebcert.errors import GraphError, ParamOutOfRange
-from pebcert.graphs import _write_json, bit_reverse_index
+from pebcert.graphs import Dag, _write_json, bit_reverse_index
 from pebcert.pebbling import (PLACE, REMOVE, REVERSIBLE, VISITING, Move, Strategy, save_strategy,
                               strategy_to_json)
 
@@ -61,6 +66,26 @@ def test_build_unhashable_names():
         build_dag(["a"], [("a", ["b"])])
     with pytest.raises(GraphError, match=r"designated sink \['a'\] not declared"):
         build_dag(["a"], [], ["a"])
+
+
+@pytest.mark.parametrize("vertices,edges,message", [
+    ("ab", [], '"vertices" must be a list of names, got \'ab\''),
+    (["a"], [1], '"edges" must be a list of [tail, head] pairs, got [1]'),
+    (["a"], [("a",)], '"edges" must be a list of [tail, head] pairs, got [(\'a\',)]'),
+    (["a"], "aa", '"edges" must be a list of [tail, head] pairs, got \'aa\''),
+    ({"a": 1}, [], '"vertices" must be a list of names, got {\'a\': 1}'),
+], ids=["vertices-str", "edge-int", "edge-one-item", "edges-str", "vertices-dict"])
+def test_build_refuses_the_file_readers_shapes(vertices, edges, message):
+    with pytest.raises(GraphError) as exc:
+        build_dag(vertices, edges)
+    assert str(exc.value) == message
+    with pytest.raises(GraphError) as again:
+        graph_from_json({"vertices": vertices, "edges": edges})
+    assert str(again.value) == message
+
+
+def test_build_takes_tuples_as_lists():
+    assert build_dag(("a", "b"), (("a", "b"),), "b") == build_dag(["a", "b"], [["a", "b"]], "b")
 
 
 def test_build_designated_sink_with_successor():
@@ -201,6 +226,40 @@ def test_single_sink_restriction_identity_and_idempotence():
     assert again == sub
 
 
+def _rebuilt_restriction(dag, sink):
+    """The restriction rebuilt from names: the ancestors of `sink`, found by
+    name, and the edges among them, through build_dag."""
+    keep, todo = {sink}, [sink]
+    while todo:
+        for p in dag.pred_names(todo.pop()):
+            if p not in keep:
+                keep.add(p)
+                todo.append(p)
+    edges = [(a, b) for a, b in dag.edge_names() if b in keep]
+    return build_dag([v for v in dag.names if v in keep], edges, sink)
+
+
+def _tables(dag):
+    return {slot: getattr(dag, slot) for slot in Dag.__slots__}
+
+
+@pytest.mark.parametrize("c,r", [(c, r) for c in (2, 3) for r in (1, 2, 3)])
+def test_single_sink_restriction_matches_rebuild_on_cs(c, r):
+    dag = carlson_savage(c, r)
+    for sink in dag.sink_names:
+        assert _tables(single_sink_restriction(dag, sink)) == _tables(
+            _rebuilt_restriction(dag, sink))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_single_sink_restriction_matches_rebuild_on_random_dags(seed):
+    dag = random_single_sink_dag(random.Random(seed), max_n=9)
+    for sink in dag.sink_names:
+        sub = single_sink_restriction(dag, sink)
+        assert _tables(sub) == _tables(_rebuilt_restriction(dag, sink))
+        assert _tables(sub) == _tables(dag)  # a single-sink graph is its own restriction
+
+
 def test_single_sink_restriction_rejects_non_sink():
     with pytest.raises(GraphError, match="'v0_1' is not a sink"):
         single_sink_restriction(pyramid(2), "v0_1")
@@ -228,6 +287,14 @@ def test_bit_reversal_sixteen_properties():
     assert sorted(sigma) == list(range(16))  # permutation
     assert all(sigma[sigma[i]] == i for i in range(16))  # involution
     assert sigma[15] == 15  # sigma(n) = n
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 16, 32])
+def test_bit_reversal_names_bottom_line_then_top_line(n):
+    # the bit-reversal strategies take their two chains from these names
+    xs = tuple(f"x{i}" for i in range(1, n + 1))
+    ys = tuple(f"y{i}" for i in range(1, n + 1))
+    assert bit_reversal(n).names == xs + ys
 
 
 def test_bit_reversal_rejects_non_powers():
@@ -278,7 +345,36 @@ _JSON = st.recursive(
     max_leaves=24)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+_NAMES = st.sampled_from("abc")
+
+
+@settings(max_examples=120)
+@given(vertices=_JSON | st.lists(_NAMES, max_size=4),
+       edges=_JSON | st.lists(st.lists(_NAMES, min_size=2, max_size=2)
+                              | st.tuples(_NAMES, _NAMES), max_size=5),
+       sink=_JSON | _NAMES)
+@example(vertices="ab", edges=[], sink=None)
+@example(vertices=["a"], edges=[1], sink=None)
+@example(vertices=["a"], edges=[["a"]], sink=None)
+@example(vertices=["a", "b"], edges=(("a", "b"),), sink="b")
+def test_file_reader_and_build_dag_agree(vertices, edges, sink):
+    # the reader is a key lookup in front of build_dag: a Dag or a
+    # GraphError from both, never another exception, and the same one
+    data = {"vertices": vertices, "edges": edges, "sink": sink}
+    try:
+        read = graph_from_json(data)
+    except GraphError as exc:
+        read = str(exc)
+    else:
+        assert isinstance(read, Dag)
+    try:
+        built = build_dag(vertices, edges, sink)
+    except GraphError as exc:
+        built = str(exc)
+    assert built == read
+
+
+@settings(max_examples=60)
 @given(value=_JSON)
 @example(value={"a": [{"b": ({"c": [[], {}, ()]},)}], "": None})
 @example(value=[True, False, None, 2**64 + 1, -2**70, 0, "", _Name("\U0001f600\\\"")])

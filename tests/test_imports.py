@@ -2,7 +2,8 @@
 function, class and method is referenced somewhere, every exception class
 is raised or caught somewhere, and files are opened and JSON is read or
 written only at the one file boundary, one place turns a search's layers
-into a witness, and one product path serves both polynomial kinds.
+into a witness, one product path serves both polynomial kinds, and a `Dag`
+is built only where its input has been checked.
 
 No linter runs with the suite, so this parses each module with `ast` and
 fails on an imported name that no expression of the module refers to.
@@ -19,7 +20,9 @@ decides on its own how a file is decoded and which failures name it.  A call to 
 decides on its own how on-path configurations come from a search's layers.
 A call to `_mul_into` outside `_Poly.__mul__` and `nullstellensatz.verify`
 would be a second product rule, such as one that takes the multiplier's
-class where standard-mode `verify` needs the mode's.
+class where standard-mode `verify` needs the mode's.  A call to `Dag`
+outside `graphs.build_dag` and `graphs.single_sink_restriction` would be a
+graph whose names, order and predecessors nobody checked.
 """
 
 import ast
@@ -176,12 +179,17 @@ def test_files_are_read_and_written_only_at_the_boundary(module):
 _PRUNE = ("_back", "_walk")
 
 
+def _called_name(func):
+    """The name of a called expression: `f` of `f(...)` and of `m.f(...)`."""
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
 def _prune_calls(source):
     """(enclosing top-level function or None, called name) of every call to
     `_back` or `_walk`, bare or as an attribute such as `search._walk`."""
     calls = []
     for scope, func in _scoped_calls(source):
-        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        name = _called_name(func)
         if name in _PRUNE:
             calls.append((scope, name))
     return calls
@@ -204,9 +212,7 @@ def test_search_layers_are_pruned_and_walked_only_in_solve():
 def _product_calls(source):
     """(enclosing scope, as `_scoped_calls` names it) of every call to
     `_mul_into`, bare or as an attribute such as `poly._mul_into`."""
-    return [scope for scope, func in _scoped_calls(source)
-            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None))
-            == "_mul_into"]
+    return [scope for scope, func in _scoped_calls(source) if _called_name(func) == "_mul_into"]
 
 
 def test_detects_product_calls():
@@ -220,3 +226,23 @@ def test_one_product_path_for_both_polynomial_kinds():
     calls = [(module, scope) for module in sorted(p.name for p in PACKAGE.glob("*.py"))
              for scope in _product_calls((PACKAGE / module).read_text())]
     assert calls == [("algebra.py", "_Poly.__mul__"), ("nullstellensatz.py", "verify")]
+
+
+def _dag_calls(source):
+    """(enclosing scope, as `_scoped_calls` names it) of every call to `Dag`,
+    bare or as an attribute such as `graphs.Dag`."""
+    return [scope for scope, func in _scoped_calls(source) if _called_name(func) == "Dag"]
+
+
+def test_detects_dag_calls():
+    source = ("def build_dag(v):\n    return Dag(v, (), None)\n"
+              "class G:\n    def copy(self):\n        return graphs.Dag(self.names, (), None)\n"
+              "    def same(self, o):\n        return isinstance(o, Dag)\n"
+              "d = Dag((), (), None)\n")
+    assert _dag_calls(source) == ["build_dag", "G.copy", None]
+
+
+def test_dags_are_built_only_by_build_dag_and_the_restriction():
+    calls = [(module, scope) for module in sorted(p.name for p in PACKAGE.glob("*.py"))
+             for scope in _dag_calls((PACKAGE / module).read_text())]
+    assert calls == [("graphs.py", "build_dag"), ("graphs.py", "single_sink_restriction")]

@@ -66,7 +66,7 @@ def test_non_string_names_refused_where_they_enter(call, error, message):
         call()
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(seed=st.integers(0, 2**32 - 1), p=st.sampled_from([2, 3, 5, 7, 101, 2**31 - 1]))
 def test_what_the_api_builds_loads_back(seed, p):
     dag = random_single_sink_dag(random.Random(seed))

@@ -822,7 +822,7 @@ def _naive_weights(dag, cert):
     return edges, {c: reduced.get(c, 0) for c in total}
 
 
-CERT_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+CERT_SETTINGS = settings(max_examples=60)
 
 
 @CERT_SETTINGS

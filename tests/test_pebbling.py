@@ -264,7 +264,7 @@ def _simulate(preds, moves, game):
     return None, configs
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(seed=st.integers(0, 2**32 - 1), data=st.data(),
        game=st.sampled_from([STANDARD, REVERSIBLE]),
        flavor=st.sampled_from([VISITING, PERSISTENT]))

@@ -128,6 +128,30 @@ def test_space_below_one_infeasible():
             min_time_within_space(line(3), game, flavor, 0)
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: min_time_within_space(pyramid(2), "standard", None, 3.5),
+     "space must be an integer, got 3.5"),
+    (lambda: min_time_within_space(line(3), "reversible", "visiting", True),
+     "space must be an integer, got True"),
+    (lambda: pareto(line(3), "reversible", "visiting", 2.5),
+     "s_max must be an integer, got 2.5"),
+    # checked before min_space searches, which would exceed the state budget
+    (lambda: pareto(pyramid(3), "reversible", "visiting", 4.0, state_budget=5),
+     "s_max must be an integer, got 4.0"),
+    (lambda: min_space(line(3), "reversible", "visiting", state_budget="5"),
+     "state budget must be an integer, got '5'"),
+    (lambda: min_space(line(3), "standard", None, state_budget=1.5),
+     "state budget must be an integer, got 1.5"),
+    (lambda: pareto(line(3), "reversible", "persistent", 3, True),
+     "state budget must be an integer, got True"),
+], ids=["space-float", "space-bool", "smax-float", "smax-before-search", "budget-str",
+        "budget-float", "budget-bool"])
+def test_search_budgets_must_be_integers(call, message):
+    with pytest.raises(SearchError, match=f"^{message}$") as exc:
+        call()
+    assert type(exc.value) is SearchError
+
+
 def test_more_than_64_vertices_refused():
     dag = line(65)
     for game, flavor in (("reversible", "visiting"), ("reversible", "persistent"),

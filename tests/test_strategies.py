@@ -33,6 +33,7 @@ from pebcert import (
     verify_strategy,
 )
 from pebcert.algebra import Field
+from pebcert import cli
 from pebcert.cli import _upper_bound_candidates
 from pebcert.errors import GraphError, ParamOutOfRange
 from pebcert.nullstellensatz import compile_strategy
@@ -111,11 +112,38 @@ def test_param_validation():
 
 
 @pytest.mark.parametrize("make,message", [
-    (lambda: strat_line_persistent(0), "need n >= 1"),
-    (lambda: strat_bit_reversal_checkpoint(6, 1), "need a power of two >= 2"),
+    (lambda: strat_line_persistent(0), "line needs n >= 1"),
+    (lambda: strat_bit_reversal_checkpoint(6, 1), "bit_reversal needs a power of two >= 2, got 6"),
     (lambda: strat_bit_reversal_checkpoint(8, 0), "need k >= 1"),
 ], ids=["line_persistent(0)", "br_checkpoint(6,1)", "br_checkpoint(8,0)"])
 def test_param_validation_messages(make, message):
+    with pytest.raises(ParamOutOfRange, match=f"^{message}$"):
+        make()
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: line(True), "line needs n >= 1"),
+    (lambda: line(2.0), "line needs n >= 1"),
+    (lambda: pyramid(2.0), "pyramid needs h >= 0"),
+    (lambda: pyramid(False), "pyramid needs h >= 0"),
+    (lambda: bit_reversal(4.0), "bit_reversal needs a power of two >= 2, got 4.0"),
+    (lambda: carlson_savage(2.0, 1), "carlson_savage needs c >= 2 and r >= 1"),
+    (lambda: carlson_savage(2, True), "carlson_savage needs c >= 2 and r >= 1"),
+    (lambda: strat_line_visiting(True), "line needs n >= 1"),
+    (lambda: strat_line_persistent(3.0), "line needs n >= 1"),
+    (lambda: strat_line_checkpoint(4, 1.5), "need k >= 1"),
+    (lambda: strat_bit_reversal_small_space(4.0),
+     "bit_reversal needs a power of two >= 2, got 4.0"),
+    (lambda: strat_bit_reversal_checkpoint(4, True), "need k >= 1"),
+    (lambda: strat_carlson_savage(2.0, 1, 1), "carlson_savage needs c >= 2 and r >= 1"),
+    (lambda: strat_carlson_savage(2, 1, 1.0), "need 1 <= sink_index <= c"),
+], ids=["line(True)", "line(2.0)", "pyramid(2.0)", "pyramid(False)", "bit_reversal(4.0)",
+        "cs(2.0,1)", "cs(2,True)", "line_visiting(True)", "line_persistent(3.0)",
+        "line_checkpoint(4,1.5)", "br_small_space(4.0)", "br_checkpoint(4,True)",
+        "strat_cs(2.0,1,1)", "strat_cs(2,1,1.0)"])
+def test_family_parameters_must_be_integers(make, message):
+    # the generators judge every family parameter, and the strategies
+    # inherit their check; a bool or a float is refused, not read as an int
     with pytest.raises(ParamOutOfRange, match=f"^{message}$"):
         make()
 
@@ -227,12 +255,19 @@ def test_library_visiting_strategies_close_at_first_sink_visit(name):
     ("cs", {"c": 2, "r": 2}, _cs(2, 2, 1)),
     ("bit-reversal", {"n": 8}, bit_reversal(8)),
 ])
-def test_tradeoff_candidates_close_at_first_sink_visit(family, params, dag):
+def test_tradeoff_candidates_close_at_first_sink_visit(monkeypatch, family, params, dag):
+    # the candidates' metrics come back alone; the strategies are caught on
+    # their way into the measurement
+    seen = []
+
+    def spy(on, strat):
+        seen.append(strat)
+        return verify_strategy(on, strat)
+    monkeypatch.setattr(cli, "verify_strategy", spy)
     args = argparse.Namespace(family=family, **params)
     candidates = _upper_bound_candidates(args, dag, "visiting")
     assert candidates
-    for metrics, strat in candidates:
-        assert _closed(dag, strat) == metrics
+    assert [_closed(dag, strat) for strat in seen] == candidates
 
 
 @pytest.mark.parametrize("name,make,moves,space", [
