@@ -10,6 +10,7 @@ than 64 vertices, 3 internal consistency violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -239,6 +240,8 @@ def cmd_tradeoff(args) -> int:
     points = pareto(dag, game, flavor, args.smax, args.state_budget)
     candidates = _upper_bound_candidates(args, dag, flavor)
 
+    certify = game == REVERSIBLE and flavor == VISITING
+    formula = pebbling_formula(dag) if certify else None
     rows = ["space,optimal_time,theorem_bound,strategy_upper_time,cert_size,cert_degree"]
     for p in points:
         bound = ""
@@ -248,10 +251,10 @@ def cmd_tradeoff(args) -> int:
         upper = [m.time for m in candidates if m.space <= p.space]
         upper_time = str(min(upper)) if upper else ""
         cert_size = cert_degree = ""
-        if game == REVERSIBLE and flavor == VISITING:
+        if certify:
             metrics = verify_strategy(dag, p.witness)
             cert = compile_strategy(dag, p.witness, field)
-            report = verify(pebbling_formula(dag), cert)
+            report = verify(formula, cert)
             if (not report.valid or report.size != p.time + 1
                     or report.degree != metrics.space):
                 raise InternalConsistencyError(
@@ -273,7 +276,9 @@ def _add_family_flags(parser):
     parser.add_argument("--r", type=int, help="CS recursion depth")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of every `main` call: parsing leaves it unchanged."""
     parser = _Parser(prog="pebcert", description=__doc__)
     search = _Parser(add_help=False)
     search.add_argument("--game", choices=[STANDARD, REVERSIBLE], default=REVERSIBLE)

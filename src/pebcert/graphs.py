@@ -345,7 +345,9 @@ def _write_json(data, path=None):
     indent.  A file is written as it is built: the top-level object one key
     at a time, and each element of a top-level list (the moves, multipliers,
     vertices and edges) as its own string, so a large certificate is never
-    held as one string.
+    held as one string.  A top-level list item that repeats by identity (a
+    strategy's rows share one dict per distinct move) is written from the
+    text made at its first occurrence; a list with no repeat keeps no text.
     """
     quote = json.encoder.encode_basestring_ascii
 
@@ -370,8 +372,16 @@ def _write_json(data, path=None):
         for k, v in data.items():
             if isinstance(v, (list, tuple)) and v:
                 sep = f"{lead}{quote(k)}: [\n    "
+                # id -> text, kept only in a list whose items repeat
+                texts = dict.fromkeys(map(id, v))
+                keep = len(texts) < len(v)
                 for item in v:
-                    yield sep + text(item, "    ")
+                    t = texts[id(item)]
+                    if t is None:
+                        t = text(item, "    ")
+                        if keep:
+                            texts[id(item)] = t
+                    yield sep + t
                     sep = ",\n    "
                 yield "\n  ]"
             else:

@@ -11,11 +11,18 @@ all predecessors pebbled; standard removal is unconditional.  A visiting
 pebbling starts and ends empty with the sink pebbled somewhere in between; a
 persistent pebbling ends with exactly the sink pebbled.  The standard game is
 verified with visiting semantics (start and end empty, sink visited).
+
+A strategy repeats few distinct moves many times, so each distinct move is
+handled once: `replay` decodes it into one rule per call, a loaded strategy
+shares one `Move` per distinct move, and a saved one writes each distinct
+move's text once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import GraphError, IllegalMoveAt, PebblingError
 from .graphs import Dag, _read_json, _write_json
@@ -29,8 +36,9 @@ PLACE = "place"
 REMOVE = "remove"
 
 
-@dataclass(frozen=True)
-class Move:
+class Move(NamedTuple):
+    """A named tuple, so a move equals its `(op, vertex)` pair."""
+
     op: str  # "place" | "remove"
     vertex: str
 
@@ -65,6 +73,25 @@ def visiting(moves, sink: str) -> Strategy:
     return Strategy(REVERSIBLE, VISITING, moves[:t] + mirrored(moves[:t]))
 
 
+_NEVER = (0, 0, -1)  # no configuration m has m & 0 == -1
+
+
+def _rule(dag, move, game):
+    """(bit, need, want): `move` is legal on configuration m exactly when
+    m & need == want, and then gives m ^ bit.  An unknown vertex or op gets
+    a rule that never holds, so `_move_mask` names it."""
+    try:
+        bit, pred_mask = dag.toggles[dag.index[move.vertex]]
+    except (KeyError, TypeError):
+        return _NEVER
+    if move.op == PLACE:
+        return bit, bit | pred_mask, pred_mask
+    if move.op == REMOVE:
+        need = bit | pred_mask if game == REVERSIBLE else bit
+        return bit, need, need
+    return _NEVER
+
+
 def _move_mask(dag, config_mask, move, game):
     """Next configuration bitmask, or raise PebblingError for an illegal move."""
     try:
@@ -88,14 +115,29 @@ def _move_mask(dag, config_mask, move, game):
 
 
 def replay(dag: Dag, moves, game: str) -> list[int]:
-    """Configurations P_0 .. P_t as bitmasks; raises IllegalMoveAt on failure."""
+    """Configurations P_0 .. P_t as bitmasks; raises IllegalMoveAt on failure.
+
+    Each distinct move is decoded once into a `_rule`; a move its rule
+    refuses goes to `_move_mask`, which gives the step's message.
+    """
+    rules = {}
     configs = [0]
     mask = 0
     for i, move in enumerate(moves, start=1):
         try:
-            mask = _move_mask(dag, mask, move, game)
-        except PebblingError as exc:
-            raise IllegalMoveAt(i, str(exc)) from None
+            rule = rules.get(move)
+        except TypeError:  # an unhashable vertex or op
+            rule = _NEVER
+        if rule is None:
+            rule = rules[move] = _rule(dag, move, game)
+        bit, need, want = rule
+        if mask & need == want:
+            mask ^= bit
+        else:
+            try:
+                mask = _move_mask(dag, mask, move, game)
+            except PebblingError as exc:
+                raise IllegalMoveAt(i, str(exc)) from None
         configs.append(mask)
     return configs
 
@@ -137,20 +179,36 @@ def strategy_to_json(strategy: Strategy) -> dict:
     data = {"game": strategy.game}
     if strategy.flavor is not None:
         data["flavor"] = strategy.flavor
-    data["moves"] = [{"op": m.op, "v": m.vertex} for m in strategy.moves]
+    moves = strategy.moves
+    try:
+        distinct = dict.fromkeys(moves)
+    except TypeError:  # an unhashable vertex or op
+        distinct = None
+    if distinct is not None and all(type(m.op) is str and type(m.vertex) is str
+                                    for m in distinct):
+        # equal moves of strings write equal text, so they share one row
+        rows = {m: {"op": m.op, "v": m.vertex} for m in distinct}
+        data["moves"] = list(map(rows.__getitem__, moves))
+    else:
+        data["moves"] = [{"op": m.op, "v": m.vertex} for m in moves]
     return data
 
 
 def strategy_from_json(data) -> Strategy:
     try:
         game = data["game"]
-        moves = tuple(Move(m["op"], m["v"]) for m in data["moves"])
+        pairs = list(map(itemgetter("op", "v"), data["moves"]))
     except (KeyError, TypeError) as exc:
         raise PebblingError(f"malformed strategy JSON: {exc}") from None
-    for m in moves:
-        if not (isinstance(m.op, str) and isinstance(m.vertex, str)):
-            raise PebblingError(f'move "op" and "v" must be strings, got {m.op!r}, {m.vertex!r}')
-    return Strategy(game, data.get("flavor"), moves)
+    try:
+        distinct = dict.fromkeys(pairs)  # in the order each pair first comes
+    except TypeError:  # an unhashable "op" or "v": the check names the first bad pair
+        distinct = pairs
+    for op, v in distinct:
+        if not (isinstance(op, str) and isinstance(v, str)):
+            raise PebblingError(f'move "op" and "v" must be strings, got {op!r}, {v!r}')
+    made = {pair: Move(*pair) for pair in distinct}
+    return Strategy(game, data.get("flavor"), tuple(map(made.__getitem__, pairs)))
 
 
 def load_strategy(path) -> Strategy:

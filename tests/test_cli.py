@@ -382,6 +382,21 @@ def test_exit_code_usage_error(capsys):
     assert run(capsys, "gen", "--family", "pyramid")[0] == 1  # missing --height
 
 
+def test_usage_error_leaves_the_next_call_unchanged(capsys):
+    # every main call parses with the one cached parser; a call refused
+    # during or after parsing, with non-default flags set, leaves it as it was
+    argv = ("tradeoff", "--family", "line", "--n", "4")
+    want = run(capsys, *argv)
+    assert want[0] == 0
+    refused = ["tradeoff --family line --n 4 --game standard --smax 9 --height 2",
+               "tradeoff --family line --n 4 --flavor persistent --smax x",
+               "gen --family nope --single-sink 2"]
+    for bad in refused:
+        assert run(capsys, *bad.split())[0] == 1
+        assert run(capsys, *argv) == want
+    assert cli._build_parser() is cli._build_parser()
+
+
 @pytest.mark.parametrize("argv", [
     "cert verify G C --out v.json",
     "gen --family line --n 3 --single-sink 7",

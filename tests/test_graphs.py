@@ -11,7 +11,8 @@ Core claims:
       and builds the graph that rebuilding the kept names and edges builds
     - graph JSON round-trips through the loader's validation
     - the JSON writer gives the bytes of json.dumps(indent=2) plus a newline,
-      and streams a file one top-level list element at a time
+      and streams a file one top-level list element at a time, writing an
+      element that repeats by identity from its first text
 """
 
 import json
@@ -374,6 +375,10 @@ def test_file_reader_and_build_dag_agree(vertices, edges, sink):
     assert built == read
 
 
+_ROW = {"op": "place", "v": "v1"}
+_ITEMS = [_ROW, ["a", _ROW], _ROW]
+
+
 @settings(max_examples=60)
 @given(value=_JSON)
 @example(value={"a": [{"b": ({"c": [[], {}, ()]},)}], "": None})
@@ -381,6 +386,8 @@ def test_file_reader_and_build_dag_agree(vertices, edges, sink):
 @example(value={_Name("k"): {"moves": [], "x": ()}, "\xe9\x00": "\ud7ff\U00010000"})
 @example(value=())
 @example(value="\x1f")
+@example(value=[_ROW, _ROW, {"op": "place", "v": "v2"}, _ROW])  # one object, written three times
+@example(value={"moves": _ITEMS, "again": _ITEMS})  # one list under two keys
 def test_writer_matches_json_dumps_indent_2(tmp_path_factory, value):
     want = json.dumps(value, indent=2) + "\n"
     assert _write_json(value) == want

@@ -2,8 +2,8 @@
 function, class and method is referenced somewhere, every exception class
 is raised or caught somewhere, and files are opened and JSON is read or
 written only at the one file boundary, one place turns a search's layers
-into a witness, one product path serves both polynomial kinds, and a `Dag`
-is built only where its input has been checked.
+into a witness, one product path serves both polynomial kinds, a `Dag` is
+built only where its input has been checked, and one loop decodes moves.
 
 No linter runs with the suite, so this parses each module with `ast` and
 fails on an imported name that no expression of the module refers to.
@@ -22,7 +22,9 @@ A call to `_mul_into` outside `_Poly.__mul__` and `nullstellensatz.verify`
 would be a second product rule, such as one that takes the multiplier's
 class where standard-mode `verify` needs the mode's.  A call to `Dag`
 outside `graphs.build_dag` and `graphs.single_sink_restriction` would be a
-graph whose names, order and predecessors nobody checked.
+graph whose names, order and predecessors nobody checked.  A call to
+`_rule` or `_move_mask` outside `pebbling.replay` would be a second replay
+loop that decides on its own which moves are legal.
 """
 
 import ast
@@ -246,3 +248,29 @@ def test_dags_are_built_only_by_build_dag_and_the_restriction():
     calls = [(module, scope) for module in sorted(p.name for p in PACKAGE.glob("*.py"))
              for scope in _dag_calls((PACKAGE / module).read_text())]
     assert calls == [("graphs.py", "build_dag"), ("graphs.py", "single_sink_restriction")]
+
+
+_MOVE_DECODERS = ("_rule", "_move_mask")
+
+
+def _decoder_calls(source):
+    """(enclosing scope, as `_scoped_calls` names it; called name) of every
+    call to `_rule` or `_move_mask`, bare or as an attribute such as
+    `pebbling._move_mask`."""
+    return [(scope, _called_name(func)) for scope, func in _scoped_calls(source)
+            if _called_name(func) in _MOVE_DECODERS]
+
+
+def test_detects_decoder_calls():
+    source = ("def replay(d, ms):\n    for m in ms:\n        _rule(d, m)\n"
+              "        def slow():\n            return _move_mask(d, 0, m)\n"
+              "class S:\n    def step(self, m):\n        return pebbling._move_mask(self, 0, m)\n"
+              "f = _rule\n")
+    assert _decoder_calls(source) == [("replay", "_rule"), ("replay", "_move_mask"),
+                                      ("S.step", "_move_mask")]
+
+
+def test_moves_are_decoded_only_in_replay():
+    calls = [(module, *call) for module in sorted(p.name for p in PACKAGE.glob("*.py"))
+             for call in _decoder_calls((PACKAGE / module).read_text())]
+    assert calls == [("pebbling.py", "replay", "_rule"), ("pebbling.py", "replay", "_move_mask")]

@@ -10,7 +10,11 @@ Core claims:
       that prefix's mirror
     - reversible-legal strategies replay under standard rules with the same
       metrics
-    - strategy JSON round-trips
+    - a move legal at one step and illegal at a later one reports the later
+      step, as does an unknown op or an unhashable vertex after legal moves
+    - strategy JSON round-trips; a loaded strategy shares one Move per
+      distinct move, the reader gives the per-move reader's messages, and
+      moves that are not plain strings save as they did before
     - replay and verify_strategy accept exactly the move sequences a
       set-based simulator accepts, failing at the same step, in both games
 """
@@ -39,10 +43,13 @@ from pebcert.pebbling import (
     REVERSIBLE,
     STANDARD,
     VISITING,
+    load_strategy,
     mirrored,
     replay,
+    save_strategy,
     visiting,
 )
+from pebcert.strategies import strat_by_depth
 
 from conftest import random_single_sink_dag
 
@@ -96,6 +103,21 @@ def test_step_unknown_vertex_names_no_step():
     err = _illegal(line(3), "reversible", (PLACE, "zz"))
     assert err.cause == "unknown vertex 'zz'"
     assert str(err) == "illegal move at step 1: unknown vertex 'zz'"
+
+
+@pytest.mark.parametrize("game, pairs, step, cause", [
+    # the first three last moves were legal at an earlier step, as the same Move
+    (REVERSIBLE, [(PLACE, "v1"), (PLACE, "v1")], 2, "v1 already pebbled"),
+    (REVERSIBLE, [(PLACE, "v1"), (PLACE, "v2"), (REMOVE, "v2"), (PLACE, "v2"), (REMOVE, "v1"),
+                  (REMOVE, "v2")], 6, "reversible removal from v2 needs its predecessors pebbled"),
+    (STANDARD, [(PLACE, "v1"), (REMOVE, "v1"), (REMOVE, "v1")], 3, "v1 not pebbled"),
+    (REVERSIBLE, [(PLACE, "v1"), (PLACE, "v2"), (PLACE, ["v1"])], 3, "unknown vertex ['v1']"),
+    (STANDARD, [(PLACE, "v1"), (REMOVE, "v1"), ("jump", "v1")], 3, "unknown move op 'jump'"),
+], ids=["place-twice", "reversible-removal-after-predecessor", "standard-removal-from-empty",
+        "unhashable-vertex", "unknown-op-on-a-moved-vertex"])
+def test_move_refused_after_legal_moves_reports_its_step(game, pairs, step, cause):
+    err = _illegal(line(3), game, *pairs)
+    assert (err.step, err.cause) == (step, cause)
 
 
 def test_verify_unhashable_vertex_is_unknown():
@@ -236,6 +258,84 @@ def test_strategy_json_round_trip():
     assert strategy_from_json(data) == strat
     standard = Strategy("standard", None, strat.moves)
     assert strategy_from_json(strategy_to_json(standard)) == standard
+
+
+def test_move_is_a_named_tuple_equal_to_its_pair():
+    move = Move(PLACE, "v1")
+    assert move == (PLACE, "v1") and hash(move) == hash((PLACE, "v1"))
+    assert (move.op, move.vertex) == (PLACE, "v1")
+    assert repr(move) == "Move(op='place', vertex='v1')"
+
+
+def test_loaded_strategy_shares_one_move_per_distinct_move(tmp_path):
+    dag = pyramid(3)
+    path = tmp_path / "s.json"
+    save_strategy(visiting(strat_by_depth(dag).moves, dag.designated_sink_name), path)
+    s = load_strategy(path)
+    assert len({id(m) for m in s.moves}) == len(set(s.moves)) < len(s.moves)
+    assert all(type(m) is Move for m in s.moves)
+
+
+def _reader_message(moves):
+    try:
+        strategy_from_json({"game": REVERSIBLE, "flavor": VISITING, "moves": moves})
+    except PebblingError as exc:
+        return str(exc)
+    return None
+
+
+def test_reader_reports_the_error_it_reported_before():
+    # the whole list is read before any type is checked, so a missing key
+    # on move 5 wins over a non-string "v" on move 2
+    moves = [{"op": PLACE, "v": "v1"}, {"op": PLACE, "v": 2}, {"op": PLACE, "v": "v2"},
+             {"op": REMOVE, "v": "v1"}, {"v": "v1"}]
+    assert _reader_message(moves) == "malformed strategy JSON: 'op'"
+    assert _reader_message(moves[:4]) == 'move "op" and "v" must be strings, got \'place\', 2'
+    # an unhashable value is not a string either, and the first bad move is named
+    assert (_reader_message([{"op": PLACE, "v": "v1"}, {"op": PLACE, "v": ["v1"]}])
+            == 'move "op" and "v" must be strings, got \'place\', [\'v1\']')
+    assert (_reader_message([{"op": PLACE, "v": 1}, {"op": PLACE, "v": ["v1"]}])
+            == 'move "op" and "v" must be strings, got \'place\', 1')
+    assert (_reader_message([{"op": PLACE, "v": "v1"}, {"op": {}, "v": "v1"}])
+            == 'move "op" and "v" must be strings, got {}, \'v1\'')
+    # of several bad moves, the first in the file is named
+    bad = [{"op": 4, "v": 8}, {"op": 9, "v": 1}, {"op": 2, "v": 5}, {"op": 4, "v": 8}]
+    assert _reader_message(bad) == 'move "op" and "v" must be strings, got 4, 8'
+
+
+def _old_reader_message(moves):
+    """The message of the per-move reader the shared one replaced."""
+    try:
+        read = [Move(m["op"], m["v"]) for m in moves]
+    except (KeyError, TypeError) as exc:
+        return f"malformed strategy JSON: {exc}"
+    for m in read:
+        if not (isinstance(m.op, str) and isinstance(m.vertex, str)):
+            return f'move "op" and "v" must be strings, got {m.op!r}, {m.vertex!r}'
+    return None
+
+
+_READER_VALUES = st.sampled_from([PLACE, REMOVE, "v1", "v2", 1, True, 1.0, None, ["v1"], {}])
+
+
+@settings(max_examples=150)
+@given(moves=st.lists(st.dictionaries(st.sampled_from(["op", "v", "x"]), _READER_VALUES)
+                      | st.fixed_dictionaries({"op": _READER_VALUES, "v": _READER_VALUES})
+                      | _READER_VALUES, max_size=6)
+       | _READER_VALUES)
+def test_reader_messages_match_the_per_move_reader(moves):
+    assert _reader_message(moves) == _old_reader_message(moves)
+
+
+@pytest.mark.parametrize("vertices", [[1, True, 1.0, "1"], [["v1"], ["v1"], {"a": 1}]])
+def test_saving_moves_of_other_types_writes_each_move_as_before(tmp_path, vertices):
+    # equal moves share one row only when both fields are plain strings:
+    # 1, True and 1.0 are equal but write 1, true and 1.0
+    strategy = Strategy(STANDARD, None, tuple(Move(PLACE, v) for v in vertices))
+    path = tmp_path / "s.json"
+    save_strategy(strategy, path)
+    rows = [{"op": PLACE, "v": v} for v in vertices]
+    assert path.read_text() == json.dumps({"game": STANDARD, "moves": rows}, indent=2) + "\n"
 
 
 # -- replay against a set-based simulator ----------------------------------------
