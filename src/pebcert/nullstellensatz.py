@@ -32,7 +32,12 @@ product term into one coefficient map, the compiler accumulates
 {R mask: coefficient} per axiom, and check_weights sums all configuration
 weights over the edges and translates only its violations to names.  A
 standard-mode monomial is the file's sorted "vars" list, read and written as
-is.
+is.  A certificate repeats few names and monomials over many terms, so it
+holds one object for each: the compiler turns each distinct R mask into
+names once, over the DAG's own name strings, and the reader keeps one table
+per certificate from each distinct "vars" list to its monomial and from each
+name to its string.  Terms compare as before; a repeat is now the same
+object.  `config_graph` likewise computes each distinct monomial's mask once.
 """
 
 from __future__ import annotations
@@ -48,8 +53,8 @@ from .pebbling import (
     PLACE,
     REMOVE,
     REVERSIBLE,
-    Move,
     Strategy,
+    _MoveTable,
     replay,
     verify_strategy,
     visiting,
@@ -218,11 +223,11 @@ def compile_strategy(dag: Dag, strategy: Strategy, field: Field) -> Certificate:
         field.accumulate(terms.setdefault(vertex_axiom_id(name), {}),
                          configs[i] & ~(bit | pm),
                          plus if configs[i] > configs[i - 1] else minus)
-    multipliers = {axiom_id: MultilinearPoly._of(field, {mask_names(dag.names, m): c
-                                                         for m, c in q.items()})
+    last = configs[t_prime] & ~zbit
+    monos = {m: mask_names(dag.names, m) for m in set(chain([last], *terms.values()))}
+    multipliers = {axiom_id: MultilinearPoly._of(field, {monos[m]: c for m, c in q.items()})
                    for axiom_id, q in terms.items()}
-    multipliers[SINK_AXIOM] = MultilinearPoly._of(
-        field, {mask_names(dag.names, configs[t_prime] & ~zbit): field.one})
+    multipliers[SINK_AXIOM] = MultilinearPoly._of(field, {monos[last]: field.one})
     return Certificate(field, MULTILINEAR, multipliers)
 
 
@@ -263,6 +268,7 @@ def config_graph(dag: Dag, cert: Certificate) -> ConfigGraph:
         raise CertificateError("configuration graphs need a multilinear certificate")
     formula = pebbling_formula(dag)
     bits = {name: 1 << i for i, name in enumerate(dag.names)}
+    masks = {}  # monomial -> its mask, computed once per distinct monomial
     edges = []
     for axiom_id, q in cert.multipliers.items():
         name = formula.axiom(axiom_id)[1]
@@ -270,8 +276,10 @@ def config_graph(dag: Dag, cert: Certificate) -> ConfigGraph:
             continue
         bit, pm = dag.toggles[dag.index[name]]
         for mono, coeff in q.terms.items():
-            # a variable outside the DAG takes the next free bit
-            lo = sum(bits.setdefault(var, 1 << len(bits)) for var in mono)
+            lo = masks.get(mono)
+            if lo is None:
+                # a variable outside the DAG takes the next free bit
+                lo = masks[mono] = sum(bits.setdefault(var, 1 << len(bits)) for var in mono)
             if not lo & bit:
                 lo |= pm
                 edges.append((lo, lo | bit, coeff))
@@ -332,9 +340,10 @@ def extract(dag: Dag, cert: Certificate) -> Strategy:
         raise InternalConsistencyError("no path from the empty configuration to the sink")
 
     moves = []
+    made = _MoveTable()
     while parent[u] is not None:
         a = parent[u]
-        moves.append(Move(PLACE if u > a else REMOVE, dag.names[(a ^ u).bit_length() - 1]))
+        moves.append(made[PLACE if u > a else REMOVE, dag.names[(a ^ u).bit_length() - 1]])
         u = a
     strategy = visiting(reversed(moves), dag.designated_sink_name)
     verify_strategy(dag, strategy)
@@ -394,22 +403,31 @@ def certificate_from_json(data, field: Field | None = None) -> Certificate:
             spec = data["field"]
             field = Field.rationals() if spec == "rationals" else Field.prime(spec["prime"])
         mode = data["mode"]
+        shared = {}  # the certificate's one table for `_poly_from_json`
         multipliers = {}
         for entry in data["multipliers"]:
             if entry["axiom"] in multipliers:
                 raise CertificateError(f'repeated "axiom" {entry["axiom"]!r}')
-            multipliers[entry["axiom"]] = _poly_from_json(field, entry["poly"], mode)
+            multipliers[entry["axiom"]] = _poly_from_json(field, entry["poly"], mode, shared)
         booleans = {}
         for entry in data.get("boolean_multipliers", []):
             if entry["var"] in booleans:
                 raise CertificateError(f'repeated "var" {entry["var"]!r}')
-            booleans[entry["var"]] = _poly_from_json(field, entry["poly"], STANDARD_MODE)
+            booleans[entry["var"]] = _poly_from_json(field, entry["poly"], STANDARD_MODE,
+                                                     shared)
     except (KeyError, TypeError) as exc:
         raise CertificateError(f"malformed certificate JSON: {exc}") from None
     return Certificate(field, mode, multipliers, booleans)
 
 
-def _poly_from_json(field, entries, mode):
+def _poly_from_json(field, entries, mode, shared):
+    """The polynomial of a term list, its monomials and names from `shared`.
+
+    `shared` is one table per certificate.  The key (kind, *names) of a
+    "vars" list read before holds that list's monomial, and a name key the
+    name's one string, so every repeat of a monomial or a name is one
+    object.  `_read` checks each distinct list, the first time it comes.
+    """
     poly = MultilinearPoly if mode == MULTILINEAR else ExpPoly
     terms = {}
     parsed = {}  # coefficient text -> element; a text is parsed once per polynomial
@@ -417,7 +435,14 @@ def _poly_from_json(field, entries, mode):
         names = e["vars"]
         if not isinstance(names, list):
             raise CertificateError(f'"vars" must be a list of name strings, got {names!r}')
-        mono = poly._read(names)
+        try:
+            key = (poly, *names)
+            mono = shared.get(key)
+        except TypeError:  # an unhashable name, which `_read` refuses
+            key = mono = None
+        if mono is None:
+            mono = poly._read(names)
+            mono = shared[key] = poly._norm(shared.setdefault(v, v) for v in mono)
         text = e["coeff"]
         if isinstance(text, str) and text in parsed:
             coeff = parsed[text]

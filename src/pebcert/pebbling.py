@@ -13,9 +13,14 @@ persistent pebbling ends with exactly the sink pebbled.  The standard game is
 verified with visiting semantics (start and end empty, sink visited).
 
 A strategy repeats few distinct moves many times, so each distinct move is
-handled once: `replay` decodes it into one rule per call, a loaded strategy
-shares one `Move` per distinct move, and a saved one writes each distinct
-move's text once.
+handled once: `replay` decodes it into one rule per call, and a saved
+strategy writes each distinct move's text once.  Every strategy the package
+builds (loaded, mirrored, searched, extracted or constructed) holds one
+`Move` object per distinct move: `Move` is called only through a
+`_MoveTable`, made per call, which returns the object it made the first time
+for every repeat.  Moves compare as before; a repeat is now the same object.
+`replay` reads a move as an `(op, vertex)` pair, so a pair replays like its
+equal `Move`, and anything else is an illegal move at its step.
 """
 
 from __future__ import annotations
@@ -57,9 +62,26 @@ class PebblingMetrics:
     first_sink_step: int  # index of the first configuration containing the sink
 
 
+class _MoveTable(dict):
+    """(op, vertex) -> its one `Move`, made at the first lookup; `Move` is
+    called nowhere else, so every repeat in a table's strategy is one object."""
+
+    __slots__ = ()
+
+    def __missing__(self, pair):
+        move = self[pair] = Move(*pair)
+        return move
+
+    def mirror(self, moves) -> list[Move]:
+        """Inverse moves of the sequence `moves` in reverse order, from this table."""
+        return [self[REMOVE if m.op == PLACE else PLACE, m.vertex] for m in reversed(moves)]
+
+
 def mirrored(moves) -> tuple[Move, ...]:
-    """Inverse moves in reverse order; legal whenever `moves` is reversible-legal."""
-    return tuple(Move(REMOVE if m.op == PLACE else PLACE, m.vertex) for m in reversed(moves))
+    """Inverse moves in reverse order; legal whenever `moves` is reversible-legal.
+
+    An inverse equal to a move of `moves` is that move's object."""
+    return tuple(_MoveTable(zip(moves, moves)).mirror(moves))
 
 
 def visiting(moves, sink: str) -> Strategy:
@@ -67,7 +89,7 @@ def visiting(moves, sink: str) -> Strategy:
     placement on `sink`, then that prefix's mirror (all a certificate reads)."""
     moves = tuple(moves)
     try:
-        t = moves.index(Move(PLACE, sink)) + 1
+        t = moves.index((PLACE, sink)) + 1
     except ValueError:
         raise PebblingError(f"sink {sink!r} never placed") from None
     return Strategy(REVERSIBLE, VISITING, moves[:t] + mirrored(moves[:t]))
@@ -76,17 +98,26 @@ def visiting(moves, sink: str) -> Strategy:
 _NEVER = (0, 0, -1)  # no configuration m has m & 0 == -1
 
 
+def _is_pair(move):
+    """A move is a two-item tuple `(op, vertex)`; a `Move` is one."""
+    return isinstance(move, tuple) and len(move) == 2
+
+
 def _rule(dag, move, game):
     """(bit, need, want): `move` is legal on configuration m exactly when
-    m & need == want, and then gives m ^ bit.  An unknown vertex or op gets
-    a rule that never holds, so `_move_mask` names it."""
+    m & need == want, and then gives m ^ bit.  An unknown vertex or op, or
+    a move that is not a pair, gets a rule that never holds, so `_move_mask`
+    names it."""
+    if not _is_pair(move):
+        return _NEVER
+    op, vertex = move
     try:
-        bit, pred_mask = dag.toggles[dag.index[move.vertex]]
+        bit, pred_mask = dag.toggles[dag.index[vertex]]
     except (KeyError, TypeError):
         return _NEVER
-    if move.op == PLACE:
+    if op == PLACE:
         return bit, bit | pred_mask, pred_mask
-    if move.op == REMOVE:
+    if op == REMOVE:
         need = bit | pred_mask if game == REVERSIBLE else bit
         return bit, need, need
     return _NEVER
@@ -94,31 +125,35 @@ def _rule(dag, move, game):
 
 def _move_mask(dag, config_mask, move, game):
     """Next configuration bitmask, or raise PebblingError for an illegal move."""
+    if not _is_pair(move):
+        raise PebblingError(f"move {move!r} is not an (op, vertex) pair")
+    op, vertex = move
     try:
-        bit, pred_mask = dag.toggles[dag.index[move.vertex]]
+        bit, pred_mask = dag.toggles[dag.index[vertex]]
     except (KeyError, TypeError):  # an unhashable name is unknown too
-        raise PebblingError(f"unknown vertex {move.vertex!r}") from None
-    if move.op == PLACE:
+        raise PebblingError(f"unknown vertex {vertex!r}") from None
+    if op == PLACE:
         if config_mask & bit:
-            raise PebblingError(f"{move.vertex} already pebbled")
+            raise PebblingError(f"{vertex} already pebbled")
         if config_mask & pred_mask != pred_mask:
-            raise PebblingError(f"{move.vertex} has unpebbled predecessors")
+            raise PebblingError(f"{vertex} has unpebbled predecessors")
         return config_mask | bit
-    if move.op == REMOVE:
+    if op == REMOVE:
         if not config_mask & bit:
-            raise PebblingError(f"{move.vertex} not pebbled")
+            raise PebblingError(f"{vertex} not pebbled")
         if game == REVERSIBLE and config_mask & pred_mask != pred_mask:
             raise PebblingError(
-                f"reversible removal from {move.vertex} needs its predecessors pebbled")
+                f"reversible removal from {vertex} needs its predecessors pebbled")
         return config_mask & ~bit
-    raise PebblingError(f"unknown move op {move.op!r}")
+    raise PebblingError(f"unknown move op {op!r}")
 
 
 def replay(dag: Dag, moves, game: str) -> list[int]:
     """Configurations P_0 .. P_t as bitmasks; raises IllegalMoveAt on failure.
 
-    Each distinct move is decoded once into a `_rule`; a move its rule
-    refuses goes to `_move_mask`, which gives the step's message.
+    Each distinct move is read as an `(op, vertex)` pair and decoded once
+    into a `_rule`; a move its rule refuses, a non-pair included, goes to
+    `_move_mask`, which gives the step's message.
     """
     rules = {}
     configs = [0]
@@ -207,8 +242,7 @@ def strategy_from_json(data) -> Strategy:
     for op, v in distinct:
         if not (isinstance(op, str) and isinstance(v, str)):
             raise PebblingError(f'move "op" and "v" must be strings, got {op!r}, {v!r}')
-    made = {pair: Move(*pair) for pair in distinct}
-    return Strategy(game, data.get("flavor"), tuple(map(made.__getitem__, pairs)))
+    return Strategy(game, data.get("flavor"), tuple(map(_MoveTable().__getitem__, pairs)))
 
 
 def load_strategy(path) -> Strategy:

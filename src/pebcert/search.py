@@ -76,8 +76,8 @@ from .pebbling import (
     REVERSIBLE,
     STANDARD,
     VISITING,
-    Move,
     Strategy,
+    _MoveTable,
     verify_strategy,
     visiting,
 )
@@ -225,12 +225,12 @@ def _std_search(dag, space, limit):
     return None if best is None else (layers, goals, ())
 
 
-def _walk(dag, on, goals, free_removal):
+def _walk(dag, on, goals, free_removal, made):
     """Lexicographically smallest shortest path from {} to a goal.
 
     on[k] holds the on-path configurations at distance k.  `free_removal`
     makes every removal legal (standard game); otherwise a move needs
-    pred(v) pebbled.
+    pred(v) pebbled.  The moves come from the table `made`.
     """
     moves = []
     cur = 0
@@ -242,7 +242,7 @@ def _walk(dag, on, goals, free_removal):
             if cur & pm == pm or (free_removal and cur & bit):
                 x = cur ^ bit
                 if x in ahead:
-                    moves.append(Move(PLACE if x > cur else REMOVE, dag.names[v]))
+                    moves.append(made[PLACE if x > cur else REMOVE, dag.names[v]])
                     cur = x
                     break
         else:
@@ -265,10 +265,11 @@ def _solve(dag, game, flavor, space, state_budget):
         on[k - 1] |= _back(dag.toggles, on[k], layers[k - 1], standard)
     for layer in reversed(zlayers[:-1]):
         on.append(_back(dag.toggles, on[-1], layer))
-    moves, cur = _walk(dag, on, on[-1] if zlayers else goals, standard)
+    made = _MoveTable()  # one Move per distinct move of the witness
+    moves, cur = _walk(dag, on, on[-1] if zlayers else goals, standard, made)
     if standard:
         flavor = None
-        moves += [Move(REMOVE, dag.names[v]) for v in range(len(dag)) if cur >> v & 1]
+        moves += [made[REMOVE, dag.names[v]] for v in range(len(dag)) if cur >> v & 1]
     witness = (visiting(moves, dag.designated_sink_name) if flavor == VISITING
                else Strategy(game, flavor, tuple(moves)))
     try:

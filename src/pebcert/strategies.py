@@ -6,6 +6,8 @@ generator judges the family's parameters, and its graph's names are the
 chains: `line(n).names`, and `bit_reversal(n).names` (bottom, then top).  Every
 reversible visiting strategy is a forward half passed to `pebbling.visiting`,
 which keeps it up to its first sink visit and appends that prefix's mirror.
+Each constructor makes its moves from one `pebbling._MoveTable`, so its
+strategy holds one `Move` per distinct move.
 
 All chain strategies come from one recursion, `_fwd`/`_place`: level 1
 sweeps, and level k plants checkpoints with level k-1 (place, then unwind the
@@ -23,7 +25,7 @@ from __future__ import annotations
 from .errors import GraphError, ParamOutOfRange
 from .graphs import (Dag, bit_reversal, bit_reverse_index, carlson_savage, line,
                      single_sink_restriction)
-from .pebbling import PERSISTENT, PLACE, REMOVE, REVERSIBLE, Move, Strategy, mirrored, visiting
+from .pebbling import PERSISTENT, PLACE, REMOVE, REVERSIBLE, Strategy, _MoveTable, visiting
 
 
 def _iroot_ceil(n, k):
@@ -84,7 +86,7 @@ def _space_optimal(d):
 def strat_line_visiting(n: int) -> Strategy:
     """Visiting pebbling of line(n) with space exactly ceil(log2(n+1))."""
     chain = line(n).names
-    return visiting(_moves_on_chain(_space_optimal(n), chain), chain[-1])
+    return visiting(_moves_on_chain(_space_optimal(n), chain, _MoveTable()), chain[-1])
 
 
 def strat_line_persistent(n: int) -> Strategy:
@@ -94,15 +96,16 @@ def strat_line_persistent(n: int) -> Strategy:
     the forward half with the sink pebble in place.
     """
     chain = line(n).names
-    moves = _moves_on_chain(_place(0, n, (n - 1).bit_length(), _halves), chain)
+    moves = _moves_on_chain(_place(0, n, (n - 1).bit_length(), _halves), chain, _MoveTable())
     return Strategy(REVERSIBLE, PERSISTENT, tuple(moves))
 
 
-def _moves_on_chain(positions, chain):
-    return [Move(PLACE if pos > 0 else REMOVE, chain[abs(pos) - 1]) for pos in positions]
+def _moves_on_chain(positions, chain, made):
+    """The moves of signed chain positions, taken from the table `made`."""
+    return [made[PLACE if pos > 0 else REMOVE, chain[abs(pos) - 1]] for pos in positions]
 
 
-def _serviced(positions, chain, service):
+def _serviced(positions, chain, service, made):
     """Chain moves, each bracketed by `service(position)` and its mirror.
 
     The service is a forward half that pebbles the chain vertex's outside
@@ -112,8 +115,8 @@ def _serviced(positions, chain, service):
     for pos in positions:
         fwd = service(abs(pos))
         out += fwd
-        out += _moves_on_chain([pos], chain)
-        out += mirrored(fwd)
+        out += _moves_on_chain([pos], chain, made)
+        out += made.mirror(fwd)
     return out
 
 
@@ -122,30 +125,30 @@ def strat_line_checkpoint(n: int, k: int) -> Strategy:
     chain = line(n).names
     if type(k) is not int or k < 1:
         raise ParamOutOfRange("need k >= 1")
-    return visiting(_moves_on_chain(_fwd(0, n, k, _segments), chain), chain[-1])
+    return visiting(_moves_on_chain(_fwd(0, n, k, _segments), chain, _MoveTable()), chain[-1])
 
 
-def _persist_moves(dag, v, memo):
+def _persist_moves(dag, v, memo, made):
     """Persistent pebbling of the sub-DAG of vertex v: ends with only v pebbled.
 
     All but one predecessor is pebbled persistently one at a time, the last is
     visited, v is placed, and everything unwinds in reverse.
     """
     if v not in memo:
-        head = _visit_fwd_prefix(dag, v, memo)
-        memo[v] = head + list(mirrored(head[:-1]))
+        head = _visit_fwd_prefix(dag, v, memo, made)
+        memo[v] = head + made.mirror(head[:-1])
     return memo[v]
 
 
-def _visit_fwd_prefix(dag, v, memo):
+def _visit_fwd_prefix(dag, v, memo, made):
     """Forward half of a visiting pebbling of v's sub-DAG, ending with v placed."""
     preds = dag.preds[v]
     out = []
     for p in preds[:-1]:
-        out += _persist_moves(dag, p, memo)
+        out += _persist_moves(dag, p, memo, made)
     if preds:
-        out += _visit_fwd_prefix(dag, preds[-1], memo)
-    out.append(Move(PLACE, dag.names[v]))
+        out += _visit_fwd_prefix(dag, preds[-1], memo, made)
+    out.append(made[PLACE, dag.names[v]])
     return out
 
 
@@ -153,11 +156,11 @@ def strat_by_depth(dag: Dag) -> Strategy:
     """Persistent strategy in space at most depth * max_indegree + 1."""
     if dag.designated_sink is None:
         raise GraphError("strat_by_depth needs a designated sink")
-    moves = _persist_moves(dag, dag.designated_sink, {})
+    moves = _persist_moves(dag, dag.designated_sink, {}, _MoveTable())
     return Strategy(REVERSIBLE, PERSISTENT, tuple(moves))
 
 
-def _cs_fwd(dag, c, r, sink_index, prefix, memo):
+def _cs_fwd(dag, c, r, sink_index, prefix, memo, made):
     """Forward half reaching sink `sink_index` of the CS graph under `prefix`.
 
     Climbs the spine with the chain strategy; every spine move is bracketed by
@@ -165,8 +168,8 @@ def _cs_fwd(dag, c, r, sink_index, prefix, memo):
     the first c positions of a section, recursive-copy sink for the last c).
     """
     if r == 1:
-        return [Move(PLACE, f"{prefix}s1"), Move(PLACE, f"{prefix}s2"),
-                Move(PLACE, f"{prefix}t{sink_index}")]
+        return [made[PLACE, f"{prefix}s1"], made[PLACE, f"{prefix}s2"],
+                made[PLACE, f"{prefix}t{sink_index}"]]
     two_c = 2 * c
     length = two_c * (r - 1)
     chain = [f"{prefix}spine{sink_index}/sec{(p - 1) // two_c + 1}/v{(p - 1) % two_c + 1}"
@@ -175,9 +178,9 @@ def _cs_fwd(dag, c, r, sink_index, prefix, memo):
     def service(pos):
         m = (pos - 1) % two_c + 1
         if m <= c:
-            return _visit_fwd_prefix(dag, dag.index[f"{prefix}pyr{m}/v{r - 1}_1"], memo)
-        return _cs_fwd(dag, c, r - 1, m - c, prefix + "sub/", memo)
-    return _serviced(_space_optimal(length), chain, service)
+            return _visit_fwd_prefix(dag, dag.index[f"{prefix}pyr{m}/v{r - 1}_1"], memo, made)
+        return _cs_fwd(dag, c, r - 1, m - c, prefix + "sub/", memo, made)
+    return _serviced(_space_optimal(length), chain, service, made)
 
 
 def strat_carlson_savage(c: int, r: int, sink_index: int) -> Strategy:
@@ -189,7 +192,8 @@ def strat_carlson_savage(c: int, r: int, sink_index: int) -> Strategy:
     if type(sink_index) is not int or not 1 <= sink_index <= c:
         raise ParamOutOfRange("need 1 <= sink_index <= c")
     dag = single_sink_restriction(full, full.sink_names[sink_index - 1])
-    return visiting(_cs_fwd(dag, c, r, sink_index, "", {}), dag.designated_sink_name)
+    return visiting(_cs_fwd(dag, c, r, sink_index, "", {}, _MoveTable()),
+                    dag.designated_sink_name)
 
 
 def strat_bit_reversal_small_space(n: int) -> Strategy:
@@ -200,8 +204,9 @@ def strat_bit_reversal_small_space(n: int) -> Strategy:
     """
     names = bit_reversal(n).names
     bottom, top, bits = names[:n], names[n:], n.bit_length() - 1
+    made = _MoveTable()
     out = _serviced(_space_optimal(n), top, lambda pos: _moves_on_chain(
-        _space_optimal(bit_reverse_index(pos - 1, bits) + 1), bottom))
+        _space_optimal(bit_reverse_index(pos - 1, bits) + 1), bottom, made), made)
     return visiting(out, top[-1])
 
 
@@ -221,12 +226,14 @@ def strat_bit_reversal_checkpoint(n: int, k: int) -> Strategy:
     fixed = _segments(n, k) + [n]
     plant = [pos for lo, hi in zip([0] + fixed, fixed)
              for pos in _place(lo, hi - lo, k - 1, _segments)]
+    made = _MoveTable()
 
     def service(pos):
         target = bit_reverse_index(pos - 1, bits) + 1
         base = max((f for f in fixed if f <= target), default=0)
-        return _moves_on_chain(_fwd(base, target - base, k - 1, _segments), bottom)
-    fwd = _moves_on_chain(plant, bottom) + _serviced(_fwd(0, n, k, _segments), top, service)
+        return _moves_on_chain(_fwd(base, target - base, k - 1, _segments), bottom, made)
+    fwd = (_moves_on_chain(plant, bottom, made)
+           + _serviced(_fwd(0, n, k, _segments), top, service, made))
     return visiting(fwd, top[-1])
 
 

@@ -3,7 +3,8 @@ function, class and method is referenced somewhere, every exception class
 is raised or caught somewhere, and files are opened and JSON is read or
 written only at the one file boundary, one place turns a search's layers
 into a witness, one product path serves both polynomial kinds, a `Dag` is
-built only where its input has been checked, and one loop decodes moves.
+built only where its input has been checked, one loop decodes moves, and
+one table makes them.
 
 No linter runs with the suite, so this parses each module with `ast` and
 fails on an imported name that no expression of the module refers to.
@@ -24,7 +25,9 @@ class where standard-mode `verify` needs the mode's.  A call to `Dag`
 outside `graphs.build_dag` and `graphs.single_sink_restriction` would be a
 graph whose names, order and predecessors nobody checked.  A call to
 `_rule` or `_move_mask` outside `pebbling.replay` would be a second replay
-loop that decides on its own which moves are legal.
+loop that decides on its own which moves are legal.  A call to `Move`
+outside `pebbling._MoveTable.__missing__` would make a second object for a
+move that a strategy already holds.
 """
 
 import ast
@@ -274,3 +277,22 @@ def test_moves_are_decoded_only_in_replay():
     calls = [(module, *call) for module in sorted(p.name for p in PACKAGE.glob("*.py"))
              for call in _decoder_calls((PACKAGE / module).read_text())]
     assert calls == [("pebbling.py", "replay", "_rule"), ("pebbling.py", "replay", "_move_mask")]
+
+
+def _move_calls(source):
+    """(enclosing scope, as `_scoped_calls` names it) of every call to `Move`,
+    bare or as an attribute such as `pebbling.Move`."""
+    return [scope for scope, func in _scoped_calls(source) if _called_name(func) == "Move"]
+
+
+def test_detects_move_calls():
+    source = ("class T(dict):\n    def __missing__(self, pair):\n        return Move(*pair)\n"
+              "def walk(v):\n    return [pebbling.Move('place', v), T()['place', v]]\n"
+              "m = Move('remove', 'v')\n")
+    assert _move_calls(source) == ["T.__missing__", "walk", None]
+
+
+def test_moves_are_made_only_by_the_move_table():
+    calls = [(module, scope) for module in sorted(p.name for p in PACKAGE.glob("*.py"))
+             for scope in _move_calls((PACKAGE / module).read_text())]
+    assert calls == [("pebbling.py", "_MoveTable.__missing__")]

@@ -12,6 +12,10 @@ Core claims:
     - multilinearization never grows size or degree and rejects invalid input
     - Certificate rejects a malformed shape; verify alone judges validity,
       and multilinearize and extract judge the certificate they are given
+    - compiled and loaded certificates hold one object per distinct name and
+      per distinct monomial, and extracted strategies one Move per distinct
+      move; the reader gives the per-term reader's messages, and
+      config_graph builds the per-term graph
 """
 
 import json
@@ -41,14 +45,17 @@ from pebcert import (
     config_graph,
     extract,
     line,
+    load_certificate,
     min_space,
     min_time_within_space,
     multilinearize,
     nullstellensatz,
     pebbling_formula,
     pyramid,
+    save_certificate,
     single_sink_restriction,
     strat_bit_reversal_small_space,
+    strat_by_depth,
     strat_carlson_savage,
     verify,
     verify_strategy,
@@ -56,6 +63,7 @@ from pebcert import (
 from pebcert.algebra import ExpPoly, Field, MultilinearPoly
 from pebcert.errors import AlgebraError, CertificateError, GraphError, IllegalMoveAt
 from pebcert.graphs import mask_names
+from pebcert.pebbling import visiting
 
 F2 = Field.prime(2)
 F3 = Field.prime(3)
@@ -638,6 +646,141 @@ def test_readers_judge_the_certificate_they_are_given(monkeypatch):
         assert seen == [invalid]
 
 
+# -- one object per distinct name, monomial and move ------------------------------
+
+def _one_object_each(items):
+    """Equal items are one object, and some item repeats."""
+    return len({id(x) for x in items}) == len(set(items)) < len(items)
+
+
+def _names_and_monomials(cert):
+    monos = [m for q in chain(cert.multipliers.values(), cert.boolean_multipliers.values())
+             for m in q.terms]
+    return [v for m in monos for v in m], monos
+
+
+def _shared_sample():
+    dag = pyramid(3)
+    return dag, visiting(strat_by_depth(dag).moves, dag.designated_sink_name)
+
+
+def test_compiled_certificate_shares_names_and_monomials():
+    dag, strategy = _shared_sample()
+    names, monos = _names_and_monomials(compile_strategy(dag, strategy, F3))
+    assert _one_object_each(names) and _one_object_each(monos)
+    assert {id(v) for v in names} <= {id(v) for v in dag.names}
+
+
+@pytest.mark.parametrize("mode", ["multilinear", "standard"])
+def test_loaded_certificate_shares_names_and_monomials(tmp_path, mode):
+    dag, strategy = _shared_sample()
+    cert = compile_strategy(dag, strategy, Q)
+    booleans = {}
+    if mode == "standard":  # Boolean multipliers share the multipliers' table
+        cert = Certificate(Q, mode, cert.multipliers)
+        booleans = {v: ExpPoly(Q, {(v, v): 1, (v, "v0_1"): 2}) for v in dag.names[:3]}
+    path = tmp_path / "c.json"
+    save_certificate(Certificate(Q, mode, cert.multipliers, booleans), path)
+    loaded = load_certificate(path)
+    names, monos = _names_and_monomials(loaded)
+    assert _one_object_each(names) and _one_object_each(monos)
+    assert loaded.multipliers == {a: (ExpPoly(Q, q.terms) if mode == "standard" else q)
+                                  for a, q in cert.multipliers.items()}
+    assert loaded.boolean_multipliers == booleans
+
+
+def test_extracted_strategy_shares_one_move_per_distinct_move():
+    dag, strategy = _shared_sample()
+    moves = extract(dag, compile_strategy(dag, strategy, F5)).moves
+    assert _one_object_each(moves) and all(type(m) is Move for m in moves)
+
+
+def _old_poly_from_json(field, entries, mode):
+    """The per-term reader the shared one replaced: `_read` on every term."""
+    poly = MultilinearPoly if mode == "multilinear" else ExpPoly
+    terms = {}
+    parsed = {}
+    for e in entries:
+        names = e["vars"]
+        if not isinstance(names, list):
+            raise CertificateError(f'"vars" must be a list of name strings, got {names!r}')
+        mono = poly._read(names)
+        text = e["coeff"]
+        if isinstance(text, str) and text in parsed:
+            coeff = parsed[text]
+        else:
+            try:
+                coeff = parsed[text] = field.parse(text)
+            except (ValueError, ZeroDivisionError):
+                raise CertificateError(f"invalid coefficient {text!r}") from None
+        field.accumulate(terms, mono, coeff)
+    return poly._of(field, terms)
+
+
+def _old_certificate_from_json(data):
+    try:
+        spec = data["field"]
+        field = Field.rationals() if spec == "rationals" else Field.prime(spec["prime"])
+        mode = data["mode"]
+        multipliers = {}
+        for entry in data["multipliers"]:
+            if entry["axiom"] in multipliers:
+                raise CertificateError(f'repeated "axiom" {entry["axiom"]!r}')
+            multipliers[entry["axiom"]] = _old_poly_from_json(field, entry["poly"], mode)
+        booleans = {}
+        for entry in data.get("boolean_multipliers", []):
+            if entry["var"] in booleans:
+                raise CertificateError(f'repeated "var" {entry["var"]!r}')
+            booleans[entry["var"]] = _old_poly_from_json(field, entry["poly"], "standard")
+    except (KeyError, TypeError) as exc:
+        raise CertificateError(f"malformed certificate JSON: {exc}") from None
+    return Certificate(field, mode, multipliers, booleans)
+
+
+def _read_outcome(read, data):
+    """The error class and message, or the certificate's mode and polynomials."""
+    try:
+        cert = read(data)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return cert.mode, cert.multipliers, cert.boolean_multipliers
+
+
+_VAR_NAMES = st.sampled_from(["a", "b", "c"])
+_NOT_NAMES = st.sampled_from([1, True, 1.0, None, ["a"], {}, {"a": 1}])
+_VARS = (st.lists(_VAR_NAMES, max_size=3)
+         | st.lists(_VAR_NAMES | _NOT_NAMES, max_size=3)
+         | st.sampled_from(["ab", None, 3, {"a": 1}, ("a",)]))
+
+
+@st.composite
+def _term_lists(draw, pool):
+    """Terms whose "vars" come from `pool`, so monomials repeat, each list a copy."""
+    return [{"coeff": draw(st.sampled_from(["1", "2", "-1", "x"])),
+             "vars": list(v) if isinstance(v, list) else v}
+            for v in draw(st.lists(st.sampled_from(pool), max_size=4))]
+
+
+@st.composite
+def _certificate_data(draw):
+    pool = draw(st.lists(_VARS, min_size=1, max_size=4))
+    mode = draw(st.sampled_from(["multilinear", "standard"]))
+    data = {"field": {"prime": 5}, "mode": mode,
+            "multipliers": [{"axiom": f"vertex:{i}", "poly": draw(_term_lists(pool))}
+                            for i in range(draw(st.integers(1, 3)))]}
+    if mode == "standard" and draw(st.booleans()):
+        data["boolean_multipliers"] = [{"var": v, "poly": draw(_term_lists(pool))}
+                                       for v in draw(st.sets(_VAR_NAMES, max_size=2))]
+    return data
+
+
+@settings(max_examples=150)
+@given(_certificate_data())
+def test_reader_messages_match_the_per_term_reader(data):
+    assert _read_outcome(certificate_from_json, data) == \
+        _read_outcome(_old_certificate_from_json, data)
+
+
 # -- JSON ----------------------------------------------------------------------
 
 def test_certificate_json_round_trip():
@@ -853,6 +996,33 @@ def test_verify_and_weights_match_naive_sums(case):
     assert (weights.empty_weight, weights.violations) == (empty, tuple(expected))
     if not perturbed:
         assert weights.ok
+
+
+def _config_graph_per_term(dag, cert):
+    """(names, edges) of the configuration graph, each term's mask summed anew."""
+    formula = pebbling_formula(dag)
+    bits = {name: 1 << i for i, name in enumerate(dag.names)}
+    edges = []
+    for axiom_id, q in cert.multipliers.items():
+        name = formula.axiom(axiom_id)[1]
+        if name is None:
+            continue
+        bit, pm = dag.toggles[dag.index[name]]
+        for mono, coeff in q.terms.items():
+            lo = sum(bits.setdefault(var, 1 << len(bits)) for var in mono)
+            if not lo & bit:
+                lo |= pm
+                edges.append((lo, lo | bit, coeff))
+    return tuple(bits), tuple(edges)
+
+
+@settings(max_examples=40)
+@given(_certificates(st.booleans()))
+def test_config_graph_matches_the_per_term_graph(case):
+    # outside variables take their bits in order of first appearance, as before
+    dag, _, cert, _ = case
+    cg = config_graph(dag, cert)
+    assert (cg.names, cg.edges) == _config_graph_per_term(dag, cert)
 
 
 @CERT_SETTINGS

@@ -15,6 +15,10 @@ Core claims:
     - strategy JSON round-trips; a loaded strategy shares one Move per
       distinct move, the reader gives the per-move reader's messages, and
       moves that are not plain strings save as they did before
+    - a mirrored move list shares one Move per distinct move, reusing the
+      input's objects
+    - replay reads a move as an (op, vertex) pair, so a pair replays like its
+      equal Move, and anything else is an illegal move at its step
     - replay and verify_strategy accept exactly the move sequences a
       set-based simulator accepts, failing at the same step, in both games
 """
@@ -274,6 +278,46 @@ def test_loaded_strategy_shares_one_move_per_distinct_move(tmp_path):
     s = load_strategy(path)
     assert len({id(m) for m in s.moves}) == len(set(s.moves)) < len(s.moves)
     assert all(type(m) is Move for m in s.moves)
+
+
+def _shares_one_move_per_distinct_move(moves):
+    return (len({id(m) for m in moves}) == len(set(moves))
+            and all(type(m) is Move for m in moves))
+
+
+def test_mirrored_shares_one_move_per_distinct_move():
+    fwd = strat_by_depth(pyramid(3)).moves
+    back = mirrored(fwd)
+    assert _shares_one_move_per_distinct_move(back) and len(set(back)) < len(back)
+    # an inverse that is a move of the input is the input's object
+    assert _shares_one_move_per_distinct_move(fwd + back)
+    # equal input moves that are separate objects still mirror to one object each
+    assert _shares_one_move_per_distinct_move(mirrored(_moves(*[(PLACE, "v1"), (REMOVE, "v1")] * 3)))
+
+
+def test_replay_reads_a_pair_like_its_equal_move():
+    dag = line(2)
+    assert replay(dag, [(PLACE, "v1")], REVERSIBLE) == [0, 1]
+    pairs = [(PLACE, "v1"), (PLACE, "v2"), (REMOVE, "v2"), (REMOVE, "v1")]
+    assert verify_strategy(dag, Strategy(REVERSIBLE, VISITING, tuple(pairs))).space == 2
+    # a pair refused by the rule of an equal Move before it
+    with pytest.raises(IllegalMoveAt) as err:
+        replay(dag, [Move(PLACE, "v1"), (PLACE, "v1")], REVERSIBLE)
+    assert (err.value.step, err.value.cause) == (2, "v1 already pebbled")
+    with pytest.raises(IllegalMoveAt) as err:
+        replay(dag, [(PLACE, "v1"), (REMOVE, "v2")], STANDARD)
+    assert (err.value.step, err.value.cause) == (2, "v2 not pebbled")
+
+
+@pytest.mark.parametrize("bad", [5, (PLACE,), (PLACE, "v1", "v2"), [PLACE, "v1"], "pv", None])
+@pytest.mark.parametrize("game", [STANDARD, REVERSIBLE])
+def test_replay_refuses_a_move_that_is_not_a_pair(bad, game):
+    cause = f"move {bad!r} is not an (op, vertex) pair"
+    for moves, step in (([bad], 1), ([Move(PLACE, "v1"), bad], 2),
+                        ([(PLACE, "v1"), bad, bad], 2)):
+        with pytest.raises(IllegalMoveAt) as err:
+            replay(line(2), moves, game)
+        assert (err.value.step, err.value.cause) == (step, cause)
 
 
 def _reader_message(moves):

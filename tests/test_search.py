@@ -12,6 +12,8 @@ from pathlib import Path
 import pytest
 
 from pebcert import (
+    Move,
+    bit_reversal,
     carlson_savage,
     search,
     cs_lower_bound,
@@ -49,6 +51,17 @@ def test_min_space_witness_verifies():
     space, witness = min_space(pyramid(2), "reversible", "visiting")
     metrics = verify_strategy(pyramid(2), witness)
     assert metrics.space <= space
+
+
+@pytest.mark.parametrize("dag,game,flavor", [
+    (bit_reversal(8), "standard", None),  # its clean-up removes vertices the walk removed
+    (pyramid(3), "reversible", "visiting"),
+    (pyramid(3), "reversible", "persistent"),
+])
+def test_witness_shares_one_move_per_distinct_move(dag, game, flavor):
+    moves = min_space(dag, game, flavor)[1].moves
+    assert len({id(m) for m in moves}) == len(set(moves)) < len(moves)
+    assert all(type(m) is Move for m in moves)
 
 
 def test_min_time_examples():

@@ -5,7 +5,8 @@ time bound as a hard inequality on verifier-measured metrics; the line
 strategies hit their closed forms exactly.  Every visiting strategy, from the
 library and among the trade-off table's candidates, ends at the mirror of its
 prefix up to its first sink visit, and compiles.  The exact move sequences of
-a fixed set of instances are pinned in tests/golden_strategies.json.
+a fixed set of instances are pinned in tests/golden_strategies.json, and
+each of them holds one Move object per distinct move.
 """
 
 import argparse
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from pebcert import (
+    Move,
     bit_reversal,
     carlson_savage,
     line,
@@ -299,3 +301,10 @@ GOLDEN_LIBRARY = {
 def test_golden_strategies(name):
     moves = GOLDEN_LIBRARY[name]().moves
     assert " ".join(("+" if m.op == PLACE else "-") + m.vertex for m in moves) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_LIBRARY))
+def test_constructed_strategy_shares_one_move_per_distinct_move(name):
+    moves = GOLDEN_LIBRARY[name]().moves
+    assert len({id(m) for m in moves}) == len(set(moves))
+    assert all(type(m) is Move for m in moves)
