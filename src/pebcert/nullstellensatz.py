@@ -9,10 +9,10 @@ arity over multiplier/axiom monomial pairs, so a compiled certificate has
 size = time + 1 and degree = space exactly.
 
 Every axiom id is decoded by `PebblingFormula.axiom`, the one table that
-verify, axiom_poly and config_graph share.  `Certificate` checks its own
-shape (mode, string keys, multiplier kinds, one field) when built, and
-`verify` alone decides validity: `multilinearize` and `extract` judge their
-input by it.
+verify, axiom_poly and config_graph share.  `Certificate` (a frozen slotted
+class) checks its own shape (mode, string keys, multiplier kinds, one field)
+when built, and `verify` alone decides validity: `multilinearize` and
+`extract` judge their input by it.  The reports are named tuples.
 The compiler turns each step of a reversible pebbling prefix into the
 telescoping term sign * x_R * A_v with R = P_i - {v_i} - pred(v_i), read off
 the DAG's move table, and closes with A_sink * x_{P_t' - {z}}.  The
@@ -36,15 +36,16 @@ is.  A certificate repeats few names and monomials over many terms, so it
 holds one object for each: the compiler turns each distinct R mask into
 names once, over the DAG's own name strings, and the reader keeps one table
 per certificate from each distinct "vars" list to its monomial and from each
-name to its string.  Terms compare as before; a repeat is now the same
-object.  `config_graph` likewise computes each distinct monomial's mask once.
+name to its string.  `multilinearize` clamps, `config_graph` masks and the
+writer sorts each distinct monomial once per certificate.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field as dataclass_field
 from itertools import chain
+from operator import attrgetter
+from typing import NamedTuple
 
 from .algebra import ExpPoly, Field, MultilinearPoly
 from .errors import CertificateError, GraphError, InternalConsistencyError
@@ -124,39 +125,52 @@ def pebbling_formula(dag: Dag) -> PebblingFormula:
     return PebblingFormula(dag)
 
 
-@dataclass(frozen=True)
 class Certificate:
     """Per-axiom multiplier polynomials over one field; the one shape check.
 
     Multilinear mode holds MultilinearPoly multipliers and no Boolean-axiom
     multipliers; standard mode holds MultilinearPoly or ExpPoly multipliers
-    and boolean_multipliers (variable -> multiplier of x^2 - x) of either
-    kind.  Every key, an axiom id or a variable name, is a `str`, and every
-    polynomial is over `field`.
+    and boolean_multipliers (variable -> multiplier of x^2 - x; a new {} by
+    default) of either kind.  Every key, an axiom id or a variable name, is a
+    `str`, and every polynomial is over `field`.  Frozen, unhashable, equal by fields.
     """
 
-    field: Field
-    mode: str
-    multipliers: dict
-    boolean_multipliers: dict = dataclass_field(default_factory=dict)
+    __slots__ = ("field", "mode", "multipliers", "boolean_multipliers")
 
-    def __post_init__(self):
-        if self.mode not in (MULTILINEAR, STANDARD_MODE):
-            raise CertificateError(f"unknown mode {self.mode!r}")
-        if self.mode == MULTILINEAR and self.boolean_multipliers:
+    def __init__(self, field: Field, mode: str, multipliers: dict, boolean_multipliers=None):
+        booleans = {} if boolean_multipliers is None else boolean_multipliers
+        if mode not in (MULTILINEAR, STANDARD_MODE):
+            raise CertificateError(f"unknown mode {mode!r}")
+        if mode == MULTILINEAR and booleans:
             raise CertificateError("multilinear certificates have no Boolean multipliers")
-        kinds = MultilinearPoly if self.mode == MULTILINEAR else (MultilinearPoly, ExpPoly)
-        for key, q in chain(self.multipliers.items(), self.boolean_multipliers.items()):
+        kinds = MultilinearPoly if mode == MULTILINEAR else (MultilinearPoly, ExpPoly)
+        for key, q in chain(multipliers.items(), booleans.items()):
             if not isinstance(key, str):
                 raise CertificateError(f"multiplier key {key!r} is not a string")
             if not isinstance(q, kinds):
-                raise CertificateError(f"multiplier for {key!r} is not a {self.mode} polynomial")
-            if q.field != self.field:
+                raise CertificateError(f"multiplier for {key!r} is not a {mode} polynomial")
+            if q.field != field:
                 raise CertificateError(f"multiplier for {key!r} is over {q.field!r}")
+        for name, value in zip(self.__slots__, (field, mode, multipliers, booleans)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"certificate field {name!r} cannot be assigned or deleted")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # copy and pickle through __init__, as no field can be set
+        return Certificate, attrgetter(*self.__slots__)(self)
+
+    def __eq__(self, other):
+        fields = attrgetter(*self.__slots__)
+        return fields(self) == fields(other) if type(other) is type(self) else NotImplemented
+
+    def __repr__(self):
+        return f"Certificate({', '.join(f'{n}={getattr(self, n)!r}' for n in self.__slots__)})"
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     valid: bool
     size: int
     degree: int
@@ -286,8 +300,7 @@ def config_graph(dag: Dag, cert: Certificate) -> ConfigGraph:
     return ConfigGraph(tuple(bits), dag.designated_sink, cert.field, edges)
 
 
-@dataclass(frozen=True)
-class WeightReport:
+class WeightReport(NamedTuple):
     ok: bool
     empty_weight: object
     violations: tuple  # (configuration names, weight) pairs
@@ -364,36 +377,41 @@ def multilinearize(formula: PebblingFormula, cert: Certificate) -> Certificate:
             f"certificate does not verify; residual: {report.failure_residual.summary()}")
     if cert.mode == MULTILINEAR:
         return cert
-    out = Certificate(cert.field, MULTILINEAR, {  # the constructor clamps an ExpPoly's terms
-        a: MultilinearPoly(cert.field, q.terms) if isinstance(q, ExpPoly) else q
-        for a, q in cert.multipliers.items()})
+    f, clamped, multipliers = cert.field, {}, {}  # monomial or set -> its one clamped set
+    for a, q in cert.multipliers.items():
+        terms = {}
+        for m, c in q.terms.items():
+            if m not in clamped:
+                clamped[m] = clamped.setdefault(s := frozenset(m), s)
+            f.accumulate(terms, clamped[m], c)
+        multipliers[a] = MultilinearPoly._of(f, terms)
+    out = Certificate(f, MULTILINEAR, multipliers)
     if not verify(formula, out).valid:
         raise InternalConsistencyError("the clamped copy of a valid certificate does not verify")
     return out
 
 
 def certificate_to_json(cert: Certificate) -> dict:
-    f = cert.field
+    f, lists = cert.field, {}  # monomial -> its "vars", sorted once and shared by its rows
     data = {
         "field": "rationals" if f.is_rationals else {"prime": f.p},
         "mode": cert.mode,
-        "multipliers": [{"axiom": a, "poly": _poly_to_json(cert.multipliers[a])}
+        "multipliers": [{"axiom": a, "poly": _poly_to_json(cert.multipliers[a], lists)}
                         for a in sorted(cert.multipliers, key=lambda a: (a == SINK_AXIOM, a))],
     }
     if cert.boolean_multipliers:
-        data["boolean_multipliers"] = [
-            {"var": var, "poly": _poly_to_json(s)}
-            for var, s in sorted(cert.boolean_multipliers.items())
-        ]
+        data["boolean_multipliers"] = [{"var": var, "poly": _poly_to_json(s, lists)}
+                                       for var, s in sorted(cert.boolean_multipliers.items())]
     return data
 
 
-def _poly_to_json(poly):
+def _poly_to_json(poly, lists):
     """Terms by degree, then by the polynomial's `_key`; "vars" is the sorted names."""
-    if isinstance(poly, MultilinearPoly):  # its _key is (degree, sorted names): sort once
-        rows = sorted((len(m), sorted(m), c) for m, c in poly.terms.items())
-    else:  # an ExpPoly monomial is sorted already
-        rows = sorted((len(m), poly._key(m), list(m), c) for m, c in poly.terms.items())
+    lists.update((m, sorted(m)) for m in poly.terms if m not in lists)
+    if isinstance(poly, MultilinearPoly):  # its _key is (degree, sorted names)
+        rows = sorted((len(m), lists[m], c) for m, c in poly.terms.items())
+    else:
+        rows = sorted((len(m), poly._key(m), lists[m], c) for m, c in poly.terms.items())
     return [{"coeff": str(row[-1]), "vars": row[-2]} for row in rows]
 
 

@@ -18,14 +18,13 @@ strategy writes each distinct move's text once.  Every strategy the package
 builds (loaded, mirrored, searched, extracted or constructed) holds one
 `Move` object per distinct move: `Move` is called only through a
 `_MoveTable`, made per call, which returns the object it made the first time
-for every repeat.  Moves compare as before; a repeat is now the same object.
-`replay` reads a move as an `(op, vertex)` pair, so a pair replays like its
-equal `Move`, and anything else is an illegal move at its step.
+for every repeat.  `replay` reads a move as an `(op, vertex)` pair, so a pair
+replays like its equal `Move`, and anything else is an illegal move at its
+step.  `Move`, `Strategy` and `PebblingMetrics` are named tuples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -42,21 +41,17 @@ REMOVE = "remove"
 
 
 class Move(NamedTuple):
-    """A named tuple, so a move equals its `(op, vertex)` pair."""
-
     op: str  # "place" | "remove"
     vertex: str
 
 
-@dataclass(frozen=True)
-class Strategy:
+class Strategy(NamedTuple):
     game: str  # "standard" | "reversible"
     flavor: str | None  # "visiting" | "persistent"; None for standard
     moves: tuple[Move, ...]
 
 
-@dataclass(frozen=True)
-class PebblingMetrics:
+class PebblingMetrics(NamedTuple):
     time: int
     space: int
     first_sink_step: int  # index of the first configuration containing the sink
@@ -205,9 +200,7 @@ def verify_strategy(dag: Dag, strategy: Strategy) -> PebblingMetrics:
         if final != 0:
             raise PebblingError("pebbling must end with the empty configuration")
 
-    space = max(m.bit_count() for m in configs)
-    return PebblingMetrics(time=len(strategy.moves), space=space,
-                           first_sink_step=first_sink)
+    return PebblingMetrics(len(strategy.moves), max(m.bit_count() for m in configs), first_sink)
 
 
 def strategy_to_json(strategy: Strategy) -> dict:

@@ -55,9 +55,9 @@ fails raises `InternalConsistencyError`.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from typing import NamedTuple
 
 from .errors import (
     GraphError,
@@ -86,8 +86,7 @@ DEFAULT_STATE_BUDGET = 50_000_000
 MAX_VERTICES = 64
 
 
-@dataclass(frozen=True)
-class TradeoffPoint:
+class TradeoffPoint(NamedTuple):
     space: int
     time: int
     witness: Strategy

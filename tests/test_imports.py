@@ -28,9 +28,17 @@ graph whose names, order and predecessors nobody checked.  A call to
 loop that decides on its own which moves are legal.  A call to `Move`
 outside `pebbling._MoveTable.__missing__` would make a second object for a
 move that a strategy already holds.
+
+Every CLI call pays for `import pebcert.cli` before it does any work, so a
+cold import in a fresh interpreter must load none of `dataclasses`,
+`inspect`, `ast`, `dis` and `tokenize`: `dataclasses` alone pulls in the
+other four and generates code for each decorated class, which was about
+three quarters of the package's import time.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -296,3 +304,14 @@ def test_moves_are_made_only_by_the_move_table():
     calls = [(module, scope) for module in sorted(p.name for p in PACKAGE.glob("*.py"))
              for scope in _move_calls((PACKAGE / module).read_text())]
     assert calls == [("pebbling.py", "_MoveTable.__missing__")]
+
+
+_HEAVY_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+
+
+def test_cold_cli_import_loads_no_heavy_module():
+    probe = (f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import pebcert.cli; "
+             f"print(' '.join(m for m in {_HEAVY_MODULES!r} if m in sys.modules))")
+    loaded = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
+                            text=True, check=True).stdout.split()
+    assert loaded == []

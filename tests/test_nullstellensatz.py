@@ -12,10 +12,11 @@ Core claims:
     - multilinearization never grows size or degree and rejects invalid input
     - Certificate rejects a malformed shape; verify alone judges validity,
       and multilinearize and extract judge the certificate they are given
-    - compiled and loaded certificates hold one object per distinct name and
-      per distinct monomial, and extracted strategies one Move per distinct
-      move; the reader gives the per-term reader's messages, and
-      config_graph builds the per-term graph
+    - compiled, loaded and multilinearized certificates hold one object per
+      distinct name and per distinct monomial, a written certificate one
+      "vars" list per distinct monomial, and extracted strategies one Move
+      per distinct move; the reader gives the per-term reader's messages,
+      and config_graph builds the per-term graph
 """
 
 import json
@@ -693,6 +694,54 @@ def test_extracted_strategy_shares_one_move_per_distinct_move():
     dag, strategy = _shared_sample()
     moves = extract(dag, compile_strategy(dag, strategy, F5)).moves
     assert _one_object_each(moves) and all(type(m) is Move for m in moves)
+
+
+def test_multilinearized_copy_shares_one_set_per_distinct_monomial(tmp_path):
+    dag, strategy = _shared_sample()
+    cert = compile_strategy(dag, strategy, F5)
+    path = tmp_path / "c.json"
+    save_certificate(Certificate(F5, "standard", cert.multipliers), path)
+    loaded = load_certificate(path)
+    assert all(isinstance(q, ExpPoly) for q in loaded.multipliers.values())
+    out = multilinearize(pebbling_formula(dag), loaded)
+    assert _one_object_each(_names_and_monomials(out)[1])
+    assert out == cert
+
+
+def test_multilinearize_sums_monomials_that_clamp_equal():
+    # (1 + x_z - x_z^2) * (1 - x_z) + (2 x_z - x_z^2) * x_z = 1 with no Boolean
+    # multiplier; clamped, x_z and x_z^2 are one monomial, which cancels in
+    # Q_z and sums to x_z in Q_sink
+    f = pebbling_formula(_single_vertex())
+    one, x = MultilinearPoly.one(Q), MultilinearPoly.monomial(Q, ["z"])
+    std = Certificate(Q, "standard", {
+        "vertex:z": ExpPoly(Q, {(): 1, ("z",): 1, ("z", "z"): -1}),
+        "sink": ExpPoly(Q, {("z",): 2, ("z", "z"): -1})})
+    assert verify(f, std).valid
+    assert multilinearize(f, std) == Certificate(Q, "multilinear", {"vertex:z": one, "sink": x})
+    # (1 + x_z^2) * (1 - x_z) + (2 - x_z) * x_z + (1 + x_z) * (x_z^2 - x_z) = 1:
+    # the x_z^2 of Q_z and the x_z of Q_sink clamp to one set object
+    std = Certificate(Q, "standard", {"vertex:z": ExpPoly(Q, {(): 1, ("z", "z"): 1}),
+                                      "sink": ExpPoly(Q, {(): 2, ("z",): -1})},
+                      {"z": ExpPoly(Q, {(): 1, ("z",): 1})})
+    out = multilinearize(f, std)
+    assert out == Certificate(Q, "multilinear", {"vertex:z": one + x, "sink": one + one - x})
+    assert _one_object_each([m for q in out.multipliers.values() for m in q.terms])
+
+
+@pytest.mark.parametrize("mode", ["multilinear", "standard"])
+def test_written_certificate_shares_one_vars_list_per_distinct_monomial(mode):
+    dag, strategy = _shared_sample()
+    cert = compile_strategy(dag, strategy, F3)
+    if mode == "standard":
+        cert = Certificate(F3, mode, {a: ExpPoly(F3, q.terms) for a, q in cert.multipliers.items()},
+                           {v: ExpPoly(F3, {(v, v): 1, (v,): 2}) for v in dag.names[:3]})
+    data = certificate_to_json(cert)
+    rows = [row for key in ("multipliers", "boolean_multipliers")
+            for entry in data.get(key, ()) for row in entry["poly"]]
+    lists = [row["vars"] for row in rows]
+    assert len({id(v) for v in lists}) == len({tuple(v) for v in lists}) < len(lists)
+    assert certificate_from_json(json.loads(json.dumps(data))) == cert
 
 
 def _old_poly_from_json(field, entries, mode):
