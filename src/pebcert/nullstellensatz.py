@@ -9,13 +9,14 @@ arity over multiplier/axiom monomial pairs, so a compiled certificate has
 size = time + 1 and degree = space exactly.
 
 Every axiom id is decoded by `PebblingFormula.axiom`, the one table that
-verify, axiom_poly and config_graph share.  `Certificate` (a frozen slotted
-class) checks its own shape (mode, string keys, multiplier kinds, one field)
-when built, and `verify` alone decides validity: `multilinearize` and
-`extract` judge their input by it.  The reports are named tuples.
-The compiler turns each step of a reversible pebbling prefix into the
-telescoping term sign * x_R * A_v with R = P_i - {v_i} - pred(v_i), read off
-the DAG's move table, and closes with A_sink * x_{P_t' - {z}}.  The
+verify, axiom_poly and config_graph share.  Every record is a named tuple,
+equal to the tuple of its fields.  `Certificate` checks its own shape (mode,
+dict maps, string keys, multiplier kinds, one field) whenever one is built,
+and `verify` alone decides validity: `multilinearize` and `extract` judge
+their input by it.  The compiler turns each step of a reversible pebbling
+prefix into the telescoping term sign * x_R * A_v with
+R = P_i - {v_i} - pred(v_i), v_i read off P_i ^ P_{i-1} of the replay, and
+closes with A_sink * x_{P_t' - {z}}.  The
 extractor walks the configuration graph whose edges come from sink-free
 multiplier monomials, closes the path through `pebbling.visiting` and
 replays the result once; configuration weights follow the signed occurrence
@@ -29,7 +30,7 @@ variables in) gets its own bit above len(dag).  Multiplier `terms` stay keyed
 by names, and masks go back to names only through `graphs.mask_names`.  Each
 operation is one pass, linear in its number of terms: verify adds every
 product term into one coefficient map, the compiler accumulates
-{R mask: coefficient} per axiom, and check_weights sums all configuration
+{R mask: coefficient} per vertex, and check_weights sums all configuration
 weights over the edges and translates only its violations to names.  A
 standard-mode monomial is the file's sorted "vars" list, read and written as
 is.  A certificate repeats few names and monomials over many terms, so it
@@ -44,7 +45,6 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import chain
-from operator import attrgetter
 from typing import NamedTuple
 
 from .algebra import ExpPoly, Field, MultilinearPoly
@@ -125,22 +125,29 @@ def pebbling_formula(dag: Dag) -> PebblingFormula:
     return PebblingFormula(dag)
 
 
-class Certificate:
+class Certificate(NamedTuple("Certificate", [("field", Field), ("mode", str),
+                                             ("multipliers", dict),
+                                             ("boolean_multipliers", dict)])):
     """Per-axiom multiplier polynomials over one field; the one shape check.
 
     Multilinear mode holds MultilinearPoly multipliers and no Boolean-axiom
     multipliers; standard mode holds MultilinearPoly or ExpPoly multipliers
     and boolean_multipliers (variable -> multiplier of x^2 - x; a new {} by
-    default) of either kind.  Every key, an axiom id or a variable name, is a
-    `str`, and every polynomial is over `field`.  Frozen, unhashable, equal by fields.
+    default) of either kind.  Both maps are dicts, every key, an axiom id or
+    a variable name, is a `str`, and every polynomial is over `field`.  A
+    named tuple: every construction, copies and `_replace` included, goes
+    through the check, and it is unhashable, as its maps are.
     """
 
-    __slots__ = ("field", "mode", "multipliers", "boolean_multipliers")
+    __slots__ = ()
 
-    def __init__(self, field: Field, mode: str, multipliers: dict, boolean_multipliers=None):
+    def __new__(cls, field: Field, mode: str, multipliers: dict, boolean_multipliers=None):
         booleans = {} if boolean_multipliers is None else boolean_multipliers
         if mode not in (MULTILINEAR, STANDARD_MODE):
             raise CertificateError(f"unknown mode {mode!r}")
+        for what, value in (("multipliers", multipliers), ("boolean_multipliers", booleans)):
+            if not isinstance(value, dict):
+                raise CertificateError(f"{what} must be a dict, got {type(value).__name__}")
         if mode == MULTILINEAR and booleans:
             raise CertificateError("multilinear certificates have no Boolean multipliers")
         kinds = MultilinearPoly if mode == MULTILINEAR else (MultilinearPoly, ExpPoly)
@@ -151,23 +158,11 @@ class Certificate:
                 raise CertificateError(f"multiplier for {key!r} is not a {mode} polynomial")
             if q.field != field:
                 raise CertificateError(f"multiplier for {key!r} is over {q.field!r}")
-        for name, value in zip(self.__slots__, (field, mode, multipliers, booleans)):
-            object.__setattr__(self, name, value)
+        return super().__new__(cls, field, mode, multipliers, booleans)
 
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"certificate field {name!r} cannot be assigned or deleted")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):  # copy and pickle through __init__, as no field can be set
-        return Certificate, attrgetter(*self.__slots__)(self)
-
-    def __eq__(self, other):
-        fields = attrgetter(*self.__slots__)
-        return fields(self) == fields(other) if type(other) is type(self) else NotImplemented
-
-    def __repr__(self):
-        return f"Certificate({', '.join(f'{n}={getattr(self, n)!r}' for n in self.__slots__)})"
+    @classmethod
+    def _make(cls, fields):  # the named tuple's own `_make` would skip the check
+        return cls(*fields)
 
 
 class VerifyReport(NamedTuple):
@@ -230,22 +225,22 @@ def compile_strategy(dag: Dag, strategy: Strategy, field: Field) -> Certificate:
         raise CertificateError("strategy never pebbles the sink")
 
     plus, minus = field.one, field.coerce(-1)
-    terms = {}  # axiom id -> {R mask: coefficient}
+    terms = {}  # vertex index -> {R mask: coefficient}
     for i in range(1, t_prime + 1):
-        name = strategy.moves[i - 1].vertex
-        bit, pm = dag.toggles[dag.index[name]]
-        field.accumulate(terms.setdefault(vertex_axiom_id(name), {}),
-                         configs[i] & ~(bit | pm),
+        bit = configs[i] ^ configs[i - 1]  # the one vertex step i toggles
+        v = bit.bit_length() - 1
+        field.accumulate(terms.setdefault(v, {}), configs[i] & ~(bit | dag.toggles[v][1]),
                          plus if configs[i] > configs[i - 1] else minus)
     last = configs[t_prime] & ~zbit
     monos = {m: mask_names(dag.names, m) for m in set(chain([last], *terms.values()))}
-    multipliers = {axiom_id: MultilinearPoly._of(field, {monos[m]: c for m, c in q.items()})
-                   for axiom_id, q in terms.items()}
+    multipliers = {vertex_axiom_id(dag.names[v]):
+                   MultilinearPoly._of(field, {monos[m]: c for m, c in q.items()})
+                   for v, q in terms.items()}
     multipliers[SINK_AXIOM] = MultilinearPoly._of(field, {monos[last]: field.one})
     return Certificate(field, MULTILINEAR, multipliers)
 
 
-class ConfigGraph:
+class ConfigGraph(NamedTuple):
     """Multigraph on pebble configurations induced by a multilinear certificate.
 
     Bit i of a configuration mask is names[i]: the DAG's vertices (the sink
@@ -255,11 +250,10 @@ class ConfigGraph:
     and -c at hi.
     """
 
-    def __init__(self, names, sink, field, edges):
-        self.names = names
-        self.sink = sink
-        self.field = field
-        self.edges = tuple(edges)
+    names: tuple
+    sink: int
+    field: Field
+    edges: tuple
 
     def weights(self):
         """Nonzero signed occurrence weight of endpoint masks, in one pass."""
@@ -297,7 +291,7 @@ def config_graph(dag: Dag, cert: Certificate) -> ConfigGraph:
             if not lo & bit:
                 lo |= pm
                 edges.append((lo, lo | bit, coeff))
-    return ConfigGraph(tuple(bits), dag.designated_sink, cert.field, edges)
+    return ConfigGraph(tuple(bits), dag.designated_sink, cert.field, tuple(edges))
 
 
 class WeightReport(NamedTuple):

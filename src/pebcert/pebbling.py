@@ -14,13 +14,16 @@ verified with visiting semantics (start and end empty, sink visited).
 
 A strategy repeats few distinct moves many times, so each distinct move is
 handled once: `replay` decodes it into one rule per call, and a saved
-strategy writes each distinct move's text once.  Every strategy the package
+strategy writes each distinct move's text once.  The writer and the reader
+of strategy files check moves by one rule: each is a pair of strings, and
+the writer refuses any other move.  Every strategy the package
 builds (loaded, mirrored, searched, extracted or constructed) holds one
 `Move` object per distinct move: `Move` is called only through a
 `_MoveTable`, made per call, which returns the object it made the first time
 for every repeat.  `replay` reads a move as an `(op, vertex)` pair, so a pair
 replays like its equal `Move`, and anything else is an illegal move at its
-step.  `Move`, `Strategy` and `PebblingMetrics` are named tuples.
+step.  Every record (`Move`, `Strategy`, `PebblingMetrics`) is a named
+tuple, equal to the tuple of its fields.
 """
 
 from __future__ import annotations
@@ -101,7 +104,7 @@ def _is_pair(move):
 def _rule(dag, move, game):
     """(bit, need, want): `move` is legal on configuration m exactly when
     m & need == want, and then gives m ^ bit.  An unknown vertex or op, or
-    a move that is not a pair, gets a rule that never holds, so `_move_mask`
+    a move that is not a pair, gets a rule that never holds, so `_refusal`
     names it."""
     if not _is_pair(move):
         return _NEVER
@@ -118,29 +121,25 @@ def _rule(dag, move, game):
     return _NEVER
 
 
-def _move_mask(dag, config_mask, move, game):
-    """Next configuration bitmask, or raise PebblingError for an illegal move."""
+def _refusal(dag, config_mask, move, game):
+    """Why `move` is illegal on configuration `config_mask`; `replay` asks
+    only after the move's `_rule` refused it, so some check below names it."""
     if not _is_pair(move):
-        raise PebblingError(f"move {move!r} is not an (op, vertex) pair")
+        return f"move {move!r} is not an (op, vertex) pair"
     op, vertex = move
     try:
         bit, pred_mask = dag.toggles[dag.index[vertex]]
     except (KeyError, TypeError):  # an unhashable name is unknown too
-        raise PebblingError(f"unknown vertex {vertex!r}") from None
+        return f"unknown vertex {vertex!r}"
     if op == PLACE:
         if config_mask & bit:
-            raise PebblingError(f"{vertex} already pebbled")
-        if config_mask & pred_mask != pred_mask:
-            raise PebblingError(f"{vertex} has unpebbled predecessors")
-        return config_mask | bit
+            return f"{vertex} already pebbled"
+        return f"{vertex} has unpebbled predecessors"
     if op == REMOVE:
         if not config_mask & bit:
-            raise PebblingError(f"{vertex} not pebbled")
-        if game == REVERSIBLE and config_mask & pred_mask != pred_mask:
-            raise PebblingError(
-                f"reversible removal from {vertex} needs its predecessors pebbled")
-        return config_mask & ~bit
-    raise PebblingError(f"unknown move op {op!r}")
+            return f"{vertex} not pebbled"
+        return f"reversible removal from {vertex} needs its predecessors pebbled"
+    return f"unknown move op {op!r}"
 
 
 def replay(dag: Dag, moves, game: str) -> list[int]:
@@ -148,7 +147,7 @@ def replay(dag: Dag, moves, game: str) -> list[int]:
 
     Each distinct move is read as an `(op, vertex)` pair and decoded once
     into a `_rule`; a move its rule refuses, a non-pair included, goes to
-    `_move_mask`, which gives the step's message.
+    `_refusal`, which gives the step's message.
     """
     rules = {}
     configs = [0]
@@ -161,13 +160,9 @@ def replay(dag: Dag, moves, game: str) -> list[int]:
         if rule is None:
             rule = rules[move] = _rule(dag, move, game)
         bit, need, want = rule
-        if mask & need == want:
-            mask ^= bit
-        else:
-            try:
-                mask = _move_mask(dag, mask, move, game)
-            except PebblingError as exc:
-                raise IllegalMoveAt(i, str(exc)) from None
+        if mask & need != want:
+            raise IllegalMoveAt(i, _refusal(dag, mask, move, game))
+        mask ^= bit
         configs.append(mask)
     return configs
 
@@ -203,22 +198,30 @@ def verify_strategy(dag: Dag, strategy: Strategy) -> PebblingMetrics:
     return PebblingMetrics(len(strategy.moves), max(m.bit_count() for m in configs), first_sink)
 
 
+def _string_moves(moves) -> dict:
+    """The distinct moves of `moves`, in the order each first comes, as dict
+    keys; PebblingError for the first that is not a pair of strings.  Strategy
+    files are written and read through this one check."""
+    try:
+        distinct = dict.fromkeys(moves)
+    except TypeError:  # an unhashable move, which the check names
+        distinct = moves
+    for move in distinct:
+        if not _is_pair(move):
+            raise PebblingError(f"move {move!r} is not an (op, vertex) pair")
+        op, v = move
+        if not (isinstance(op, str) and isinstance(v, str)):
+            raise PebblingError(f'move "op" and "v" must be strings, got {op!r}, {v!r}')
+    return distinct
+
+
 def strategy_to_json(strategy: Strategy) -> dict:
     data = {"game": strategy.game}
     if strategy.flavor is not None:
         data["flavor"] = strategy.flavor
-    moves = strategy.moves
-    try:
-        distinct = dict.fromkeys(moves)
-    except TypeError:  # an unhashable vertex or op
-        distinct = None
-    if distinct is not None and all(type(m.op) is str and type(m.vertex) is str
-                                    for m in distinct):
-        # equal moves of strings write equal text, so they share one row
-        rows = {m: {"op": m.op, "v": m.vertex} for m in distinct}
-        data["moves"] = list(map(rows.__getitem__, moves))
-    else:
-        data["moves"] = [{"op": m.op, "v": m.vertex} for m in moves]
+    # equal moves of strings write equal text, so they share one row
+    rows = {move: {"op": move[0], "v": move[1]} for move in _string_moves(strategy.moves)}
+    data["moves"] = list(map(rows.__getitem__, strategy.moves))
     return data
 
 
@@ -228,13 +231,7 @@ def strategy_from_json(data) -> Strategy:
         pairs = list(map(itemgetter("op", "v"), data["moves"]))
     except (KeyError, TypeError) as exc:
         raise PebblingError(f"malformed strategy JSON: {exc}") from None
-    try:
-        distinct = dict.fromkeys(pairs)  # in the order each pair first comes
-    except TypeError:  # an unhashable "op" or "v": the check names the first bad pair
-        distinct = pairs
-    for op, v in distinct:
-        if not (isinstance(op, str) and isinstance(v, str)):
-            raise PebblingError(f'move "op" and "v" must be strings, got {op!r}, {v!r}')
+    _string_moves(pairs)
     return Strategy(game, data.get("flavor"), tuple(map(_MoveTable().__getitem__, pairs)))
 
 

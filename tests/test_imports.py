@@ -24,10 +24,14 @@ would be a second product rule, such as one that takes the multiplier's
 class where standard-mode `verify` needs the mode's.  A call to `Dag`
 outside `graphs.build_dag` and `graphs.single_sink_restriction` would be a
 graph whose names, order and predecessors nobody checked.  A call to
-`_rule` or `_move_mask` outside `pebbling.replay` would be a second replay
+`_rule` or `_refusal` outside `pebbling.replay` would be a second replay
 loop that decides on its own which moves are legal.  A call to `Move`
 outside `pebbling._MoveTable.__missing__` would make a second object for a
-move that a strategy already holds.
+move that a strategy already holds.  One table, `_CALLED_ONLY_IN`, names
+every such guarded callee with the scopes that call it, and one detector
+reads every module against it.  The named-tuple methods `_make`, `_replace`
+and `_asdict` are public despite their underscore, so overriding one, as
+`Certificate` does `_make`, is not dead code.
 
 Every CLI call pays for `import pebcert.cli` before it does any work, so a
 cold import in a fresh interpreter must load none of `dataclasses`,
@@ -69,6 +73,9 @@ def test_no_unused_imports(module):
     assert _unused_imports((PACKAGE / module).read_text()) == []
 
 
+_NAMED_TUPLE_API = {"_make", "_replace", "_asdict"}
+
+
 def _private_definitions(source):
     """Private names (`_x`, not dunders) of the top-level functions and
     classes of `source` and of the methods of its top-level classes."""
@@ -78,7 +85,8 @@ def _private_definitions(source):
             names.append(top.name)
         if isinstance(top, ast.ClassDef):
             names += [item.name for item in top.body if isinstance(item, ast.FunctionDef)]
-    return {n for n in names if n.startswith("_") and not (n.startswith("__") and n.endswith("__"))}
+    return {n for n in names if n.startswith("_") and n not in _NAMED_TUPLE_API
+            and not (n.startswith("__") and n.endswith("__"))}
 
 
 def _unreferenced_private(sources):
@@ -97,7 +105,8 @@ def test_detects_unreferenced_private_code():
     defining = ("def _dead():\n    pass\ndef _used():\n    pass\n"
                 "class _Box:\n    def __init__(self):\n        self._live()\n"
                 "    def _live(self):\n        pass\n    def _idle(self):\n        pass\n"
-                "    def _nested(self):\n        def _inner():\n            pass\n")
+                "    def _nested(self):\n        def _inner():\n            pass\n"
+                "class Rec(tuple):\n    def _make(cls, it):\n        pass\n")
     using = "from m import _used\n_used()\nx = _Box()._nested\n"
     assert _unreferenced_private([defining, using]) == ["_dead", "_idle"]
     assert _unreferenced_private([defining]) == ["_Box", "_dead", "_idle", "_nested", "_used"]
@@ -189,7 +198,17 @@ def test_files_are_read_and_written_only_at_the_boundary(module):
     assert [c for c in calls if (module, c[0]) not in _FILE_BOUNDARY] == []
 
 
-_PRUNE = ("_back", "_walk")
+# called name -> (module, enclosing scope) of each call the package makes to
+# it, one entry per call, sorted; `_walk` is called exactly once
+_CALLED_ONLY_IN = {
+    "_back": [("search.py", "_solve"), ("search.py", "_solve")],
+    "_walk": [("search.py", "_solve")],
+    "_mul_into": [("algebra.py", "_Poly.__mul__"), ("nullstellensatz.py", "verify")],
+    "Dag": [("graphs.py", "build_dag"), ("graphs.py", "single_sink_restriction")],
+    "_rule": [("pebbling.py", "replay")],
+    "_refusal": [("pebbling.py", "replay")],
+    "Move": [("pebbling.py", "_MoveTable.__missing__")],
+}
 
 
 def _called_name(func):
@@ -197,113 +216,55 @@ def _called_name(func):
     return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
 
 
-def _prune_calls(source):
-    """(enclosing top-level function or None, called name) of every call to
-    `_back` or `_walk`, bare or as an attribute such as `search._walk`."""
-    calls = []
-    for scope, func in _scoped_calls(source):
-        name = _called_name(func)
-        if name in _PRUNE:
-            calls.append((scope, name))
-    return calls
+def _guarded_calls(source):
+    """(enclosing scope, as `_scoped_calls` names it; called name) of every
+    call to a name of _CALLED_ONLY_IN, bare or as an attribute such as
+    `search._walk`."""
+    return [(scope, _called_name(func)) for scope, func in _scoped_calls(source)
+            if _called_name(func) in _CALLED_ONLY_IN]
 
 
-def test_detects_prune_calls():
-    source = ("def _solve(d):\n    return _walk(d, _back(d))\n"
-              "def other(d):\n    return search._back(d)\n"
-              "x = _walk\n")
-    assert _prune_calls(source) == [("_solve", "_walk"), ("_solve", "_back"), ("other", "_back")]
+def test_detects_guarded_calls():
+    source = ("def _solve(d):\n    return _walk(d, search._back(d))\n"
+              "def replay(d, ms):\n    for m in ms:\n        _rule(d, m)\n"
+              "        def slow():\n            return pebbling._refusal(d, 0, m)\n"
+              "class T(dict):\n    def __missing__(self, pair):\n        return Move(*pair)\n"
+              "    def same(self, o):\n        return isinstance(o, Dag)\n"
+              "x = P._mul_into(1)\nf = _walk\n")
+    assert _guarded_calls(source) == [
+        ("_solve", "_walk"), ("_solve", "_back"), ("replay", "_rule"), ("replay", "_refusal"),
+        ("T.__missing__", "Move"), (None, "_mul_into")]
+
+
+def _check_called_only_in(*names):
+    """Every call the package makes to one of `names` is the table's, and no other."""
+    calls = {name: [] for name in names}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for scope, name in _guarded_calls(path.read_text()):
+            if name in calls:
+                calls[name].append((path.name, scope))
+    assert {name: sorted(c) for name, c in calls.items()} == {
+        name: _CALLED_ONLY_IN[name] for name in names}
 
 
 def test_search_layers_are_pruned_and_walked_only_in_solve():
-    calls = [(module, *call) for module in sorted(p.name for p in PACKAGE.glob("*.py"))
-             for call in _prune_calls((PACKAGE / module).read_text())]
-    assert {(module, scope) for module, scope, _ in calls} == {("search.py", "_solve")}
-    assert [name for *_, name in calls].count("_walk") == 1
-
-
-def _product_calls(source):
-    """(enclosing scope, as `_scoped_calls` names it) of every call to
-    `_mul_into`, bare or as an attribute such as `poly._mul_into`."""
-    return [scope for scope, func in _scoped_calls(source) if _called_name(func) == "_mul_into"]
-
-
-def test_detects_product_calls():
-    source = ("class P:\n    def __mul__(self, o):\n        return self._mul_into(self, o, {})\n"
-              "    x = _mul_into(1)\n"
-              "def verify(c):\n    return P._mul_into(c, c, {})\n")
-    assert _product_calls(source) == [None, "P.__mul__", "verify"]
+    _check_called_only_in("_back", "_walk")
 
 
 def test_one_product_path_for_both_polynomial_kinds():
-    calls = [(module, scope) for module in sorted(p.name for p in PACKAGE.glob("*.py"))
-             for scope in _product_calls((PACKAGE / module).read_text())]
-    assert calls == [("algebra.py", "_Poly.__mul__"), ("nullstellensatz.py", "verify")]
-
-
-def _dag_calls(source):
-    """(enclosing scope, as `_scoped_calls` names it) of every call to `Dag`,
-    bare or as an attribute such as `graphs.Dag`."""
-    return [scope for scope, func in _scoped_calls(source) if _called_name(func) == "Dag"]
-
-
-def test_detects_dag_calls():
-    source = ("def build_dag(v):\n    return Dag(v, (), None)\n"
-              "class G:\n    def copy(self):\n        return graphs.Dag(self.names, (), None)\n"
-              "    def same(self, o):\n        return isinstance(o, Dag)\n"
-              "d = Dag((), (), None)\n")
-    assert _dag_calls(source) == ["build_dag", "G.copy", None]
+    _check_called_only_in("_mul_into")
 
 
 def test_dags_are_built_only_by_build_dag_and_the_restriction():
-    calls = [(module, scope) for module in sorted(p.name for p in PACKAGE.glob("*.py"))
-             for scope in _dag_calls((PACKAGE / module).read_text())]
-    assert calls == [("graphs.py", "build_dag"), ("graphs.py", "single_sink_restriction")]
-
-
-_MOVE_DECODERS = ("_rule", "_move_mask")
-
-
-def _decoder_calls(source):
-    """(enclosing scope, as `_scoped_calls` names it; called name) of every
-    call to `_rule` or `_move_mask`, bare or as an attribute such as
-    `pebbling._move_mask`."""
-    return [(scope, _called_name(func)) for scope, func in _scoped_calls(source)
-            if _called_name(func) in _MOVE_DECODERS]
-
-
-def test_detects_decoder_calls():
-    source = ("def replay(d, ms):\n    for m in ms:\n        _rule(d, m)\n"
-              "        def slow():\n            return _move_mask(d, 0, m)\n"
-              "class S:\n    def step(self, m):\n        return pebbling._move_mask(self, 0, m)\n"
-              "f = _rule\n")
-    assert _decoder_calls(source) == [("replay", "_rule"), ("replay", "_move_mask"),
-                                      ("S.step", "_move_mask")]
+    _check_called_only_in("Dag")
 
 
 def test_moves_are_decoded_only_in_replay():
-    calls = [(module, *call) for module in sorted(p.name for p in PACKAGE.glob("*.py"))
-             for call in _decoder_calls((PACKAGE / module).read_text())]
-    assert calls == [("pebbling.py", "replay", "_rule"), ("pebbling.py", "replay", "_move_mask")]
-
-
-def _move_calls(source):
-    """(enclosing scope, as `_scoped_calls` names it) of every call to `Move`,
-    bare or as an attribute such as `pebbling.Move`."""
-    return [scope for scope, func in _scoped_calls(source) if _called_name(func) == "Move"]
-
-
-def test_detects_move_calls():
-    source = ("class T(dict):\n    def __missing__(self, pair):\n        return Move(*pair)\n"
-              "def walk(v):\n    return [pebbling.Move('place', v), T()['place', v]]\n"
-              "m = Move('remove', 'v')\n")
-    assert _move_calls(source) == ["T.__missing__", "walk", None]
+    _check_called_only_in("_rule", "_refusal")
 
 
 def test_moves_are_made_only_by_the_move_table():
-    calls = [(module, scope) for module in sorted(p.name for p in PACKAGE.glob("*.py"))
-             for scope in _move_calls((PACKAGE / module).read_text())]
-    assert calls == [("pebbling.py", "_MoveTable.__missing__")]
+    _check_called_only_in("Move")
 
 
 _HEAVY_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize")

@@ -14,6 +14,9 @@ polynomials, certificates or search.  Core claims:
       as given it verifies with the same size and degree; with Q_sink*x_z
       and the Boolean multiplier s_z = -Q_sink it verifies at one degree
       more, and multilinearize and extract still meet both bounds
+    - (d) the theorem's lower direction on those refutations: one of
+      degree d has size at least the optimal reversible visiting time in
+      space d, plus one, in multilinear mode and in both standard restatements
 """
 
 import ast
@@ -34,6 +37,7 @@ from pebcert import (
     extract,
     line,
     min_space,
+    min_time_within_space,
     multilinearize,
     pebbling_formula,
     pyramid,
@@ -103,6 +107,12 @@ def test_random_refutation_above_min_space_passes_every_check(graph, field):
     _check_random_refutation(graph, field, 1)
 
 
+def _least_size(dag, degree):
+    """t + 1 for the optimal reversible visiting time t in space `degree`:
+    by the theorem, no refutation of that degree is smaller."""
+    return min_time_within_space(dag, "reversible", "visiting", degree)[0] + 1
+
+
 def _check_random_refutation(graph, field, slack):
     build, space = GRAPHS[graph]
     dag = build()
@@ -120,6 +130,7 @@ def _check_random_refutation(graph, field, slack):
     formula = pebbling_formula(dag)
     report = verify(formula, cert)
     assert report.valid and report.degree <= degree
+    assert report.size >= _least_size(dag, report.degree)
     assert check_weights(config_graph(dag, cert)).ok
     metrics = verify_strategy(dag, extract(dag, cert))
     assert metrics.space <= report.degree
@@ -128,6 +139,7 @@ def _check_random_refutation(graph, field, slack):
     # standard mode reads the multilinear multipliers with exponent 1
     as_given = verify(formula, Certificate(f, "standard", cert.multipliers))
     assert (as_given.valid, as_given.size, as_given.degree) == (True, report.size, report.degree)
+    assert as_given.size >= _least_size(dag, as_given.degree)
     # Q_sink*x_z*x_z - Q_sink*(x_z^2 - x_z) = Q_sink*x_z: valid, one degree more
     z = dag.designated_sink_name
     q_sink = ExpPoly(f, cert.multipliers["sink"].terms)
@@ -136,6 +148,7 @@ def _check_random_refutation(graph, field, slack):
     std_report = verify(formula, std)
     assert (std_report.valid, std_report.degree) == (True, report.degree + 1)
     assert std_report.size == report.size + 2 * q_sink.num_monomials()
+    assert std_report.size >= _least_size(dag, std_report.degree)
     clamped = verify(formula, multilinearize(formula, std))
     assert clamped.valid
     assert clamped.size <= std_report.size and clamped.degree <= std_report.degree

@@ -372,14 +372,25 @@ def test_reader_messages_match_the_per_move_reader(moves):
 
 
 @pytest.mark.parametrize("vertices", [[1, True, 1.0, "1"], [["v1"], ["v1"], {"a": 1}]])
-def test_saving_moves_of_other_types_writes_each_move_as_before(tmp_path, vertices):
-    # equal moves share one row only when both fields are plain strings:
-    # 1, True and 1.0 are equal but write 1, true and 1.0
+def test_saving_moves_of_other_types_is_refused(tmp_path, vertices):
+    # the writer refuses, with the reader's message, a file its reader would refuse
     strategy = Strategy(STANDARD, None, tuple(Move(PLACE, v) for v in vertices))
     path = tmp_path / "s.json"
-    save_strategy(strategy, path)
-    rows = [{"op": PLACE, "v": v} for v in vertices]
-    assert path.read_text() == json.dumps({"game": STANDARD, "moves": rows}, indent=2) + "\n"
+    with pytest.raises(PebblingError) as err:
+        save_strategy(strategy, path)
+    assert str(err.value) == _reader_message([{"op": PLACE, "v": v} for v in vertices])
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("bad", [(PLACE,), (PLACE, "v1", "v2"), [PLACE, "v1"], None])
+def test_saving_a_move_that_is_not_a_pair_is_refused(bad):
+    strategy = Strategy(STANDARD, None, ((PLACE, "v1"), bad))
+    with pytest.raises(PebblingError) as err:
+        strategy_to_json(strategy)
+    assert str(err.value) == f"move {bad!r} is not an (op, vertex) pair"
+    # a plain pair of strings writes like its equal Move
+    assert strategy_to_json(strategy._replace(moves=((PLACE, "v1"),))) == strategy_to_json(
+        strategy._replace(moves=(Move(PLACE, "v1"),)))
 
 
 # -- replay against a set-based simulator ----------------------------------------

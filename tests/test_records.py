@@ -1,12 +1,12 @@
-"""The contract of the six result records, whatever class builds them.
+"""The contract of the seven result records, whatever class builds them.
 
 `Strategy`, `PebblingMetrics`, `TradeoffPoint`, `VerifyReport`,
-`WeightReport` and `Certificate` keep their field names and order, their
-repr text, equality between records of one kind, copies and pickles that
-equal the original, and refuse attribute assignment.  `Certificate` alone
+`WeightReport`, `ConfigGraph` and `Certificate` keep their field names and
+order, their repr text, equality between records of one kind, copies and
+pickles that equal the original, and refuse attribute assignment.  `Certificate` alone
 also keeps a fresh Boolean-multiplier dict per instance, stays unhashable,
 and gives the same shape-check message, in the same order of precedence,
-for every malformed input.
+for every malformed input, however it is built.
 """
 
 import copy
@@ -18,6 +18,7 @@ import pytest
 
 from pebcert import (
     Certificate,
+    ConfigGraph,
     ExpPoly,
     Field,
     Move,
@@ -53,6 +54,9 @@ RECORDS = [
      "VerifyReport(valid=False, size=3, degree=1, failure_residual=1*1)"),
     (WeightReport(False, 0, ((frozenset(), 0),)), ("ok", "empty_weight", "violations"),
      "WeightReport(ok=False, empty_weight=0, violations=((frozenset(), 0),))"),
+    (ConfigGraph(("v1",), 0, Q, ((0, 1, Q.one),)), ("names", "sink", "field", "edges"),
+     "ConfigGraph(names=('v1',), sink=0, field=Field(rationals), "
+     "edges=((0, 1, Fraction(1, 1)),))"),
     (Certificate(Q, "multilinear", {"sink": ONE}),
      ("field", "mode", "multipliers", "boolean_multipliers"),
      "Certificate(field=Field(rationals), mode='multilinear', multipliers={'sink': 1*1}, "
@@ -151,7 +155,21 @@ def test_certificates_are_unhashable():
     ("multilinear", {"a": ExpPoly.one(F3)}, {},
      "multiplier for 'a' is not a multilinear polynomial"),
     ("multilinear", {"a": MultilinearPoly.one(F3)}, {}, "multiplier for 'a' is over Field(GF(3))"),
+    # maps that are not dicts, before any entry is read
+    ("multilinear", [], {}, "multipliers must be a dict, got list"),
+    ("standard", {1: "x"}, [("z", ONE)], "boolean_multipliers must be a dict, got list"),
 ])
 def test_shape_check_precedence(mode, multipliers, booleans, message):
     with pytest.raises(CertificateError, match="^" + re.escape(message)):
         Certificate(Q, mode, multipliers, booleans)
+
+
+def test_make_and_replace_go_through_the_shape_check():
+    cert = Certificate(Q, "standard", {"sink": ONE})
+    assert cert._replace(mode="multilinear") == Certificate(Q, "multilinear", {"sink": ONE})
+    with pytest.raises(CertificateError, match="^unknown mode 'bogus'$"):
+        cert._replace(mode="bogus")
+    with pytest.raises(CertificateError, match="^multiplier key 1 is not a string$"):
+        Certificate._make((Q, "standard", {1: ONE}, {}))
+    with pytest.raises(CertificateError, match="^multipliers must be a dict, got list$"):
+        Certificate._make((Q, "standard", [], {}))

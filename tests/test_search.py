@@ -6,10 +6,12 @@ the BFS optimum is grounded independently of the search implementation.
 """
 
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pebcert import (
     Move,
@@ -34,6 +36,8 @@ from pebcert.errors import (
     SpaceInfeasible,
     TooManyVertices,
 )
+
+from conftest import random_single_sink_dag
 
 
 def _cs_prime(c, r):
@@ -270,12 +274,37 @@ def test_reversible_at_least_standard(dag_factory):
         assert rev_t >= std_t
 
 
+def _times(dag, game, flavor, s_max):
+    """{space: optimal time} from min space up to `s_max` (min space + 2 for None)."""
+    return {point.space: point.time for point in pareto(dag, game, flavor, s_max)}
+
+
+@settings(max_examples=150)
+@given(dag=st.integers(0, 2**32 - 1).map(
+    lambda seed: random_single_sink_dag(random.Random(seed), max_n=9)))
+@example(dag=line(8))
+@example(dag=pyramid(3))
+@example(dag=bit_reversal(4))
+def test_games_bound_one_another(dag):
+    # a reversible move is a standard one; a persistent pebbling run forward
+    # and back is a visiting one; a visiting witness that keeps z and undoes
+    # the moves before its first placement of z is a persistent one, with
+    # one pebble more and one move less than its forward half doubled
+    vis = _times(dag, "reversible", "visiting", None)
+    ms = min(vis)
+    per = _times(dag, "reversible", "persistent", ms + 3)
+    std = _times(dag, "standard", None, ms + 2)
+    assert min(std) <= ms <= min(per) <= ms + 1
+    for s in range(ms, ms + 3):
+        assert std[s] <= vis[s]
+        if s in per:
+            assert vis[s] <= 2 * per[s]
+        assert per[s + 1] <= vis[s] - 1
+
+
 def test_oracle_vs_enumeration_on_random_dags():
     # independent cross-check on 40 random single-sink DAGs
-    from conftest import random_single_sink_dag
-    import random as _random
-
-    rng = _random.Random(20240817)
+    rng = random.Random(20240817)
     for _ in range(40):
         dag = random_single_sink_dag(rng, max_n=5)
         for game, flavor in (("reversible", "visiting"), ("reversible", "persistent"),
