@@ -29,7 +29,8 @@ loop that decides on its own which moves are legal.  A call to `Move`
 outside `pebbling._MoveTable.__missing__` would make a second object for a
 move that a strategy already holds.  One table, `_CALLED_ONLY_IN`, names
 every such guarded callee with the scopes that call it, and one detector
-reads every module against it.  The named-tuple methods `_make`, `_replace`
+reads every module against it; each guard keeps its own self-test of that
+detector.  The named-tuple methods `_make`, `_replace`
 and `_asdict` are public despite their underscore, so overriding one, as
 `Certificate` does `_make`, is not dead code.
 
@@ -224,16 +225,44 @@ def _guarded_calls(source):
             if _called_name(func) in _CALLED_ONLY_IN]
 
 
-def test_detects_guarded_calls():
-    source = ("def _solve(d):\n    return _walk(d, search._back(d))\n"
-              "def replay(d, ms):\n    for m in ms:\n        _rule(d, m)\n"
-              "        def slow():\n            return pebbling._refusal(d, 0, m)\n"
-              "class T(dict):\n    def __missing__(self, pair):\n        return Move(*pair)\n"
-              "    def same(self, o):\n        return isinstance(o, Dag)\n"
-              "x = P._mul_into(1)\nf = _walk\n")
+def test_detects_prune_calls():
+    source = ("def _solve(d):\n    return _walk(d, _back(d))\n"
+              "def other(d):\n    return search._back(d)\n"
+              "x = _walk\n")
     assert _guarded_calls(source) == [
-        ("_solve", "_walk"), ("_solve", "_back"), ("replay", "_rule"), ("replay", "_refusal"),
-        ("T.__missing__", "Move"), (None, "_mul_into")]
+        ("_solve", "_walk"), ("_solve", "_back"), ("other", "_back")]
+
+
+def test_detects_product_calls():
+    source = ("class P:\n    def __mul__(self, o):\n        return self._mul_into(self, o, {})\n"
+              "    x = _mul_into(1)\n"
+              "def verify(c):\n    return P._mul_into(c, c, {})\n")
+    assert _guarded_calls(source) == [
+        (None, "_mul_into"), ("P.__mul__", "_mul_into"), ("verify", "_mul_into")]
+
+
+def test_detects_dag_calls():
+    source = ("def build_dag(v):\n    return Dag(v, (), None)\n"
+              "class G:\n    def copy(self):\n        return graphs.Dag(self.names, (), None)\n"
+              "    def same(self, o):\n        return isinstance(o, Dag)\n"
+              "d = Dag((), (), None)\n")
+    assert _guarded_calls(source) == [("build_dag", "Dag"), ("G.copy", "Dag"), (None, "Dag")]
+
+
+def test_detects_decoder_calls():
+    source = ("def replay(d, ms):\n    for m in ms:\n        _rule(d, m)\n"
+              "        def slow():\n            return _refusal(d, 0, m)\n"
+              "class S:\n    def step(self, m):\n        return pebbling._refusal(self, 0, m)\n"
+              "f = _rule\n")
+    assert _guarded_calls(source) == [("replay", "_rule"), ("replay", "_refusal"),
+                                      ("S.step", "_refusal")]
+
+
+def test_detects_move_calls():
+    source = ("class T(dict):\n    def __missing__(self, pair):\n        return Move(*pair)\n"
+              "def walk(v):\n    return [pebbling.Move('place', v), T()['place', v]]\n"
+              "m = Move('remove', 'v')\n")
+    assert _guarded_calls(source) == [("T.__missing__", "Move"), ("walk", "Move"), (None, "Move")]
 
 
 def _check_called_only_in(*names):
