@@ -6,7 +6,7 @@ densely in topological order, so every edge goes from a lower to a higher
 index; Dag derives its tables from that.  All structures are immutable.
 
 The generators judge each family's parameters (an `int`, not a `bool`), and
-the strategies take their checks and chain names from them.  Generated-family
+the strategies take their checks and layouts from them.  Generated-family
 naming is fixed so strategies and certificate files stay portable across runs:
 
   line(n)              v1 .. vn
@@ -243,10 +243,14 @@ def carlson_savage(c: int, r: int) -> Dag:
     ends in sink j.  `sinks` lists the c sinks in spine order; no designated
     sink is set.
     """
-    if type(c) is not int or type(r) is not int or c < 2 or r < 1:
-        raise ParamOutOfRange("carlson_savage needs c >= 2 and r >= 1")
+    _check_cs(c, r)
     names, edges, _ = _cs_parts(c, r, "")
     return build_dag(names, edges, None)
+
+
+def _check_cs(c, r):  # also judges `search.cs_lower_bound`'s c and r
+    if type(c) is not int or type(r) is not int or c < 2 or r < 1:
+        raise ParamOutOfRange("carlson_savage needs c >= 2 and r >= 1")
 
 
 def _cs_parts(c, r, prefix):

@@ -51,11 +51,9 @@ from .algebra import ExpPoly, Field, MultilinearPoly
 from .errors import CertificateError, GraphError, InternalConsistencyError
 from .graphs import Dag, _read_json, _write_json, mask_names
 from .pebbling import (
-    PLACE,
-    REMOVE,
     REVERSIBLE,
     Strategy,
-    _MoveTable,
+    _moves,
     replay,
     verify_strategy,
     visiting,
@@ -346,13 +344,13 @@ def extract(dag: Dag, cert: Certificate) -> Strategy:
     else:
         raise InternalConsistencyError("no path from the empty configuration to the sink")
 
-    moves = []
-    made = _MoveTable()
+    steps = []  # back from u: v + 1 placed vertex v, -(v + 1) removed it
     while parent[u] is not None:
         a = parent[u]
-        moves.append(made[PLACE if u > a else REMOVE, dag.names[(a ^ u).bit_length() - 1]])
+        step = (a ^ u).bit_length()
+        steps.append(step if u > a else -step)
         u = a
-    strategy = visiting(reversed(moves), dag.designated_sink_name)
+    strategy = visiting(_moves(dag, steps[::-1]), dag.designated_sink_name)
     verify_strategy(dag, strategy)
     return strategy
 

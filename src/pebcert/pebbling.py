@@ -16,14 +16,14 @@ A strategy repeats few distinct moves many times, so each distinct move is
 handled once: `replay` decodes it into one rule per call, and a saved
 strategy writes each distinct move's text once.  The writer and the reader
 of strategy files check moves by one rule: each is a pair of strings, and
-the writer refuses any other move.  Every strategy the package
-builds (loaded, mirrored, searched, extracted or constructed) holds one
-`Move` object per distinct move: `Move` is called only through a
-`_MoveTable`, made per call, which returns the object it made the first time
-for every repeat.  `replay` reads a move as an `(op, vertex)` pair, so a pair
-replays like its equal `Move`, and anything else is an illegal move at its
-step.  Every record (`Move`, `Strategy`, `PebblingMetrics`) is a named
-tuple, equal to the tuple of its fields.
+the writer refuses any other move.  The package builds moves as signed steps
+over topological indices (v + 1 places v, -(v + 1) removes it), and `_moves`
+turns them into `Move`s.  `Move` is called only by a `_MoveTable`, made per
+call of `_moves`, `mirrored` or `strategy_from_json`, so every strategy the
+package builds holds one object per distinct move.  `replay` reads a move as
+an `(op, vertex)` pair, so a pair replays like its equal `Move`, and anything
+else is an illegal move at its step.  Every record (`Move`, `Strategy`,
+`PebblingMetrics`) is a named tuple, equal to the tuple of its fields.
 """
 
 from __future__ import annotations
@@ -70,16 +70,21 @@ class _MoveTable(dict):
         move = self[pair] = Move(*pair)
         return move
 
-    def mirror(self, moves) -> list[Move]:
-        """Inverse moves of the sequence `moves` in reverse order, from this table."""
-        return [self[REMOVE if m.op == PLACE else PLACE, m.vertex] for m in reversed(moves)]
+
+def _moves(dag, steps) -> tuple[Move, ...]:
+    """The moves of the list of signed steps `steps` over `dag`; each distinct
+    step is decoded once, so equal steps give one object."""
+    made = _MoveTable()
+    by_step = {s: made[PLACE if s > 0 else REMOVE, dag.names[abs(s) - 1]] for s in set(steps)}
+    return tuple(map(by_step.__getitem__, steps))
 
 
 def mirrored(moves) -> tuple[Move, ...]:
     """Inverse moves in reverse order; legal whenever `moves` is reversible-legal.
 
     An inverse equal to a move of `moves` is that move's object."""
-    return tuple(_MoveTable(zip(moves, moves)).mirror(moves))
+    made = _MoveTable(zip(moves, moves))
+    return tuple([made[REMOVE if m.op == PLACE else PLACE, m.vertex] for m in reversed(moves)])
 
 
 def visiting(moves, sink: str) -> Strategy:

@@ -68,16 +68,14 @@ from .errors import (
     SpaceInfeasible,
     TooManyVertices,
 )
-from .graphs import Dag
+from .graphs import Dag, _check_cs
 from .pebbling import (
     PERSISTENT,
-    PLACE,
-    REMOVE,
     REVERSIBLE,
     STANDARD,
     VISITING,
     Strategy,
-    _MoveTable,
+    _moves,
     verify_strategy,
     visiting,
 )
@@ -224,16 +222,14 @@ def _std_search(dag, space, limit):
     return None if best is None else (layers, goals, ())
 
 
-def _walk(dag, on, goals, free_removal, made):
+def _walk(dag, on, goals, free_removal):
     """Lexicographically smallest shortest path from {} to a goal.
 
     on[k] holds the on-path configurations at distance k.  `free_removal`
     makes every removal legal (standard game); otherwise a move needs
-    pred(v) pebbled.  The moves come from the table `made`.
+    pred(v) pebbled.  Returns the path's signed steps and the goal it reaches.
     """
-    moves = []
-    cur = 0
-    k = 0
+    steps, cur, k = [], 0, 0
     while cur not in goals:
         k += 1
         ahead = on[k]
@@ -241,12 +237,12 @@ def _walk(dag, on, goals, free_removal, made):
             if cur & pm == pm or (free_removal and cur & bit):
                 x = cur ^ bit
                 if x in ahead:
-                    moves.append(made[PLACE if x > cur else REMOVE, dag.names[v]])
+                    steps.append(v + 1 if x > cur else -(v + 1))
                     cur = x
                     break
         else:
             raise InternalConsistencyError("walk failed to make progress")  # unreachable
-    return moves, cur
+    return steps, cur
 
 
 def _solve(dag, game, flavor, space, state_budget):
@@ -264,13 +260,13 @@ def _solve(dag, game, flavor, space, state_budget):
         on[k - 1] |= _back(dag.toggles, on[k], layers[k - 1], standard)
     for layer in reversed(zlayers[:-1]):
         on.append(_back(dag.toggles, on[-1], layer))
-    made = _MoveTable()  # one Move per distinct move of the witness
-    moves, cur = _walk(dag, on, on[-1] if zlayers else goals, standard, made)
+    steps, cur = _walk(dag, on, on[-1] if zlayers else goals, standard)
     if standard:
         flavor = None
-        moves += [made[REMOVE, dag.names[v]] for v in range(len(dag)) if cur >> v & 1]
+        steps += [-(v + 1) for v in range(len(dag)) if cur >> v & 1]
+    moves = _moves(dag, steps)
     witness = (visiting(moves, dag.designated_sink_name) if flavor == VISITING
-               else Strategy(game, flavor, tuple(moves)))
+               else Strategy(game, flavor, moves))
     try:
         used = verify_strategy(dag, witness).space
     except PebblingError as exc:
@@ -344,6 +340,8 @@ def cs_lower_bound(c: int, r: int, space: int) -> Fraction:
     at least ((c-s')/(s'+1))^r * r!.  The smallest admissible s' for the given
     space is used; returns 0 when no s' in range applies (vacuous bound).
     """
+    _check_cs(c, r)
+    _check_int("space", space)
     s_prime = max(1, space - r - 1)
     if s_prime > c - 3:
         return Fraction(0)

@@ -2,12 +2,13 @@
 
 Each constructor returns a Strategy for the named generated graph; callers
 verify it with verify_strategy against the matching generator output.  The
-generator judges the family's parameters, and its graph's names are the
-chains: `line(n).names`, and `bit_reversal(n).names` (bottom, then top).  Every
-reversible visiting strategy is a forward half passed to `pebbling.visiting`,
-which keeps it up to its first sink visit and appends that prefix's mirror.
-Each constructor makes its moves from one `pebbling._MoveTable`, so its
-strategy holds one `Move` per distinct move.
+generator judges the family's parameters, and the constructors read its
+layout off the graph in signed steps over topological indices (v + 1 places
+v, -(v + 1) removes it; `_undo` reverses a sequence): chain position p is
+step p of `line(n)`, and step p (bottom) or n + p (top) of `bit_reversal(n)`.
+`pebbling._moves` alone turns steps into `Move`s.  Every reversible visiting
+strategy is a forward half passed to `pebbling.visiting`, which keeps it up
+to its first sink visit and appends that prefix's mirror.
 
 All chain strategies come from one recursion, `_fwd`/`_place`: level 1
 sweeps, and level k plants checkpoints with level k-1 (place, then unwind the
@@ -25,7 +26,7 @@ from __future__ import annotations
 from .errors import GraphError, ParamOutOfRange
 from .graphs import (Dag, bit_reversal, bit_reverse_index, carlson_savage, line,
                      single_sink_restriction)
-from .pebbling import PERSISTENT, PLACE, REMOVE, REVERSIBLE, Strategy, _MoveTable, visiting
+from .pebbling import PERSISTENT, REVERSIBLE, Strategy, _moves, visiting
 
 
 def _iroot_ceil(n, k):
@@ -49,6 +50,11 @@ def _segments(d, k):
     nseg = _iroot_ceil(d, k)
     seg = -(-d // nseg)  # ceil
     return [min(i * seg, d) for i in range(1, nseg)]
+
+
+def _undo(steps):
+    """The steps that undo `steps`: each negated, in reverse order."""
+    return [-step for step in reversed(steps)]
 
 
 def _fwd(base, d, k, cuts):
@@ -75,7 +81,7 @@ def _place(base, d, k, cuts):
     if d == 0:
         return []
     climb = _fwd(base, d - 1, k, cuts)
-    return climb + [base + d] + [-pos for pos in reversed(climb)]
+    return climb + [base + d] + _undo(climb)
 
 
 def _space_optimal(d):
@@ -85,8 +91,8 @@ def _space_optimal(d):
 
 def strat_line_visiting(n: int) -> Strategy:
     """Visiting pebbling of line(n) with space exactly ceil(log2(n+1))."""
-    chain = line(n).names
-    return visiting(_moves_on_chain(_space_optimal(n), chain, _MoveTable()), chain[-1])
+    dag = line(n)
+    return visiting(_moves(dag, _space_optimal(n)), dag.designated_sink_name)
 
 
 def strat_line_persistent(n: int) -> Strategy:
@@ -95,60 +101,52 @@ def strat_line_persistent(n: int) -> Strategy:
     Reaches v_{n-1} with the visiting forward half, places v_n, and unwinds
     the forward half with the sink pebble in place.
     """
-    chain = line(n).names
-    moves = _moves_on_chain(_place(0, n, (n - 1).bit_length(), _halves), chain, _MoveTable())
-    return Strategy(REVERSIBLE, PERSISTENT, tuple(moves))
+    dag = line(n)
+    return Strategy(REVERSIBLE, PERSISTENT,
+                    _moves(dag, _place(0, n, (n - 1).bit_length(), _halves)))
 
 
-def _moves_on_chain(positions, chain, made):
-    """The moves of signed chain positions, taken from the table `made`."""
-    return [made[PLACE if pos > 0 else REMOVE, chain[abs(pos) - 1]] for pos in positions]
-
-
-def _serviced(positions, chain, service, made):
-    """Chain moves, each bracketed by `service(position)` and its mirror.
-
-    The service is a forward half that pebbles the chain vertex's outside
-    predecessor; its mirror clears the service again after the chain move.
-    """
+def _serviced(positions, chain, service):
+    """Chain steps (position p is vertex chain[p - 1]), each bracketed by
+    `service(p)`, a forward half that pebbles the vertex's outside
+    predecessor, and its `_undo`."""
     out = []
     for pos in positions:
         fwd = service(abs(pos))
-        out += fwd
-        out += _moves_on_chain([pos], chain, made)
-        out += made.mirror(fwd)
+        step = chain[abs(pos) - 1] + 1
+        out += fwd + [step if pos > 0 else -step] + _undo(fwd)
     return out
 
 
 def strat_line_checkpoint(n: int, k: int) -> Strategy:
     """Visiting pebbling of line(n) in space <= 2k*ceil(n^(1/k)), time <= 2^k*n."""
-    chain = line(n).names
+    dag = line(n)
     if type(k) is not int or k < 1:
         raise ParamOutOfRange("need k >= 1")
-    return visiting(_moves_on_chain(_fwd(0, n, k, _segments), chain, _MoveTable()), chain[-1])
+    return visiting(_moves(dag, _fwd(0, n, k, _segments)), dag.designated_sink_name)
 
 
-def _persist_moves(dag, v, memo, made):
+def _persist_moves(dag, v, memo):
     """Persistent pebbling of the sub-DAG of vertex v: ends with only v pebbled.
 
     All but one predecessor is pebbled persistently one at a time, the last is
     visited, v is placed, and everything unwinds in reverse.
     """
     if v not in memo:
-        head = _visit_fwd_prefix(dag, v, memo, made)
-        memo[v] = head + made.mirror(head[:-1])
+        head = _visit_fwd_prefix(dag, v, memo)
+        memo[v] = head + _undo(head[:-1])
     return memo[v]
 
 
-def _visit_fwd_prefix(dag, v, memo, made):
+def _visit_fwd_prefix(dag, v, memo):
     """Forward half of a visiting pebbling of v's sub-DAG, ending with v placed."""
     preds = dag.preds[v]
     out = []
     for p in preds[:-1]:
-        out += _persist_moves(dag, p, memo, made)
+        out += _persist_moves(dag, p, memo)
     if preds:
-        out += _visit_fwd_prefix(dag, preds[-1], memo, made)
-    out.append(made[PLACE, dag.names[v]])
+        out += _visit_fwd_prefix(dag, preds[-1], memo)
+    out.append(v + 1)
     return out
 
 
@@ -156,31 +154,30 @@ def strat_by_depth(dag: Dag) -> Strategy:
     """Persistent strategy in space at most depth * max_indegree + 1."""
     if dag.designated_sink is None:
         raise GraphError("strat_by_depth needs a designated sink")
-    moves = _persist_moves(dag, dag.designated_sink, {}, _MoveTable())
-    return Strategy(REVERSIBLE, PERSISTENT, tuple(moves))
+    steps = _persist_moves(dag, dag.designated_sink, {})
+    return Strategy(REVERSIBLE, PERSISTENT, _moves(dag, steps))
 
 
-def _cs_fwd(dag, c, r, sink_index, prefix, memo, made):
-    """Forward half reaching sink `sink_index` of the CS graph under `prefix`.
+def _cs_fwd(dag, c, r, v, memo):
+    """Forward half reaching v, a sink of a level-r CS copy inside `dag`.
 
-    Climbs the spine with the chain strategy; every spine move is bracketed by
-    a forward/backward visit of the auxiliary predecessor (pyramid sink for
-    the first c positions of a section, recursive-copy sink for the last c).
+    Climbs the spine into v (preds[1] back to position 1, which has one
+    predecessor) with the chain strategy; each spine step is bracketed by a
+    visit of its outside predecessor preds[0], a pyramid sink for the first
+    c positions of a section and a recursive-copy sink for the last c.
     """
     if r == 1:
-        return [made[PLACE, f"{prefix}s1"], made[PLACE, f"{prefix}s2"],
-                made[PLACE, f"{prefix}t{sink_index}"]]
-    two_c = 2 * c
-    length = two_c * (r - 1)
-    chain = [f"{prefix}spine{sink_index}/sec{(p - 1) // two_c + 1}/v{(p - 1) % two_c + 1}"
-             for p in range(1, length + 1)]
+        return _visit_fwd_prefix(dag, v, memo)
+    chain = [v]
+    while len(dag.preds[chain[0]]) == 2:
+        chain.insert(0, dag.preds[chain[0]][1])
 
     def service(pos):
-        m = (pos - 1) % two_c + 1
-        if m <= c:
-            return _visit_fwd_prefix(dag, dag.index[f"{prefix}pyr{m}/v{r - 1}_1"], memo, made)
-        return _cs_fwd(dag, c, r - 1, m - c, prefix + "sub/", memo, made)
-    return _serviced(_space_optimal(length), chain, service, made)
+        outside = dag.preds[chain[pos - 1]][0]
+        if (pos - 1) % (2 * c) < c:
+            return _visit_fwd_prefix(dag, outside, memo)
+        return _cs_fwd(dag, c, r - 1, outside, memo)
+    return _serviced(_space_optimal(len(chain)), chain, service)
 
 
 def strat_carlson_savage(c: int, r: int, sink_index: int) -> Strategy:
@@ -192,7 +189,7 @@ def strat_carlson_savage(c: int, r: int, sink_index: int) -> Strategy:
     if type(sink_index) is not int or not 1 <= sink_index <= c:
         raise ParamOutOfRange("need 1 <= sink_index <= c")
     dag = single_sink_restriction(full, full.sink_names[sink_index - 1])
-    return visiting(_cs_fwd(dag, c, r, sink_index, "", {}, _MoveTable()),
+    return visiting(_moves(dag, _cs_fwd(dag, c, r, dag.designated_sink, {})),
                     dag.designated_sink_name)
 
 
@@ -202,12 +199,11 @@ def strat_bit_reversal_small_space(n: int) -> Strategy:
     Climbs the top line space-optimally; each top move is bracketed by a
     forward/backward climb of the bottom line up to the cross predecessor.
     """
-    names = bit_reversal(n).names
-    bottom, top, bits = names[:n], names[n:], n.bit_length() - 1
-    made = _MoveTable()
-    out = _serviced(_space_optimal(n), top, lambda pos: _moves_on_chain(
-        _space_optimal(bit_reverse_index(pos - 1, bits) + 1), bottom, made), made)
-    return visiting(out, top[-1])
+    dag = bit_reversal(n)
+    bits = n.bit_length() - 1
+    fwd = _serviced(_space_optimal(n), range(n, 2 * n),
+                    lambda pos: _space_optimal(bit_reverse_index(pos - 1, bits) + 1))
+    return visiting(_moves(dag, fwd), dag.designated_sink_name)
 
 
 def strat_bit_reversal_checkpoint(n: int, k: int) -> Strategy:
@@ -219,22 +215,20 @@ def strat_bit_reversal_checkpoint(n: int, k: int) -> Strategy:
     it with the level-(k-1) routine.  For 4*log2(n) <= 4k*ceil(n^(1/k)) <= 2n
     the measured space stays within 4k*ceil(n^(1/k)).
     """
-    names = bit_reversal(n).names
+    dag = bit_reversal(n)
     if type(k) is not int or k < 1:
         raise ParamOutOfRange("need k >= 1")
-    bottom, top, bits = names[:n], names[n:], n.bit_length() - 1
+    bits = n.bit_length() - 1
     fixed = _segments(n, k) + [n]
     plant = [pos for lo, hi in zip([0] + fixed, fixed)
              for pos in _place(lo, hi - lo, k - 1, _segments)]
-    made = _MoveTable()
 
     def service(pos):
         target = bit_reverse_index(pos - 1, bits) + 1
         base = max((f for f in fixed if f <= target), default=0)
-        return _moves_on_chain(_fwd(base, target - base, k - 1, _segments), bottom, made)
-    fwd = (_moves_on_chain(plant, bottom, made)
-           + _serviced(_fwd(0, n, k, _segments), top, service, made))
-    return visiting(fwd, top[-1])
+        return _fwd(base, target - base, k - 1, _segments)
+    fwd = plant + _serviced(_fwd(0, n, k, _segments), range(n, 2 * n), service)
+    return visiting(_moves(dag, fwd), dag.designated_sink_name)
 
 
 def line_visiting_price(n: int) -> int:

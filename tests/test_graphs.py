@@ -5,7 +5,10 @@ Core claims:
       refuses every container shape the graph file reader refuses, with its
       messages: the reader is build_dag behind a key lookup
     - pyramid(h) has (h+1)(h+2)/2 vertices, indegree 2, a unique sink
-    - carlson_savage counts match an independent component recount
+    - carlson_savage counts match an independent component recount, and in
+      every single-sink restriction a spine vertex's predecessors are its
+      outside one, then its spine predecessor (none at spine position 1),
+      the layout the Carlson-Savage strategy reads without names
     - bit_reversal cross edges reverse binary indices; sigma is an involution
     - single_sink_restriction keeps exactly the ancestors and is idempotent,
       and builds the graph that rebuilding the kept names and edges builds
@@ -17,6 +20,7 @@ Core claims:
 
 import json
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -217,6 +221,31 @@ def test_single_sink_restriction_cs22():
     sub = single_sink_restriction(dag, dag.sink_names[0])
     assert len(sub) == 14  # drops the other spine's section vertices
     assert not any(name.startswith("spine2/") for name in sub.names)
+
+
+_SPINE_VERTEX = re.compile(r"(.*spine\d+/)sec(\d+)/v(\d+)")
+
+
+@pytest.mark.parametrize("c,r", [(c, r) for c in (2, 3, 4) for r in (1, 2, 3)])
+def test_cs_spine_predecessors_are_outside_then_spine(c, r):
+    # strat_carlson_savage walks each spine back through preds[1] and serves
+    # each spine vertex from preds[0]; it reads no names
+    full = carlson_savage(c, r)
+    for sink in full.sink_names:
+        dag = single_sink_restriction(full, sink)
+        spine = [name for name in dag.names if "spine" in name]
+        # the sink's spine, and every spine of the recursive copy below it
+        assert len(spine) == 2 * c * (r - 1) + sum(2 * c * c * (q - 1) for q in range(2, r))
+        for name in spine:
+            own, k, m = _SPINE_VERTEX.fullmatch(name).groups()
+            k, m = int(k), int(m)
+            preds = dag.pred_names(name)
+            if (k, m) == (1, 1):
+                assert len(preds) == 1
+            else:
+                before = f"{own}sec{k}/v{m - 1}" if m > 1 else f"{own}sec{k - 1}/v{2 * c}"
+                assert len(preds) == 2 and preds[1] == before
+            assert not preds[0].startswith(own)
 
 
 def test_single_sink_restriction_identity_and_idempotence():

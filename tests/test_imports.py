@@ -3,8 +3,8 @@ function, class and method is referenced somewhere, every exception class
 is raised or caught somewhere, and files are opened and JSON is read or
 written only at the one file boundary, one place turns a search's layers
 into a witness, one product path serves both polynomial kinds, a `Dag` is
-built only where its input has been checked, one loop decodes moves, and
-one table makes them.
+built only where its input has been checked, one loop decodes moves, one
+table makes them, and the strategies build no vertex names.
 
 No linter runs with the suite, so this parses each module with `ast` and
 fails on an imported name that no expression of the module refers to.
@@ -27,12 +27,18 @@ graph whose names, order and predecessors nobody checked.  A call to
 `_rule` or `_refusal` outside `pebbling.replay` would be a second replay
 loop that decides on its own which moves are legal.  A call to `Move`
 outside `pebbling._MoveTable.__missing__` would make a second object for a
-move that a strategy already holds.  One table, `_CALLED_ONLY_IN`, names
-every such guarded callee with the scopes that call it, and one detector
-reads every module against it; each guard keeps its own self-test of that
-detector.  The named-tuple methods `_make`, `_replace`
-and `_asdict` are public despite their underscore, so overriding one, as
-`Certificate` does `_make`, is not dead code.
+move that a strategy already holds.  A call to `_MoveTable` outside
+`pebbling._moves`, `pebbling.mirrored` and `pebbling.strategy_from_json`
+would make moves in the middle of a builder's work; inside the package a
+builder works in signed vertex steps until `_moves`.  One table,
+`_CALLED_ONLY_IN`, names every such guarded callee with the scopes that
+call it, and one detector reads every module against it; each guard keeps
+its own self-test of that detector.  The named-tuple methods `_make`,
+`_replace` and `_asdict` are public despite their underscore, so
+overriding one, as `Certificate` does `_make`, is not dead code.
+`strategies.py` holds no
+f-string and reads no `.index` attribute: only `graphs` builds generated
+vertex names, and the strategies read each family's layout off its DAG.
 
 Every CLI call pays for `import pebcert.cli` before it does any work, so a
 cold import in a fresh interpreter must load none of `dataclasses`,
@@ -209,6 +215,8 @@ _CALLED_ONLY_IN = {
     "_rule": [("pebbling.py", "replay")],
     "_refusal": [("pebbling.py", "replay")],
     "Move": [("pebbling.py", "_MoveTable.__missing__")],
+    "_MoveTable": [("pebbling.py", "_moves"), ("pebbling.py", "mirrored"),
+                   ("pebbling.py", "strategy_from_json")],
 }
 
 
@@ -265,6 +273,13 @@ def test_detects_move_calls():
     assert _guarded_calls(source) == [("T.__missing__", "Move"), ("walk", "Move"), (None, "Move")]
 
 
+def test_detects_move_table_calls():
+    source = ("def _moves(dag, steps):\n    made = _MoveTable()\n"
+              "def build(n):\n    return [pebbling._MoveTable()['place', 'v1']]\n"
+              "class S:\n    table = _MoveTable\n")
+    assert _guarded_calls(source) == [("_moves", "_MoveTable"), ("build", "_MoveTable")]
+
+
 def _check_called_only_in(*names):
     """Every call the package makes to one of `names` is the table's, and no other."""
     calls = {name: [] for name in names}
@@ -294,6 +309,28 @@ def test_moves_are_decoded_only_in_replay():
 
 def test_moves_are_made_only_by_the_move_table():
     _check_called_only_in("Move")
+
+
+def test_move_tables_are_made_only_at_the_boundary():
+    _check_called_only_in("_MoveTable")
+
+
+def _name_building(source):
+    """(line, what) of every f-string and every `.index` read of `source`."""
+    return [(node.lineno, "f-string" if isinstance(node, ast.JoinedStr) else ".index")
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.JoinedStr)
+            or isinstance(node, ast.Attribute) and node.attr == "index"]
+
+
+def test_detects_name_building():
+    source = "def f(dag, p):\n    x = dag.index[f'{p}s1']\n    return 'v' + str(p), [].index\n"
+    assert sorted(_name_building(source)) == [(2, ".index"), (2, "f-string"), (3, ".index")]
+
+
+def test_strategies_build_no_vertex_names():
+    # only graphs builds generated names; the strategies read the DAG's layout
+    assert _name_building((PACKAGE / "strategies.py").read_text()) == []
 
 
 _HEAVY_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize")

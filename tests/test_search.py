@@ -32,6 +32,7 @@ from pebcert.errors import (
     GraphError,
     InstanceTooLarge,
     InternalConsistencyError,
+    ParamOutOfRange,
     SearchError,
     SpaceInfeasible,
     TooManyVertices,
@@ -205,6 +206,18 @@ def test_cs_lower_bound_values():
     assert cs_lower_bound(4, 2, 3) == Fraction(9, 2)  # ((4-1)/2)^2 * 2!
 
 
+@pytest.mark.parametrize("c,r,space,error,message", [
+    (5.5, 2, 3, ParamOutOfRange, "carlson_savage needs c >= 2 and r >= 1"),
+    (5, -1, 2, ParamOutOfRange, "carlson_savage needs c >= 2 and r >= 1"),
+    (5, 0, 3, ParamOutOfRange, "carlson_savage needs c >= 2 and r >= 1"),  # no such graph
+    (5, 2, 3.0, SearchError, "space must be an integer, got 3.0"),
+])
+def test_cs_lower_bound_refuses_bad_input(c, r, space, error, message):
+    with pytest.raises(error) as info:
+        cs_lower_bound(c, r, space)
+    assert str(info.value) == message
+
+
 # -- independent micro-oracle ------------------------------------------------
 
 def _enumerate_shorter(dag, game, flavor, space, limit):
@@ -262,18 +275,6 @@ def test_micro_completeness(dag_factory, game, flavor):
     assert not _enumerate_shorter(dag, game, flavor, space, optimum - 1)
 
 
-@pytest.mark.parametrize("dag_factory", [lambda: line(3), lambda: pyramid(2)])
-def test_reversible_at_least_standard(dag_factory):
-    dag = dag_factory()
-    rev_ms, _ = min_space(dag, "reversible", "visiting")
-    std_ms, _ = min_space(dag, "standard", None)
-    assert rev_ms >= std_ms
-    for s in range(rev_ms, rev_ms + 2):
-        rev_t, _ = min_time_within_space(dag, "reversible", "visiting", s)
-        std_t, _ = min_time_within_space(dag, "standard", None, s)
-        assert rev_t >= std_t
-
-
 def _times(dag, game, flavor, s_max):
     """{space: optimal time} from min space up to `s_max` (min space + 2 for None)."""
     return {point.space: point.time for point in pareto(dag, game, flavor, s_max)}
@@ -285,6 +286,8 @@ def _times(dag, game, flavor, s_max):
 @example(dag=line(8))
 @example(dag=pyramid(3))
 @example(dag=bit_reversal(4))
+@example(dag=line(3))
+@example(dag=pyramid(2))
 def test_games_bound_one_another(dag):
     # a reversible move is a standard one; a persistent pebbling run forward
     # and back is a visiting one; a visiting witness that keeps z and undoes

@@ -294,6 +294,8 @@ GOLDEN_LIBRARY = {
     "line_checkpoint(27,3)": lambda: strat_line_checkpoint(27, 3),
     "br_checkpoint(16,2)": lambda: strat_bit_reversal_checkpoint(16, 2),
     "by_depth(pyramid(3))": lambda: strat_by_depth(pyramid(3)),
+    # r = 3: the spine services include recursive copies, under a non-first sink
+    "cs(2,3,2)": lambda: strat_carlson_savage(2, 3, 2),
 }
 
 
