@@ -25,11 +25,13 @@ and minus it at W + pred(v) + {v}), under which the empty configuration
 weighs 1 and every other sink-free endpoint weighs 0 for a valid certificate.
 
 Configurations are bitmasks over topological indices, as in the game and the
-search; a multiplier variable outside the DAG (syzygy moves bring such
-variables in) gets its own bit above len(dag).  Multiplier `terms` stay keyed
-by names, and masks go back to names only through `graphs.mask_names`.  Each
-operation is one pass, linear in its number of terms: verify adds every
-product term into one coefficient map, the compiler accumulates
+search, and a multilinear monomial x_W is the mask of W under `_mono_mask`'s
+variable table: the DAG's names, then each variable outside the DAG (syzygy
+moves bring such variables in) at the next free bit, in order of first
+appearance.  Multiplier `terms` stay keyed by names, and masks go back to
+names only through `graphs.mask_names`.  Each operation is one pass, linear
+in its number of terms: verify adds every term into one coefficient map,
+over masks in multilinear mode, the compiler accumulates
 {R mask: coefficient} per vertex, and check_weights sums all configuration
 weights over the edges and translates only its violations to names.  A
 standard-mode monomial is the file's sorted "vars" list, read and written as
@@ -37,8 +39,8 @@ is.  A certificate repeats few names and monomials over many terms, so it
 holds one object for each: the compiler turns each distinct R mask into
 names once, over the DAG's own name strings, and the reader keeps one table
 per certificate from each distinct "vars" list to its monomial and from each
-name to its string.  `multilinearize` clamps, `config_graph` masks and the
-writer sorts each distinct monomial once per certificate.
+name to its string.  `multilinearize` clamps, verify and `config_graph` mask
+and the writer sorts each distinct monomial once per call.
 """
 
 from __future__ import annotations
@@ -178,24 +180,55 @@ def verify(formula: PebblingFormula, cert: Certificate) -> VerifyReport:
     exponent arithmetic.  Size counts #mon(Q_a) * #mon(A_a) (+ 2 * #mon(s_j))
     before cancellation; degree is the pairwise set-union arity in multilinear
     mode and the syntactic total degree of each product in standard mode.
-    Every (multiplier, axiom) pair goes through the one product rule of the
-    mode's polynomial class, whatever the factors' own kinds: in standard mode
-    a multilinear factor reads with exponent 1, and no factor is converted.
+    Multilinear mode adds on configuration masks, under `config_graph`'s
+    variable table: a term c*x_W of Q_v adds c at W + pred(v) and -c at
+    W + pred(v) + {v}, one of Q_sink adds c at W + {z}, and names come back
+    only for the failure residual.  In standard mode every (multiplier,
+    axiom) pair goes through ExpPoly's product rule, whatever the factors'
+    own kinds: a multilinear factor reads with exponent 1, and no factor is
+    converted.
     """
     f = cert.field
-    poly = MultilinearPoly if cert.mode == MULTILINEAR else ExpPoly
     size = degree = 0
-    total = {}  # every product term is added here in place
+    total = {}  # every term of the sum is added here in place
+    if cert.mode == MULTILINEAR:
+        dag = formula.dag
+        bits = {name: 1 << i for i, name in enumerate(dag.names)}
+        masks = {}  # monomial -> its mask, computed once per distinct monomial
+        add = f.accumulate
+        for a, q in cert.multipliers.items():
+            vertex = formula.axiom(a)[1]
+            # the sink axiom x_z adds c at W + {z} alone
+            bit, pm = (0, 1 << dag.designated_sink) if vertex is None else \
+                dag.toggles[dag.index[vertex]]
+            size += len(q.terms) * (2 if bit else 1)
+            for mono, c in q.terms.items():
+                lo = masks.get(mono)
+                if lo is None:
+                    lo = masks[mono] = _mono_mask(bits, mono)
+                lo |= pm
+                hi = lo | bit
+                add(total, lo, c)
+                if bit:
+                    add(total, hi, -c)
+                if (d := hi.bit_count()) > degree:
+                    degree = d
+        add(total, 0, -f.one)  # total becomes sum - 1
+        if not total:
+            return VerifyReport(True, size, degree)
+        names = tuple(bits)
+        return VerifyReport(False, size, degree, MultilinearPoly._of(
+            f, {mask_names(names, m): c for m, c in total.items()}))
     products = chain(((q, formula.axiom_poly(a, f)) for a, q in cert.multipliers.items()),
                      ((s, ExpPoly(f, {(var, var): 1, (var,): -1}))
                       for var, s in cert.boolean_multipliers.items()))
     for q, axiom in products:
-        degree = max(degree, poly._mul_into(q, axiom, total))
+        degree = max(degree, ExpPoly._mul_into(q, axiom, total))
         size += q.num_monomials() * axiom.num_monomials()
-    f.accumulate(total, poly._norm(()), -f.one)  # total becomes sum - 1
+    f.accumulate(total, (), -f.one)  # total becomes sum - 1
     if not total:
         return VerifyReport(True, size, degree)
-    return VerifyReport(False, size, degree, poly._of(f, total))
+    return VerifyReport(False, size, degree, ExpPoly._of(f, total))
 
 
 def compile_strategy(dag: Dag, strategy: Strategy, field: Field) -> Certificate:
@@ -263,6 +296,15 @@ class ConfigGraph(NamedTuple):
         return out
 
 
+def _mono_mask(bits, mono):
+    """The mask of a multilinear monomial under the variable table `bits`
+    (name -> bit); a variable outside the table takes the next free bit."""
+    try:
+        return sum(map(bits.__getitem__, mono))
+    except KeyError:
+        return sum(bits.setdefault(var, 1 << len(bits)) for var in mono)
+
+
 def config_graph(dag: Dag, cert: Certificate) -> ConfigGraph:
     """Edges from every monomial of Q_v that does not contain x_v.
 
@@ -284,8 +326,7 @@ def config_graph(dag: Dag, cert: Certificate) -> ConfigGraph:
         for mono, coeff in q.terms.items():
             lo = masks.get(mono)
             if lo is None:
-                # a variable outside the DAG takes the next free bit
-                lo = masks[mono] = sum(bits.setdefault(var, 1 << len(bits)) for var in mono)
+                lo = masks[mono] = _mono_mask(bits, mono)
             if not lo & bit:
                 lo |= pm
                 edges.append((lo, lo | bit, coeff))

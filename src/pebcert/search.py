@@ -41,15 +41,14 @@ and, persistent only, its layers from {z}.  `_solve` alone turns them into a
 witness.  It prunes once, back from the goals to the shortest-path DAG: the
 on-path configurations of a layer are those with a move into the next
 layer's on-path set (any removal is a move in the standard game).  The
-persistent {z} side is pruned forward from the meet instead: pruned back from
-{z}, each of its layers would stay whole, as every member neighbours the
-layer before, and all would be expanded, which made persistent `pareto` on
-`pyramid(5)` 1.5x slower (3.4-3.9 s against 1.7-2.7 s, Python 3.11, 2 cores).
-The walk then goes forward from {}, each step taking the lowest vertex whose
-move reaches the next on-path set, so among equal-length solutions the
-witness is lexicographically smallest under topological vertex order.  Every
-witness is replayed by `verify_strategy` before it is returned; one that
-fails raises `InternalConsistencyError`.
+persistent {z} side needs no pruning: every member of a layer from {z}
+neighbours the layer before it, so from any on-path configuration each
+neighbour in the next {z} layer is on a shortest path, and the {z} layers
+serve as on-path sets as they are.  The walk then goes forward from {}, each
+step taking the lowest vertex whose move reaches the next on-path set, so
+among equal-length solutions the witness is lexicographically smallest under
+topological vertex order.  Every witness is replayed by `verify_strategy`
+before it is returned; one that fails raises `InternalConsistencyError`.
 """
 
 from __future__ import annotations
@@ -258,8 +257,7 @@ def _solve(dag, game, flavor, space, state_budget):
         on[k].add(g)
     for k in range(len(on) - 1, 1, -1):
         on[k - 1] |= _back(dag.toggles, on[k], layers[k - 1], standard)
-    for layer in reversed(zlayers[:-1]):
-        on.append(_back(dag.toggles, on[-1], layer))
+    on += [set(layer) for layer in reversed(zlayers[:-1])]
     steps, cur = _walk(dag, on, on[-1] if zlayers else goals, standard)
     if standard:
         flavor = None

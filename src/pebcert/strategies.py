@@ -126,26 +126,31 @@ def strat_line_checkpoint(n: int, k: int) -> Strategy:
     return visiting(_moves(dag, _fwd(0, n, k, _segments)), dag.designated_sink_name)
 
 
-def _persist_moves(dag, v, memo):
-    """Persistent pebbling of the sub-DAG of vertex v: ends with only v pebbled.
+def _persist_moves(dag, v, held, memo):
+    """Persistent pebbling of the sub-DAG of vertex v beside the pebbles of
+    the mask `held`, which stay: ends with only held + {v} pebbled.
 
-    All but one predecessor is pebbled persistently one at a time, the last is
-    visited, v is placed, and everything unwinds in reverse.
+    All but one predecessor not already held is pebbled persistently one at
+    a time, the last is visited, v is placed, and everything unwinds in
+    reverse.
     """
-    if v not in memo:
-        head = _visit_fwd_prefix(dag, v, memo)
-        memo[v] = head + _undo(head[:-1])
-    return memo[v]
+    key = (v, held)
+    if key not in memo:
+        head = _visit_fwd_prefix(dag, v, held, memo)
+        memo[key] = head + _undo(head[:-1])
+    return memo[key]
 
 
-def _visit_fwd_prefix(dag, v, memo):
-    """Forward half of a visiting pebbling of v's sub-DAG, ending with v placed."""
-    preds = dag.preds[v]
+def _visit_fwd_prefix(dag, v, held, memo):
+    """Forward half of a visiting pebbling of v's sub-DAG beside the pebbles
+    of `held`, ending with v placed; a held predecessor is not placed again."""
+    preds = [p for p in dag.preds[v] if not held >> p & 1]
     out = []
     for p in preds[:-1]:
-        out += _persist_moves(dag, p, memo)
+        out += _persist_moves(dag, p, held, memo)
+        held |= 1 << p
     if preds:
-        out += _visit_fwd_prefix(dag, preds[-1], memo)
+        out += _visit_fwd_prefix(dag, preds[-1], held, memo)
     out.append(v + 1)
     return out
 
@@ -154,7 +159,7 @@ def strat_by_depth(dag: Dag) -> Strategy:
     """Persistent strategy in space at most depth * max_indegree + 1."""
     if dag.designated_sink is None:
         raise GraphError("strat_by_depth needs a designated sink")
-    steps = _persist_moves(dag, dag.designated_sink, {})
+    steps = _persist_moves(dag, dag.designated_sink, 0, {})
     return Strategy(REVERSIBLE, PERSISTENT, _moves(dag, steps))
 
 
@@ -167,7 +172,7 @@ def _cs_fwd(dag, c, r, v, memo):
     c positions of a section and a recursive-copy sink for the last c.
     """
     if r == 1:
-        return _visit_fwd_prefix(dag, v, memo)
+        return _visit_fwd_prefix(dag, v, 0, memo)
     chain = [v]
     while len(dag.preds[chain[0]]) == 2:
         chain.insert(0, dag.preds[chain[0]][1])
@@ -175,7 +180,7 @@ def _cs_fwd(dag, c, r, v, memo):
     def service(pos):
         outside = dag.preds[chain[pos - 1]][0]
         if (pos - 1) % (2 * c) < c:
-            return _visit_fwd_prefix(dag, outside, memo)
+            return _visit_fwd_prefix(dag, outside, 0, memo)
         return _cs_fwd(dag, c, r - 1, outside, memo)
     return _serviced(_space_optimal(len(chain)), chain, service)
 

@@ -2,9 +2,10 @@
 function, class and method is referenced somewhere, every exception class
 is raised or caught somewhere, and files are opened and JSON is read or
 written only at the one file boundary, one place turns a search's layers
-into a witness, one product path serves both polynomial kinds, a `Dag` is
-built only where its input has been checked, one loop decodes moves, one
-table makes them, and the strategies build no vertex names.
+into a witness, one product path serves both polynomial kinds, one rule
+turns a certificate monomial into a configuration mask, a `Dag` is built
+only where its input has been checked, one loop decodes moves, one table
+makes them, and the strategies build no vertex names.
 
 No linter runs with the suite, so this parses each module with `ast` and
 fails on an imported name that no expression of the module refers to.
@@ -16,12 +17,17 @@ A call to `open`, to a `Path`-style `.open`, `.read_text`, `.write_text`,
 `.read_bytes` or `.write_bytes`, or to any `json` function outside
 `graphs._read_json`, `graphs._write_json` and `cli._emit` (the one writer of
 CSV, DIMACS and generated graph text) would be a loader or writer that
-decides on its own how a file is decoded and which failures name it.  A call to `search._back` or
-`search._walk` outside `search._solve` would be a second prune or walk that
-decides on its own how on-path configurations come from a search's layers.
-A call to `_mul_into` outside `_Poly.__mul__` and `nullstellensatz.verify`
-would be a second product rule, such as one that takes the multiplier's
-class where standard-mode `verify` needs the mode's.  A call to `Dag`
+decides on its own how a file is decoded and which failures name it.  A call
+to `search._back` or `search._walk` outside `search._solve`, or a second
+call there to either, would be a second prune or walk that decides on its
+own how on-path configurations come from a search's layers.  A call to
+`_mul_into` outside `_Poly.__mul__` and `nullstellensatz.verify` would be a
+second product rule, such as one that takes the multiplier's class where
+standard-mode `verify` needs ExpPoly's; multilinear `verify` adds on
+configuration masks and uses no product rule, so this guard protects the
+standard mode.  A call to `_mono_mask` outside `nullstellensatz.verify` and
+`nullstellensatz.config_graph` would be a second variable table, one that
+could give a variable outside the DAG another bit.  A call to `Dag`
 outside `graphs.build_dag` and `graphs.single_sink_restriction` would be a
 graph whose names, order and predecessors nobody checked.  A call to
 `_rule` or `_refusal` outside `pebbling.replay` would be a second replay
@@ -206,11 +212,12 @@ def test_files_are_read_and_written_only_at_the_boundary(module):
 
 
 # called name -> (module, enclosing scope) of each call the package makes to
-# it, one entry per call, sorted; `_walk` is called exactly once
+# it, one entry per call, sorted; `_back` and `_walk` are each called exactly once
 _CALLED_ONLY_IN = {
-    "_back": [("search.py", "_solve"), ("search.py", "_solve")],
+    "_back": [("search.py", "_solve")],
     "_walk": [("search.py", "_solve")],
     "_mul_into": [("algebra.py", "_Poly.__mul__"), ("nullstellensatz.py", "verify")],
+    "_mono_mask": [("nullstellensatz.py", "config_graph"), ("nullstellensatz.py", "verify")],
     "Dag": [("graphs.py", "build_dag"), ("graphs.py", "single_sink_restriction")],
     "_rule": [("pebbling.py", "replay")],
     "_refusal": [("pebbling.py", "replay")],
@@ -247,6 +254,14 @@ def test_detects_product_calls():
               "def verify(c):\n    return P._mul_into(c, c, {})\n")
     assert _guarded_calls(source) == [
         (None, "_mul_into"), ("P.__mul__", "_mul_into"), ("verify", "_mul_into")]
+
+
+def test_detects_mono_mask_calls():
+    source = ("def verify(f, c):\n    return _mono_mask({}, c)\n"
+              "class G:\n    def edges(self, m):\n        return nullstellensatz._mono_mask({}, m)\n"
+              "masks = {m: _mono_mask({}, m) for m in ()}\nf = _mono_mask\n")
+    assert _guarded_calls(source) == [("verify", "_mono_mask"), ("G.edges", "_mono_mask"),
+                                      (None, "_mono_mask")]
 
 
 def test_detects_dag_calls():
@@ -297,6 +312,10 @@ def test_search_layers_are_pruned_and_walked_only_in_solve():
 
 def test_one_product_path_for_both_polynomial_kinds():
     _check_called_only_in("_mul_into")
+
+
+def test_monomials_become_masks_only_in_verify_and_config_graph():
+    _check_called_only_in("_mono_mask")
 
 
 def test_dags_are_built_only_by_build_dag_and_the_restriction():

@@ -17,6 +17,9 @@ Core claims:
       "vars" list per distinct monomial, and extracted strategies one Move
       per distinct move; the reader gives the per-term reader's messages,
       and config_graph builds the per-term graph
+    - multilinear verify, which adds on configuration masks, reports what
+      the product rule on name sets reports, on oracle refutations and on
+      changed copies of them
 """
 
 import json
@@ -1083,6 +1086,81 @@ def test_extract_meets_backward_bounds(case):
     metrics = verify_strategy(dag, extract(dag, cert))
     assert metrics.space <= report.degree
     assert metrics.time <= report.size - 1
+
+
+# -- multilinear verify on masks against the product rule ----------------------
+
+
+def _product_rule_verify(formula, cert):
+    """Multilinear `verify` as the product rule computed it: every
+    (multiplier, axiom) pair through `MultilinearPoly._mul_into`, on name
+    sets throughout."""
+    f = cert.field
+    size = degree = 0
+    total = {}
+    for a, q in cert.multipliers.items():
+        axiom = formula.axiom_poly(a, f)
+        degree = max(degree, MultilinearPoly._mul_into(q, axiom, total))
+        size += q.num_monomials() * axiom.num_monomials()
+    f.accumulate(total, frozenset(), -f.one)
+    if not total:
+        return nullstellensatz.VerifyReport(True, size, degree)
+    return nullstellensatz.VerifyReport(False, size, degree, MultilinearPoly._of(f, total))
+
+
+# a refutation stays valid under no change or under a term whose monomial
+# holds its axiom's own vertex, as x_v * A_v = 0; every other change breaks it
+_KEEPS_VALID = (None, "holds v")
+
+
+@st.composite
+def _oracle_refutations(draw):
+    """A `ns_oracle` random refutation of a random DAG of at most 7 vertices,
+    at degree min space or one more, over GF(2), GF(3), GF(5) or Q, with at
+    most one change: a term dropped, a coefficient changed, a term added to
+    some Q_v whose monomial holds v, or a term added whose monomial holds a
+    variable outside the DAG."""
+    import ns_oracle
+    from conftest import random_single_sink_dag
+
+    dag = random_single_sink_dag(random.Random(draw(st.integers(0, 2**32 - 1))), max_n=7)
+    field = draw(st.sampled_from(ALL_FIELDS))
+    degree = min_space(dag, "reversible", "visiting")[0] + draw(st.integers(0, 1))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    terms = {}
+    for (axiom, m), c in ns_oracle.random_refutation(dag, field.p, degree, rng).items():
+        axiom_id = "sink" if axiom == ns_oracle.SINK else f"vertex:{dag.names[axiom]}"
+        terms.setdefault(axiom_id, {})[mask_names(dag.names, m)] = c
+    change = draw(st.sampled_from(_KEEPS_VALID + ("drop", "coefficient", "outside")))
+    if change in ("drop", "coefficient"):
+        a, m = draw(st.sampled_from([(a, m) for a, t in terms.items() for m in t]))
+        if change == "drop":
+            del terms[a][m]
+        else:
+            terms[a][m] += draw(_nonzero(field))
+    elif change is not None:
+        if change == "holds v":
+            v = draw(st.sampled_from(dag.names))
+            a, m = f"vertex:{v}", draw(st.sets(st.sampled_from(dag.names))) | {v}
+        else:
+            a = draw(st.sampled_from(pebbling_formula(dag).axiom_ids))
+            m = draw(st.sets(st.sampled_from([v for v in dag.names if a != f"vertex:{v}"])))
+            m |= draw(st.sampled_from([{"outside1"}, {"outside2"}, {"outside1", "outside2"}]))
+        m = frozenset(m)
+        terms.setdefault(a, {})[m] = terms.get(a, {}).get(m, 0) + draw(_nonzero(field))
+    multipliers = {a: MultilinearPoly(field, t) for a, t in terms.items()}
+    return pebbling_formula(dag), Certificate(field, "multilinear", multipliers), change
+
+
+@settings(max_examples=80)
+@given(_oracle_refutations())
+def test_mask_verify_matches_the_product_rule(case):
+    formula, cert, change = case
+    report, expected = verify(formula, cert), _product_rule_verify(formula, cert)
+    assert report == expected
+    assert report.valid == (change in _KEEPS_VALID)
+    if not report.valid:
+        assert report.failure_residual.summary() == expected.failure_residual.summary()
 
 
 # -- standard mode against a Counter expansion ---------------------------------

@@ -2,23 +2,30 @@
 
 Every constructor's output must replay legally and meet its stated space or
 time bound as a hard inequality on verifier-measured metrics; the line
-strategies hit their closed forms exactly.  Every visiting strategy, from the
-library and among the trade-off table's candidates, ends at the mirror of its
-prefix up to its first sink visit, and compiles.  The exact move sequences of
-a fixed set of instances are pinned in tests/golden_strategies.json, and
-each of them holds one Move object per distinct move.
+strategies hit their closed forms exactly, and strat_by_depth meets its
+bound on random DAGs, not only on pyramids.  Every visiting strategy, from
+the library and among the trade-off table's candidates, ends at the mirror
+of its prefix up to its first sink visit, and compiles.  The exact move
+sequences of a fixed set of instances are pinned in
+tests/golden_strategies.json, and each of them holds one Move object per
+distinct move.
 """
 
 import argparse
 import json
 import math
+import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import random_single_sink_dag
 
 from pebcert import (
     Move,
     bit_reversal,
+    build_dag,
     carlson_savage,
     line,
     line_persistent_price,
@@ -39,7 +46,7 @@ from pebcert import cli
 from pebcert.cli import _upper_bound_candidates
 from pebcert.errors import GraphError, ParamOutOfRange
 from pebcert.nullstellensatz import compile_strategy
-from pebcert.pebbling import PLACE
+from pebcert.pebbling import PLACE, REMOVE
 from pebcert.strategies import _iroot_ceil
 
 
@@ -175,6 +182,34 @@ def test_by_depth_pyramids(h):
     assert strat.flavor == "persistent"
     metrics = verify_strategy(dag, strat)
     assert metrics.space <= dag.depth() * dag.max_indegree + 1
+
+
+def _check_by_depth(dag):
+    """strat_by_depth replays, ends on exactly {z} (the persistent flavor's
+    replay rule) and meets its space bound; its replay metrics."""
+    strat = strat_by_depth(dag)
+    assert strat.flavor == "persistent"
+    metrics = verify_strategy(dag, strat)
+    assert metrics.space <= dag.depth() * dag.max_indegree + 1
+    return metrics
+
+
+@settings(max_examples=150)
+@given(st.integers(0, 2**32 - 1))
+def test_by_depth_is_legal_on_random_dags(seed):
+    # a predecessor that lies below another one of the same vertex is held
+    # when the climb into the last one reaches it, and is not placed again
+    _check_by_depth(random_single_sink_dag(random.Random(seed), max_n=9))
+
+
+def test_by_depth_skips_held_predecessors():
+    triangle = build_dag(["a", "b", "z"], [("a", "b"), ("a", "z"), ("b", "z")], "z")
+    metrics = _check_by_depth(triangle)
+    assert (metrics.time, metrics.space) == (5, 3)
+    assert [(m.op, m.vertex) for m in strat_by_depth(triangle).moves] == [
+        (PLACE, "a"), (PLACE, "b"), (PLACE, "z"), (REMOVE, "b"), (REMOVE, "a")]
+    metrics = _check_by_depth(bit_reversal(8))
+    assert (metrics.time, metrics.space) == (79, 16)
 
 
 @pytest.mark.parametrize("c,r,j", [(2, 1, 1), (2, 1, 2), (2, 2, 1), (3, 2, 1), (3, 2, 2)])
