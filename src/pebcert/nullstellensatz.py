@@ -5,8 +5,11 @@ A_v = (1 - x_v) * x_pred(v) (so sources get 1 - x_v), plus the sink axiom
 A_sink = x_z; a certificate assigns each axiom a multiplier polynomial and is
 valid when the multiplied axioms sum to 1.  Size counts multiplier times
 axiom monomials before any cancellation; multilinear degree is the set-union
-arity over multiplier/axiom monomial pairs, so a compiled certificate has
-size = time + 1 and degree = space exactly.
+arity over multiplier/axiom monomial pairs.  A certificate compiled from a
+prefix of t' moves has size at most 2t'+1, its visiting time plus 1, and
+degree at most its space, both with equality when the prefix visits no
+configuration twice.  A search witness never does; the library's
+bit-reversal and Carlson-Savage strategies do.
 
 Every axiom id is decoded by `PebblingFormula.axiom`, the one table that
 verify, axiom_poly and config_graph share.  Every record is a named tuple,
@@ -25,11 +28,13 @@ and minus it at W + pred(v) + {v}), under which the empty configuration
 weighs 1 and every other sink-free endpoint weighs 0 for a valid certificate.
 
 Configurations are bitmasks over topological indices, as in the game and the
-search, and a multilinear monomial x_W is the mask of W under `_mono_mask`'s
+search, and a multilinear monomial x_W is the mask of W under `_mask_rows`'
 variable table: the DAG's names, then each variable outside the DAG (syzygy
 moves bring such variables in) at the next free bit, in order of first
-appearance.  Multiplier `terms` stay keyed by names, and masks go back to
-names only through `graphs.mask_names`.  Each operation is one pass, linear
+appearance.  `_mask_rows` alone reads a multilinear certificate as signed
+rows over masks, for verify and for `config_graph`, which leaves out Q_sink.
+Multiplier `terms` stay keyed by names, and masks go back to names only
+through `graphs.mask_names`.  Each operation is one pass, linear
 in its number of terms: verify adds every term into one coefficient map,
 over masks in multilinear mode, the compiler accumulates
 {R mask: coefficient} per vertex, and check_weights sums all configuration
@@ -39,8 +44,8 @@ is.  A certificate repeats few names and monomials over many terms, so it
 holds one object for each: the compiler turns each distinct R mask into
 names once, over the DAG's own name strings, and the reader keeps one table
 per certificate from each distinct "vars" list to its monomial and from each
-name to its string.  `multilinearize` clamps, verify and `config_graph` mask
-and the writer sorts each distinct monomial once per call.
+name to its string.  `multilinearize` clamps, `_mask_rows` masks and the
+writer sorts each distinct monomial once per call.
 """
 
 from __future__ import annotations
@@ -180,10 +185,10 @@ def verify(formula: PebblingFormula, cert: Certificate) -> VerifyReport:
     exponent arithmetic.  Size counts #mon(Q_a) * #mon(A_a) (+ 2 * #mon(s_j))
     before cancellation; degree is the pairwise set-union arity in multilinear
     mode and the syntactic total degree of each product in standard mode.
-    Multilinear mode adds on configuration masks, under `config_graph`'s
-    variable table: a term c*x_W of Q_v adds c at W + pred(v) and -c at
-    W + pred(v) + {v}, one of Q_sink adds c at W + {z}, and names come back
-    only for the failure residual.  In standard mode every (multiplier,
+    Multilinear mode adds the certificate's `_mask_rows`, the rows that
+    `config_graph` reads: a term c*x_W of Q_v adds c at W + pred(v) and -c
+    at W + pred(v) + {v}, one of Q_sink adds c at W + {z}, and names come
+    back only for the failure residual.  In standard mode every (multiplier,
     axiom) pair goes through ExpPoly's product rule, whatever the factors'
     own kinds: a multilinear factor reads with exponent 1, and no factor is
     converted.
@@ -192,27 +197,17 @@ def verify(formula: PebblingFormula, cert: Certificate) -> VerifyReport:
     size = degree = 0
     total = {}  # every term of the sum is added here in place
     if cert.mode == MULTILINEAR:
-        dag = formula.dag
-        bits = {name: 1 << i for i, name in enumerate(dag.names)}
-        masks = {}  # monomial -> its mask, computed once per distinct monomial
+        bits = {name: 1 << i for i, name in enumerate(formula.dag.names)}
         add = f.accumulate
-        for a, q in cert.multipliers.items():
-            vertex = formula.axiom(a)[1]
-            # the sink axiom x_z adds c at W + {z} alone
-            bit, pm = (0, 1 << dag.designated_sink) if vertex is None else \
-                dag.toggles[dag.index[vertex]]
-            size += len(q.terms) * (2 if bit else 1)
-            for mono, c in q.terms.items():
-                lo = masks.get(mono)
-                if lo is None:
-                    lo = masks[mono] = _mono_mask(bits, mono)
-                lo |= pm
-                hi = lo | bit
-                add(total, lo, c)
-                if bit:
-                    add(total, hi, -c)
-                if (d := hi.bit_count()) > degree:
-                    degree = d
+        for lo, bit, c in _mask_rows(formula, cert.multipliers, bits):
+            hi = lo | bit
+            add(total, lo, c)
+            size += 1
+            if bit:
+                add(total, hi, -c)
+                size += 1
+            if (d := hi.bit_count()) > degree:
+                degree = d
         add(total, 0, -f.one)  # total becomes sum - 1
         if not total:
             return VerifyReport(True, size, degree)
@@ -275,8 +270,9 @@ class ConfigGraph(NamedTuple):
     """Multigraph on pebble configurations induced by a multilinear certificate.
 
     Bit i of a configuration mask is names[i]: the DAG's vertices (the sink
-    at bit `sink`), then the multiplier variables outside the DAG in order of
-    first appearance.  Each sink-free multiplier term c*x_W of Q_v is one
+    at bit `sink`), then the variables outside the DAG that the vertex
+    multipliers hold, in order of first appearance (`_mask_rows`' table
+    without Q_sink).  Each sink-free multiplier term c*x_W of Q_v is one
     edge (lo, hi, c) with lo = W + pred(v) and hi = lo + {v}; c counts at lo
     and -c at hi.
     """
@@ -296,13 +292,30 @@ class ConfigGraph(NamedTuple):
         return out
 
 
-def _mono_mask(bits, mono):
-    """The mask of a multilinear monomial under the variable table `bits`
-    (name -> bit); a variable outside the table takes the next free bit."""
-    try:
-        return sum(map(bits.__getitem__, mono))
-    except KeyError:
-        return sum(bits.setdefault(var, 1 << len(bits)) for var in mono)
+def _mask_rows(formula, multipliers, bits):
+    """The rows (lo, bit, c) of the sum of multiplied axioms on masks.
+
+    A term c*x_W of Q_v gives (W + pred(v), bit of v), to count c at lo and
+    -c at lo + bit; a term of Q_sink gives (W + {z}, 0), to count c at lo
+    alone.  x_W is masked under the variable table `bits` (name -> bit),
+    once per distinct monomial; a variable outside the table takes the next
+    free bit, in the order `multipliers` gives.
+    """
+    dag = formula.dag
+    masks = {}  # monomial -> its mask
+    for a, q in multipliers.items():
+        vertex = formula.axiom(a)[1]
+        bit, pm = (0, 1 << dag.designated_sink) if vertex is None else \
+            dag.toggles[dag.index[vertex]]
+        for mono, c in q.terms.items():
+            lo = masks.get(mono)
+            if lo is None:
+                try:
+                    lo = sum(map(bits.__getitem__, mono))
+                except KeyError:
+                    lo = sum(bits.setdefault(var, 1 << len(bits)) for var in mono)
+                masks[mono] = lo
+            yield lo | pm, bit, c
 
 
 def config_graph(dag: Dag, cert: Certificate) -> ConfigGraph:
@@ -314,22 +327,12 @@ def config_graph(dag: Dag, cert: Certificate) -> ConfigGraph:
     """
     if cert.mode != MULTILINEAR:
         raise CertificateError("configuration graphs need a multilinear certificate")
-    formula = pebbling_formula(dag)
     bits = {name: 1 << i for i, name in enumerate(dag.names)}
-    masks = {}  # monomial -> its mask, computed once per distinct monomial
-    edges = []
-    for axiom_id, q in cert.multipliers.items():
-        name = formula.axiom(axiom_id)[1]
-        if name is None:
-            continue
-        bit, pm = dag.toggles[dag.index[name]]
-        for mono, coeff in q.terms.items():
-            lo = masks.get(mono)
-            if lo is None:
-                lo = masks[mono] = _mono_mask(bits, mono)
-            if not lo & bit:
-                lo |= pm
-                edges.append((lo, lo | bit, coeff))
+    # Q_sink makes no edge, so its variables take no bit
+    multipliers = {a: q for a, q in cert.multipliers.items() if a != SINK_AXIOM}
+    edges = [(lo, lo | bit, coeff)
+             for lo, bit, coeff in _mask_rows(pebbling_formula(dag), multipliers, bits)
+             if not lo & bit]
     return ConfigGraph(tuple(bits), dag.designated_sink, cert.field, tuple(edges))
 
 

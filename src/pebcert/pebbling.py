@@ -13,8 +13,9 @@ persistent pebbling ends with exactly the sink pebbled.  The standard game is
 verified with visiting semantics (start and end empty, sink visited).
 
 A strategy repeats few distinct moves many times, so each distinct move is
-handled once: `replay` decodes it into one rule per call, and a saved
-strategy writes each distinct move's text once.  The writer and the reader
+handled once: `replay` decodes it into one rule per call, the test of its
+legality together with the messages of its refusal, and a saved strategy
+writes each distinct move's text once.  The writer and the reader
 of strategy files check moves by one rule: each is a pair of strings, and
 the writer refuses any other move.  The package builds moves as signed steps
 over topological indices (v + 1 places v, -(v + 1) removes it), and `_moves`
@@ -98,61 +99,41 @@ def visiting(moves, sink: str) -> Strategy:
     return Strategy(REVERSIBLE, VISITING, moves[:t] + mirrored(moves[:t]))
 
 
-_NEVER = (0, 0, -1)  # no configuration m has m & 0 == -1
-
-
 def _is_pair(move):
     """A move is a two-item tuple `(op, vertex)`; a `Move` is one."""
     return isinstance(move, tuple) and len(move) == 2
 
 
 def _rule(dag, move, game):
-    """(bit, need, want): `move` is legal on configuration m exactly when
-    m & need == want, and then gives m ^ bit.  An unknown vertex or op, or
-    a move that is not a pair, gets a rule that never holds, so `_refusal`
-    names it."""
+    """(bit, need, want, held, empty): `move` is legal on configuration m
+    exactly when m & need == want, and then gives m ^ bit; a refused move's
+    message is `held` when m & bit, else `empty`.  An unknown vertex or op,
+    or a move that is not a pair, gets a rule that never holds."""
     if not _is_pair(move):
-        return _NEVER
-    op, vertex = move
-    try:
-        bit, pred_mask = dag.toggles[dag.index[vertex]]
-    except (KeyError, TypeError):
-        return _NEVER
-    if op == PLACE:
-        return bit, bit | pred_mask, pred_mask
-    if op == REMOVE:
-        need = bit | pred_mask if game == REVERSIBLE else bit
-        return bit, need, need
-    return _NEVER
-
-
-def _refusal(dag, config_mask, move, game):
-    """Why `move` is illegal on configuration `config_mask`; `replay` asks
-    only after the move's `_rule` refused it, so some check below names it."""
-    if not _is_pair(move):
-        return f"move {move!r} is not an (op, vertex) pair"
+        why = f"move {move!r} is not an (op, vertex) pair"
+        return 0, 0, -1, why, why
     op, vertex = move
     try:
         bit, pred_mask = dag.toggles[dag.index[vertex]]
     except (KeyError, TypeError):  # an unhashable name is unknown too
-        return f"unknown vertex {vertex!r}"
+        why = f"unknown vertex {vertex!r}"
+        return 0, 0, -1, why, why
     if op == PLACE:
-        if config_mask & bit:
-            return f"{vertex} already pebbled"
-        return f"{vertex} has unpebbled predecessors"
+        held = f"{vertex} already pebbled"
+        return bit, bit | pred_mask, pred_mask, held, f"{vertex} has unpebbled predecessors"
     if op == REMOVE:
-        if not config_mask & bit:
-            return f"{vertex} not pebbled"
-        return f"reversible removal from {vertex} needs its predecessors pebbled"
-    return f"unknown move op {op!r}"
+        need = bit | pred_mask if game == REVERSIBLE else bit
+        held = f"reversible removal from {vertex} needs its predecessors pebbled"
+        return bit, need, need, held, f"{vertex} not pebbled"
+    why = f"unknown move op {op!r}"
+    return 0, 0, -1, why, why
 
 
 def replay(dag: Dag, moves, game: str) -> list[int]:
     """Configurations P_0 .. P_t as bitmasks; raises IllegalMoveAt on failure.
 
     Each distinct move is read as an `(op, vertex)` pair and decoded once
-    into a `_rule`; a move its rule refuses, a non-pair included, goes to
-    `_refusal`, which gives the step's message.
+    into a `_rule`, which also holds the step's message if it is refused.
     """
     rules = {}
     configs = [0]
@@ -160,13 +141,13 @@ def replay(dag: Dag, moves, game: str) -> list[int]:
     for i, move in enumerate(moves, start=1):
         try:
             rule = rules.get(move)
-        except TypeError:  # an unhashable vertex or op
-            rule = _NEVER
+        except TypeError:  # an unhashable vertex or op, which its rule refuses
+            rule = _rule(dag, move, game)
         if rule is None:
             rule = rules[move] = _rule(dag, move, game)
-        bit, need, want = rule
+        bit, need, want, held, empty = rule
         if mask & need != want:
-            raise IllegalMoveAt(i, _refusal(dag, mask, move, game))
+            raise IllegalMoveAt(i, held if mask & bit else empty)
         mask ^= bit
         configs.append(mask)
     return configs

@@ -25,15 +25,17 @@ own how on-path configurations come from a search's layers.  A call to
 second product rule, such as one that takes the multiplier's class where
 standard-mode `verify` needs ExpPoly's; multilinear `verify` adds on
 configuration masks and uses no product rule, so this guard protects the
-standard mode.  A call to `_mono_mask` outside `nullstellensatz.verify` and
-`nullstellensatz.config_graph` would be a second variable table, one that
-could give a variable outside the DAG another bit.  A call to `Dag`
-outside `graphs.build_dag` and `graphs.single_sink_restriction` would be a
-graph whose names, order and predecessors nobody checked.  A call to
-`_rule` or `_refusal` outside `pebbling.replay` would be a second replay
-loop that decides on its own which moves are legal.  A call to `Move`
-outside `pebbling._MoveTable.__missing__` would make a second object for a
-move that a strategy already holds.  A call to `_MoveTable` outside
+standard mode.  A call to `_mask_rows` outside `nullstellensatz.verify` and
+`nullstellensatz.config_graph` would be a second reading of certificate
+terms as configuration masks, one that could give a variable outside the
+DAG another bit.  A call to `Dag` outside `graphs.build_dag` and
+`graphs.single_sink_restriction` would be a graph whose names, order and
+predecessors nobody checked.  A call to `_rule` outside `pebbling.replay`
+would be a second replay loop that decides on its own which moves are
+legal and how a refusal is worded; `replay` calls it twice, for a move it
+keeps and for an unhashable one.  A call to `Move` outside
+`pebbling._MoveTable.__missing__` would make a second object for a move
+that a strategy already holds.  A call to `_MoveTable` outside
 `pebbling._moves`, `pebbling.mirrored` and `pebbling.strategy_from_json`
 would make moves in the middle of a builder's work; inside the package a
 builder works in signed vertex steps until `_moves`.  One table,
@@ -217,10 +219,9 @@ _CALLED_ONLY_IN = {
     "_back": [("search.py", "_solve")],
     "_walk": [("search.py", "_solve")],
     "_mul_into": [("algebra.py", "_Poly.__mul__"), ("nullstellensatz.py", "verify")],
-    "_mono_mask": [("nullstellensatz.py", "config_graph"), ("nullstellensatz.py", "verify")],
+    "_mask_rows": [("nullstellensatz.py", "config_graph"), ("nullstellensatz.py", "verify")],
     "Dag": [("graphs.py", "build_dag"), ("graphs.py", "single_sink_restriction")],
-    "_rule": [("pebbling.py", "replay")],
-    "_refusal": [("pebbling.py", "replay")],
+    "_rule": [("pebbling.py", "replay"), ("pebbling.py", "replay")],
     "Move": [("pebbling.py", "_MoveTable.__missing__")],
     "_MoveTable": [("pebbling.py", "_moves"), ("pebbling.py", "mirrored"),
                    ("pebbling.py", "strategy_from_json")],
@@ -256,12 +257,13 @@ def test_detects_product_calls():
         (None, "_mul_into"), ("P.__mul__", "_mul_into"), ("verify", "_mul_into")]
 
 
-def test_detects_mono_mask_calls():
-    source = ("def verify(f, c):\n    return _mono_mask({}, c)\n"
-              "class G:\n    def edges(self, m):\n        return nullstellensatz._mono_mask({}, m)\n"
-              "masks = {m: _mono_mask({}, m) for m in ()}\nf = _mono_mask\n")
-    assert _guarded_calls(source) == [("verify", "_mono_mask"), ("G.edges", "_mono_mask"),
-                                      (None, "_mono_mask")]
+def test_detects_mask_rows_calls():
+    source = ("def verify(f, c):\n    return sum(c for _, _, c in _mask_rows(f, c, {}))\n"
+              "class G:\n    def edges(self, f, c):\n"
+              "        return list(nullstellensatz._mask_rows(f, c, {}))\n"
+              "rows = [r for r in _mask_rows(None, None, {})]\nf = _mask_rows\n")
+    assert _guarded_calls(source) == [("verify", "_mask_rows"), ("G.edges", "_mask_rows"),
+                                      (None, "_mask_rows")]
 
 
 def test_detects_dag_calls():
@@ -274,11 +276,11 @@ def test_detects_dag_calls():
 
 def test_detects_decoder_calls():
     source = ("def replay(d, ms):\n    for m in ms:\n        _rule(d, m)\n"
-              "        def slow():\n            return _refusal(d, 0, m)\n"
-              "class S:\n    def step(self, m):\n        return pebbling._refusal(self, 0, m)\n"
+              "        def slow():\n            return _rule(d, m, 'standard')\n"
+              "class S:\n    def step(self, m):\n        return pebbling._rule(self, m)\n"
               "f = _rule\n")
-    assert _guarded_calls(source) == [("replay", "_rule"), ("replay", "_refusal"),
-                                      ("S.step", "_refusal")]
+    assert _guarded_calls(source) == [("replay", "_rule"), ("replay", "_rule"),
+                                      ("S.step", "_rule")]
 
 
 def test_detects_move_calls():
@@ -315,7 +317,7 @@ def test_one_product_path_for_both_polynomial_kinds():
 
 
 def test_monomials_become_masks_only_in_verify_and_config_graph():
-    _check_called_only_in("_mono_mask")
+    _check_called_only_in("_mask_rows")
 
 
 def test_dags_are_built_only_by_build_dag_and_the_restriction():
@@ -323,7 +325,7 @@ def test_dags_are_built_only_by_build_dag_and_the_restriction():
 
 
 def test_moves_are_decoded_only_in_replay():
-    _check_called_only_in("_rule", "_refusal")
+    _check_called_only_in("_rule")
 
 
 def test_moves_are_made_only_by_the_move_table():

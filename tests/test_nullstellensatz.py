@@ -32,7 +32,7 @@ from itertools import chain
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pebcert import (
     Certificate,
@@ -1068,8 +1068,21 @@ def _config_graph_per_term(dag, cert):
     return tuple(bits), tuple(edges)
 
 
+def _sink_first_case():
+    """Q_sink first in the dict and holding `w`, outside the DAG, and Q_v1
+    holding `u`, also outside: only `u` may take a bit, as the per-term
+    graph never reads Q_sink."""
+    dag = line(2)
+    cert = Certificate(F3, "multilinear", {
+        "sink": MultilinearPoly.monomial(F3, {"w", "v1"}),
+        "vertex:v1": MultilinearPoly.monomial(F3, {"u"}, 2),
+    })
+    return dag, pebbling_formula(dag), cert, True
+
+
 @settings(max_examples=40)
 @given(_certificates(st.booleans()))
+@example(_sink_first_case())
 def test_config_graph_matches_the_per_term_graph(case):
     # outside variables take their bits in order of first appearance, as before
     dag, _, cert, _ = case

@@ -117,8 +117,10 @@ def test_step_unknown_vertex_names_no_step():
     (STANDARD, [(PLACE, "v1"), (REMOVE, "v1"), (REMOVE, "v1")], 3, "v1 not pebbled"),
     (REVERSIBLE, [(PLACE, "v1"), (PLACE, "v2"), (PLACE, ["v1"])], 3, "unknown vertex ['v1']"),
     (STANDARD, [(PLACE, "v1"), (REMOVE, "v1"), ("jump", "v1")], 3, "unknown move op 'jump'"),
+    (REVERSIBLE, [(PLACE, "v1"), (PLACE, "v2"), (["place"], "v1")], 3,
+     "unknown move op ['place']"),
 ], ids=["place-twice", "reversible-removal-after-predecessor", "standard-removal-from-empty",
-        "unhashable-vertex", "unknown-op-on-a-moved-vertex"])
+        "unhashable-vertex", "unknown-op-on-a-moved-vertex", "unhashable-op"])
 def test_move_refused_after_legal_moves_reports_its_step(game, pairs, step, cause):
     err = _illegal(line(3), game, *pairs)
     assert (err.step, err.cause) == (step, cause)
