@@ -46,7 +46,9 @@ from .pebbling import (
     REVERSIBLE,
     STANDARD,
     VISITING,
+    _steps,
     load_strategy,
+    replay,
     save_strategy,
     verify_strategy,
     visiting,
@@ -221,7 +223,7 @@ def _upper_bound_candidates(args, dag, flavor):
         if flavor == PERSISTENT:
             out.append(persistent)
         else:
-            out.append(visiting(persistent.moves, dag.designated_sink_name))
+            out.append(visiting(dag, _steps(replay(dag, persistent.moves, REVERSIBLE))))
     elif family == "cs" and flavor != PERSISTENT:
         out.append(strat_carlson_savage(args.c, args.r, 1))
     elif family == "bit-reversal" and flavor != PERSISTENT:

@@ -173,11 +173,15 @@ def build_dag(vertices, edges, designated_sink=None) -> Dag:
 
 def line(n: int) -> Dag:
     """Path v1 -> v2 -> ... -> vn with sink vn."""
-    if type(n) is not int or n < 1:
-        raise ParamOutOfRange("line needs n >= 1")
+    _check_line(n)
     names = [f"v{i}" for i in range(1, n + 1)]
     edges = [(names[i], names[i + 1]) for i in range(n - 1)]
     return build_dag(names, edges, names[-1])
+
+
+def _check_line(n):  # also judges the line prices of `strategies`
+    if type(n) is not int or n < 1:
+        raise ParamOutOfRange("line needs n >= 1")
 
 
 def pyramid(h: int) -> Dag:

@@ -60,7 +60,7 @@ from .graphs import Dag, _read_json, _write_json, mask_names
 from .pebbling import (
     REVERSIBLE,
     Strategy,
-    _moves,
+    _steps,
     replay,
     verify_strategy,
     visiting,
@@ -388,13 +388,11 @@ def extract(dag: Dag, cert: Certificate) -> Strategy:
     else:
         raise InternalConsistencyError("no path from the empty configuration to the sink")
 
-    steps = []  # back from u: v + 1 placed vertex v, -(v + 1) removed it
+    path = [u]  # back from u to the empty configuration
     while parent[u] is not None:
-        a = parent[u]
-        step = (a ^ u).bit_length()
-        steps.append(step if u > a else -step)
-        u = a
-    strategy = visiting(_moves(dag, steps[::-1]), dag.designated_sink_name)
+        u = parent[u]
+        path.append(u)
+    strategy = visiting(dag, _steps(path[::-1]))
     verify_strategy(dag, strategy)
     return strategy
 

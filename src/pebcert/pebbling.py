@@ -18,12 +18,12 @@ legality together with the messages of its refusal, and a saved strategy
 writes each distinct move's text once.  The writer and the reader
 of strategy files check moves by one rule: each is a pair of strings, and
 the writer refuses any other move.  The package builds moves as signed steps
-over topological indices (v + 1 places v, -(v + 1) removes it), and `_moves`
-turns them into `Move`s.  `Move` is called only by a `_MoveTable`, made per
-call of `_moves`, `mirrored` or `strategy_from_json`, so every strategy the
-package builds holds one object per distinct move.  `replay` reads a move as
-an `(op, vertex)` pair, so a pair replays like its equal `Move`, and anything
-else is an illegal move at its step.  Every record (`Move`, `Strategy`,
+over topological indices (v + 1 places v, -(v + 1) removes it; `_undo`
+reverses them, `_steps` reads them off a replay), `visiting` alone cuts and
+mirrors a forward half, and only `_moves` and `strategy_from_json` call
+`Move`, once per distinct move.  `replay` reads a move as an `(op, vertex)`
+pair, so a pair replays like its equal `Move`, and anything else is an
+illegal move at its step.  Every record (`Move`, `Strategy`,
 `PebblingMetrics`) is a named tuple, equal to the tuple of its fields.
 """
 
@@ -61,42 +61,31 @@ class PebblingMetrics(NamedTuple):
     first_sink_step: int  # index of the first configuration containing the sink
 
 
-class _MoveTable(dict):
-    """(op, vertex) -> its one `Move`, made at the first lookup; `Move` is
-    called nowhere else, so every repeat in a table's strategy is one object."""
+def _undo(steps):
+    """The steps that undo `steps`: each negated, in reverse order."""
+    return [-step for step in reversed(steps)]
 
-    __slots__ = ()
 
-    def __missing__(self, pair):
-        move = self[pair] = Move(*pair)
-        return move
+def _steps(configs):
+    """The signed steps between consecutive configurations of `configs`."""
+    return [(a ^ b).bit_length() * (1 if b > a else -1) for a, b in zip(configs, configs[1:])]
 
 
 def _moves(dag, steps) -> tuple[Move, ...]:
     """The moves of the list of signed steps `steps` over `dag`; each distinct
     step is decoded once, so equal steps give one object."""
-    made = _MoveTable()
-    by_step = {s: made[PLACE if s > 0 else REMOVE, dag.names[abs(s) - 1]] for s in set(steps)}
+    by_step = {s: Move(PLACE if s > 0 else REMOVE, dag.names[abs(s) - 1]) for s in set(steps)}
     return tuple(map(by_step.__getitem__, steps))
 
 
-def mirrored(moves) -> tuple[Move, ...]:
-    """Inverse moves in reverse order; legal whenever `moves` is reversible-legal.
-
-    An inverse equal to a move of `moves` is that move's object."""
-    made = _MoveTable(zip(moves, moves))
-    return tuple([made[REMOVE if m.op == PLACE else PLACE, m.vertex] for m in reversed(moves)])
-
-
-def visiting(moves, sink: str) -> Strategy:
-    """Reversible visiting strategy: `moves` up to and including the first
-    placement on `sink`, then that prefix's mirror (all a certificate reads)."""
-    moves = tuple(moves)
+def visiting(dag, steps) -> Strategy:
+    """Reversible visiting strategy: signed `steps` through the first placement
+    on `dag`'s sink, then their `_undo` (all a certificate reads)."""
     try:
-        t = moves.index((PLACE, sink)) + 1
+        half = steps[:steps.index(dag.designated_sink + 1) + 1]
     except ValueError:
-        raise PebblingError(f"sink {sink!r} never placed") from None
-    return Strategy(REVERSIBLE, VISITING, moves[:t] + mirrored(moves[:t]))
+        raise PebblingError(f"sink {dag.designated_sink_name!r} never placed") from None
+    return Strategy(REVERSIBLE, VISITING, _moves(dag, half + _undo(half)))
 
 
 def _is_pair(move):
@@ -217,8 +206,8 @@ def strategy_from_json(data) -> Strategy:
         pairs = list(map(itemgetter("op", "v"), data["moves"]))
     except (KeyError, TypeError) as exc:
         raise PebblingError(f"malformed strategy JSON: {exc}") from None
-    _string_moves(pairs)
-    return Strategy(game, data.get("flavor"), tuple(map(_MoveTable().__getitem__, pairs)))
+    made = {pair: Move(*pair) for pair in _string_moves(pairs)}
+    return Strategy(game, data.get("flavor"), tuple(map(made.__getitem__, pairs)))
 
 
 def load_strategy(path) -> Strategy:

@@ -262,9 +262,8 @@ def _solve(dag, game, flavor, space, state_budget):
     if standard:
         flavor = None
         steps += [-(v + 1) for v in range(len(dag)) if cur >> v & 1]
-    moves = _moves(dag, steps)
-    witness = (visiting(moves, dag.designated_sink_name) if flavor == VISITING
-               else Strategy(game, flavor, moves))
+    witness = (visiting(dag, steps) if flavor == VISITING
+               else Strategy(game, flavor, _moves(dag, steps)))
     try:
         used = verify_strategy(dag, witness).space
     except PebblingError as exc:

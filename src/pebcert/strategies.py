@@ -4,11 +4,11 @@ Each constructor returns a Strategy for the named generated graph; callers
 verify it with verify_strategy against the matching generator output.  The
 generator judges the family's parameters, and the constructors read its
 layout off the graph in signed steps over topological indices (v + 1 places
-v, -(v + 1) removes it; `_undo` reverses a sequence): chain position p is
-step p of `line(n)`, and step p (bottom) or n + p (top) of `bit_reversal(n)`.
-`pebbling._moves` alone turns steps into `Move`s.  Every reversible visiting
-strategy is a forward half passed to `pebbling.visiting`, which keeps it up
-to its first sink visit and appends that prefix's mirror.
+v, -(v + 1) removes it; `pebbling._undo` reverses a sequence): chain position
+p is step p of `line(n)`, and step p (bottom) or n + p (top) of
+`bit_reversal(n)`.  Every reversible visiting strategy is a forward half of
+steps passed to `pebbling.visiting`, which keeps it up to its first sink
+placement and appends that prefix's `_undo`.
 
 All chain strategies come from one recursion, `_fwd`/`_place`: level 1
 sweeps, and level k plants checkpoints with level k-1 (place, then unwind the
@@ -24,9 +24,9 @@ where a level's checkpoints go:
 from __future__ import annotations
 
 from .errors import GraphError, ParamOutOfRange
-from .graphs import (Dag, bit_reversal, bit_reverse_index, carlson_savage, line,
+from .graphs import (Dag, _check_line, bit_reversal, bit_reverse_index, carlson_savage, line,
                      single_sink_restriction)
-from .pebbling import PERSISTENT, REVERSIBLE, Strategy, _moves, visiting
+from .pebbling import PERSISTENT, REVERSIBLE, Strategy, _moves, _undo, visiting
 
 
 def _iroot_ceil(n, k):
@@ -50,11 +50,6 @@ def _segments(d, k):
     nseg = _iroot_ceil(d, k)
     seg = -(-d // nseg)  # ceil
     return [min(i * seg, d) for i in range(1, nseg)]
-
-
-def _undo(steps):
-    """The steps that undo `steps`: each negated, in reverse order."""
-    return [-step for step in reversed(steps)]
 
 
 def _fwd(base, d, k, cuts):
@@ -92,7 +87,7 @@ def _space_optimal(d):
 def strat_line_visiting(n: int) -> Strategy:
     """Visiting pebbling of line(n) with space exactly ceil(log2(n+1))."""
     dag = line(n)
-    return visiting(_moves(dag, _space_optimal(n)), dag.designated_sink_name)
+    return visiting(dag, _space_optimal(n))
 
 
 def strat_line_persistent(n: int) -> Strategy:
@@ -123,7 +118,7 @@ def strat_line_checkpoint(n: int, k: int) -> Strategy:
     dag = line(n)
     if type(k) is not int or k < 1:
         raise ParamOutOfRange("need k >= 1")
-    return visiting(_moves(dag, _fwd(0, n, k, _segments)), dag.designated_sink_name)
+    return visiting(dag, _fwd(0, n, k, _segments))
 
 
 def _persist_moves(dag, v, held, memo):
@@ -194,8 +189,7 @@ def strat_carlson_savage(c: int, r: int, sink_index: int) -> Strategy:
     if type(sink_index) is not int or not 1 <= sink_index <= c:
         raise ParamOutOfRange("need 1 <= sink_index <= c")
     dag = single_sink_restriction(full, full.sink_names[sink_index - 1])
-    return visiting(_moves(dag, _cs_fwd(dag, c, r, dag.designated_sink, {})),
-                    dag.designated_sink_name)
+    return visiting(dag, _cs_fwd(dag, c, r, dag.designated_sink, {}))
 
 
 def strat_bit_reversal_small_space(n: int) -> Strategy:
@@ -208,7 +202,7 @@ def strat_bit_reversal_small_space(n: int) -> Strategy:
     bits = n.bit_length() - 1
     fwd = _serviced(_space_optimal(n), range(n, 2 * n),
                     lambda pos: _space_optimal(bit_reverse_index(pos - 1, bits) + 1))
-    return visiting(_moves(dag, fwd), dag.designated_sink_name)
+    return visiting(dag, fwd)
 
 
 def strat_bit_reversal_checkpoint(n: int, k: int) -> Strategy:
@@ -233,14 +227,16 @@ def strat_bit_reversal_checkpoint(n: int, k: int) -> Strategy:
         base = max((f for f in fixed if f <= target), default=0)
         return _fwd(base, target - base, k - 1, _segments)
     fwd = plant + _serviced(_fwd(0, n, k, _segments), range(n, 2 * n), service)
-    return visiting(_moves(dag, fwd), dag.designated_sink_name)
+    return visiting(dag, fwd)
 
 
 def line_visiting_price(n: int) -> int:
     """Closed form ceil(log2(n+1)), in integers."""
+    _check_line(n)
     return n.bit_length()
 
 
 def line_persistent_price(n: int) -> int:
-    """Closed form floor(log2(n-1)) + 2 for n >= 2, in integers; 1 below."""
+    """Closed form floor(log2(n-1)) + 2 for n >= 2, in integers; 1 for n = 1."""
+    _check_line(n)
     return (n - 1).bit_length() + 1 if n >= 2 else 1

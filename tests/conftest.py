@@ -1,11 +1,11 @@
-"""Shared helpers for randomized cross-validation tests, and the one
-`hypothesis` profile of the suite."""
+"""Shared helpers for randomized cross-validation tests and for the golden
+move texts, and the one `hypothesis` profile of the suite."""
 
 import random
 
 from hypothesis import settings
 
-from pebcert import build_dag
+from pebcert import Move, build_dag
 
 # Every property test draws the same examples on every run, keeps no example
 # database on disk and has no per-example deadline; a test sets only its
@@ -37,3 +37,8 @@ def random_single_sink_dag(rng: random.Random, max_n: int = 6):
     else:
         dag = build_dag(names, sorted(edges), dag.sink_names[0])
     return dag
+
+
+def golden_moves(text):
+    """The moves of a golden move text such as "+v1 +v2 -v1"."""
+    return tuple(Move("place" if word[0] == "+" else "remove", word[1:]) for word in text.split())

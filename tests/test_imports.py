@@ -4,8 +4,9 @@ is raised or caught somewhere, and files are opened and JSON is read or
 written only at the one file boundary, one place turns a search's layers
 into a witness, one product path serves both polynomial kinds, one rule
 turns a certificate monomial into a configuration mask, a `Dag` is built
-only where its input has been checked, one loop decodes moves, one table
-makes them, and the strategies build no vertex names.
+only where its input has been checked, one loop decodes moves, moves are
+made only where steps or file rows become them, and the strategies build no
+vertex names.
 
 No linter runs with the suite, so this parses each module with `ast` and
 fails on an imported name that no expression of the module refers to.
@@ -34,10 +35,9 @@ predecessors nobody checked.  A call to `_rule` outside `pebbling.replay`
 would be a second replay loop that decides on its own which moves are
 legal and how a refusal is worded; `replay` calls it twice, for a move it
 keeps and for an unhashable one.  A call to `Move` outside
-`pebbling._MoveTable.__missing__` would make a second object for a move
-that a strategy already holds.  A call to `_MoveTable` outside
-`pebbling._moves`, `pebbling.mirrored` and `pebbling.strategy_from_json`
-would make moves in the middle of a builder's work; inside the package a
+`pebbling._moves` and `pebbling.strategy_from_json`, which each make one
+object per distinct move, would make moves in the middle of a builder's
+work, or a second object for a move that a strategy already holds; a
 builder works in signed vertex steps until `_moves`.  One table,
 `_CALLED_ONLY_IN`, names every such guarded callee with the scopes that
 call it, and one detector reads every module against it; each guard keeps
@@ -222,9 +222,7 @@ _CALLED_ONLY_IN = {
     "_mask_rows": [("nullstellensatz.py", "config_graph"), ("nullstellensatz.py", "verify")],
     "Dag": [("graphs.py", "build_dag"), ("graphs.py", "single_sink_restriction")],
     "_rule": [("pebbling.py", "replay"), ("pebbling.py", "replay")],
-    "Move": [("pebbling.py", "_MoveTable.__missing__")],
-    "_MoveTable": [("pebbling.py", "_moves"), ("pebbling.py", "mirrored"),
-                   ("pebbling.py", "strategy_from_json")],
+    "Move": [("pebbling.py", "_moves"), ("pebbling.py", "strategy_from_json")],
 }
 
 
@@ -284,17 +282,13 @@ def test_detects_decoder_calls():
 
 
 def test_detects_move_calls():
-    source = ("class T(dict):\n    def __missing__(self, pair):\n        return Move(*pair)\n"
-              "def walk(v):\n    return [pebbling.Move('place', v), T()['place', v]]\n"
-              "m = Move('remove', 'v')\n")
-    assert _guarded_calls(source) == [("T.__missing__", "Move"), ("walk", "Move"), (None, "Move")]
-
-
-def test_detects_move_table_calls():
-    source = ("def _moves(dag, steps):\n    made = _MoveTable()\n"
-              "def build(n):\n    return [pebbling._MoveTable()['place', 'v1']]\n"
-              "class S:\n    table = _MoveTable\n")
-    assert _guarded_calls(source) == [("_moves", "_MoveTable"), ("build", "_MoveTable")]
+    source = ("def _moves(dag, steps):\n    return {s: Move('place', s) for s in set(steps)}\n"
+              "def strategy_from_json(data):\n"
+              "    made = {pair: pebbling.Move(*pair) for pair in data}\n"
+              "def walk(v):\n    return [Move('place', v), made['place', v]]\n"
+              "m = Move('remove', 'v')\nM = Move\n")
+    assert _guarded_calls(source) == [("_moves", "Move"), ("strategy_from_json", "Move"),
+                                      ("walk", "Move"), (None, "Move")]
 
 
 def _check_called_only_in(*names):
@@ -330,10 +324,6 @@ def test_moves_are_decoded_only_in_replay():
 
 def test_moves_are_made_only_by_the_move_table():
     _check_called_only_in("Move")
-
-
-def test_move_tables_are_made_only_at_the_boundary():
-    _check_called_only_in("_MoveTable")
 
 
 def _name_building(source):

@@ -67,7 +67,7 @@ from pebcert import (
 from pebcert.algebra import ExpPoly, Field, MultilinearPoly
 from pebcert.errors import AlgebraError, CertificateError, GraphError, IllegalMoveAt
 from pebcert.graphs import mask_names
-from pebcert.pebbling import visiting
+from pebcert.pebbling import REVERSIBLE, _steps, replay, visiting
 
 F2 = Field.prime(2)
 F3 = Field.prime(3)
@@ -665,7 +665,7 @@ def _names_and_monomials(cert):
 
 def _shared_sample():
     dag = pyramid(3)
-    return dag, visiting(strat_by_depth(dag).moves, dag.designated_sink_name)
+    return dag, visiting(dag, _steps(replay(dag, strat_by_depth(dag).moves, REVERSIBLE)))
 
 
 def test_compiled_certificate_shares_names_and_monomials():

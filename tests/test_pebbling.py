@@ -6,8 +6,8 @@ Core claims:
     - reversible removal needs predecessors pebbled, standard removal does not
     - verify_strategy replays, checks endpoint conditions, reports metrics
     - the move-wise inverse of a legal reversible strategy is legal
-    - visiting keeps a move list up to its first sink placement and appends
-      that prefix's mirror
+    - visiting keeps signed steps up to the first sink placement and appends
+      that prefix's undo
     - reversible-legal strategies replay under standard rules with the same
       metrics
     - a move legal at one step and illegal at a later one reports the later
@@ -15,8 +15,8 @@ Core claims:
     - strategy JSON round-trips; a loaded strategy shares one Move per
       distinct move, the reader gives the per-move reader's messages, and
       moves that are not plain strings save as they did before
-    - a mirrored move list shares one Move per distinct move, reusing the
-      input's objects
+    - the signed steps read off a replay decode back to the moves replayed,
+      in both games
     - replay reads a move as an (op, vertex) pair, so a pair replays like its
       equal Move, and anything else is an illegal move at its step
     - replay and verify_strategy accept exactly the move sequences a
@@ -47,8 +47,9 @@ from pebcert.pebbling import (
     REVERSIBLE,
     STANDARD,
     VISITING,
+    _moves as _decode,
+    _steps,
     load_strategy,
-    mirrored,
     replay,
     save_strategy,
     visiting,
@@ -214,8 +215,10 @@ def _constructed_samples():
 
 def test_reversal_closure():
     # the move-wise inverse in reverse order of a legal visiting strategy is legal
+    inverse = {PLACE: REMOVE, REMOVE: PLACE}
     for dag, strat in _constructed_samples():
-        back = Strategy("reversible", "visiting", mirrored(strat.moves))
+        back = Strategy("reversible", "visiting",
+                        tuple(Move(inverse[m.op], m.vertex) for m in reversed(strat.moves)))
         fwd = verify_strategy(dag, strat)
         rev = verify_strategy(dag, back)
         assert (fwd.time, fwd.space) == (rev.time, rev.space)
@@ -224,9 +227,7 @@ def test_reversal_closure():
 def test_visiting_cuts_at_first_sink_placement():
     # the sink is placed again after the first visit; only the first counts
     dag = line(2)
-    moves = _moves(("place", "v1"), ("place", "v2"), ("remove", "v2"), ("remove", "v1"),
-                   ("place", "v1"), ("place", "v2"))
-    strat = visiting(moves, "v2")
+    strat = visiting(dag, [1, 2, -2, -1, 1, 2])
     assert strat == _rv(("place", "v1"), ("place", "v2"), ("remove", "v2"), ("remove", "v1"))
     metrics = verify_strategy(dag, strat)
     assert (metrics.time, metrics.space, metrics.first_sink_step) == (4, 2, 2)
@@ -234,19 +235,19 @@ def test_visiting_cuts_at_first_sink_placement():
 
 def test_visiting_keeps_a_prefix_that_ends_at_the_sink():
     dag = pyramid(1)
-    fwd = _moves(("place", "v0_1"), ("place", "v0_2"), ("place", "v1_1"))
-    strat = visiting(iter(fwd), "v1_1")
-    assert strat.moves == fwd + mirrored(fwd)
+    strat = visiting(dag, [dag.index[v] + 1 for v in ("v0_1", "v0_2", "v1_1")])
+    assert strat.moves == _moves(("place", "v0_1"), ("place", "v0_2"), ("place", "v1_1"),
+                                 ("remove", "v1_1"), ("remove", "v0_2"), ("remove", "v0_1"))
     assert verify_strategy(dag, strat).first_sink_step == 3
 
 
 def test_visiting_needs_a_sink_placement():
-    with pytest.raises(PebblingError, match="never placed"):
-        visiting(_moves(("place", "v1"), ("remove", "v1")), "v2")
-    with pytest.raises(PebblingError, match="never placed"):
-        visiting((), "v1")
-    with pytest.raises(PebblingError, match="never placed"):  # a removal of the sink is no visit
-        visiting(_moves(("remove", "v1")), "v1")
+    with pytest.raises(PebblingError, match="^sink 'v2' never placed$"):
+        visiting(line(2), [1, -1])
+    with pytest.raises(PebblingError, match="^sink 'v1' never placed$"):
+        visiting(line(1), [])
+    with pytest.raises(PebblingError, match="^sink 'v1' never placed$"):  # a removal is no visit
+        visiting(line(1), [-1])
 
 
 def test_standard_rules_relax_reversible():
@@ -276,25 +277,32 @@ def test_move_is_a_named_tuple_equal_to_its_pair():
 def test_loaded_strategy_shares_one_move_per_distinct_move(tmp_path):
     dag = pyramid(3)
     path = tmp_path / "s.json"
-    save_strategy(visiting(strat_by_depth(dag).moves, dag.designated_sink_name), path)
+    save_strategy(visiting(dag, _steps(replay(dag, strat_by_depth(dag).moves, REVERSIBLE))), path)
     s = load_strategy(path)
     assert len({id(m) for m in s.moves}) == len(set(s.moves)) < len(s.moves)
     assert all(type(m) is Move for m in s.moves)
 
 
-def _shares_one_move_per_distinct_move(moves):
-    return (len({id(m) for m in moves}) == len(set(moves))
-            and all(type(m) is Move for m in moves))
+def _random_legal_moves(rng, dag, game, length):
+    """`length` moves, each drawn uniformly from those legal in `game`."""
+    moves, mask = [], 0
+    for _ in range(length):
+        legal = [v for v, (bit, pm) in enumerate(dag.toggles)
+                 if mask & pm == pm or (game == STANDARD and mask & bit)]
+        v = rng.choice(legal)  # every source is always legal
+        bit = dag.toggles[v][0]
+        moves.append(Move(REMOVE if mask & bit else PLACE, dag.names[v]))
+        mask ^= bit
+    return tuple(moves)
 
 
-def test_mirrored_shares_one_move_per_distinct_move():
-    fwd = strat_by_depth(pyramid(3)).moves
-    back = mirrored(fwd)
-    assert _shares_one_move_per_distinct_move(back) and len(set(back)) < len(back)
-    # an inverse that is a move of the input is the input's object
-    assert _shares_one_move_per_distinct_move(fwd + back)
-    # equal input moves that are separate objects still mirror to one object each
-    assert _shares_one_move_per_distinct_move(mirrored(_moves(*[(PLACE, "v1"), (REMOVE, "v1")] * 3)))
+@pytest.mark.parametrize("game", [STANDARD, REVERSIBLE])
+def test_steps_of_a_replay_decode_to_its_moves(game):
+    rng = random.Random(28)
+    for _ in range(200):
+        dag = random_single_sink_dag(rng)
+        moves = _random_legal_moves(rng, dag, game, rng.randint(0, 12))
+        assert _decode(dag, _steps(replay(dag, moves, game))) == moves
 
 
 def test_replay_reads_a_pair_like_its_equal_move():

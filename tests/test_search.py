@@ -37,8 +37,9 @@ from pebcert.errors import (
     SpaceInfeasible,
     TooManyVertices,
 )
+from pebcert.pebbling import _moves, _steps, replay
 
-from conftest import random_single_sink_dag
+from conftest import golden_moves, random_single_sink_dag
 
 
 def _cs_prime(c, r):
@@ -352,6 +353,15 @@ def test_golden_witnesses(pair):
         t, witness = min_time_within_space(dag, game, flavor, s)
         assert t == expected[str(s)]["time"]
         assert _move_text(witness) == expected[str(s)]["moves"]
+
+
+@pytest.mark.parametrize("pair", sorted(GOLDEN))
+def test_golden_witness_steps_decode_to_its_moves(pair):
+    graph, game, _ = pair.split("/")
+    dag, expected = GOLDEN_GRAPHS[graph](), GOLDEN[pair]
+    for s in (expected["min_space"], expected["min_space"] + 1):
+        moves = golden_moves(expected[str(s)]["moves"])
+        assert _moves(dag, _steps(replay(dag, moves, game))) == moves
 
 
 def _oracle_witness(dag, flavor, space):

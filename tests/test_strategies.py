@@ -8,7 +8,8 @@ the library and among the trade-off table's candidates, ends at the mirror
 of its prefix up to its first sink visit, and compiles.  The exact move
 sequences of a fixed set of instances are pinned in
 tests/golden_strategies.json, and each of them holds one Move object per
-distinct move.
+distinct move and is decoded back from the signed steps of its replay.  The
+line prices refuse what `line` refuses.
 """
 
 import argparse
@@ -20,7 +21,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_single_sink_dag
+from conftest import golden_moves, random_single_sink_dag
 
 from pebcert import (
     Move,
@@ -46,7 +47,7 @@ from pebcert import cli
 from pebcert.cli import _upper_bound_candidates
 from pebcert.errors import GraphError, ParamOutOfRange
 from pebcert.nullstellensatz import compile_strategy
-from pebcert.pebbling import PLACE, REMOVE
+from pebcert.pebbling import PLACE, REMOVE, REVERSIBLE, _moves, _steps, replay
 from pebcert.strategies import _iroot_ceil
 
 
@@ -124,7 +125,13 @@ def test_param_validation():
     (lambda: strat_line_persistent(0), "line needs n >= 1"),
     (lambda: strat_bit_reversal_checkpoint(6, 1), "bit_reversal needs a power of two >= 2, got 6"),
     (lambda: strat_bit_reversal_checkpoint(8, 0), "need k >= 1"),
-], ids=["line_persistent(0)", "br_checkpoint(6,1)", "br_checkpoint(8,0)"])
+    (lambda: line_visiting_price(0), "line needs n >= 1"),
+    (lambda: line_visiting_price(-3), "line needs n >= 1"),
+    (lambda: line_persistent_price(0), "line needs n >= 1"),
+    (lambda: line_persistent_price(-3), "line needs n >= 1"),
+], ids=["line_persistent(0)", "br_checkpoint(6,1)", "br_checkpoint(8,0)",
+        "line_visiting_price(0)", "line_visiting_price(-3)", "line_persistent_price(0)",
+        "line_persistent_price(-3)"])
 def test_param_validation_messages(make, message):
     with pytest.raises(ParamOutOfRange, match=f"^{message}$"):
         make()
@@ -146,10 +153,15 @@ def test_param_validation_messages(make, message):
     (lambda: strat_bit_reversal_checkpoint(4, True), "need k >= 1"),
     (lambda: strat_carlson_savage(2.0, 1, 1), "carlson_savage needs c >= 2 and r >= 1"),
     (lambda: strat_carlson_savage(2, 1, 1.0), "need 1 <= sink_index <= c"),
+    (lambda: line_visiting_price(2.0), "line needs n >= 1"),
+    (lambda: line_visiting_price(True), "line needs n >= 1"),
+    (lambda: line_persistent_price(2.0), "line needs n >= 1"),
+    (lambda: line_persistent_price(True), "line needs n >= 1"),
 ], ids=["line(True)", "line(2.0)", "pyramid(2.0)", "pyramid(False)", "bit_reversal(4.0)",
         "cs(2.0,1)", "cs(2,True)", "line_visiting(True)", "line_persistent(3.0)",
         "line_checkpoint(4,1.5)", "br_small_space(4.0)", "br_checkpoint(4,True)",
-        "strat_cs(2.0,1,1)", "strat_cs(2,1,1.0)"])
+        "strat_cs(2.0,1,1)", "strat_cs(2,1,1.0)", "line_visiting_price(2.0)",
+        "line_visiting_price(True)", "line_persistent_price(2.0)", "line_persistent_price(True)"])
 def test_family_parameters_must_be_integers(make, message):
     # the generators judge every family parameter, and the strategies
     # inherit their check; a bool or a float is refused, not read as an int
@@ -338,6 +350,22 @@ GOLDEN_LIBRARY = {
 def test_golden_strategies(name):
     moves = GOLDEN_LIBRARY[name]().moves
     assert " ".join(("+" if m.op == PLACE else "-") + m.vertex for m in moves) == GOLDEN[name]
+
+
+GOLDEN_DAGS = {
+    **{name: lambda make=make: make()[0] for name, make in VISITING_LIBRARY.items()},
+    "line_persistent(9)": lambda: line(9),
+    "line_checkpoint(27,3)": lambda: line(27),
+    "br_checkpoint(16,2)": lambda: bit_reversal(16),
+    "by_depth(pyramid(3))": lambda: pyramid(3),
+    "cs(2,3,2)": lambda: _cs(2, 3, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_strategy_steps_decode_to_its_moves(name):
+    dag, moves = GOLDEN_DAGS[name](), golden_moves(GOLDEN[name])
+    assert _moves(dag, _steps(replay(dag, moves, REVERSIBLE))) == moves
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_LIBRARY))
