@@ -46,15 +46,14 @@ from .pebbling import (
     REVERSIBLE,
     STANDARD,
     VISITING,
-    _steps,
     load_strategy,
-    replay,
     save_strategy,
     verify_strategy,
     visiting,
 )
 from .search import DEFAULT_STATE_BUDGET, cs_lower_bound, min_space, min_time_within_space, pareto
 from .strategies import (
+    _visit_fwd_prefix,
     strat_bit_reversal_checkpoint,
     strat_bit_reversal_small_space,
     strat_by_depth,
@@ -219,11 +218,10 @@ def _upper_bound_candidates(args, dag, flavor):
             for k in range(1, max(1, (n - 1).bit_length()) + 1):
                 out.append(strat_line_checkpoint(n, k))
     elif family == "pyramid":
-        persistent = strat_by_depth(dag)
         if flavor == PERSISTENT:
-            out.append(persistent)
+            out.append(strat_by_depth(dag))
         else:
-            out.append(visiting(dag, _steps(replay(dag, persistent.moves, REVERSIBLE))))
+            out.append(visiting(dag, _visit_fwd_prefix(dag, dag.designated_sink, 0)))
     elif family == "cs" and flavor != PERSISTENT:
         out.append(strat_carlson_savage(args.c, args.r, 1))
     elif family == "bit-reversal" and flavor != PERSISTENT:

@@ -19,9 +19,9 @@ and `verify` alone decides validity: `multilinearize` and `extract` judge
 their input by it.  The compiler turns each step of a reversible pebbling
 prefix into the telescoping term sign * x_R * A_v with
 R = P_i - {v_i} - pred(v_i), v_i read off P_i ^ P_{i-1} of the replay, and
-closes with A_sink * x_{P_t' - {z}}.  The
-extractor walks the configuration graph whose edges come from sink-free
-multiplier monomials, closes the path through `pebbling.visiting` and
+closes with A_sink * x_{P_t' - {z}}.  The extractor walks the configuration
+graph, whose edges are the terms c*x_W of the vertex multipliers Q_v with v
+not in W (z in W or not), closes the path through `pebbling.visiting` and
 replays the result once; configuration weights follow the signed occurrence
 accounting (a monomial q of Q_v contributes its coefficient at W + pred(v)
 and minus it at W + pred(v) + {v}), under which the empty configuration
@@ -60,6 +60,7 @@ from .graphs import Dag, _read_json, _write_json, mask_names
 from .pebbling import (
     REVERSIBLE,
     Strategy,
+    _check_kind,
     _steps,
     replay,
     verify_strategy,
@@ -243,6 +244,7 @@ def compile_strategy(dag: Dag, strategy: Strategy, field: Field) -> Certificate:
         raise GraphError("certificate compilation needs a unique designated sink")
     if strategy.game != REVERSIBLE:
         raise CertificateError("only reversible strategies compile to certificates")
+    _check_kind(strategy)
     configs = replay(dag, strategy.moves, REVERSIBLE)
 
     zbit = 1 << dag.designated_sink
@@ -272,9 +274,9 @@ class ConfigGraph(NamedTuple):
     Bit i of a configuration mask is names[i]: the DAG's vertices (the sink
     at bit `sink`), then the variables outside the DAG that the vertex
     multipliers hold, in order of first appearance (`_mask_rows`' table
-    without Q_sink).  Each sink-free multiplier term c*x_W of Q_v is one
-    edge (lo, hi, c) with lo = W + pred(v) and hi = lo + {v}; c counts at lo
-    and -c at hi.
+    without Q_sink).  Each term c*x_W of a vertex multiplier Q_v with v not
+    in W, whether W holds z or not, is one edge (lo, hi, c) with
+    lo = W + pred(v) and hi = lo + {v}; c counts at lo and -c at hi.
     """
 
     names: tuple

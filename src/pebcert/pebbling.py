@@ -142,6 +142,14 @@ def replay(dag: Dag, moves, game: str) -> list[int]:
     return configs
 
 
+def _check_kind(strategy):
+    """Refuse an unknown game, and a reversible strategy without a flavor."""
+    if strategy.game not in (STANDARD, REVERSIBLE):
+        raise PebblingError(f"unknown game {strategy.game!r}")
+    if strategy.game == REVERSIBLE and strategy.flavor not in (VISITING, PERSISTENT):
+        raise PebblingError(f"reversible strategy needs a flavor, got {strategy.flavor!r}")
+
+
 def verify_strategy(dag: Dag, strategy: Strategy) -> PebblingMetrics:
     """Replay a strategy from the empty configuration and check its contract.
 
@@ -151,10 +159,7 @@ def verify_strategy(dag: Dag, strategy: Strategy) -> PebblingMetrics:
     """
     if dag.designated_sink is None:
         raise GraphError("strategy verification needs a designated sink")
-    if strategy.game not in (STANDARD, REVERSIBLE):
-        raise PebblingError(f"unknown game {strategy.game!r}")
-    if strategy.game == REVERSIBLE and strategy.flavor not in (VISITING, PERSISTENT):
-        raise PebblingError(f"reversible strategy needs a flavor, got {strategy.flavor!r}")
+    _check_kind(strategy)
 
     configs = replay(dag, strategy.moves, strategy.game)
     zbit = 1 << dag.designated_sink

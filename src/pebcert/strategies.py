@@ -30,12 +30,10 @@ from .pebbling import PERSISTENT, REVERSIBLE, Strategy, _moves, _undo, visiting
 
 
 def _iroot_ceil(n, k):
-    """Smallest integer r with r**k >= n."""
-    r = max(1, round(n ** (1.0 / k)))
+    """Least r >= 1 with r**k >= n, counted up: `_segments` makes r - 1 cuts anyway."""
+    r = 1
     while r ** k < n:
         r += 1
-    while r > 1 and (r - 1) ** k >= n:
-        r -= 1
     return r
 
 
@@ -121,7 +119,7 @@ def strat_line_checkpoint(n: int, k: int) -> Strategy:
     return visiting(dag, _fwd(0, n, k, _segments))
 
 
-def _persist_moves(dag, v, held, memo):
+def _persist_moves(dag, v, held):
     """Persistent pebbling of the sub-DAG of vertex v beside the pebbles of
     the mask `held`, which stay: ends with only held + {v} pebbled.
 
@@ -129,23 +127,20 @@ def _persist_moves(dag, v, held, memo):
     a time, the last is visited, v is placed, and everything unwinds in
     reverse.
     """
-    key = (v, held)
-    if key not in memo:
-        head = _visit_fwd_prefix(dag, v, held, memo)
-        memo[key] = head + _undo(head[:-1])
-    return memo[key]
+    head = _visit_fwd_prefix(dag, v, held)
+    return head + _undo(head[:-1])
 
 
-def _visit_fwd_prefix(dag, v, held, memo):
+def _visit_fwd_prefix(dag, v, held):
     """Forward half of a visiting pebbling of v's sub-DAG beside the pebbles
     of `held`, ending with v placed; a held predecessor is not placed again."""
     preds = [p for p in dag.preds[v] if not held >> p & 1]
     out = []
     for p in preds[:-1]:
-        out += _persist_moves(dag, p, held, memo)
+        out += _persist_moves(dag, p, held)
         held |= 1 << p
     if preds:
-        out += _visit_fwd_prefix(dag, preds[-1], held, memo)
+        out += _visit_fwd_prefix(dag, preds[-1], held)
     out.append(v + 1)
     return out
 
@@ -154,11 +149,11 @@ def strat_by_depth(dag: Dag) -> Strategy:
     """Persistent strategy in space at most depth * max_indegree + 1."""
     if dag.designated_sink is None:
         raise GraphError("strat_by_depth needs a designated sink")
-    steps = _persist_moves(dag, dag.designated_sink, 0, {})
+    steps = _persist_moves(dag, dag.designated_sink, 0)
     return Strategy(REVERSIBLE, PERSISTENT, _moves(dag, steps))
 
 
-def _cs_fwd(dag, c, r, v, memo):
+def _cs_fwd(dag, c, r, v):
     """Forward half reaching v, a sink of a level-r CS copy inside `dag`.
 
     Climbs the spine into v (preds[1] back to position 1, which has one
@@ -167,7 +162,7 @@ def _cs_fwd(dag, c, r, v, memo):
     c positions of a section and a recursive-copy sink for the last c.
     """
     if r == 1:
-        return _visit_fwd_prefix(dag, v, 0, memo)
+        return _visit_fwd_prefix(dag, v, 0)
     chain = [v]
     while len(dag.preds[chain[0]]) == 2:
         chain.insert(0, dag.preds[chain[0]][1])
@@ -175,8 +170,8 @@ def _cs_fwd(dag, c, r, v, memo):
     def service(pos):
         outside = dag.preds[chain[pos - 1]][0]
         if (pos - 1) % (2 * c) < c:
-            return _visit_fwd_prefix(dag, outside, 0, memo)
-        return _cs_fwd(dag, c, r - 1, outside, memo)
+            return _visit_fwd_prefix(dag, outside, 0)
+        return _cs_fwd(dag, c, r - 1, outside)
     return _serviced(_space_optimal(len(chain)), chain, service)
 
 
@@ -189,7 +184,7 @@ def strat_carlson_savage(c: int, r: int, sink_index: int) -> Strategy:
     if type(sink_index) is not int or not 1 <= sink_index <= c:
         raise ParamOutOfRange("need 1 <= sink_index <= c")
     dag = single_sink_restriction(full, full.sink_names[sink_index - 1])
-    return visiting(dag, _cs_fwd(dag, c, r, dag.designated_sink, {}))
+    return visiting(dag, _cs_fwd(dag, c, r, dag.designated_sink))
 
 
 def strat_bit_reversal_small_space(n: int) -> Strategy:

@@ -223,6 +223,23 @@ def test_cert_invalid_result_is_internal_violation(tmp_path, monkeypatch, capsys
     assert not (tmp_path / "out.json").exists()
 
 
+def test_tradeoff_certificate_identity_failure_exits_three(monkeypatch, capsys):
+    # each visiting row's certificate has size time + 1 and degree space by the
+    # paper's theorem, so a compiled certificate without its sink term is an
+    # internal consistency violation, and no table is printed
+    real = cli.compile_strategy
+
+    def dropping(*args):
+        cert = real(*args)
+        q = cert.multipliers["sink"]
+        return cert._replace(multipliers={**cert.multipliers, "sink": type(q).zero(q.field)})
+
+    monkeypatch.setattr(cli, "compile_strategy", dropping)
+    assert run(capsys, "tradeoff", "--family", "line", "--n", "3") == (
+        3, "", "internal consistency violation: certificate identity failed at space 2: "
+               "size 8 vs time+1 9, degree 2 vs space 2\n")
+
+
 @pytest.mark.parametrize("mode", ["multilinear", "standard"])
 def test_cert_verify_string_vars_exits_one(tmp_path, capsys, mode):
     graph = tmp_path / "line2.json"

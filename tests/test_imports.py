@@ -47,6 +47,8 @@ overriding one, as `Certificate` does `_make`, is not dead code.
 `strategies.py` holds no
 f-string and reads no `.index` attribute: only `graphs` builds generated
 vertex names, and the strategies read each family's layout off its DAG.
+No module holds a `float` constant or calls `float` or `round`: the package
+is exact, and a root or a logarithm it needs is found in integers.
 
 Every CLI call pays for `import pebcert.cli` before it does any work, so a
 cold import in a fresh interpreter must load none of `dataclasses`,
@@ -342,6 +344,30 @@ def test_detects_name_building():
 def test_strategies_build_no_vertex_names():
     # only graphs builds generated names; the strategies read the DAG's layout
     assert _name_building((PACKAGE / "strategies.py").read_text()) == []
+
+
+def _floating_point(source):
+    """(line, what) of every float constant and every call to `float` or `round`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, float):
+            found.append((node.lineno, repr(node.value)))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("float", "round")):
+            found.append((node.lineno, node.func.id))
+    return found
+
+
+def test_detects_floating_point():
+    source = ("def f(n, k):\n    r = max(1, round(n ** (1.0 / k)))\n"
+              "    return float(r), 2e3, n // k, 'round', x.round()\n")
+    assert sorted(_floating_point(source)) == [(2, "1.0"), (2, "round"), (3, "2000.0"),
+                                               (3, "float")]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_floating_point(module):
+    assert _floating_point((PACKAGE / module).read_text()) == []
 
 
 _HEAVY_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize")

@@ -65,7 +65,8 @@ from pebcert import (
     verify_strategy,
 )
 from pebcert.algebra import ExpPoly, Field, MultilinearPoly
-from pebcert.errors import AlgebraError, CertificateError, GraphError, IllegalMoveAt
+from pebcert.errors import (AlgebraError, CertificateError, GraphError, IllegalMoveAt,
+                            PebblingError)
 from pebcert.graphs import mask_names
 from pebcert.pebbling import REVERSIBLE, _steps, replay, visiting
 
@@ -297,6 +298,11 @@ def test_compile_rejects_bad_input():
     assert info.value.step == 1
     with pytest.raises(CertificateError, match="strategy never pebbles the sink"):
         compile_strategy(dag, _rv(("place", "v1"), ("remove", "v1")), F2)
+    # a reversible strategy compiles only with a flavor verify_strategy accepts
+    legal = _moves(("place", "v1"), ("place", "v2"), ("remove", "v2"), ("remove", "v1"))
+    for flavor, shown in (("bogus", "'bogus'"), (None, "None")):
+        with pytest.raises(PebblingError, match=f"needs a flavor, got {shown}$"):
+            compile_strategy(dag, Strategy("reversible", flavor, legal), F2)
 
 
 def test_compile_unhashable_vertex_is_unknown():

@@ -575,6 +575,39 @@ def test_witness_failing_replay_is_internal_error(monkeypatch, tmp_path, capsys,
     assert capsys.readouterr().err.startswith("internal consistency violation: ")
 
 
+@pytest.mark.parametrize("game,flavor", [
+    ("reversible", "visiting"), ("reversible", "persistent"), ("standard", None),
+])
+def test_witness_over_budget_is_internal_error(monkeypatch, game, flavor):
+    # a witness that replays but holds more pebbles than its budget is a bug;
+    # at min space the witness holds exactly the budget, so one more is over
+    space = min_space(line(3), game, flavor)[0]
+    real = search.verify_strategy
+
+    def heavier(dag, strategy):
+        metrics = real(dag, strategy)
+        return metrics._replace(space=metrics.space + 1)
+
+    monkeypatch.setattr(search, "verify_strategy", heavier)
+    with pytest.raises(InternalConsistencyError,
+                       match=f"^search witness uses {space + 1} pebbles, budget {space}$"):
+        min_time_within_space(line(3), game, flavor, space)
+
+
+def test_pareto_time_increase_is_internal_error(monkeypatch):
+    # one more pebble never costs time, so a budget whose optimum is slower
+    # than the one below it is a bug
+    real = search.min_time_within_space
+
+    def slower(*args):
+        time, witness = real(*args)
+        return time + len(witness.moves), witness
+
+    monkeypatch.setattr(search, "min_time_within_space", slower)
+    with pytest.raises(InternalConsistencyError, match="^pareto times must be non-increasing$"):
+        pareto(line(3), "reversible", "visiting", 3)
+
+
 def test_min_space_without_any_budget_is_internal_error(monkeypatch):
     # the budget of every vertex always succeeds; running past it is a bug
     monkeypatch.setattr(search, "_solve", lambda *args: None)

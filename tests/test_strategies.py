@@ -9,7 +9,9 @@ of its prefix up to its first sink visit, and compiles.  The exact move
 sequences of a fixed set of instances are pinned in
 tests/golden_strategies.json, and each of them holds one Move object per
 distinct move and is decoded back from the signed steps of its replay.  The
-line prices refuse what `line` refuses.
+line prices refuse what `line` refuses.  The by-depth forward half, closed
+by `visiting`, equals the by-depth pebbling's replay closed at its first
+sink visit, and `_iroot_ceil(n, k)` is the least r >= 1 with r**k >= n.
 """
 
 import argparse
@@ -47,8 +49,8 @@ from pebcert import cli
 from pebcert.cli import _upper_bound_candidates
 from pebcert.errors import GraphError, ParamOutOfRange
 from pebcert.nullstellensatz import compile_strategy
-from pebcert.pebbling import PLACE, REMOVE, REVERSIBLE, _moves, _steps, replay
-from pebcert.strategies import _iroot_ceil
+from pebcert.pebbling import PLACE, REMOVE, REVERSIBLE, _moves, _steps, replay, visiting
+from pebcert.strategies import _iroot_ceil, _visit_fwd_prefix
 
 
 @pytest.mark.parametrize("n", range(1, 10))
@@ -222,6 +224,25 @@ def test_by_depth_skips_held_predecessors():
         (PLACE, "a"), (PLACE, "b"), (PLACE, "z"), (REMOVE, "b"), (REMOVE, "a")]
     metrics = _check_by_depth(bit_reversal(8))
     assert (metrics.time, metrics.space) == (79, 16)
+
+
+def test_by_depth_forward_half_is_its_visiting_prefix():
+    # the trade-off table's pyramid candidate closes the by-depth forward
+    # half; the by-depth pebbling places the sink once, as that half's last
+    # step, so the same strategy comes back from its replay up to that step
+    rng = random.Random(11)
+    dags = [random_single_sink_dag(rng, max_n=9) for _ in range(200)]
+    for dag in dags + [pyramid(h) for h in range(7)]:
+        replayed = _steps(replay(dag, strat_by_depth(dag).moves, REVERSIBLE))
+        assert (visiting(dag, _visit_fwd_prefix(dag, dag.designated_sink, 0)).moves
+                == visiting(dag, replayed).moves)
+
+
+def test_iroot_ceil_is_the_least_root():
+    for k in range(1, 7):
+        for n in range(5001):
+            r = _iroot_ceil(n, k)
+            assert r >= 1 and r ** k >= n and (r == 1 or (r - 1) ** k < n), (n, k, r)
 
 
 @pytest.mark.parametrize("c,r,j", [(2, 1, 1), (2, 1, 2), (2, 2, 1), (3, 2, 1), (3, 2, 2)])
