@@ -18,13 +18,15 @@ legality together with the messages of its refusal, and a saved strategy
 writes each distinct move's text once.  The writer and the reader
 of strategy files check moves by one rule: each is a pair of strings, and
 the writer refuses any other move.  The package builds moves as signed steps
-over topological indices (v + 1 places v, -(v + 1) removes it; `_undo`
-reverses them, `_steps` reads them off a replay), `visiting` alone cuts and
-mirrors a forward half, and only `_moves` and `strategy_from_json` call
-`Move`, once per distinct move.  `replay` reads a move as an `(op, vertex)`
-pair, so a pair replays like its equal `Move`, and anything else is an
-illegal move at its step.  Every record (`Move`, `Strategy`,
-`PebblingMetrics`) is a named tuple, equal to the tuple of its fields.
+over topological indices (v + 1 places v, -(v + 1) removes it), and this
+module holds their algebra: `_undo` reverses steps, `_unwind` keeps only the
+last step's change of a climb, `_steps` reads steps off configurations,
+`visiting` alone cuts and mirrors a forward half, and only `_moves` and
+`strategy_from_json` call `Move`, once per distinct move.  `replay` reads a
+move as an `(op, vertex)` pair, so a pair replays like its equal `Move`, and
+anything else is an illegal move at its step.  Every record (`Move`,
+`Strategy`, `PebblingMetrics`) is a named tuple, equal to the tuple of its
+fields.
 """
 
 from __future__ import annotations
@@ -64,6 +66,11 @@ class PebblingMetrics(NamedTuple):
 def _undo(steps):
     """The steps that undo `steps`: each negated, in reverse order."""
     return [-step for step in reversed(steps)]
+
+
+def _unwind(half):
+    """`half`, then the `_undo` of all but its last step: only that step's change stays."""
+    return half + _undo(half[:-1])
 
 
 def _steps(configs):

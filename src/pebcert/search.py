@@ -47,8 +47,10 @@ neighbour in the next {z} layer is on a shortest path, and the {z} layers
 serve as on-path sets as they are.  The walk then goes forward from {}, each
 step taking the lowest vertex whose move reaches the next on-path set, so
 among equal-length solutions the witness is lexicographically smallest under
-topological vertex order.  Every witness is replayed by `verify_strategy`
-before it is returned; one that fails raises `InternalConsistencyError`.
+topological vertex order.  It returns configurations, the standard clean-up
+appends one per removal, lowest pebble first, and `pebbling._steps` makes the
+moves.  Every witness is replayed by `verify_strategy` before it is returned;
+one that fails raises `InternalConsistencyError`.
 """
 
 from __future__ import annotations
@@ -75,6 +77,7 @@ from .pebbling import (
     VISITING,
     Strategy,
     _moves,
+    _steps,
     verify_strategy,
     visiting,
 )
@@ -222,26 +225,22 @@ def _std_search(dag, space, limit):
 
 
 def _walk(dag, on, goals, free_removal):
-    """Lexicographically smallest shortest path from {} to a goal.
+    """Lexicographically smallest shortest path from {} to a goal, as its configurations.
 
     on[k] holds the on-path configurations at distance k.  `free_removal`
     makes every removal legal (standard game); otherwise a move needs
-    pred(v) pebbled.  Returns the path's signed steps and the goal it reaches.
+    pred(v) pebbled.
     """
-    steps, cur, k = [], 0, 0
-    while cur not in goals:
-        k += 1
-        ahead = on[k]
-        for v, (bit, pm) in enumerate(dag.toggles):
-            if cur & pm == pm or (free_removal and cur & bit):
-                x = cur ^ bit
-                if x in ahead:
-                    steps.append(v + 1 if x > cur else -(v + 1))
-                    cur = x
-                    break
+    path = [0]
+    while (cur := path[-1]) not in goals:
+        ahead = on[len(path)]
+        for bit, pm in dag.toggles:
+            if (cur & pm == pm or (free_removal and cur & bit)) and cur ^ bit in ahead:
+                path.append(cur ^ bit)
+                break
         else:
             raise InternalConsistencyError("walk failed to make progress")  # unreachable
-    return steps, cur
+    return path
 
 
 def _solve(dag, game, flavor, space, state_budget):
@@ -258,10 +257,12 @@ def _solve(dag, game, flavor, space, state_budget):
     for k in range(len(on) - 1, 1, -1):
         on[k - 1] |= _back(dag.toggles, on[k], layers[k - 1], standard)
     on += [set(layer) for layer in reversed(zlayers[:-1])]
-    steps, cur = _walk(dag, on, on[-1] if zlayers else goals, standard)
+    path = _walk(dag, on, on[-1] if zlayers else goals, standard)
     if standard:
         flavor = None
-        steps += [-(v + 1) for v in range(len(dag)) if cur >> v & 1]
+        while path[-1]:  # the clean-up, lowest pebble first
+            path.append(path[-1] & path[-1] - 1)
+    steps = _steps(path)
     witness = (visiting(dag, steps) if flavor == VISITING
                else Strategy(game, flavor, _moves(dag, steps)))
     try:

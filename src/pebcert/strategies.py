@@ -4,11 +4,11 @@ Each constructor returns a Strategy for the named generated graph; callers
 verify it with verify_strategy against the matching generator output.  The
 generator judges the family's parameters, and the constructors read its
 layout off the graph in signed steps over topological indices (v + 1 places
-v, -(v + 1) removes it; `pebbling._undo` reverses a sequence): chain position
-p is step p of `line(n)`, and step p (bottom) or n + p (top) of
-`bit_reversal(n)`.  Every reversible visiting strategy is a forward half of
-steps passed to `pebbling.visiting`, which keeps it up to its first sink
-placement and appends that prefix's `_undo`.
+v, -(v + 1) removes it): chain position p is step p of `line(n)`, and step p
+(bottom) or n + p (top) of `bit_reversal(n)`.  Every reversible visiting
+strategy is a forward half of steps passed to `pebbling.visiting`, which
+keeps it up to its first sink placement and appends that prefix's `_undo`.
+Every bracket inside a half (climb, act, undo the climb) is `_unwind`.
 
 All chain strategies come from one recursion, `_fwd`/`_place`: level 1
 sweeps, and level k plants checkpoints with level k-1 (place, then unwind the
@@ -26,7 +26,7 @@ from __future__ import annotations
 from .errors import GraphError, ParamOutOfRange
 from .graphs import (Dag, _check_line, bit_reversal, bit_reverse_index, carlson_savage, line,
                      single_sink_restriction)
-from .pebbling import PERSISTENT, REVERSIBLE, Strategy, _moves, _undo, visiting
+from .pebbling import PERSISTENT, REVERSIBLE, Strategy, _moves, _unwind, visiting
 
 
 def _iroot_ceil(n, k):
@@ -70,11 +70,8 @@ def _fwd(base, d, k, cuts):
 
 
 def _place(base, d, k, cuts):
-    """`_fwd` to base+d-1, place base+d, undo the climb: leaves only base+d above base."""
-    if d == 0:
-        return []
-    climb = _fwd(base, d - 1, k, cuts)
-    return climb + [base + d] + _undo(climb)
+    """`_fwd` to base+d-1, place base+d, unwind the climb: leaves only base+d above base."""
+    return _unwind(_fwd(base, d - 1, k, cuts) + [base + d])
 
 
 def _space_optimal(d):
@@ -100,14 +97,13 @@ def strat_line_persistent(n: int) -> Strategy:
 
 
 def _serviced(positions, chain, service):
-    """Chain steps (position p is vertex chain[p - 1]), each bracketed by
+    """Chain steps (position p is vertex chain[p - 1]), each after
     `service(p)`, a forward half that pebbles the vertex's outside
-    predecessor, and its `_undo`."""
+    predecessor, and unwound with it."""
     out = []
     for pos in positions:
-        fwd = service(abs(pos))
         step = chain[abs(pos) - 1] + 1
-        out += fwd + [step if pos > 0 else -step] + _undo(fwd)
+        out += _unwind(service(abs(pos)) + [step if pos > 0 else -step])
     return out
 
 
@@ -119,25 +115,14 @@ def strat_line_checkpoint(n: int, k: int) -> Strategy:
     return visiting(dag, _fwd(0, n, k, _segments))
 
 
-def _persist_moves(dag, v, held):
-    """Persistent pebbling of the sub-DAG of vertex v beside the pebbles of
-    the mask `held`, which stay: ends with only held + {v} pebbled.
-
-    All but one predecessor not already held is pebbled persistently one at
-    a time, the last is visited, v is placed, and everything unwinds in
-    reverse.
-    """
-    head = _visit_fwd_prefix(dag, v, held)
-    return head + _undo(head[:-1])
-
-
 def _visit_fwd_prefix(dag, v, held):
     """Forward half of a visiting pebbling of v's sub-DAG beside the pebbles
-    of `held`, ending with v placed; a held predecessor is not placed again."""
+    of `held`, ending with v placed; a held predecessor is not placed again,
+    and each other one but the last is pebbled persistently, its half unwound."""
     preds = [p for p in dag.preds[v] if not held >> p & 1]
     out = []
     for p in preds[:-1]:
-        out += _persist_moves(dag, p, held)
+        out += _unwind(_visit_fwd_prefix(dag, p, held))
         held |= 1 << p
     if preds:
         out += _visit_fwd_prefix(dag, preds[-1], held)
@@ -149,7 +134,7 @@ def strat_by_depth(dag: Dag) -> Strategy:
     """Persistent strategy in space at most depth * max_indegree + 1."""
     if dag.designated_sink is None:
         raise GraphError("strat_by_depth needs a designated sink")
-    steps = _persist_moves(dag, dag.designated_sink, 0)
+    steps = _unwind(_visit_fwd_prefix(dag, dag.designated_sink, 0))
     return Strategy(REVERSIBLE, PERSISTENT, _moves(dag, steps))
 
 

@@ -225,6 +225,7 @@ _CALLED_ONLY_IN = {
     "Dag": [("graphs.py", "build_dag"), ("graphs.py", "single_sink_restriction")],
     "_rule": [("pebbling.py", "replay"), ("pebbling.py", "replay")],
     "Move": [("pebbling.py", "_moves"), ("pebbling.py", "strategy_from_json")],
+    "_undo": [("pebbling.py", "_unwind"), ("pebbling.py", "visiting")],
 }
 
 
@@ -293,6 +294,15 @@ def test_detects_move_calls():
                                       ("walk", "Move"), (None, "Move")]
 
 
+def test_detects_undo_calls():
+    source = ("def _unwind(half):\n    return half + _undo(half[:-1])\n"
+              "def _place(climb):\n    return climb + [1] + pebbling._undo(climb)\n"
+              "class S:\n    def back(self, s):\n        return _undo(s)\n"
+              "u = _undo\n")
+    assert _guarded_calls(source) == [("_unwind", "_undo"), ("_place", "_undo"),
+                                      ("S.back", "_undo")]
+
+
 def _check_called_only_in(*names):
     """Every call the package makes to one of `names` is the table's, and no other."""
     calls = {name: [] for name in names}
@@ -326,6 +336,10 @@ def test_moves_are_decoded_only_in_replay():
 
 def test_moves_are_made_only_by_the_move_table():
     _check_called_only_in("Move")
+
+
+def test_steps_are_undone_only_by_the_unwind_rule_and_visiting():
+    _check_called_only_in("_undo")
 
 
 def _name_building(source):

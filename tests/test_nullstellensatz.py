@@ -12,6 +12,8 @@ Core claims:
     - multilinearization never grows size or degree and rejects invalid input
     - Certificate rejects a malformed shape; verify alone judges validity,
       and multilinearize and extract judge the certificate they are given
+    - extract and multilinearize raise InternalConsistencyError, and the CLI
+      exits 3, when a configuration graph or a clamped copy is broken
     - compiled, loaded and multilinearized certificates hold one object per
       distinct name and per distinct monomial, a written certificate one
       "vars" list per distinct monomial, and extracted strategies one Move
@@ -65,8 +67,9 @@ from pebcert import (
     verify_strategy,
 )
 from pebcert.algebra import ExpPoly, Field, MultilinearPoly
+from pebcert.cli import main
 from pebcert.errors import (AlgebraError, CertificateError, GraphError, IllegalMoveAt,
-                            PebblingError)
+                            InternalConsistencyError, PebblingError)
 from pebcert.graphs import mask_names
 from pebcert.pebbling import REVERSIBLE, _steps, replay, visiting
 
@@ -654,6 +657,61 @@ def test_readers_judge_the_certificate_they_are_given(monkeypatch):
         with pytest.raises(CertificateError):
             read(invalid)
         assert seen == [invalid]
+
+
+def _cert_cli(tmp_path, action, dag, cert):
+    """Exit code of `pebcert cert <action>` on `dag` and `cert` saved to files."""
+    graph, path = tmp_path / "graph.json", tmp_path / "cert.json"
+    graph.write_text(json.dumps(dag.to_json()))
+    save_certificate(cert, path)
+    return main(["cert", action, str(graph), str(path)])
+
+
+@pytest.mark.parametrize("dropped,message", [
+    (lambda lo, hi, zbit: lo == 0, "empty configuration touches no edge"),
+    (lambda lo, hi, zbit: (lo | hi) & zbit, "no path from the empty configuration to the sink"),
+], ids=["empty", "sink"])
+def test_extract_on_a_broken_config_graph_is_internal_error(monkeypatch, tmp_path, capsys,
+                                                            dropped, message):
+    # a valid certificate's graph has edges at {} and a path to the sink, so
+    # losing either is a bug in config_graph, not a bad certificate
+    real = nullstellensatz.config_graph
+
+    def dropping(dag, cert):
+        cg = real(dag, cert)
+        zbit = 1 << cg.sink
+        return cg._replace(edges=tuple(e for e in cg.edges if not dropped(e[0], e[1], zbit)))
+
+    monkeypatch.setattr(nullstellensatz, "config_graph", dropping)
+    dag = line(2)
+    cert = compile_strategy(dag, min_space(dag, "reversible", "visiting")[1], F2)
+    with pytest.raises(InternalConsistencyError, match=f"^{message}$"):
+        extract(dag, cert)
+    assert _cert_cli(tmp_path, "extract", dag, cert) == 3
+    assert capsys.readouterr().err == f"internal consistency violation: {message}\n"
+
+
+def test_multilinearize_with_an_invalid_clamped_copy_is_internal_error(monkeypatch, tmp_path,
+                                                                       capsys):
+    # clamping keeps a valid refutation valid, so a clamped copy that fails
+    # verify is a bug; verify fails every multilinear certificate here, and
+    # the given one is standard, so only the second call fails
+    real = nullstellensatz.verify
+
+    def failing_clamped(formula, cert):
+        report = real(formula, cert)
+        return report._replace(valid=False) if cert.mode == "multilinear" else report
+
+    monkeypatch.setattr(nullstellensatz, "verify", failing_clamped)
+    dag = _single_vertex()
+    cert = Certificate(Q, "standard", {
+        "vertex:z": ExpPoly.one(Q), "sink": ExpPoly.monomial(Q, ("z",)),
+    }, {"z": ExpPoly.monomial(Q, (), -1)})
+    message = "the clamped copy of a valid certificate does not verify"
+    with pytest.raises(InternalConsistencyError, match=f"^{message}$"):
+        multilinearize(pebbling_formula(dag), cert)
+    assert _cert_cli(tmp_path, "multilinearize", dag, cert) == 3
+    assert capsys.readouterr().err == f"internal consistency violation: {message}\n"
 
 
 # -- one object per distinct name, monomial and move ------------------------------

@@ -8,6 +8,7 @@ Core claims:
     - the move-wise inverse of a legal reversible strategy is legal
     - visiting keeps signed steps up to the first sink placement and appends
       that prefix's undo
+    - `_unwind` of a climb leaves only its last step's change
     - reversible-legal strategies replay under standard rules with the same
       metrics
     - a move legal at one step and illegal at a later one reports the later
@@ -49,6 +50,7 @@ from pebcert.pebbling import (
     VISITING,
     _moves as _decode,
     _steps,
+    _unwind,
     load_strategy,
     replay,
     save_strategy,
@@ -248,6 +250,18 @@ def test_visiting_needs_a_sink_placement():
         visiting(line(1), [])
     with pytest.raises(PebblingError, match="^sink 'v1' never placed$"):  # a removal is no visit
         visiting(line(1), [-1])
+
+
+@settings(max_examples=200)
+@given(half=st.lists(st.integers(1, 12).flatmap(lambda v: st.sampled_from([v, -v])),
+                     min_size=1, max_size=30))
+def test_unwind_keeps_only_the_last_steps_change(half):
+    # the XOR of the toggled bits is the net change, whatever the legality
+    change = 0
+    for step in _unwind(half):
+        change ^= 1 << (abs(step) - 1)
+    assert change == 1 << (abs(half[-1]) - 1)
+    assert _unwind(half[-1:]) == half[-1:]
 
 
 def test_standard_rules_relax_reversible():

@@ -562,8 +562,8 @@ def test_witness_failing_replay_is_internal_error(monkeypatch, tmp_path, capsys,
     walk = search._walk
 
     def dropping(*args):
-        moves, cur = walk(*args)
-        return moves[1:], cur  # lose the first move
+        path = walk(*args)
+        return path[:1] + path[2:]  # skip the first move's configuration
 
     monkeypatch.setattr(search, "_walk", dropping)
     with pytest.raises(InternalConsistencyError):
@@ -573,6 +573,24 @@ def test_witness_failing_replay_is_internal_error(monkeypatch, tmp_path, capsys,
     argv = ["solve", "--mode", "min-space", "--game", game, str(graph)]
     assert main(argv + (["--flavor", flavor] if flavor else [])) == 3
     assert capsys.readouterr().err.startswith("internal consistency violation: ")
+
+
+@pytest.mark.parametrize("game,flavor", [
+    ("reversible", "visiting"), ("reversible", "persistent"), ("standard", None),
+])
+def test_walk_without_on_path_sets_is_internal_error(monkeypatch, tmp_path, capsys, game,
+                                                     flavor):
+    # pruning keeps a move from each on-path configuration into the next
+    # layer's set, so a walk that finds none is a bug in the pruning
+    monkeypatch.setattr(search, "_back", lambda *args: set())
+    message = "walk failed to make progress"
+    with pytest.raises(InternalConsistencyError, match=f"^{message}$"):
+        min_time_within_space(line(3), game, flavor, 3)
+    graph = tmp_path / "line3.json"
+    graph.write_text(json.dumps(line(3).to_json()))
+    argv = ["solve", "--mode", "min-time", "--space", "3", "--game", game, str(graph)]
+    assert main(argv + (["--flavor", flavor] if flavor else [])) == 3
+    assert capsys.readouterr().err == f"internal consistency violation: {message}\n"
 
 
 @pytest.mark.parametrize("game,flavor", [

@@ -12,6 +12,8 @@ distinct move and is decoded back from the signed steps of its replay.  The
 line prices refuse what `line` refuses.  The by-depth forward half, closed
 by `visiting`, equals the by-depth pebbling's replay closed at its first
 sink visit, and `_iroot_ceil(n, k)` is the least r >= 1 with r**k >= n.
+Both cut rules return strictly increasing cuts in (0, d], so `_place` never
+climbs a distance of 0, and `_segments` stays below d.
 """
 
 import argparse
@@ -50,7 +52,7 @@ from pebcert.cli import _upper_bound_candidates
 from pebcert.errors import GraphError, ParamOutOfRange
 from pebcert.nullstellensatz import compile_strategy
 from pebcert.pebbling import PLACE, REMOVE, REVERSIBLE, _moves, _steps, replay, visiting
-from pebcert.strategies import _iroot_ceil, _visit_fwd_prefix
+from pebcert.strategies import _halves, _iroot_ceil, _segments, _visit_fwd_prefix
 
 
 @pytest.mark.parametrize("n", range(1, 10))
@@ -236,6 +238,20 @@ def test_by_depth_forward_half_is_its_visiting_prefix():
         replayed = _steps(replay(dag, strat_by_depth(dag).moves, REVERSIBLE))
         assert (visiting(dag, _visit_fwd_prefix(dag, dag.designated_sink, 0)).moves
                 == visiting(dag, replayed).moves)
+
+
+def test_cuts_increase_strictly_inside_the_climb():
+    # `_fwd` plants a checkpoint at each cut with `_place`, which climbs the
+    # gap from the cut before, so a gap of 0 would be a place on the base
+    # itself; the bit-reversal plant also climbs from the last `_segments`
+    # cut to d.  `_segments(d, 1)` counts `_iroot_ceil` up to d, so k = 1
+    # stops at d = 1000 to keep the loop quick.
+    for k in range(1, 12):
+        for d in range(5001):
+            for rule in (_halves, _segments) if k > 1 or d <= 1000 else (_halves,):
+                cuts = rule(d, k)
+                assert all(a < b for a, b in zip([0] + cuts, cuts)), (rule, d, k)
+                assert all(c < d or (rule is _halves and c == d) for c in cuts), (rule, d, k)
 
 
 def test_iroot_ceil_is_the_least_root():
