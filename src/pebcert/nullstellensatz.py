@@ -12,7 +12,8 @@ configuration twice.  A search witness never does; the library's
 bit-reversal and Carlson-Savage strategies do.
 
 Every axiom id is decoded by `PebblingFormula.axiom`, the one table that
-verify, axiom_poly and config_graph share.  Every record is a named tuple,
+verify, axiom_poly and config_graph share: A_v is its move-table entry
+`Dag.toggles[v]`, and A_sink is (0, {z}).  Every record is a named tuple,
 equal to the tuple of its fields.  `Certificate` checks its own shape (mode,
 dict maps, string keys, multiplier kinds, one field) whenever one is built,
 and `verify` alone decides validity: `multilinearize` and `extract` judge
@@ -84,26 +85,25 @@ class PebblingFormula:
         if dag.designated_sink is None or len(dag.sinks) != 1:
             raise GraphError("pebbling formula needs a unique designated sink")
         self.dag = dag
-        # axiom id -> (pred names, vertex name or None for the sink axiom)
-        self._axioms = {}
-        for name, (_, pm) in zip(dag.names, dag.toggles):
-            self._axioms[vertex_axiom_id(name)] = (mask_names(dag.names, pm), name)
-        self._axioms[SINK_AXIOM] = (frozenset({dag.designated_sink_name}), None)
+        # axiom id -> its move-table entry (bit, pred mask)
+        self._axioms = dict(zip(map(vertex_axiom_id, dag.names), dag.toggles))
+        self._axioms[SINK_AXIOM] = (0, 1 << dag.designated_sink)
         self.axiom_ids = tuple(self._axioms)
 
     def axiom(self, axiom_id: str):
-        """(pred names, vertex name) of a vertex axiom; ({z}, None) for the sink axiom."""
+        """Move-table entry (bit, pred mask): `Dag.toggles[v]` for A_v, (0, {z}) for A_sink."""
         try:
             return self._axioms[axiom_id]
         except (KeyError, TypeError):  # an unhashable id is unknown too
             raise CertificateError(f"unknown axiom {axiom_id!r}") from None
 
     def axiom_poly(self, axiom_id: str, field: Field) -> MultilinearPoly:
-        """A_v = x_pred - x_{pred + v}; A_sink = x_z."""
-        preds, vertex = self.axiom(axiom_id)
-        if vertex is None:
-            return MultilinearPoly.monomial(field, preds)
-        return MultilinearPoly(field, {preds: 1, preds | {vertex}: -1})
+        """A_v = x_pred - x_{pred + v}; A_sink = x_z: the axiom's entry, named."""
+        bit, pm = self.axiom(axiom_id)
+        terms = {mask_names(self.dag.names, pm): 1}
+        if bit:
+            terms[mask_names(self.dag.names, pm | bit)] = -1
+        return MultilinearPoly(field, terms)
 
     @property
     def clauses(self) -> tuple[tuple[int, ...], ...]:
@@ -297,18 +297,15 @@ class ConfigGraph(NamedTuple):
 def _mask_rows(formula, multipliers, bits):
     """The rows (lo, bit, c) of the sum of multiplied axioms on masks.
 
-    A term c*x_W of Q_v gives (W + pred(v), bit of v), to count c at lo and
-    -c at lo + bit; a term of Q_sink gives (W + {z}, 0), to count c at lo
-    alone.  x_W is masked under the variable table `bits` (name -> bit),
-    once per distinct monomial; a variable outside the table takes the next
-    free bit, in the order `multipliers` gives.
+    A term c*x_W of an axiom with move-table entry (bit, pm) gives the row
+    (W + pm, bit), to count c at lo and -c at lo + bit; Q_sink's entry
+    (0, {z}) counts c at W + {z} alone.  x_W is masked under the variable
+    table `bits` (name -> bit), once per distinct monomial; a variable outside
+    the table takes the next free bit, in the order `multipliers` gives.
     """
-    dag = formula.dag
     masks = {}  # monomial -> its mask
     for a, q in multipliers.items():
-        vertex = formula.axiom(a)[1]
-        bit, pm = (0, 1 << dag.designated_sink) if vertex is None else \
-            dag.toggles[dag.index[vertex]]
+        bit, pm = formula.axiom(a)
         for mono, c in q.terms.items():
             lo = masks.get(mono)
             if lo is None:

@@ -144,7 +144,7 @@ def _grow(toggles, removals, space, end):
     return nxt
 
 
-def _back(toggles, on, layer, free_removal=False):
+def _back(toggles, on, layer, free_removal):
     """The configurations of `layer` with a move into the set `on`."""
     return {x ^ bit for x in on for bit, pm in toggles
             if x & pm == pm or (free_removal and not x & bit)}.intersection(layer)

@@ -127,22 +127,30 @@ def test_formula_clause_view_matches_figure():
 
 def test_clause_and_polynomial_views_agree():
     # translate each clause with p(C) = prod (1-x) over positives * prod y over
-    # negated variables and compare against the stored axiom
-    dag = pyramid(2)
-    f = pebbling_formula(dag)
-    for v, name in enumerate(dag.names):
-        clause = f.clauses[v]
-        poly = MultilinearPoly.one(Q)
-        for lit in clause:
-            var = dag.names[abs(lit) - 1]
-            if lit > 0:
-                poly = poly * (MultilinearPoly.one(Q) - MultilinearPoly.monomial(Q, [var]))
-            else:
-                poly = poly * MultilinearPoly.monomial(Q, [var])
-        assert poly == f.axiom_poly(f"vertex:{name}", Q)
-    sink_clause = f.clauses[-1]
-    var = dag.names[abs(sink_clause[0]) - 1]
-    assert MultilinearPoly.monomial(Q, [var]) == f.axiom_poly("sink", Q)
+    # negated variables and compare against the stored axiom, which is the
+    # DAG's own move-table entry; pyramid(2)'s predecessors are adjacent in
+    # topological order, the other DAGs' need not be
+    from conftest import random_single_sink_dag
+    cs = carlson_savage(2, 2)
+    dags = [pyramid(2), bit_reversal(4), single_sink_restriction(cs, cs.sink_names[0])]
+    dags += [random_single_sink_dag(random.Random(seed), max_n=7) for seed in range(10)]
+    for dag in dags:
+        f = pebbling_formula(dag)
+        assert f.axiom("sink") == (0, 1 << dag.designated_sink)
+        for v, name in enumerate(dag.names):
+            assert f.axiom(f"vertex:{name}") is dag.toggles[v]
+            clause = f.clauses[v]
+            poly = MultilinearPoly.one(Q)
+            for lit in clause:
+                var = dag.names[abs(lit) - 1]
+                if lit > 0:
+                    poly = poly * (MultilinearPoly.one(Q) - MultilinearPoly.monomial(Q, [var]))
+                else:
+                    poly = poly * MultilinearPoly.monomial(Q, [var])
+            assert poly == f.axiom_poly(f"vertex:{name}", Q)
+        sink_clause = f.clauses[-1]
+        var = dag.names[abs(sink_clause[0]) - 1]
+        assert MultilinearPoly.monomial(Q, [var]) == f.axiom_poly("sink", Q)
 
 
 def test_formula_rejects_multi_sink():
@@ -1120,10 +1128,9 @@ def _config_graph_per_term(dag, cert):
     bits = {name: 1 << i for i, name in enumerate(dag.names)}
     edges = []
     for axiom_id, q in cert.multipliers.items():
-        name = formula.axiom(axiom_id)[1]
-        if name is None:
+        bit, pm = formula.axiom(axiom_id)
+        if bit == 0:
             continue
-        bit, pm = dag.toggles[dag.index[name]]
         for mono, coeff in q.terms.items():
             lo = sum(bits.setdefault(var, 1 << len(bits)) for var in mono)
             if not lo & bit:

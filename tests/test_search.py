@@ -537,6 +537,26 @@ def test_state_budget_boundary(flavor):
         assert f"no persistent pebbling within {goal - 1} moves" in str(info.value)
 
 
+@pytest.mark.parametrize("dag,space,reachable", [
+    (line(8), 4, 26), (pyramid(3), 5, 104), (bit_reversal(8), 6, 1118),
+    (_cs_prime(2, 2), 5, 523),
+], ids=["line8", "pyramid3", "bit_reversal8", "cs22_single_sink"])
+def test_infeasible_visiting_search_discovers_each_configuration_once(dag, space, reachable):
+    # one pebble short of the minimum `space`, the search exhausts the
+    # configurations reachable from {} and counts each once: a frontier that
+    # took back its previous layer would never empty, and would stop on the
+    # state budget instead.  The minimum is pinned, not searched for, so that
+    # such a frontier fails here within the budgets below.
+    assert len(_reversible_distances(dag, space - 1)) == reachable
+    with pytest.raises(SpaceInfeasible):
+        min_time_within_space(dag, "reversible", "visiting", space - 1, state_budget=reachable)
+    with pytest.raises(InstanceTooLarge) as info:
+        min_time_within_space(dag, "reversible", "visiting", space - 1,
+                              state_budget=reachable - 1)
+    assert info.value.discovered == reachable
+    min_time_within_space(dag, "reversible", "visiting", space)
+
+
 @pytest.mark.parametrize("flavor", ["visiting", "persistent"])
 @pytest.mark.parametrize("dag", [pyramid(2), line(6)], ids=["pyramid2", "line6"])
 def test_search_result_holds_every_discovered_layer(dag, flavor):
