@@ -1,10 +1,11 @@
 """Command-line front end: generators, solvers, certificates, trade-off tables.
 
 Subcommands: gen, solve, cert (compile, verify, extract, multilinearize),
-tradeoff.  A flag the chosen family, mode or action does not read is invalid
-input.  Exit codes: 0 success, 1 invalid input (including certificates that
-fail verification), 2 infeasible, over the state budget, or a search on more
-than 64 vertices, 3 internal consistency violation.
+tradeoff.  A flag the chosen family, mode, game or action does not read is
+invalid input, apart from `tradeoff --field` on a table without certificate
+columns.  Exit codes: 0 success, 1 invalid input (including certificates
+that fail verification), 2 infeasible, over the state budget, or a search on
+more than 64 vertices, 3 internal consistency violation.
 """
 
 from __future__ import annotations
@@ -80,6 +81,14 @@ def _refuse(args, flags, reader):
             raise _UsageError(f"{reader} does not read --{flag.replace('_', '-')}")
 
 
+def _game_flavor(args):
+    """The game and flavor of a search command; reversible flavors default to visiting."""
+    if args.game == STANDARD:
+        _refuse(args, {"flavor"}, "--game standard")
+        return STANDARD, None
+    return REVERSIBLE, args.flavor or VISITING
+
+
 def _parse_field(text: str) -> Field:
     if text.lower() in ("q", "rationals"):
         return Field.rationals()
@@ -139,9 +148,8 @@ _MODES = {
 
 def cmd_solve(args) -> int:
     _refuse(args, set().union(*_MODES.values()) - _MODES[args.mode], f"--mode {args.mode}")
+    game, flavor = _game_flavor(args)
     dag = load_graph(args.graph)
-    game = args.game
-    flavor = None if game == STANDARD else args.flavor
     if args.mode == "pareto":
         points = pareto(dag, game, flavor, args.smax, args.state_budget)
         rows = ["space,time,witness_file"]
@@ -233,8 +241,7 @@ def _upper_bound_candidates(args, dag, flavor):
 
 def cmd_tradeoff(args) -> int:
     dag = _gen_graph(args)
-    game = args.game
-    flavor = None if game == STANDARD else args.flavor
+    game, flavor = _game_flavor(args)
     field = _parse_field(args.field)
 
     points = pareto(dag, game, flavor, args.smax, args.state_budget)
@@ -282,7 +289,8 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="pebcert", description=__doc__)
     search = _Parser(add_help=False)
     search.add_argument("--game", choices=[STANDARD, REVERSIBLE], default=REVERSIBLE)
-    search.add_argument("--flavor", choices=[VISITING, PERSISTENT], default=VISITING)
+    search.add_argument("--flavor", choices=[VISITING, PERSISTENT],
+                        help="reversible flavor (default visiting)")
     search.add_argument("--state-budget", type=int, default=DEFAULT_STATE_BUDGET,
                         help="search state budget (default %(default)s)")
     sub = parser.add_subparsers(dest="command", required=True,

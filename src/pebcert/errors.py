@@ -52,7 +52,9 @@ class InstanceTooLarge(SearchError):
     Every search checks the budget once per layer, so the count holds the
     whole layer that crossed it.
     - Reversible visiting and standard search from {} alone: `layer` is the
-      deepest breadth-first layer finished before the stop.
+      deepest breadth-first layer finished before the stop.  Visiting
+      counts the layers before the goal and then only the goal layer's sink
+      configurations, not the whole goal layer.
     - Reversible persistent searches from {} and from {z} and counts both
       sides, both starts included: `layer` is the number of moves ruled
       out, the sum of the depths the two sides had finished: every

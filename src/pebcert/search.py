@@ -12,11 +12,16 @@ layer, so an `InstanceTooLarge` counts the whole layer that crossed it.
 Reversible moves are symmetric (toggle v whenever pred(v) is pebbled) and
 change the pebble count by one, so an optimal reversible pebbling follows a
 shortest path, and layer k+1 is the neighbours of layer k minus layer k-1:
-frontier search, which keeps only the two newest layers as sets.
-- Visiting: layers grow from {} up to the first that holds a sink
-  configuration.  Time is twice that distance: the shortest half, then its
-  mirror.  The state budget counts every configuration of those layers,
-  {} included.
+frontier search, which keeps only the two newest layers.  A configuration
+at the budget may only remove a pebble, and it tests only the removals of
+the predecessors and successors of the vertex whose placement reached it;
+`_grow` shows why the layers stay the same sets.
+- Visiting: layers grow from {} until one holds a configuration that can
+  place z.  The placements of z, the sink configurations of the next
+  layer, are the goals and the last layer; no other move toggles z.  Time
+  is twice that distance: the shortest half, then its mirror.  The state
+  budget counts every configuration of the layers before the goal, {}
+  included, plus the sink configurations, not the whole goal layer.
 - Persistent: the goal is the single configuration {z}, so layers grow
   from {} and from {z}, each round on the side whose newest layer is
   smaller (from {} on a tie), until the newest layer meets the other
@@ -116,30 +121,45 @@ def _check_int(what, value):
 
 
 class _End:
-    """One end of a reversible search: its finished layers and its two newest layers."""
+    """One end of a reversible search: its finished layers and its two newest layers.
+
+    Only every other layer can hold configurations at the budget.  Each of
+    those layers is a dict from a configuration to the removals it tests
+    (see `_grow`); a start at the budget ({z} at space 1) tests every
+    removal.  The other layers are sets.
+    """
 
     __slots__ = ("layers", "prev", "cur")
 
-    def __init__(self, start):
+    def __init__(self, start, space, removals):
         self.layers = [array("Q", [start])]
         self.prev = set()
-        self.cur = {start}
+        self.cur = {start: removals} if (space - start.bit_count()) % 2 == 0 else {start}
 
 
-def _grow(toggles, removals, space, end):
+def _grow(moves, space, end):
     """Advance `end` by one layer and return it: the neighbours of layer k minus layer k-1.
 
+    `moves` holds (bit, pred mask, removals near the vertex) for every
+    vertex that may move; a removal pairs a bit with the mask it needs.
     Every move changes the pebble count by one, so no neighbour of layer k
-    lies in layer k itself.  A configuration at the budget may only remove a
-    pebble; `removals` pairs each bit with the mask its removal needs.
+    lies in layer k, and only every other layer can reach the budget.  A
+    configuration u = w + v at the budget tests only the removals of v's
+    predecessors and successors: for any other removable r, w - r is a
+    neighbour of w below the budget that still places v, so u - r lies in
+    layer k or is generated from w - r, which is expanded in full.
     """
-    cur = end.cur
-    at = [u for u in cur if u.bit_count() == space]
-    below = [u for u in cur if u.bit_count() < space] if at else cur
-    nxt = {u ^ bit for u in below for bit, pm in toggles if u & pm == pm}
-    if at:
-        nxt.update([u ^ bit for u in at for bit, need in removals if u & need == need])
-    nxt.difference_update(end.prev)
+    cur, prev = end.cur, end.prev
+    if type(cur) is dict:
+        at = [(u, near) for u, near in cur.items() if u.bit_count() == space]
+        below = [u for u in cur if u.bit_count() < space] if at else cur
+        nxt = {x for u in below for bit, pm, _ in moves
+               if u & pm == pm and (x := u ^ bit) not in prev}
+        nxt.update([x for u, near in at for bit, need in near
+                    if u & need == need and (x := u ^ bit) not in prev])
+    else:
+        nxt = {x: near for u in cur for bit, pm, near in moves
+               if u & pm == pm and (x := u ^ bit) not in prev}
     end.prev, end.cur = cur, nxt
     return nxt
 
@@ -155,17 +175,30 @@ def _rev_search(dag, space, persistent, limit):
 
     Returns (layers, goals, zlayers): the layers from {}, the meeting
     configurations (visiting: those holding z) keyed by their layer, and the
-    layers from {z} for the persistent flavor (empty otherwise).
+    layers from {z} for the persistent flavor (empty otherwise).  The
+    visiting search stops before the layer that can place z: its last layer
+    holds only the sink configurations, and no other move toggles z.
     """
-    toggles = dag.toggles
-    removals = [(bit, bit | pm) for bit, pm in toggles]
-    zbit = 1 << dag.designated_sink
-    ends = (_End(0), _End(zbit)) if persistent else (_End(0),)
+    z = dag.designated_sink
+    zbit, zpm = dag.toggles[z]
+    removal = {v: (bit, bit | pm) for v, (bit, pm) in enumerate(dag.toggles)
+               if persistent or v != z}
+    near = [set(ps) for ps in dag.preds]
+    for v, ps in enumerate(dag.preds):
+        for p in ps:
+            near[p].add(v)
+    moves = [(*dag.toggles[v], [removal[r] for r in near[v] if r in removal]) for v in removal]
+    full = list(removal.values())
+    ends = ((_End(0, space, full), _End(zbit, space, full)) if persistent
+            else (_End(0, space, full),))
     start, goal = ends[0], ends[-1]
     total = len(ends)
     while True:
         end = goal if len(goal.cur) < len(start.cur) else start
-        nxt = _grow(toggles, removals, space, end)
+        # visiting: the next layer's sink configurations are the placements of z
+        sinks = [] if persistent else [u | zbit for u in end.cur
+                                       if u & zpm == zpm and u.bit_count() < space]
+        nxt = sinks or _grow(moves, space, end)
         if not nxt:
             return None
         total += len(nxt)
@@ -174,9 +207,10 @@ def _rev_search(dag, space, persistent, limit):
             raise InstanceTooLarge(limit, total, done, two_ended=persistent)
         end.layers.append(array("Q", nxt))
         if persistent:
-            meet = nxt & (start.cur if end is goal else goal.cur)
+            other = start.cur if end is goal else goal.cur
+            meet = nxt.keys() & other if type(nxt) is dict else nxt.intersection(other)
         else:
-            meet = {x for x in nxt if x & zbit}
+            meet = sinks
         if meet:
             # the meet lies in the newest layer from {}
             goals = dict.fromkeys(meet, len(start.layers) - 1)

@@ -424,6 +424,7 @@ def test_usage_error_leaves_the_next_call_unchanged(capsys):
     "solve --mode min-space G --smax 9",
     "solve --mode min-time --space 3 G --out t.csv",
     "solve --mode pareto --smax 5 G --witness w.json",
+    "solve --mode min-space G --game standard --flavor visiting",
     "gen --family cs --c 2 --r 1 --dimacs x.cnf",
     "gen --family cs --c 2 --r 1 --out g.json --dimacs x.cnf",
 ])

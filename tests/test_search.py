@@ -417,7 +417,7 @@ def test_witnesses_match_distance_oracle_on_random_dags():
 
 
 @pytest.mark.parametrize("game,flavor", [
-    ("reversible", "visiting"), ("reversible", "persistent"), ("standard", "visiting"),
+    ("reversible", "visiting"), ("reversible", "persistent"), ("standard", None),
 ])
 def test_tradeoff_searches_each_budget_once(monkeypatch, capsys, game, flavor):
     budgets = []
@@ -428,8 +428,8 @@ def test_tradeoff_searches_each_budget_once(monkeypatch, capsys, game, flavor):
         return solve(dag, game, flavor, space, state_budget)
 
     monkeypatch.setattr(search, "_solve", counting)
-    assert main(["tradeoff", "--family", "pyramid", "--height", "3",
-                 "--game", game, "--flavor", flavor]) == 0
+    argv = ["tradeoff", "--family", "pyramid", "--height", "3", "--game", game]
+    assert main(argv + (["--flavor", flavor] if flavor else [])) == 0
     rows = capsys.readouterr().out.strip().split("\n")[1:]
     smax = int(rows[-1].split(",")[0])
     assert smax == int(rows[0].split(",")[0]) + 2
@@ -524,7 +524,8 @@ def test_state_budget_boundary(flavor):
     z = 1 << dag.designated_sink
     if flavor == "visiting":
         goal = min(d for x, d in dist.items() if x & z)
-        discovered = sum(1 for d in dist.values() if d <= goal)
+        # the last layer holds only the sink configurations at the goal distance
+        discovered = sum(1 for x, d in dist.items() if d < goal or d == goal and x & z)
     else:
         discovered, goal, depth = _two_ended_count(dag, space)
         assert min(depth) > 0  # both ends grew
@@ -573,6 +574,55 @@ def test_search_result_holds_every_discovered_layer(dag, flavor):
         search._rev_search(dag, space, persistent, discovered - 1)
     assert info.value.discovered == discovered
     assert info.value.layer == len(layers) + len(zlayers) - (3 if persistent else 2)
+
+
+def _classes(dist):
+    """The distance classes of a BFS distance map, nearest first."""
+    classes = [set() for _ in range(max(dist.values()) + 1)]
+    for x, d in dist.items():
+        classes[d].add(x)
+    return classes
+
+
+@settings(max_examples=100)
+@given(dag=st.integers(0, 2**32 - 1).map(
+    lambda seed: random_single_sink_dag(random.Random(seed), max_n=9)))
+@example(dag=line(1))  # the goal is found from {}
+@example(dag=pyramid(1))  # at space 1 the persistent search grows {z}, a start at the budget
+@example(dag=pyramid(2))
+@example(dag=bit_reversal(4))
+def test_search_layers_are_the_distance_classes(dag):
+    # every layer is the set of configurations at its distance from its start,
+    # though a configuration at the budget tests only some removals; the
+    # visiting search's last layer is the sink configurations at the goal
+    # distance, and the persistent search grows each end as far as the rule
+    # `_two_ended_count` restates
+    z = 1 << dag.designated_sink
+    for space in range(1, len(dag) + 1):
+        dist = _reversible_distances(dag, space)
+        zdist = _reversible_distances(dag, space, (z,))
+        # each end discovers each configuration once, so a search that runs
+        # past both reachable sets is wrong: stop it there, not at 5 * 10^7
+        limit = len(dist) + len(zdist)
+        start, zside = _classes(dist), _classes(zdist)
+        sinks = [{x for x in layer if x & z} for layer in start]
+        goal = next((d for d, found in enumerate(sinks) if found), None)
+        found = search._rev_search(dag, space, False, limit)
+        if goal is None:
+            assert found is None
+        else:
+            layers, goals, _ = found
+            assert [set(layer) for layer in layers] == start[:goal] + [sinks[goal]]
+            assert goals == dict.fromkeys(sinks[goal], goal)
+        found = search._rev_search(dag, space, True, limit)
+        if z not in dist:
+            assert found is None
+            continue
+        _, _, (a, b) = _two_ended_count(dag, space)
+        layers, goals, zlayers = found
+        assert [set(layer) for layer in layers] == start[:a + 1]
+        assert [set(layer) for layer in zlayers] == zside[:b + 1]
+        assert goals == dict.fromkeys(start[a] & zside[b], a)
 
 
 @pytest.mark.parametrize("game,flavor", [
