@@ -517,7 +517,9 @@ def test_state_budget_boundary(flavor):
     # the search discovers exactly the configurations up to the first goal layer
     dag = pyramid(2)
     if flavor == "standard":
-        _standard_budget_boundary(dag)
+        # bit_reversal(4) and pyramid(3) have large layers at the budget
+        for dag in (dag, bit_reversal(4), pyramid(3)):
+            _standard_budget_boundary(dag)
         return
     space = min_space(dag, "reversible", flavor)[0]
     dist = _reversible_distances(dag, space)
@@ -623,6 +625,55 @@ def test_search_layers_are_the_distance_classes(dag):
         assert [set(layer) for layer in layers] == start[:a + 1]
         assert [set(layer) for layer in zlayers] == zside[:b + 1]
         assert goals == dict.fromkeys(start[a] & zside[b], a)
+
+
+@settings(max_examples=100)
+@given(dag=st.integers(0, 2**32 - 1).map(
+    lambda seed: random_single_sink_dag(random.Random(seed), max_n=9)))
+@example(dag=line(1))  # the sink is placed from {}
+@example(dag=pyramid(2))
+@example(dag=bit_reversal(4))
+@example(dag=_cs_prime(2, 2))
+def test_standard_layers_are_the_distance_classes(dag):
+    # every layer is the set of sink-free configurations at its distance from
+    # {}, though a configuration at the budget tests only the removals of its
+    # arriving vertex's predecessors.  Layer k+1 is built while a sink
+    # configuration found there, which holds z and pred(z), could still tie
+    # the best finish: while k + 2 + |pred(z)| <= best.
+    z = 1 << dag.designated_sink
+    least = 1 + len(dag.preds[dag.designated_sink])
+    for space in range(1, len(dag) + 1):
+        dist = _standard_distances(dag, space)
+        scores = {x: d + x.bit_count() for x, d in dist.items() if x & z}
+        # each configuration is discovered once, so a search that runs past
+        # the reachable set is wrong: stop it there, not at 5 * 10^7
+        found = search._std_search(dag, space, len(dist))
+        if not scores:
+            assert found is None
+            continue
+        best = min(scores.values())
+        free = [{x for x in layer if not x & z} for layer in _classes(dist)] + [set()]
+        depth = 1
+        while free[depth - 1] and depth + least <= best:
+            depth += 1
+        layers, goals, zlayers = found
+        assert [set(layer) for layer in layers] == free[:depth]
+        assert goals == {x: dist[x] for x, score in scores.items() if score == best}
+        assert zlayers == ()
+
+
+@pytest.mark.parametrize("dag,discovered", [
+    (pyramid(4), {6: 6380, 7: 9899, 8: 12911}),
+    (_cs_prime(3, 2), {4: 3059, 5: 12668, 6: 39406}),
+    (bit_reversal(8), {3: 265, 4: 1194, 5: 3806}),
+], ids=["pyramid4", "cs32_single_sink", "bit_reversal8"])
+def test_standard_search_discovered_counts(dag, discovered):
+    # the configurations the standard search keeps in its layers, pinned:
+    # they do not depend on the machine, and a frontier that tested fewer
+    # removals than it must would lose some of them
+    for space, count in discovered.items():
+        layers, _, _ = search._std_search(dag, space, search.DEFAULT_STATE_BUDGET)
+        assert sum(map(len, layers)) == count
 
 
 @pytest.mark.parametrize("game,flavor", [
