@@ -9,13 +9,18 @@ Each pebble budget is one search, and the state budget caps the
 configurations it discovers.  Every search checks the state budget once per
 layer, so an `InstanceTooLarge` counts the whole layer that crossed it.
 
+A search's frontier, its newest layer, maps each configuration to the rows
+of the move table that it tests.  Only a placement reaches the budget, and
+a configuration there tests only the removals next to the vertex v whose
+placement reached it: of v's predecessors and successors in the reversible
+game, of v's predecessors in the standard game.  Every other configuration
+tests every row.  `_grow` and `_std_search` show why the layers stay the
+same sets.
+
 Reversible moves are symmetric (toggle v whenever pred(v) is pebbled) and
 change the pebble count by one, so an optimal reversible pebbling follows a
 shortest path, and layer k+1 is the neighbours of layer k minus layer k-1:
-frontier search, which keeps only the two newest layers.  A configuration
-at the budget may only remove a pebble, and it tests only the removals of
-the predecessors and successors of the vertex whose placement reached it;
-`_grow` shows why the layers stay the same sets.
+frontier search, which keeps only the two newest layers.
 - Visiting: layers grow from {} until one holds a configuration that can
   place z.  The placements of z, the sink configurations of the next
   layer, are the goals and the last layer; no other move toggles z.  Time
@@ -39,9 +44,6 @@ cannot finish in fewer than k + 2 + |pred(z)| moves; the search stops once
 that exceeds the best finish found.  This search runs forward from {}, keeps
 a set of every configuration seen, and counts every configuration of its
 layers against the state budget, {} and the sink configurations included.
-Only a placement reaches the budget, and a configuration there tests only
-the removals of the predecessors of the vertex whose placement reached it;
-`_std_search` shows why the layers stay the same sets.
 
 Every search returns what it built, unpruned: its layers from {}, its goals
 keyed by their layer (the optimal sink configurations or the meeting set),
@@ -126,43 +128,33 @@ def _check_int(what, value):
 class _End:
     """One end of a reversible search: its finished layers and its two newest layers.
 
-    Only every other layer can hold configurations at the budget.  Each of
-    those layers is a dict from a configuration to the removals it tests
-    (see `_grow`); a start at the budget ({z} at space 1) tests every
-    removal.  The other layers are sets.
+    `cur` maps each configuration of the newest layer to the rows it tests.
     """
 
     __slots__ = ("layers", "prev", "cur")
 
-    def __init__(self, start, space, removals):
+    def __init__(self, start, tries):
         self.layers = [array("Q", [start])]
-        self.prev = set()
-        self.cur = {start: removals} if (space - start.bit_count()) % 2 == 0 else {start}
+        self.prev = {}
+        self.cur = {start: tries}
 
 
 def _grow(moves, space, end):
     """Advance `end` by one layer and return it: the neighbours of layer k minus layer k-1.
 
-    `moves` holds (bit, pred mask, removals near the vertex) for every
-    vertex that may move; a removal pairs a bit with the mask it needs.
-    Every move changes the pebble count by one, so no neighbour of layer k
-    lies in layer k, and only every other layer can reach the budget.  A
-    configuration u = w + v at the budget tests only the removals of v's
-    predecessors and successors: for any other removable r, w - r is a
-    neighbour of w below the budget that still places v, so u - r lies in
-    layer k or is generated from w - r, which is expanded in full.
+    A row of `moves` is (bit, pred mask, removals near the vertex), a
+    removal row is (bit, bit | pred mask, None), and a row is legal where
+    its mask is pebbled.  Every move changes the pebble count by one, so no
+    neighbour of layer k lies in layer k.  A configuration u = w + v at the
+    budget needs only the removals of v's predecessors and successors: for
+    any other removable r, w - r is a neighbour of w below the budget that
+    still places v, so u - r lies in layer k or is generated from w - r,
+    which tests every row.
     """
     cur, prev = end.cur, end.prev
-    if type(cur) is dict:
-        at = [(u, near) for u, near in cur.items() if u.bit_count() == space]
-        below = [u for u in cur if u.bit_count() < space] if at else cur
-        nxt = {x for u in below for bit, pm, _ in moves
-               if u & pm == pm and (x := u ^ bit) not in prev}
-        nxt.update([x for u, near in at for bit, need in near
-                    if u & need == need and (x := u ^ bit) not in prev])
-    else:
-        nxt = {x: near for u in cur for bit, pm, near in moves
-               if u & pm == pm and (x := u ^ bit) not in prev}
+    nxt = {x: near if x.bit_count() == space else moves
+           for u, tries in cur.items() for bit, need, near in tries
+           if u & need == need and (x := u ^ bit) not in prev}
     end.prev, end.cur = cur, nxt
     return nxt
 
@@ -184,16 +176,16 @@ def _rev_search(dag, space, persistent, limit):
     """
     z = dag.designated_sink
     zbit, zpm = dag.toggles[z]
-    removal = {v: (bit, bit | pm) for v, (bit, pm) in enumerate(dag.toggles)
+    removal = {v: (bit, bit | pm, None) for v, (bit, pm) in enumerate(dag.toggles)
                if persistent or v != z}
     near = [set(ps) for ps in dag.preds]
     for v, ps in enumerate(dag.preds):
         for p in ps:
             near[p].add(v)
     moves = [(*dag.toggles[v], [removal[r] for r in near[v] if r in removal]) for v in removal]
-    full = list(removal.values())
-    ends = ((_End(0, space, full), _End(zbit, space, full)) if persistent
-            else (_End(0, space, full),))
+    # {z} at space 1 is a start at the budget: it may only remove z
+    ends = ((_End(0, moves), _End(zbit, moves if space > 1 else [removal[z]])) if persistent
+            else (_End(0, moves),))
     start, goal = ends[0], ends[-1]
     total = len(ends)
     while True:
@@ -211,7 +203,7 @@ def _rev_search(dag, space, persistent, limit):
         end.layers.append(array("Q", nxt))
         if persistent:
             other = start.cur if end is goal else goal.cur
-            meet = nxt.keys() & other if type(nxt) is dict else nxt.intersection(other)
+            meet = nxt.keys() & other
         else:
             meet = sinks
         if meet:
@@ -225,44 +217,37 @@ def _std_search(dag, space, limit):
 
     Returns (layers, goals, ()): the layers from {} and the optimal sink
     configurations keyed by their layer; None when the sink cannot be pebbled.
-    A configuration u = w + v at the budget, at distance k, tests only the
-    removals of pred(v).  Any other pebble r of w may be removed, so w - r is
-    below the budget within distance k and still places v: u - r is already
-    seen or is generated from w - r, which is expanded in full.  Removing v
-    gives w, which is seen.
+    A row of `moves` is (bit, pred mask, removals of the preds), a removal
+    row is (bit, 0, None), and a row is legal where its bit or its mask is
+    pebbled.  A configuration u = w + v at the budget, at distance k, needs
+    only the removals of pred(v), all of them pebbled.  Any other pebble r
+    of w may be removed, so w - r is below the budget within distance k and
+    still places v: u - r is already seen or is generated from w - r, which
+    tests every row.  Removing v gives w, which is seen.
     """
     z = dag.designated_sink
     zbit, zpm = dag.toggles[z]
-    # (bit, pred mask, bits of the preds) of each vertex other than z
-    moves = [(*dag.toggles[v], [1 << p for p in ps])
+    moves = [(*dag.toggles[v], [(1 << p, 0, None) for p in ps])
              for v, ps in enumerate(dag.preds) if v != z]
     least = 1 + zpm.bit_count()
     seen = {0}
     layers = [array("Q", [0])]
     total = 1
-    frontier = {0: ()}
+    frontier = {0: moves}
     best = None
     goals = {}
     while frontier and (best is None or len(layers) + least <= best):
         layer = len(layers)
-        at = [(u, near) for u, near in frontier.items() if u.bit_count() == space]
-        below = [u for u in frontier if u.bit_count() < space] if at else frontier
-        sinks = [u for u in below if u & zpm == zpm]
+        sinks = [u for u in frontier if u & zpm == zpm and u.bit_count() < space]
         for u in sinks:
             score = layer + u.bit_count() + 1
             if best is None or score < best:
                 best, goals = score, {}
             if score == best:
                 goals[u | zbit] = layer
-        # a dict deduplicated against `seen` as it grows, from each
-        # configuration to the preds of the vertex whose move reached it,
-        # read only at the budget, which only a placement reaches.  Against a
-        # list of the same configurations it costs 4% of the traced peak:
-        # 4.10 MB against 3.95 MB on CS(4,2) at s=5 (Python 3.11)
-        nxt = {x: near for u in below for bit, pm, near in moves
+        nxt = {x: near if x.bit_count() == space else moves
+               for u, tries in frontier.items() for bit, pm, near in tries
                if (u & bit or u & pm == pm) and (x := u ^ bit) not in seen and not seen.add(x)}
-        nxt.update([(x, ()) for u, near in at for bit in near
-                    if (x := u ^ bit) not in seen and not seen.add(x)])
         total += len(nxt) + len(sinks)
         if total > limit:
             raise InstanceTooLarge(limit, total, layer - 1)

@@ -512,16 +512,8 @@ def _standard_budget_boundary(dag):
     assert (info.value.discovered, info.value.layer) == (budget, counts.index(budget) - 1)
 
 
-@pytest.mark.parametrize("flavor", ["visiting", "persistent", "standard"])
-def test_state_budget_boundary(flavor):
+def _reversible_budget_boundary(dag, flavor, space):
     # the search discovers exactly the configurations up to the first goal layer
-    dag = pyramid(2)
-    if flavor == "standard":
-        # bit_reversal(4) and pyramid(3) have large layers at the budget
-        for dag in (dag, bit_reversal(4), pyramid(3)):
-            _standard_budget_boundary(dag)
-        return
-    space = min_space(dag, "reversible", flavor)[0]
     dist = _reversible_distances(dag, space)
     z = 1 << dag.designated_sink
     if flavor == "visiting":
@@ -538,6 +530,18 @@ def test_state_budget_boundary(flavor):
     assert (info.value.discovered, info.value.layer) == (discovered, goal - 1)
     if flavor == "persistent":
         assert f"no persistent pebbling within {goal - 1} moves" in str(info.value)
+
+
+@pytest.mark.parametrize("flavor", ["visiting", "persistent", "standard"])
+def test_state_budget_boundary(flavor):
+    # bit_reversal(4) and pyramid(3) have large layers at the budget
+    for dag in (pyramid(2), bit_reversal(4), pyramid(3)):
+        if flavor == "standard":
+            _standard_budget_boundary(dag)
+            continue
+        space = min_space(dag, "reversible", flavor)[0]
+        for s in (space, space + 1):
+            _reversible_budget_boundary(dag, flavor, s)
 
 
 @pytest.mark.parametrize("dag,space,reachable", [
@@ -674,6 +678,23 @@ def test_standard_search_discovered_counts(dag, discovered):
     for space, count in discovered.items():
         layers, _, _ = search._std_search(dag, space, search.DEFAULT_STATE_BUDGET)
         assert sum(map(len, layers)) == count
+
+
+@pytest.mark.parametrize("dag,visiting,persistent", [
+    (pyramid(4), {6: 4570, 7: 5933, 8: 8537}, {7: 7599, 8: 14156}),
+    (bit_reversal(8), {6: 4829, 7: 6898, 8: 7789}, {7: 10235, 8: 14365}),
+    (_cs_prime(3, 2), {6: 24510, 7: 47204}, {}),
+    (line(20), {5: 5099, 6: 12035}, {6: 15880}),
+], ids=["pyramid4", "bit_reversal8", "cs32_single_sink", "line20"])
+def test_reversible_search_discovered_counts(dag, visiting, persistent):
+    # the configurations the reversible search keeps in its layers from {}
+    # and from {z}, pinned: they do not depend on the machine, and a
+    # frontier that tested fewer rows than it must would lose some of them
+    for flavor, discovered in (("visiting", visiting), ("persistent", persistent)):
+        for space, count in discovered.items():
+            layers, _, zlayers = search._rev_search(dag, space, flavor == "persistent",
+                                                    search.DEFAULT_STATE_BUDGET)
+            assert sum(map(len, layers)) + sum(map(len, zlayers)) == count
 
 
 @pytest.mark.parametrize("game,flavor", [
