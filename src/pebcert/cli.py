@@ -26,6 +26,7 @@ from .errors import (
 )
 from .graphs import (
     _write_json,
+    _write_text,
     bit_reversal,
     carlson_savage,
     line,
@@ -123,7 +124,7 @@ def _gen_graph(args):
 def _emit(text, out, what):
     """Write `text` to the file `out` and say so, or to stdout when there is no `out`."""
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        _write_text([text], out)
         print(f"wrote {out} ({what})")
     else:
         sys.stdout.write(text)

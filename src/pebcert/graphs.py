@@ -330,10 +330,11 @@ def graph_from_json(data) -> Dag:
 def _read_json(path, parse, error):
     """`parse` of the JSON in the UTF-8 file `path`.
 
-    This and `_write_json` are the package's only JSON file access.  Every
-    ValueError, from decoding or from `parse`, and the RecursionError of a
-    too deeply nested document become `error` with the file name in front;
-    an OSError already names the file and passes unchanged.
+    This and `_write_text`, which every saver and `cli._emit` write through,
+    are the package's only file access.  Every ValueError, from decoding or
+    from `parse`, and the RecursionError of a too deeply nested document
+    become `error` with the file name in front; an OSError already names the
+    file and passes unchanged.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -342,44 +343,47 @@ def _read_json(path, parse, error):
         raise error(f"{path}: {exc}") from None
 
 
+# one str as `json.dumps` writes it: the C encoder, which escapes all but ASCII
+_quote = json.encoder.encode_basestring_ascii
+
+
 def _write_json(data, path=None):
     """Write `data` as the bytes of `json.dumps(data, indent=2)` plus a
     newline to the UTF-8 file `path`; with no `path`, return that text.
 
     `json` encodes in C only without `indent`, and its pure-Python indenting
-    encoder is the slowest part of saving a certificate, so the text is
-    built here: strings by the C `encode_basestring_ascii`, other scalars by
-    `json.dumps`, container items joined by a comma, a newline and the
-    indent.  A file is written as it is built: the top-level object one key
-    at a time, and each element of a top-level list (the moves, multipliers,
-    vertices and edges) as its own string, so a large certificate is never
-    held as one string.  A top-level list item that repeats by identity (a
-    strategy's rows share one dict per distinct move) is written from the
-    text made at its first occurrence; a list with no repeat keeps no text.
+    encoder is the slowest part of saving a document, so the text is built
+    here: strings by `_quote`, other scalars by `json.dumps`, container
+    items joined by a comma, a newline and the indent.  A file is written
+    through `_write_text` as it is built: the top-level object one key at a
+    time, and each element of a top-level list (the moves, vertices and
+    edges) as its own string.  A top-level list item that repeats by
+    identity (a strategy's rows share one dict per distinct move) is written
+    from the text made at its first occurrence; a list with no repeat keeps
+    no text.
     """
-    quote = json.encoder.encode_basestring_ascii
 
     def text(x, pad):
         if isinstance(x, str):
-            return quote(x)
+            return _quote(x)
         inner = pad + "  "
         if isinstance(x, (list, tuple)) and x:
             return (f"[\n{inner}" + f",\n{inner}".join([text(v, inner) for v in x])
                     + f"\n{pad}]")
         if isinstance(x, dict) and x:
             return (f"{{\n{inner}"
-                    + f",\n{inner}".join([f"{quote(k)}: {text(v, inner)}" for k, v in x.items()])
+                    + f",\n{inner}".join([f"{_quote(k)}: {text(v, inner)}" for k, v in x.items()])
                     + f"\n{pad}}}")
         return json.dumps(x)
 
     def chunks():
         if not (isinstance(data, dict) and data):
-            yield text(data, "")
+            yield text(data, "") + "\n"
             return
         lead = "{\n  "
         for k, v in data.items():
             if isinstance(v, (list, tuple)) and v:
-                sep = f"{lead}{quote(k)}: [\n    "
+                sep = f"{lead}{_quote(k)}: [\n    "
                 # id -> text, kept only in a list whose items repeat
                 texts = dict.fromkeys(map(id, v))
                 keep = len(texts) < len(v)
@@ -393,13 +397,18 @@ def _write_json(data, path=None):
                     sep = ",\n    "
                 yield "\n  ]"
             else:
-                yield f"{lead}{quote(k)}: {text(v, '  ')}"
+                yield f"{lead}{_quote(k)}: {text(v, '  ')}"
             lead = ",\n  "
-        yield "\n}"
+        yield "\n}\n"
 
     if path is None:
-        return "".join(chunks()) + "\n"
+        return "".join(chunks())
+    _write_text(chunks(), path)
+
+
+def _write_text(chunks, path):
+    """Write the strings of `chunks` to the UTF-8 file `path`, one `write`
+    each, so that a large document is never held as one string."""
     with open(path, "w", encoding="utf-8") as fh:
-        for chunk in chunks():
+        for chunk in chunks:
             fh.write(chunk)
-        fh.write("\n")

@@ -45,8 +45,9 @@ is.  A certificate repeats few names and monomials over many terms, so it
 holds one object for each: the compiler turns each distinct R mask into
 names once, over the DAG's own name strings, and the reader keeps one table
 per certificate from each distinct "vars" list to its monomial and from each
-name to its string.  `multilinearize` clamps, `_mask_rows` masks and the
-writer sorts each distinct monomial once per call.
+name to its string.  `multilinearize` clamps and `_mask_rows` masks each
+distinct monomial once per call, and the writer, which renders the file text
+without building the document, sorts it and renders its "vars" text once.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from typing import NamedTuple
 
 from .algebra import ExpPoly, Field, MultilinearPoly
 from .errors import CertificateError, GraphError, InternalConsistencyError
-from .graphs import Dag, _read_json, _write_json, mask_names
+from .graphs import Dag, _quote, _read_json, _write_text, mask_names
 from .pebbling import (
     REVERSIBLE,
     Strategy,
@@ -426,26 +427,71 @@ def multilinearize(formula: PebblingFormula, cert: Certificate) -> Certificate:
 
 def certificate_to_json(cert: Certificate) -> dict:
     f, lists = cert.field, {}  # monomial -> its "vars", sorted once and shared by its rows
-    data = {
-        "field": "rationals" if f.is_rationals else {"prime": f.p},
-        "mode": cert.mode,
-        "multipliers": [{"axiom": a, "poly": _poly_to_json(cert.multipliers[a], lists)}
-                        for a in sorted(cert.multipliers, key=lambda a: (a == SINK_AXIOM, a))],
-    }
-    if cert.boolean_multipliers:
-        data["boolean_multipliers"] = [{"var": var, "poly": _poly_to_json(s, lists)}
-                                       for var, s in sorted(cert.boolean_multipliers.items())]
+    data = {"field": "rationals" if f.is_rationals else {"prime": f.p}, "mode": cert.mode}
+    for key, name, entries in _entries(cert):
+        data[key] = [{name: k, "poly": _poly_to_json(q, lists)} for k, q in entries]
     return data
 
 
-def _poly_to_json(poly, lists):
-    """Terms by degree, then by the polynomial's `_key`; "vars" is the sorted names."""
-    lists.update((m, sorted(m)) for m in poly.terms if m not in lists)
+def _entries(cert):
+    """(file key, id key, sorted (id, polynomial) pairs) of each list of the
+    file: the multipliers, Q_sink last, and, when there are any, the Boolean
+    multipliers by variable."""
+    yield "multipliers", "axiom", sorted(cert.multipliers.items(),
+                                         key=lambda aq: (aq[0] == SINK_AXIOM, aq[0]))
+    if cert.boolean_multipliers:
+        yield "boolean_multipliers", "var", sorted(cert.boolean_multipliers.items())
+
+
+def _rows(poly, lists):
+    """(degree, key, monomial, coefficient) of each term of `poly`, in file
+    order: by degree, then by the polynomial's `_key`.  `lists` maps each
+    monomial to its sorted names, the file's "vars"; a monomial not in it
+    yet is sorted once and added."""
+    lists.update([(m, sorted(m)) for m in poly.terms if m not in lists])
     if isinstance(poly, MultilinearPoly):  # its _key is (degree, sorted names)
-        rows = sorted((len(m), lists[m], c) for m, c in poly.terms.items())
-    else:
-        rows = sorted((len(m), poly._key(m), lists[m], c) for m, c in poly.terms.items())
-    return [{"coeff": str(row[-1]), "vars": row[-2]} for row in rows]
+        return sorted([(len(m), lists[m], m, c) for m, c in poly.terms.items()])
+    return sorted([(len(m), poly._key(m), m, c) for m, c in poly.terms.items()])
+
+
+def _poly_to_json(poly, lists):
+    return [{"coeff": str(c), "vars": lists[m]} for _, _, m, c in _rows(poly, lists)]
+
+
+def _poly_text(poly, lists, texts):
+    """`_poly_to_json(poly, lists)` as text at its depth in the file.  `texts`
+    maps each monomial to its "vars" text, made the first time it comes, and
+    every term is one template of that text and its coefficient, whose `str`
+    needs no escaping."""
+    terms = [f'{{\n          "coeff": "{c!s}",\n          "vars": '
+             f'{texts.get(m) or texts.setdefault(m, _vars_text(lists[m]))}\n        }}'
+             for _, _, m, c in _rows(poly, lists)]
+    return "[\n        " + ",\n        ".join(terms) + "\n      ]" if terms else "[]"
+
+
+def _vars_text(names):
+    if not names:
+        return "[]"
+    return "[\n            " + ",\n            ".join(map(_quote, names)) + "\n          ]"
+
+
+def _certificate_chunks(cert):
+    """The text of `certificate_to_json(cert)` as `json.dumps(..., indent=2)`
+    writes it, plus a newline, made without the document: the field and the
+    mode, each multiplier or Boolean-multiplier entry as its own string, and
+    the closing brackets.  Each distinct monomial is sorted and its "vars"
+    text made once per call."""
+    f, lists, texts = cert.field, {}, {}
+    field = '"rationals"' if f.is_rationals else f'{{\n    "prime": {f.p}\n  }}'
+    yield f'{{\n  "field": {field},\n  "mode": {_quote(cert.mode)}'
+    for key, name, entries in _entries(cert):
+        sep = f',\n  "{key}": [\n    '
+        for k, q in entries:
+            yield (f'{sep}{{\n      "{name}": {_quote(k)},\n'
+                   f'      "poly": {_poly_text(q, lists, texts)}\n    }}')
+            sep = ",\n    "
+        yield "\n  ]" if entries else f',\n  "{key}": []'
+    yield "\n}\n"
 
 
 def certificate_from_json(data, field: Field | None = None) -> Certificate:
@@ -511,4 +557,4 @@ def load_certificate(path, field: Field | None = None) -> Certificate:
 
 
 def save_certificate(cert: Certificate, path) -> None:
-    _write_json(certificate_to_json(cert), path)
+    _write_text(_certificate_chunks(cert), path)

@@ -15,7 +15,8 @@ Core claims:
     - graph JSON round-trips through the loader's validation
     - the JSON writer gives the bytes of json.dumps(indent=2) plus a newline,
       and streams a file one top-level list element at a time, writing an
-      element that repeats by identity from its first text
+      element that repeats by identity from its first text; the certificate
+      writer streams one multiplier at a time
 """
 
 import json
@@ -30,12 +31,17 @@ from pebcert import (
     bit_reversal,
     build_dag,
     carlson_savage,
+    certificate_to_json,
+    compile_strategy,
     graph_from_json,
     line,
     pyramid,
+    save_certificate,
     single_sink_restriction,
+    strat_carlson_savage,
 )
 from pebcert import graphs
+from pebcert.algebra import Field, MultilinearPoly
 from pebcert.errors import GraphError, ParamOutOfRange
 from pebcert.graphs import Dag, _write_json, bit_reverse_index
 from pebcert.pebbling import (PLACE, REMOVE, REVERSIBLE, VISITING, Move, Strategy, save_strategy,
@@ -443,11 +449,8 @@ class _WriteSpy:
         return self.fh.write(text)
 
 
-def test_writer_streams_one_move_per_write(tmp_path, monkeypatch):
-    names = [f"v{i}" for i in range(1, 101)]
-    moves = tuple(Move(op, v) for _ in range(100) for op in (PLACE, REMOVE) for v in names)
-    strategy = Strategy(REVERSIBLE, VISITING, moves)
-    assert len(moves) == 20_000
+def _writes(monkeypatch, save, value, path):
+    """The strings that `save(value, path)` writes, one per `write`."""
     spies = []
 
     def spy_open(*args, **kwargs):
@@ -455,12 +458,32 @@ def test_writer_streams_one_move_per_write(tmp_path, monkeypatch):
         return spies[-1]
 
     monkeypatch.setattr(graphs, "open", spy_open, raising=False)
-    path = tmp_path / "s.json"
-    save_strategy(strategy, path)
+    save(value, path)
     [spy] = spies
-    assert max(w.count('"op"') for w in spy.writes) == 1
-    assert sum(w.count('"op"') for w in spy.writes) == len(moves)
+    return spy.writes
+
+
+def test_writer_streams_one_move_per_write(tmp_path, monkeypatch):
+    names = [f"v{i}" for i in range(1, 101)]
+    moves = tuple(Move(op, v) for _ in range(100) for op in (PLACE, REMOVE) for v in names)
+    strategy = Strategy(REVERSIBLE, VISITING, moves)
+    assert len(moves) == 20_000
+    path = tmp_path / "s.json"
+    writes = _writes(monkeypatch, save_strategy, strategy, path)
+    assert max(w.count('"op"') for w in writes) == 1
+    assert sum(w.count('"op"') for w in writes) == len(moves)
     assert path.read_text() == json.dumps(strategy_to_json(strategy), indent=2) + "\n"
+
+
+def test_certificate_writer_streams_one_multiplier_per_write(tmp_path, monkeypatch):
+    dag = single_sink_restriction(carlson_savage(4, 3), "spine1/sec2/v8")
+    cert = compile_strategy(dag, strat_carlson_savage(4, 3, 1), Field.prime(3))
+    assert sum(map(MultilinearPoly.num_monomials, cert.multipliers.values())) == 4677
+    path = tmp_path / "c.json"
+    writes = _writes(monkeypatch, save_certificate, cert, path)
+    assert max(w.count('"axiom"') for w in writes) == 1
+    assert sum(w.count('"axiom"') for w in writes) == len(cert.multipliers)
+    assert path.read_text() == json.dumps(certificate_to_json(cert), indent=2) + "\n"
 
 
 def test_move_table_holds_bit_and_predecessor_mask():

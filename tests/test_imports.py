@@ -16,9 +16,10 @@ class, that no name or attribute in the package refers to is dead code, as
 is a class defined in `errors.py` that no other module raises or catches.
 A call to `open`, to a `Path`-style `.open`, `.read_text`, `.write_text`,
 `.read_bytes` or `.write_bytes`, or to any `json` function outside
-`graphs._read_json`, `graphs._write_json` and `cli._emit` (the one writer of
-CSV, DIMACS and generated graph text) would be a loader or writer that
-decides on its own how a file is decoded and which failures name it.  A call
+`graphs._read_json`, `graphs._write_json` (the generic JSON renderer) and
+`graphs._write_text` (the one file writer, which every saver and
+`cli._emit` call) would be a loader or writer that decides on its own how a
+file is decoded and which failures name it.  A call
 to `search._back` or `search._walk` outside `search._solve`, or a second
 call there to either, would be a second prune or walk that decides on its
 own how on-path configurations come from a search's layers.  A call to
@@ -163,7 +164,7 @@ def test_every_error_class_is_raised_or_caught():
 
 
 _FILE_BOUNDARY = {("graphs.py", "_read_json"), ("graphs.py", "_write_json"),
-                  ("cli.py", "_emit")}
+                  ("graphs.py", "_write_text")}
 _PATH_FILE_METHODS = {"open", "read_text", "write_text", "read_bytes", "write_bytes"}
 
 

@@ -22,6 +22,9 @@ Core claims:
     - multilinear verify, which adds on configuration masks, reports what
       the product rule on name sets reports, on oracle refutations and on
       changed copies of them
+    - a saved certificate is byte for byte json.dumps(certificate_to_json,
+      indent=2) plus a newline, and that document lists each polynomial's
+      terms by degree, then by sorted names or (name, exponent) pairs
 """
 
 import json
@@ -975,6 +978,103 @@ def test_certificate_json_field_override():
     reloaded = certificate_from_json(data, F5)
     report = verify(pebbling_formula(dag), reloaded)
     assert (report.valid, report.size, report.degree) == (True, 5, 2)
+
+
+# -- the certificate writer ------------------------------------------------------
+
+# vertex-name prefixes: ASCII, Latin-1, a quote after a Greek letter, and an
+# astral character before a backslash, which the file escapes
+_SAVED_PREFIXES = ("n", "\xe9", "\u03b1\"", "\U0001f600\\")
+
+
+@st.composite
+def _saved_certificates(draw):
+    """A `ns_oracle` refutation of a random DAG of at most 6 vertices over
+    GF(2), GF(3) or Q, its names under a drawn prefix, with a term whose
+    monomial holds variables outside the DAG and perhaps a zero multiplier.
+    In standard mode each multiplier stays multilinear or becomes an ExpPoly
+    with the exponents of a drawn set of names raised to 2, and some
+    variables take one of the multipliers as their Boolean multiplier."""
+    import ns_oracle
+    from conftest import random_single_sink_dag
+
+    dag = random_single_sink_dag(random.Random(draw(st.integers(0, 2**32 - 1))), max_n=6)
+    field = draw(st.sampled_from((F2, F3, Q)))
+    names = tuple(draw(st.sampled_from(_SAVED_PREFIXES)) + v for v in dag.names)
+    degree = min_space(dag, "reversible", "visiting")[0]
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    terms = {}
+    for (axiom, m), c in ns_oracle.random_refutation(dag, field.p, degree, rng).items():
+        axiom_id = "sink" if axiom == ns_oracle.SINK else f"vertex:{names[axiom]}"
+        terms.setdefault(axiom_id, {})[mask_names(names, m)] = c
+    outside = draw(st.sets(st.sampled_from(names + ("outside", "\xfcber")), min_size=1))
+    terms[draw(st.sampled_from(sorted(terms)))][frozenset(outside | {"outside"})] = 1
+    if draw(st.booleans()):
+        terms[f"vertex:{names[0]}"] = {}
+    multipliers = {a: MultilinearPoly(field, t) for a, t in terms.items()}
+    if not draw(st.booleans()):
+        return Certificate(field, "multilinear", multipliers)
+    for a, q in multipliers.items():
+        if draw(st.booleans()):
+            raised = draw(st.sets(st.sampled_from(names)))
+            multipliers[a] = ExpPoly(field, {(*m, *(m & raised)): c for m, c in q.terms.items()})
+    polys = st.sampled_from([multipliers[a] for a in sorted(multipliers)])
+    booleans = {v: draw(polys) for v in draw(st.sets(st.sampled_from(names), max_size=3))}
+    return Certificate(field, "standard", multipliers, booleans)
+
+
+def _file_document(cert):
+    """The document `certificate_to_json` gives, built apart from it: the
+    multipliers by axiom id with Q_sink last, the Boolean multipliers, if
+    any, by variable, and each polynomial's terms by degree, then by sorted
+    names (multilinear) or by (name, exponent) pairs (ExpPoly)."""
+    def poly(q):
+        def key(term):
+            names = sorted(term[0])
+            if isinstance(q, MultilinearPoly):
+                return len(names), names
+            return len(names), [(v, names.count(v)) for v in sorted(set(names))]
+        return [{"coeff": str(c), "vars": sorted(m)} for m, c in sorted(q.terms.items(), key=key)]
+    f = cert.field
+    doc = {"field": "rationals" if f.is_rationals else {"prime": f.p}, "mode": cert.mode,
+           "multipliers": [{"axiom": a, "poly": poly(cert.multipliers[a])}
+                           for a in sorted(cert.multipliers, key=lambda a: (a == "sink", a))]}
+    if cert.boolean_multipliers:
+        doc["boolean_multipliers"] = [{"var": v, "poly": poly(cert.boolean_multipliers[v])}
+                                      for v in sorted(cert.boolean_multipliers)]
+    return doc
+
+
+def _assert_saved_bytes(cert, path):
+    """The saved file is `json.dumps(certificate_to_json(cert), indent=2)`
+    plus a newline, and that document has the file order."""
+    save_certificate(cert, path)
+    assert path.read_bytes() == (json.dumps(certificate_to_json(cert), indent=2)
+                                 + "\n").encode("utf-8")
+    assert certificate_to_json(cert) == _file_document(cert)
+
+
+@settings(max_examples=60)
+@given(_saved_certificates())
+@example(Certificate(F2, "multilinear", {}))
+@example(Certificate(Q, "standard", {"sink": ExpPoly.zero(Q)},
+                     {"\u2603": ExpPoly(Q, {("y", "x", "x"): -1, ("x", "y", "y"): 2, (): 3})}))
+def test_saved_bytes_are_json_dumps_of_the_document(tmp_path_factory, cert):
+    _assert_saved_bytes(cert, tmp_path_factory.getbasetemp() / "saved_parity.json")
+
+
+_SAVED_COMPILED = {
+    "cs(4,3,1)": lambda: (single_sink_restriction(carlson_savage(4, 3), "spine1/sec2/v8"),
+                          strat_carlson_savage(4, 3, 1)),
+    "br_small(16)": GOLDEN_CERT_CASES["br_small(16)"],
+}
+
+
+@pytest.mark.parametrize("field", [F3, Q], ids=repr)
+@pytest.mark.parametrize("instance", sorted(_SAVED_COMPILED))
+def test_saved_compiled_certificates_are_json_dumps_of_the_document(tmp_path, instance, field):
+    dag, strategy = _SAVED_COMPILED[instance]()
+    _assert_saved_bytes(compile_strategy(dag, strategy, field), tmp_path / "c.json")
 
 
 def test_round_trip_on_random_dags():
