@@ -13,9 +13,13 @@ A variable name is a `str`, at the API as in every file.  `_read` is where a
 monomial enters: a collection of name strings, never a bare string.  The
 public constructor reads every monomial there, coerces every coefficient
 exactly and sums equal monomials, as the certificate reader does; `_of` wraps
-terms that are already reduced.  `Field.accumulate` is the only coefficient
-arithmetic: every sum, product and negation is added into a term map in
-place and reduced there.
+terms that are already reduced.  `Field.accumulate` is the polynomials'
+coefficient arithmetic: every sum, product and negation is added into a term
+map in place and reduced there.  The certificate checks add plain ints
+instead, through the field's integer view: `Field.scaled` turns elements into
+ints at one scale L (over GF(p) each residue as the int nearest 0, over Q
+each fraction times the lcm L of the denominators), and `Field.unscaled`
+turns each int sum back into an element, reducing it once.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import groupby
+from math import lcm
 
 from .errors import AlgebraError
 
@@ -68,7 +73,8 @@ def _is_prime(p):
 class Field:
     """A prime field GF(p) or the rationals, with exact element arithmetic.
 
-    `coerce` reads a number, `parse` reads text, `accumulate` is the arithmetic.
+    `coerce` reads a number, `parse` reads text, `accumulate` is the arithmetic,
+    and `scaled` and `unscaled` are the integer view of sums.
     """
 
     __slots__ = ("p", "zero", "one")
@@ -111,6 +117,25 @@ class Field:
             terms[mono] = c
         elif s is not None:
             del terms[mono]
+
+    def scaled(self, coeffs):
+        """(L, ints): the elements of the list `coeffs` as ints at one scale L,
+        c as c*L.  L is 1 over GF(p), where each residue is the int nearest 0
+        (p - 1 as -1, so that c and -c cancel as ints), and over Q the lcm of
+        the denominators."""
+        if self.p is not None:
+            p, half = self.p, self.p // 2
+            return 1, [c if c <= half else c - p for c in coeffs]
+        scale = lcm(*{c.denominator for c in coeffs})
+        return scale, [c.numerator * (scale // c.denominator) for c in coeffs]
+
+    def unscaled(self, sums, scale):
+        """{key: n / scale} for each int sum n of the dict `sums` that is
+        nonzero in the field: one reduction per key, mod p or to a Fraction."""
+        if self.p is not None:
+            p = self.p
+            return {k: r for k, n in sums.items() if (r := n % p)}
+        return {k: Fraction(n, scale) for k, n in sums.items() if n}
 
     def parse(self, s: str):
         """Optional sign and ASCII digits, rationals also as \"a/b\" or \"a.b\"; ValueError otherwise."""
@@ -219,20 +244,12 @@ class _Poly:
 
     @classmethod
     def _mul_into(cls, a, b, out):
-        """Add a * b by this class's product rule into the term dict `out` in
-        place; return the largest degree of a product monomial before
-        cancellation (0 if none)."""
+        """Add a * b by this class's product rule into the term dict `out` in place."""
         _check_same_field(a, b)
         f, times = a.field, cls._times
-        top = 0
         for m1, c1 in a.terms.items():
             for m2, c2 in b.terms.items():
-                m = times(m1, m2)
-                d = len(m)
-                if d > top:
-                    top = d
-                f.accumulate(out, m, c1 * c2)
-        return top
+                f.accumulate(out, times(m1, m2), c1 * c2)
 
     def __eq__(self, other):
         if type(other) is not type(self):

@@ -36,12 +36,16 @@ appearance.  `_mask_rows` alone reads a multilinear certificate as signed
 rows over masks, for verify and for `config_graph`, which leaves out Q_sink.
 Multiplier `terms` stay keyed by names, and masks go back to names only
 through `graphs.mask_names`.  Each operation is one pass, linear
-in its number of terms: verify adds every term into one coefficient map,
-over masks in multilinear mode, the compiler accumulates
-{R mask: coefficient} per vertex, and check_weights sums all configuration
-weights over the edges and translates only its violations to names.  A
-standard-mode monomial is the file's sorted "vars" list, read and written as
-is.  A certificate repeats few names and monomials over many terms, so it
+in its number of terms: verify adds every term as a plain int into one map
+keyed by ints, masks in multilinear mode and exponent codes in standard mode,
+the compiler accumulates {R mask: coefficient} per vertex, and check_weights
+sums all configuration weights over the edges as ints on masks and
+translates only its violations to names.  Both checks take their ints from
+`Field.scaled` and reduce each key's sum once through `Field.unscaled`, so
+no term pays a `Fraction` operation over Q.  A standard-mode monomial is the
+file's sorted "vars" list, read and written as is; verify alone codes it,
+one digit per variable, and `_code` at width 1 is `_mask_rows`' mask.  A
+certificate repeats few names and monomials over many terms, so it
 holds one object for each: the compiler turns each distinct R mask into
 names once, over the DAG's own name strings, and the reader keeps one table
 per certificate from each distinct "vars" list to its monomial and from each
@@ -187,45 +191,92 @@ def verify(formula: PebblingFormula, cert: Certificate) -> VerifyReport:
     exponent arithmetic.  Size counts #mon(Q_a) * #mon(A_a) (+ 2 * #mon(s_j))
     before cancellation; degree is the pairwise set-union arity in multilinear
     mode and the syntactic total degree of each product in standard mode.
-    Multilinear mode adds the certificate's `_mask_rows`, the rows that
-    `config_graph` reads: a term c*x_W of Q_v adds c at W + pred(v) and -c
-    at W + pred(v) + {v}, one of Q_sink adds c at W + {z}, and names come
-    back only for the failure residual.  In standard mode every (multiplier,
-    axiom) pair goes through ExpPoly's product rule, whatever the factors'
-    own kinds: a multilinear factor reads with exponent 1, and no factor is
-    converted.
+    Every axiom id is read before any term is added, and every term is added
+    as a plain int at the field's scale (`Field.scaled`) on an int key.  A
+    key whose int sum cancels leaves at once, each other key's sum is reduced
+    once at the end (`Field.unscaled`), and names come back only for the
+    failure residual.  Multilinear mode adds the
+    certificate's `_mask_rows`, the rows that `config_graph` reads: a term
+    c*x_W of Q_v adds c at W + pred(v) and -c at W + pred(v) + {v}, one of
+    Q_sink adds c at W + {z}.  Standard mode keys a monomial by its `_code`,
+    over the DAG's names and then each variable outside it, as in
+    `_mask_rows`' table, each in a digit wide enough for any exponent of a
+    product.  A product is the sum of its factors' codes and its degree the
+    sum of their `len`s, and the Boolean axiom of x_j adds 2*e_j and -e_j
+    for x_j's digit e_j; a multilinear factor reads with exponent 1, and no
+    factor is converted.
     """
     f = cert.field
+    polys = [*cert.multipliers.values(), *cert.boolean_multipliers.values()]
+    scale, ints = f.scaled([c for q in polys for c in q.terms.values()])
     size = degree = 0
-    total = {}  # every term of the sum is added here in place
+    # sum - 1, each term added as an int at `scale`; every term's int is
+    # nonzero, so a sum that cancels is a present key's, deleted at once
+    total = {0: -scale}
+    get = total.get
     if cert.mode == MULTILINEAR:
         bits = {name: 1 << i for i, name in enumerate(formula.dag.names)}
-        add = f.accumulate
-        for lo, bit, c in _mask_rows(formula, cert.multipliers, bits):
+        for (lo, bit, _), n in zip(_mask_rows(formula, cert.multipliers, bits), ints):
             hi = lo | bit
-            add(total, lo, c)
+            if s := get(lo, 0) + n:
+                total[lo] = s
+            else:
+                del total[lo]
             size += 1
             if bit:
-                add(total, hi, -c)
+                if s := get(hi, 0) - n:
+                    total[hi] = s
+                else:
+                    del total[hi]
                 size += 1
             if (d := hi.bit_count()) > degree:
                 degree = d
-        add(total, 0, -f.one)  # total becomes sum - 1
-        if not total:
+        sums = f.unscaled(total, scale)
+        if not sums:
             return VerifyReport(True, size, degree)
         names = tuple(bits)
         return VerifyReport(False, size, degree, MultilinearPoly._of(
-            f, {mask_names(names, m): c for m, c in total.items()}))
-    products = chain(((q, formula.axiom_poly(a, f)) for a, q in cert.multipliers.items()),
-                     ((s, ExpPoly(f, {(var, var): 1, (var,): -1}))
-                      for var, s in cert.boolean_multipliers.items()))
-    for q, axiom in products:
-        degree = max(degree, ExpPoly._mul_into(q, axiom, total))
-        size += q.num_monomials() * axiom.num_monomials()
-    f.accumulate(total, (), -f.one)  # total becomes sum - 1
-    if not total:
+            f, {mask_names(names, m): c for m, c in sums.items()}))
+
+    # an exponent of a product is at most a multiplier's degree plus 2, from x_j^2
+    width = (max((len(m) for q in polys for m in q.terms), default=0) + 2).bit_length()
+    names = formula.dag.names
+    digits = {name: 1 << width * i for i, name in enumerate(names)}
+    axioms = []  # (code of the + monomial, of the - monomial or None, degree) per polynomial
+    for bit, pm in [formula.axiom(a) for a in cert.multipliers]:
+        axioms.append((_code(mask_names(names, pm), digits, width),
+                       _code(mask_names(names, pm | bit), digits, width) if bit else None,
+                       (pm | bit).bit_count()))
+    for var in cert.boolean_multipliers:
+        e = _code((var,), digits, width)
+        axioms.append((2 * e, e, 2))
+    codes = {}  # monomial -> its code
+    ints = iter(ints)
+    for q, (plus, minus, top) in zip(polys, axioms):
+        if not q.terms:
+            continue
+        size += len(q.terms) * (1 if minus is None else 2)
+        degree = max(degree, top + max(map(len, q.terms)))
+        for m, n in zip(q.terms, ints):  # stops before taking the next polynomial's ints
+            k = codes.get(m)
+            if k is None:
+                k = codes[m] = _code(m, digits, width)
+            key = k + plus
+            if s := get(key, 0) + n:
+                total[key] = s
+            else:
+                del total[key]
+            if minus is not None:
+                key = k + minus
+                if s := get(key, 0) - n:
+                    total[key] = s
+                else:
+                    del total[key]
+    sums = f.unscaled(total, scale)
+    if not sums:
         return VerifyReport(True, size, degree)
-    return VerifyReport(False, size, degree, ExpPoly._of(f, total))
+    return VerifyReport(False, size, degree, ExpPoly._of(
+        f, {_monomial(k, digits, width): c for k, c in sums.items()}))
 
 
 def compile_strategy(dag: Dag, strategy: Strategy, field: Field) -> Certificate:
@@ -288,11 +339,36 @@ class ConfigGraph(NamedTuple):
     def weights(self):
         """Nonzero signed occurrence weight of endpoint masks, in one pass."""
         f = self.field
-        out = {}
-        for lo, hi, weight in self.edges:
-            f.accumulate(out, lo, weight)
-            f.accumulate(out, hi, -weight)
-        return out
+        scale, ints = f.scaled([weight for _, _, weight in self.edges])
+        out = {}  # every weight added here as an int at `scale`, reduced once
+        get = out.get
+        for (lo, hi, _), n in zip(self.edges, ints):
+            out[lo] = get(lo, 0) + n
+            out[hi] = get(hi, 0) - n
+        return f.unscaled(out, scale)
+
+
+def _code(mono, digits, width):
+    """The sum of the digits of the monomial's variables, one per unit of
+    exponent, under `digits` (variable -> 1 << width*i).  A variable outside
+    the table takes the next free digit, in order of first appearance.  At
+    width 1 the digits are bits and a square-free monomial's code is its
+    mask."""
+    try:
+        return sum(map(digits.__getitem__, mono))
+    except KeyError:
+        return sum(digits.setdefault(var, 1 << width * len(digits)) for var in mono)
+
+
+def _monomial(code, digits, width):
+    """The code read back as sorted names, as an ExpPoly monomial."""
+    digit, out = (1 << width) - 1, []
+    for name in digits:
+        if not code:
+            break
+        out += [name] * (code & digit)
+        code >>= width
+    return tuple(sorted(out))
 
 
 def _mask_rows(formula, multipliers, bits):
@@ -300,21 +376,18 @@ def _mask_rows(formula, multipliers, bits):
 
     A term c*x_W of an axiom with move-table entry (bit, pm) gives the row
     (W + pm, bit), to count c at lo and -c at lo + bit; Q_sink's entry
-    (0, {z}) counts c at W + {z} alone.  x_W is masked under the variable
-    table `bits` (name -> bit), once per distinct monomial; a variable outside
-    the table takes the next free bit, in the order `multipliers` gives.
+    (0, {z}) counts c at W + {z} alone.  Every axiom id is read before the
+    first row.  x_W is masked under the variable table `bits` (name -> bit),
+    once per distinct monomial; a variable outside the table takes the next
+    free bit, in the order `multipliers` gives.
     """
+    entries = [(formula.axiom(a), q) for a, q in multipliers.items()]
     masks = {}  # monomial -> its mask
-    for a, q in multipliers.items():
-        bit, pm = formula.axiom(a)
+    for (bit, pm), q in entries:
         for mono, c in q.terms.items():
             lo = masks.get(mono)
             if lo is None:
-                try:
-                    lo = sum(map(bits.__getitem__, mono))
-                except KeyError:
-                    lo = sum(bits.setdefault(var, 1 << len(bits)) for var in mono)
-                masks[mono] = lo
+                lo = masks[mono] = _code(mono, bits, 1)
             yield lo | pm, bit, c
 
 

@@ -47,6 +47,21 @@ def test_rational_field_arithmetic():
     assert f.coerce(2) == Fraction(2)
 
 
+
+def test_integer_view_of_sums():
+    # GF(p) residues are the ints nearest 0 at scale 1 and reduce once per
+    # key; over Q the scale is the lcm of the denominators, and each nonzero
+    # sum comes back as the reduced Fraction
+    f = Field.prime(5)
+    assert f.scaled([1, 2, 3, 4]) == (1, [1, 2, -2, -1])
+    assert f.unscaled({"a": 5, "b": 7, "c": -1, "d": 0}, 1) == {"b": 2, "c": 4}
+    assert Q.scaled([Fraction(1, 2), Fraction(-1, 3), Fraction(5, 6), Fraction(2)]) == \
+        (6, [3, -2, 5, 12])
+    assert Q.scaled([Fraction(-1), Fraction(3)]) == (1, [-1, 3])
+    sums = Q.unscaled({"a": 3 - 2, "b": 3 + 5 - 2, "c": 3 - 3}, 6)
+    assert sums == {"a": Fraction(1, 6), "b": Fraction(1)}
+    assert all(type(c) is Fraction for c in sums.values())
+
 def test_prime_check():
     for bad in (0, 1, 4, 9, 15):
         with pytest.raises(AlgebraError, match="is not a prime integer"):

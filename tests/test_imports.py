@@ -23,11 +23,10 @@ file is decoded and which failures name it.  A call
 to `search._back` or `search._walk` outside `search._solve`, or a second
 call there to either, would be a second prune or walk that decides on its
 own how on-path configurations come from a search's layers.  A call to
-`_mul_into` outside `_Poly.__mul__` and `nullstellensatz.verify` would be a
-second product rule, such as one that takes the multiplier's class where
-standard-mode `verify` needs ExpPoly's; multilinear `verify` adds on
-configuration masks and uses no product rule, so this guard protects the
-standard mode.  A call to `_mask_rows` outside `nullstellensatz.verify` and
+`_mul_into` outside `_Poly.__mul__` would be a second product rule, such as
+one that takes the multiplier's class where another needs ExpPoly's;
+`verify` uses no product rule in either mode, as it adds on configuration
+masks or on exponent codes.  A call to `_mask_rows` outside `nullstellensatz.verify` and
 `nullstellensatz.config_graph` would be a second reading of certificate
 terms as configuration masks, one that could give a variable outside the
 DAG another bit.  A call to `Dag` outside `graphs.build_dag` and
@@ -221,7 +220,7 @@ def test_files_are_read_and_written_only_at_the_boundary(module):
 _CALLED_ONLY_IN = {
     "_back": [("search.py", "_solve")],
     "_walk": [("search.py", "_solve")],
-    "_mul_into": [("algebra.py", "_Poly.__mul__"), ("nullstellensatz.py", "verify")],
+    "_mul_into": [("algebra.py", "_Poly.__mul__")],
     "_mask_rows": [("nullstellensatz.py", "config_graph"), ("nullstellensatz.py", "verify")],
     "Dag": [("graphs.py", "build_dag"), ("graphs.py", "single_sink_restriction")],
     "_rule": [("pebbling.py", "replay"), ("pebbling.py", "replay")],

@@ -1222,6 +1222,77 @@ def test_verify_and_weights_match_naive_sums(case):
         assert weights.ok
 
 
+
+def _rational_case(perturbed):
+    """The compiled certificate of line(3) over Q, changed by syzygy moves
+    with coefficients 1/2, 1/3 and 1/6 over several multipliers and, when
+    `perturbed`, by 1/2*x_v1 added to Q_v2 and 1/3*x_v1 to Q_v3, whose
+    products meet at x_v1*x_v2 with coefficient 1/3 - 1/2 = -1/6."""
+    dag = line(3)
+    formula = pebbling_formula(dag)
+    multipliers = dict(compile_strategy(dag, min_space(dag, "reversible", "visiting")[1],
+                                        Q).multipliers)
+    for a, b, names, k in [("sink", "vertex:v1", {"v3"}, Fraction(1, 6)),
+                           ("vertex:v2", "vertex:v3", {"v1"}, Fraction(1, 2)),
+                           ("vertex:v1", "sink", set(), Fraction(-2, 3))]:
+        m = MultilinearPoly.monomial(Q, names, k)
+        multipliers[a] = multipliers[a] + m * formula.axiom_poly(b, Q)
+        multipliers[b] = multipliers[b] - m * formula.axiom_poly(a, Q)
+    if perturbed:
+        for a, k in [("vertex:v2", Fraction(1, 2)), ("vertex:v3", Fraction(1, 3))]:
+            multipliers[a] = multipliers[a] + MultilinearPoly.monomial(Q, {"v1"}, k)
+    return dag, formula, Certificate(Q, "multilinear", multipliers)
+
+
+@pytest.mark.parametrize("perturbed", [False, True])
+def test_rational_sums_keep_their_denominators(perturbed):
+    # the integer sums scale every coefficient by the lcm 6 of the
+    # denominators and come back as Fractions equal to the plain sums
+    dag, formula, cert = _rational_case(perturbed)
+    denominators = {c.denominator for q in cert.multipliers.values() for c in q.terms.values()}
+    assert denominators == {1, 2, 3, 6}
+    residual, size, degree = _naive_verify(dag, cert)
+    report = verify(formula, cert)
+    assert (report.valid, report.size, report.degree) == (not perturbed, size, degree)
+    assert (report.failure_residual or MultilinearPoly.zero(Q)).terms == residual
+    # the standard-mode residual, which no Boolean multiplier cancels, clamps to it
+    standard = verify(formula, Certificate(Q, "standard", cert.multipliers))
+    assert standard.size == size
+    standard_terms = (standard.failure_residual or ExpPoly.zero(Q)).terms
+    assert MultilinearPoly(Q, standard_terms).terms == residual
+
+    cg = config_graph(dag, cert)
+    _, naive = _naive_weights(dag, cert)
+    weights = cg.weights()
+    assert {mask_names(cg.names, m): w for m, w in weights.items()} == \
+        {c: w for c, w in naive.items() if w}
+    coefficients = [*residual.values(), *standard_terms.values(), *weights.values()]
+    assert all(type(c) is Fraction for c in coefficients)
+    assert Fraction(-1, 6) in coefficients
+    assert check_weights(cg).ok == (not perturbed)
+    if perturbed:
+        assert residual[frozenset({"v1", "v2"})] == Fraction(-1, 6)
+
+
+@pytest.mark.parametrize("mode", ["multilinear", "standard"])
+@pytest.mark.parametrize("field", [F3, Q], ids=repr)
+def test_unknown_axiom_raises_before_any_sum(monkeypatch, mode, field):
+    # every axiom id is read before any monomial gets the code its terms
+    # are summed on, so the last multiplier's unknown id still gives the
+    # formula's own error
+    dag = line(3)
+    formula = pebbling_formula(dag)
+    multipliers = dict(compile_strategy(dag, min_space(dag, "reversible", "visiting")[1],
+                                        field).multipliers)
+    multipliers["vertex:bogus"] = MultilinearPoly.one(field)
+    cert = Certificate(field, mode, multipliers)
+
+    def summed(mono, digits, width):
+        raise AssertionError(f"{mono!r} was coded before every axiom was read")
+    monkeypatch.setattr(nullstellensatz, "_code", summed)
+    with pytest.raises(CertificateError, match=r"^unknown axiom 'vertex:bogus'$"):
+        verify(formula, cert)
+
 def _config_graph_per_term(dag, cert):
     """(names, edges) of the configuration graph, each term's mask summed anew."""
     formula = pebbling_formula(dag)
@@ -1278,13 +1349,15 @@ def test_extract_meets_backward_bounds(case):
 def _product_rule_verify(formula, cert):
     """Multilinear `verify` as the product rule computed it: every
     (multiplier, axiom) pair through `MultilinearPoly._mul_into`, on name
-    sets throughout."""
+    sets throughout, and the degree as the largest union of a multiplier
+    and an axiom monomial."""
     f = cert.field
     size = degree = 0
     total = {}
     for a, q in cert.multipliers.items():
         axiom = formula.axiom_poly(a, f)
-        degree = max(degree, MultilinearPoly._mul_into(q, axiom, total))
+        MultilinearPoly._mul_into(q, axiom, total)
+        degree = max([degree, *(len(m1 | m2) for m1 in q.terms for m2 in axiom.terms)])
         size += q.num_monomials() * axiom.num_monomials()
     f.accumulate(total, frozenset(), -f.one)
     if not total:
@@ -1467,6 +1540,23 @@ def test_standard_verify_matches_counter_expansion(case):
             "sink": report.failure_residual}))["multipliers"][0]["poly"]
         assert {_mono(t["vars"]): cert.field.parse(t["coeff"]) for t in terms} == residual
 
+
+
+@pytest.mark.parametrize("field", [F3, Q], ids=repr)
+def test_standard_verify_keeps_high_exponents_apart(field):
+    # s_v1 = 2*x_v1^2*x_v2 times x_v1^2 - x_v1 puts x_v1^4*x_v2 in the
+    # residual: an exponent past the multipliers' degree 3, in the digit
+    # next to x_v2's
+    dag = line(2)
+    multipliers = {"sink": {_mono(["v1"]): 1}}
+    booleans = {"v1": {_mono(["v1", "v1", "v2"]): 2}}
+    cert = Certificate(field, "standard", {"sink": ExpPoly.monomial(field, ["v1"])},
+                       {"v1": ExpPoly.monomial(field, ["v1", "v1", "v2"], 2)})
+    residual, size, degree = _counter_verify(dag, field, multipliers, booleans)
+    assert _mono(["v1"] * 4 + ["v2"]) in residual
+    report = verify(pebbling_formula(dag), cert)
+    assert (report.valid, report.size, report.degree) == (False, size, degree) == (False, 3, 5)
+    assert {_mono(m): c for m, c in report.failure_residual.terms.items()} == residual
 
 def test_certificate_json_orders_standard_terms_by_exponent_pairs():
     # by degree, then by the (name, exponent) pairs: x*y before x*x, and
