@@ -325,10 +325,12 @@ class ConfigGraph(NamedTuple):
 
     Bit i of a configuration mask is names[i]: the DAG's vertices (the sink
     at bit `sink`), then the variables outside the DAG that the vertex
-    multipliers hold, in order of first appearance (`_mask_rows`' table
-    without Q_sink).  Each term c*x_W of a vertex multiplier Q_v with v not
-    in W, whether W holds z or not, is one edge (lo, hi, c) with
-    lo = W + pred(v) and hi = lo + {v}; c counts at lo and -c at hi.
+    multipliers hold, in order of first appearance and, within one
+    monomial, by name (`_mask_rows`' table without Q_sink), so the names
+    and masks are the same under every hash seed.  Each term c*x_W of a
+    vertex multiplier Q_v with v not in W, whether W holds z or not, is one
+    edge (lo, hi, c) with lo = W + pred(v) and hi = lo + {v}; c counts at lo
+    and -c at hi.
     """
 
     names: tuple
@@ -351,13 +353,15 @@ class ConfigGraph(NamedTuple):
 def _code(mono, digits, width):
     """The sum of the digits of the monomial's variables, one per unit of
     exponent, under `digits` (variable -> 1 << width*i).  A variable outside
-    the table takes the next free digit, in order of first appearance.  At
+    the table takes the next free digit, in order of first appearance and,
+    within one monomial, by name, so the digits do not depend on the order
+    in which a frozenset yields its names (that is, on the hash seed).  At
     width 1 the digits are bits and a square-free monomial's code is its
     mask."""
     try:
         return sum(map(digits.__getitem__, mono))
     except KeyError:
-        return sum(digits.setdefault(var, 1 << width * len(digits)) for var in mono)
+        return sum(digits.setdefault(var, 1 << width * len(digits)) for var in sorted(mono))
 
 
 def _monomial(code, digits, width):
@@ -379,7 +383,8 @@ def _mask_rows(formula, multipliers, bits):
     (0, {z}) counts c at W + {z} alone.  Every axiom id is read before the
     first row.  x_W is masked under the variable table `bits` (name -> bit),
     once per distinct monomial; a variable outside the table takes the next
-    free bit, in the order `multipliers` gives.
+    free bit, in the order `multipliers` gives its terms and, within one
+    monomial, by name.
     """
     entries = [(formula.axiom(a), q) for a, q in multipliers.items()]
     masks = {}  # monomial -> its mask

@@ -17,8 +17,12 @@ Core claims:
       and streams a file one top-level list element at a time, writing an
       element that repeats by identity from its first text; the certificate
       writer streams one multiplier at a time
+    - the file reader runs no garbage collection while it decodes and parses
+      a file, and leaves the collector as the caller had it, on success and
+      on every failure
 """
 
+import gc
 import json
 import random
 import re
@@ -35,6 +39,7 @@ from pebcert import (
     compile_strategy,
     graph_from_json,
     line,
+    load_certificate,
     pyramid,
     save_certificate,
     single_sink_restriction,
@@ -42,7 +47,7 @@ from pebcert import (
 )
 from pebcert import graphs
 from pebcert.algebra import Field, MultilinearPoly
-from pebcert.errors import GraphError, ParamOutOfRange
+from pebcert.errors import CertificateError, GraphError, ParamOutOfRange
 from pebcert.graphs import Dag, _write_json, bit_reverse_index
 from pebcert.pebbling import (PLACE, REMOVE, REVERSIBLE, VISITING, Move, Strategy, save_strategy,
                               strategy_to_json)
@@ -493,3 +498,69 @@ def test_move_table_holds_bit_and_predecessor_mask():
     for v, (bit, pm) in enumerate(dag.toggles):
         assert bit == 1 << v
         assert pm == sum(1 << p for p in dag.preds[v])
+
+
+@pytest.fixture
+def collector():
+    """The cyclic garbage collector enabled for the test and restored after it."""
+    was = gc.isenabled()
+    gc.enable()
+    yield
+    if was:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.fixture(scope="module")
+def cs331_certificate(tmp_path_factory):
+    """The compiled strat_carlson_savage(3,3,1) certificate and its file."""
+    dag = single_sink_restriction(carlson_savage(3, 3), "spine1/sec2/v6")
+    cert = compile_strategy(dag, strat_carlson_savage(3, 3, 1), Field.prime(3))
+    path = tmp_path_factory.mktemp("reader") / "cs331.cert.json"
+    save_certificate(cert, path)
+    return cert, path
+
+
+def _collections(read):
+    """The generations of the collections that start while `read()` runs."""
+    started = []
+
+    def note(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    gc.callbacks.append(note)
+    try:
+        read()
+    finally:
+        gc.callbacks.remove(note)
+    return started
+
+
+def test_reader_runs_no_collection(collector, cs331_certificate):
+    cert, path = cs331_certificate
+    # the same document decoded outside the reader sets collections off
+    assert _collections(lambda: json.loads(path.read_text())) != []
+    loaded = []
+    assert _collections(lambda: loaded.append(load_certificate(path))) == []
+    assert loaded == [cert]
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_reader_restores_the_collector(collector, cs331_certificate, enabled):
+    cert, path = cs331_certificate
+    malformed = path.with_name("malformed.json")
+    malformed.write_text('{"field": "GF(3)", "mode": "multilinear", "multipliers": 1}\n')
+    not_json = path.with_name("not.json")
+    not_json.write_text("{")
+    if not enabled:
+        gc.disable()
+    assert load_certificate(path) == cert
+    assert gc.isenabled() == enabled
+    for bad, error in [(malformed, CertificateError), (not_json, CertificateError),
+                       (path.with_name("missing.json"), OSError)]:
+        with pytest.raises(error):
+            load_certificate(bad)
+        assert gc.isenabled() == enabled, bad.name

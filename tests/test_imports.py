@@ -38,7 +38,11 @@ keeps and for an unhashable one.  A call to `Move` outside
 `pebbling._moves` and `pebbling.strategy_from_json`, which each make one
 object per distinct move, would make moves in the middle of a builder's
 work, or a second object for a move that a strategy already holds; a
-builder works in signed vertex steps until `_moves`.  One table,
+builder works in signed vertex steps until `_moves`.  A call to
+`disable` or `enable` (the cyclic garbage collector's switches) outside
+`graphs._read_json` would spread a process-wide setting over the API: only
+the file reader pauses the collector, around the decoding and parsing of
+one document, and it restores the caller's state.  One table,
 `_CALLED_ONLY_IN`, names every such guarded callee with the scopes that
 call it, and one detector reads every module against it; each guard keeps
 its own self-test of that detector.  The named-tuple methods `_make`,
@@ -226,6 +230,8 @@ _CALLED_ONLY_IN = {
     "_rule": [("pebbling.py", "replay"), ("pebbling.py", "replay")],
     "Move": [("pebbling.py", "_moves"), ("pebbling.py", "strategy_from_json")],
     "_undo": [("pebbling.py", "_unwind"), ("pebbling.py", "visiting")],
+    "disable": [("graphs.py", "_read_json")],
+    "enable": [("graphs.py", "_read_json")],
 }
 
 
@@ -303,6 +309,15 @@ def test_detects_undo_calls():
                                       ("S.back", "_undo")]
 
 
+def test_detects_collector_calls():
+    source = ("def _read_json(p):\n    gc.disable()\n    try:\n        return p()\n"
+              "    finally:\n        gc.enable()\n"
+              "class C:\n    def compile(self):\n        gc.disable()\n"
+              "gc.enable()\nswitch = gc.disable\n")
+    assert _guarded_calls(source) == [("_read_json", "disable"), ("_read_json", "enable"),
+                                      ("C.compile", "disable"), (None, "enable")]
+
+
 def _check_called_only_in(*names):
     """Every call the package makes to one of `names` is the table's, and no other."""
     calls = {name: [] for name in names}
@@ -340,6 +355,10 @@ def test_moves_are_made_only_by_the_move_table():
 
 def test_steps_are_undone_only_by_the_unwind_rule_and_visiting():
     _check_called_only_in("_undo")
+
+
+def test_the_collector_is_paused_only_by_the_file_reader():
+    _check_called_only_in("disable", "enable")
 
 
 def _name_building(source):

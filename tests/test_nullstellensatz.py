@@ -18,7 +18,8 @@ Core claims:
       distinct name and per distinct monomial, a written certificate one
       "vars" list per distinct monomial, and extracted strategies one Move
       per distinct move; the reader gives the per-term reader's messages,
-      and config_graph builds the per-term graph
+      and config_graph builds the per-term graph, whose names and masks
+      are the same under every hash seed
     - multilinear verify, which adds on configuration masks, reports what
       the product rule on name sets reports, on oracle refutations and on
       changed copies of them
@@ -28,8 +29,11 @@ Core claims:
 """
 
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
@@ -376,6 +380,26 @@ def test_config_graph_single_vertex():
     cg = config_graph(dag, cert)
     assert [(sorted(mask_names(cg.names, lo)), sorted(mask_names(cg.names, hi)))
             for lo, hi, _ in cg.edges] == [([], ["z"])]
+
+
+def test_config_graph_names_do_not_depend_on_the_hash_seed():
+    # u and w sit outside the DAG in one monomial, a frozenset whose order
+    # changes with the hash seed; they take their bits by name
+    probe = (f"import sys; sys.path.insert(0, {str(Path(__file__).parent.parent / 'src')!r})\n"
+             "from pebcert import Certificate, config_graph, line\n"
+             "from pebcert.algebra import Field, MultilinearPoly\n"
+             "F = Field.prime(3)\n"
+             "cert = Certificate(F, 'multilinear', "
+             "{'vertex:v1': MultilinearPoly.monomial(F, {'u', 'w'})})\n"
+             "cg = config_graph(line(2), cert)\n"
+             "print(repr((cg.names, [(lo, hi) for lo, hi, _ in cg.edges])))\n")
+    seen = {}
+    for seed in range(4):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed))
+        seen[seed] = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                                    text=True, check=True, env=env).stdout.strip()
+    # {} -> {v1} under x_u x_w: lo = u + w, hi = lo + v1
+    assert seen == dict.fromkeys(range(4), "(('v1', 'v2', 'u', 'w'), [(12, 13)])")
 
 
 @pytest.mark.parametrize("axiom_id", ["vertex:bogus", "bogus"])
@@ -1294,7 +1318,9 @@ def test_unknown_axiom_raises_before_any_sum(monkeypatch, mode, field):
         verify(formula, cert)
 
 def _config_graph_per_term(dag, cert):
-    """(names, edges) of the configuration graph, each term's mask summed anew."""
+    """(names, edges) of the configuration graph, each term's mask summed
+    anew; a new variable outside the DAG takes the next bit, by name within
+    one monomial."""
     formula = pebbling_formula(dag)
     bits = {name: 1 << i for i, name in enumerate(dag.names)}
     edges = []
@@ -1303,7 +1329,7 @@ def _config_graph_per_term(dag, cert):
         if bit == 0:
             continue
         for mono, coeff in q.terms.items():
-            lo = sum(bits.setdefault(var, 1 << len(bits)) for var in mono)
+            lo = sum(bits.setdefault(var, 1 << len(bits)) for var in sorted(mono))
             if not lo & bit:
                 lo |= pm
                 edges.append((lo, lo | bit, coeff))
@@ -1326,7 +1352,8 @@ def _sink_first_case():
 @given(_certificates(st.booleans()))
 @example(_sink_first_case())
 def test_config_graph_matches_the_per_term_graph(case):
-    # outside variables take their bits in order of first appearance, as before
+    # outside variables take their bits in order of first appearance and,
+    # within one monomial, by name
     dag, _, cert, _ = case
     cg = config_graph(dag, cert)
     assert (cg.names, cg.edges) == _config_graph_per_term(dag, cert)
