@@ -25,7 +25,7 @@ from .errors import (
     TooManyVertices,
 )
 from .graphs import (
-    _write_json,
+    _json_text,
     _write_text,
     bit_reversal,
     carlson_savage,
@@ -133,7 +133,7 @@ def _emit(text, out, what):
 def cmd_gen(args) -> int:
     dag = _gen_graph(args)
     formula = pebbling_formula(dag) if args.dimacs else None  # may raise: before any write
-    _emit(_write_json(dag.to_json()), args.out, f"{len(dag)} vertices, {len(dag.edges)} edges")
+    _emit(_json_text(dag.to_json()), args.out, f"{len(dag)} vertices, {len(dag.edges)} edges")
     if formula:
         _emit(formula.to_dimacs(), args.dimacs, f"{len(formula.clauses)} clauses")
     return 0

@@ -362,63 +362,13 @@ def _read_json(path, parse, error):
 _quote = json.encoder.encode_basestring_ascii
 
 
-def _write_json(data, path=None):
-    """Write `data` as the bytes of `json.dumps(data, indent=2)` plus a
-    newline to the UTF-8 file `path`; with no `path`, return that text.
-
-    `json` encodes in C only without `indent`, and its pure-Python indenting
-    encoder is the slowest part of saving a document, so the text is built
-    here: strings by `_quote`, other scalars by `json.dumps`, container
-    items joined by a comma, a newline and the indent.  A file is written
-    through `_write_text` as it is built: the top-level object one key at a
-    time, and each element of a top-level list (the moves, vertices and
-    edges) as its own string.  A top-level list item that repeats by
-    identity (a strategy's rows share one dict per distinct move) is written
-    from the text made at its first occurrence; a list with no repeat keeps
-    no text.
-    """
-
-    def text(x, pad):
-        if isinstance(x, str):
-            return _quote(x)
-        inner = pad + "  "
-        if isinstance(x, (list, tuple)) and x:
-            return (f"[\n{inner}" + f",\n{inner}".join([text(v, inner) for v in x])
-                    + f"\n{pad}]")
-        if isinstance(x, dict) and x:
-            return (f"{{\n{inner}"
-                    + f",\n{inner}".join([f"{_quote(k)}: {text(v, inner)}" for k, v in x.items()])
-                    + f"\n{pad}}}")
-        return json.dumps(x)
-
-    def chunks():
-        if not (isinstance(data, dict) and data):
-            yield text(data, "") + "\n"
-            return
-        lead = "{\n  "
-        for k, v in data.items():
-            if isinstance(v, (list, tuple)) and v:
-                sep = f"{lead}{_quote(k)}: [\n    "
-                # id -> text, kept only in a list whose items repeat
-                texts = dict.fromkeys(map(id, v))
-                keep = len(texts) < len(v)
-                for item in v:
-                    t = texts[id(item)]
-                    if t is None:
-                        t = text(item, "    ")
-                        if keep:
-                            texts[id(item)] = t
-                    yield sep + t
-                    sep = ",\n    "
-                yield "\n  ]"
-            else:
-                yield f"{lead}{_quote(k)}: {text(v, '  ')}"
-            lead = ",\n  "
-        yield "\n}\n"
-
-    if path is None:
-        return "".join(chunks())
-    _write_text(chunks(), path)
+def _json_text(value):
+    """The text of a JSON file holding `value`: `json.dumps(value, indent=2)`
+    and a newline, from the package's one call to a `json` encoder.  A graph
+    file is this text, and a strategy file's head (the keys before its moves)
+    is rendered by it; `save_certificate` and `save_strategy` render the rest
+    of their formats themselves, each string by `_quote`."""
+    return json.dumps(value, indent=2) + "\n"
 
 
 def _write_text(chunks, path):

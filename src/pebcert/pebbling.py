@@ -14,8 +14,9 @@ verified with visiting semantics (start and end empty, sink visited).
 
 A strategy repeats few distinct moves many times, so each distinct move is
 handled once: `replay` decodes it into one rule per call, the test of its
-legality together with the messages of its refusal, and a saved strategy
-writes each distinct move's text once.  The writer and the reader
+legality together with the messages of its refusal, and `save_strategy`,
+which renders the strategy file itself, makes each distinct move's text
+once and writes one move per `write`.  The writer and the reader
 of strategy files check moves by one rule: each is a pair of strings, and
 the writer refuses any other move.  The package builds moves as signed steps
 over topological indices (v + 1 places v, -(v + 1) removes it), and this
@@ -31,11 +32,12 @@ fields.
 
 from __future__ import annotations
 
+from itertools import chain
 from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import GraphError, IllegalMoveAt, PebblingError
-from .graphs import Dag, _read_json, _write_json
+from .graphs import Dag, _json_text, _quote, _read_json, _write_text
 
 STANDARD = "standard"
 REVERSIBLE = "reversible"
@@ -202,14 +204,18 @@ def _string_moves(moves) -> dict:
     return distinct
 
 
-def strategy_to_json(strategy: Strategy) -> dict:
-    data = {"game": strategy.game}
+def _head(strategy):
+    """The keys of a strategy file before its moves: "game", then "flavor"
+    unless it is None."""
+    head = {"game": strategy.game}
     if strategy.flavor is not None:
-        data["flavor"] = strategy.flavor
-    # equal moves of strings write equal text, so they share one row
-    rows = {move: {"op": move[0], "v": move[1]} for move in _string_moves(strategy.moves)}
-    data["moves"] = list(map(rows.__getitem__, strategy.moves))
-    return data
+        head["flavor"] = strategy.flavor
+    return head
+
+
+def strategy_to_json(strategy: Strategy) -> dict:
+    _string_moves(strategy.moves)
+    return {**_head(strategy), "moves": [{"op": op, "v": v} for op, v in strategy.moves]}
 
 
 def strategy_from_json(data) -> Strategy:
@@ -227,4 +233,15 @@ def load_strategy(path) -> Strategy:
 
 
 def save_strategy(strategy: Strategy, path) -> None:
-    _write_json(strategy_to_json(strategy), path)
+    """Write `strategy` as the bytes of `json.dumps(strategy_to_json(strategy),
+    indent=2)` and a newline, one move per `write`: each distinct move's text,
+    with the separator before it, is made (and checked) once before the file
+    is opened, and the head is `_json_text` of `_head` without its closing brace."""
+    rows = {move: f',\n    {{\n      "op": {_quote(move[0])},\n      "v": {_quote(move[1])}\n    }}'
+            for move in _string_moves(strategy.moves)}
+    head = _json_text(_head(strategy))[:-3] + ',\n  "moves": ['
+    if not strategy.moves:
+        _write_text([head + "]\n}\n"], path)
+        return
+    texts = map(rows.__getitem__, strategy.moves)
+    _write_text(chain([head + next(texts)[1:]], texts, ["\n  ]\n}\n"]), path)

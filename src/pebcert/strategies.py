@@ -30,7 +30,9 @@ from .pebbling import PERSISTENT, REVERSIBLE, Strategy, _moves, _unwind, visitin
 
 
 def _iroot_ceil(n, k):
-    """Least r >= 1 with r**k >= n, counted up: `_segments` makes r - 1 cuts anyway."""
+    """Least r >= 1 with r**k >= n, counted up: `_segments` makes r - 1 cuts anyway.
+    Any k past n.bit_length() has that k's r (2**k > n), so k is cut down to it."""
+    k = min(k, n.bit_length())
     r = 1
     while r ** k < n:
         r += 1
@@ -55,12 +57,13 @@ def _fwd(base, d, k, cuts):
 
     Positions are 1-based chain offsets; `base` 0 means the chain boundary.
     Level k plants a checkpoint at each offset of cuts(d, k) with level k-1,
-    then carries on from the last one at level k-1; level 1 sweeps.  Under
-    `_halves`, level k reaches any d <= 2^k - 1 with at most k pebbles above
-    `base`; a farther target is still reached, but its level-1 sweep takes
-    more pebbles.
+    then carries on from the last one at level k-1; level 1 sweeps, and so
+    does any level for d <= 1, which neither cut rule cuts, so the recursion
+    is as deep as the cuts, not as k.  Under `_halves`, level k reaches any
+    d <= 2^k - 1 with at most k pebbles above `base`; a farther target is
+    still reached, but its level-1 sweep takes more pebbles.
     """
-    if k <= 1:
+    if k <= 1 or d <= 1:
         return list(range(base + 1, base + d + 1))
     out, prev = [], 0
     for cut in cuts(d, k):

@@ -13,10 +13,10 @@ Core claims:
     - single_sink_restriction keeps exactly the ancestors and is idempotent,
       and builds the graph that rebuilding the kept names and edges builds
     - graph JSON round-trips through the loader's validation
-    - the JSON writer gives the bytes of json.dumps(indent=2) plus a newline,
-      and streams a file one top-level list element at a time, writing an
-      element that repeats by identity from its first text; the certificate
-      writer streams one multiplier at a time
+    - a saved strategy, whatever JSON its game and flavor hold and however
+      its moves repeat, is the bytes of json.dumps(strategy_to_json,
+      indent=2) plus a newline, reads back, and is written one move per
+      write; the certificate writer streams one multiplier at a time
     - the file reader runs no garbage collection while it decodes and parses
       a file, and leaves the collector as the caller had it, on success and
       on every failure
@@ -48,9 +48,9 @@ from pebcert import (
 from pebcert import graphs
 from pebcert.algebra import Field, MultilinearPoly
 from pebcert.errors import CertificateError, GraphError, ParamOutOfRange
-from pebcert.graphs import Dag, _write_json, bit_reverse_index
-from pebcert.pebbling import (PLACE, REMOVE, REVERSIBLE, VISITING, Move, Strategy, save_strategy,
-                              strategy_to_json)
+from pebcert.graphs import Dag, bit_reverse_index
+from pebcert.pebbling import (PLACE, REMOVE, REVERSIBLE, VISITING, Move, Strategy, load_strategy,
+                              save_strategy, strategy_from_json, strategy_to_json)
 
 
 def test_build_single_vertex():
@@ -415,25 +415,28 @@ def test_file_reader_and_build_dag_agree(vertices, edges, sink):
     assert built == read
 
 
-_ROW = {"op": "place", "v": "v1"}
-_ITEMS = [_ROW, ["a", _ROW], _ROW]
+_STR = _TEXT | _TEXT.map(_Name)
+# a few distinct moves, as pairs or as Moves, drawn again and again
+_MOVES = st.lists(st.tuples(_STR, _STR) | st.builds(Move, _STR, _STR), min_size=1,
+                  max_size=4).flatmap(lambda pool: st.lists(st.sampled_from(pool), max_size=10))
 
 
 @settings(max_examples=60)
-@given(value=_JSON)
-@example(value={"a": [{"b": ({"c": [[], {}, ()]},)}], "": None})
-@example(value=[True, False, None, 2**64 + 1, -2**70, 0, "", _Name("\U0001f600\\\"")])
-@example(value={_Name("k"): {"moves": [], "x": ()}, "\xe9\x00": "\ud7ff\U00010000"})
-@example(value=())
-@example(value="\x1f")
-@example(value=[_ROW, _ROW, {"op": "place", "v": "v2"}, _ROW])  # one object, written three times
-@example(value={"moves": _ITEMS, "again": _ITEMS})  # one list under two keys
-def test_writer_matches_json_dumps_indent_2(tmp_path_factory, value):
-    want = json.dumps(value, indent=2) + "\n"
-    assert _write_json(value) == want
+@given(game=_JSON, flavor=st.none() | _JSON, moves=_MOVES)
+@example(game=REVERSIBLE, flavor=VISITING, moves=[])
+@example(game="standard", flavor=None, moves=[])
+@example(game="standard", flavor=None,
+         moves=[(PLACE, "v1"), Move(PLACE, "v1"), (REMOVE, _Name("v1")), (PLACE, "v1")])
+@example(game={"a": [{"b": ({"c": [[], {}, ()]},)}], "": None}, flavor=[True, 2**64 + 1, "\x1f"],
+         moves=[(_Name("\U0001f600\\\""), "\xe9\x00"), ("\ud7ff\U00010000", "\u2028")])
+def test_writer_matches_json_dumps_indent_2(tmp_path_factory, game, flavor, moves):
+    strategy = Strategy(game, flavor, tuple(moves))
+    want = json.dumps(strategy_to_json(strategy), indent=2) + "\n"
     path = tmp_path_factory.getbasetemp() / "writer_parity.json"
-    _write_json(value, path)
+    save_strategy(strategy, path)
     assert path.read_bytes() == want.encode("utf-8")
+    loaded = load_strategy(path)
+    assert loaded == strategy_from_json(json.loads(want)) and loaded.moves == strategy.moves
 
 
 class _WriteSpy:

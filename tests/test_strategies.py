@@ -12,6 +12,7 @@ distinct move and is decoded back from the signed steps of its replay.  The
 line prices refuse what `line` refuses.  The by-depth forward half, closed
 by `visiting`, equals the by-depth pebbling's replay closed at its first
 sink visit, and `_iroot_ceil(n, k)` is the least r >= 1 with r**k >= n.
+The checkpoint strategies take any k: k = 10**9 builds the k = 64 strategy.
 Both cut rules return strictly increasing cuts in (0, d], so `_place` never
 climbs a distance of 0, and `_segments` stays below d.
 """
@@ -255,10 +256,12 @@ def test_cuts_increase_strictly_inside_the_climb():
 
 
 def test_iroot_ceil_is_the_least_root():
-    for k in range(1, 7):
+    # up to k = 15, past the bit length of every n here, where k is cut down
+    for k in range(1, 16):
         for n in range(5001):
             r = _iroot_ceil(n, k)
             assert r >= 1 and r ** k >= n and (r == 1 or (r - 1) ** k < n), (n, k, r)
+    assert [_iroot_ceil(n, 10**9) for n in (0, 1, 2, 5000)] == [1, 1, 2, 2]
 
 
 @pytest.mark.parametrize("c,r,j", [(2, 1, 1), (2, 1, 2), (2, 2, 1), (3, 2, 1), (3, 2, 2)])
@@ -297,6 +300,20 @@ def test_bit_reversal_checkpoint_k1_pins_whole_bottom_line():
     assert placed == [f"x{i}" for i in range(1, 17)]
     metrics = verify_strategy(bit_reversal(16), strat)
     assert metrics.space == 32
+
+
+@pytest.mark.parametrize("build,dag", [
+    (lambda k: strat_line_checkpoint(3, k), line(3)),
+    (lambda k: strat_line_checkpoint(100, k), line(100)),
+    (lambda k: strat_bit_reversal_checkpoint(4, k), bit_reversal(4)),
+    (lambda k: strat_bit_reversal_checkpoint(64, k), bit_reversal(64)),
+], ids=["line(3)", "line(100)", "br(4)", "br(64)"])
+def test_checkpoint_strategies_take_a_huge_k(build, dag):
+    # past a chain's bit length every k cuts alike, and a level of at most one
+    # vertex sweeps, so a huge k recurses no deeper and computes no huge power
+    strategy = build(10**9)
+    assert strategy == build(64)
+    verify_strategy(dag, strategy)
 
 
 def _cs(c, r, j):
