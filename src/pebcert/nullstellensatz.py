@@ -17,25 +17,29 @@ verify, axiom_poly and config_graph share: A_v is its move-table entry
 equal to the tuple of its fields.  `Certificate` checks its own shape (mode,
 dict maps, string keys, multiplier kinds, one field) whenever one is built,
 and `verify` alone decides validity: `multilinearize` and `extract` judge
-their input by it.  The compiler turns each step of a reversible pebbling
-prefix into the telescoping term sign * x_R * A_v with
+their input by its body, `_judge`.  The compiler turns each step of a
+reversible pebbling prefix into the telescoping term sign * x_R * A_v with
 R = P_i - {v_i} - pred(v_i), v_i read off P_i ^ P_{i-1} of the replay, and
 closes with A_sink * x_{P_t' - {z}}.  The extractor walks the configuration
 graph, whose edges are the terms c*x_W of the vertex multipliers Q_v with v
-not in W (z in W or not), closes the path through `pebbling.visiting` and
+not in W (z in W or not), on the masks of the check that judged the
+multilinear certificate, closes the path through `pebbling.visiting` and
 replays the result once; configuration weights follow the signed occurrence
 accounting (a monomial q of Q_v contributes its coefficient at W + pred(v)
 and minus it at W + pred(v) + {v}), under which the empty configuration
 weighs 1 and every other sink-free endpoint weighs 0 for a valid certificate.
 
 Configurations are bitmasks over topological indices, as in the game and the
-search, and a multilinear monomial x_W is the mask of W under `_mask_rows`'
+search, and a multilinear monomial x_W is the mask of W under `_masks`'
 variable table: the DAG's names, then each variable outside the DAG (syzygy
 moves bring such variables in) at the next free bit, in order of first
-appearance.  `_mask_rows` alone reads a multilinear certificate as signed
-rows over masks, for verify and for `config_graph`, which leaves out Q_sink.
-Multiplier `terms` stay keyed by names, and masks go back to names only
-through `graphs.mask_names`.  Each operation is one pass, linear
+appearance.  `_masks` alone masks a multilinear certificate: it reads every
+axiom id, then masks each distinct monomial once, and gives each axiom's
+entry (bit, pm) with its multiplier and the masks.  Its callers loop over
+the entries themselves, a term x_W of Q_a at `masks[W] | pm`: verify's
+judge, whose masks `extract` walks, and `config_graph`, which leaves out
+Q_sink.  Multiplier `terms` stay keyed by names, and masks go back to names
+only through `graphs.mask_names`.  Each operation is one pass, linear
 in its number of terms: verify adds every term as a plain int into one map
 keyed by ints, masks in multilinear mode and exponent codes in standard mode,
 the compiler accumulates {R mask: coefficient} per vertex, and check_weights
@@ -44,14 +48,15 @@ translates only its violations to names.  Both checks take their ints from
 `Field.scaled` and reduce each key's sum once through `Field.unscaled`, so
 no term pays a `Fraction` operation over Q.  A standard-mode monomial is the
 file's sorted "vars" list, read and written as is; verify alone codes it,
-one digit per variable, and `_code` at width 1 is `_mask_rows`' mask.  A
+one digit per variable, and `_code` at width 1 is `_masks`' mask.  A
 certificate repeats few names and monomials over many terms, so it
 holds one object for each: the compiler turns each distinct R mask into
 names once, over the DAG's own name strings, and the reader keeps one table
 per certificate from each distinct "vars" list to its monomial and from each
-name to its string.  `multilinearize` clamps and `_mask_rows` masks each
-distinct monomial once per call, and the writer, which renders the file text
-without building the document, sorts it and renders its "vars" text once.
+name to its string.  `multilinearize` clamps and `_masks` masks each
+distinct monomial once per call, `extract`'s included, and the writer,
+which renders the file text without building the document, sorts it and
+renders its "vars" text once.
 """
 
 from __future__ import annotations
@@ -61,7 +66,7 @@ from itertools import chain
 from typing import NamedTuple
 
 from .algebra import ExpPoly, Field, MultilinearPoly
-from .errors import CertificateError, GraphError, InternalConsistencyError
+from .errors import AlgebraError, CertificateError, GraphError, InternalConsistencyError
 from .graphs import Dag, _quote, _read_json, _write_text, mask_names
 from .pebbling import (
     REVERSIBLE,
@@ -195,17 +200,23 @@ def verify(formula: PebblingFormula, cert: Certificate) -> VerifyReport:
     as a plain int at the field's scale (`Field.scaled`) on an int key.  A
     key whose int sum cancels leaves at once, each other key's sum is reduced
     once at the end (`Field.unscaled`), and names come back only for the
-    failure residual.  Multilinear mode adds the
-    certificate's `_mask_rows`, the rows that `config_graph` reads: a term
-    c*x_W of Q_v adds c at W + pred(v) and -c at W + pred(v) + {v}, one of
-    Q_sink adds c at W + {z}.  Standard mode keys a monomial by its `_code`,
-    over the DAG's names and then each variable outside it, as in
-    `_mask_rows`' table, each in a digit wide enough for any exponent of a
-    product.  A product is the sum of its factors' codes and its degree the
-    sum of their `len`s, and the Boolean axiom of x_j adds 2*e_j and -e_j
-    for x_j's digit e_j; a multilinear factor reads with exponent 1, and no
-    factor is converted.
+    failure residual.  Multilinear mode adds on the masks of `_masks`, the
+    ones that `config_graph` and `extract` read: a term c*x_W of Q_v adds c
+    at W + pred(v) and -c at W + pred(v) + {v}, one of Q_sink adds c at
+    W + {z}.  Standard mode keys a monomial by its `_code`, over the DAG's
+    names and then each variable outside it, as in `_masks`' table, each in
+    a digit wide enough for any exponent of a product.  A product is the sum
+    of its factors' codes and its degree the sum of their `len`s, and the
+    Boolean axiom of x_j adds 2*e_j and -e_j for x_j's digit e_j; a
+    multilinear factor reads with exponent 1, and no factor is converted.
     """
+    return _judge(formula, cert)[0]
+
+
+def _judge(formula, cert):
+    """`verify`'s report, and in multilinear mode the masked view it added
+    on: (`_masks`' entries, its masks, the names of its bits); None in
+    standard mode."""
     f = cert.field
     polys = [*cert.multipliers.values(), *cert.boolean_multipliers.values()]
     scale, ints = f.scaled([c for q in polys for c in q.terms.values()])
@@ -214,29 +225,33 @@ def verify(formula: PebblingFormula, cert: Certificate) -> VerifyReport:
     # nonzero, so a sum that cancels is a present key's, deleted at once
     total = {0: -scale}
     get = total.get
+    ints = iter(ints)
     if cert.mode == MULTILINEAR:
         bits = {name: 1 << i for i, name in enumerate(formula.dag.names)}
-        for (lo, bit, _), n in zip(_mask_rows(formula, cert.multipliers, bits), ints):
-            hi = lo | bit
-            if s := get(lo, 0) + n:
-                total[lo] = s
-            else:
-                del total[lo]
-            size += 1
-            if bit:
-                if s := get(hi, 0) - n:
-                    total[hi] = s
+        entries, masks = _masks(formula, cert.multipliers, bits)
+        for (bit, pm), q in entries:
+            size += len(q.terms) * (2 if bit else 1)
+            for m, n in zip(q.terms, ints):  # stops before taking the next polynomial's ints
+                lo = masks[m] | pm
+                hi = lo | bit
+                if s := get(lo, 0) + n:
+                    total[lo] = s
                 else:
-                    del total[hi]
-                size += 1
-            if (d := hi.bit_count()) > degree:
-                degree = d
+                    del total[lo]
+                if bit:
+                    if s := get(hi, 0) - n:
+                        total[hi] = s
+                    else:
+                        del total[hi]
+                if (d := hi.bit_count()) > degree:
+                    degree = d
+        names = tuple(bits)
+        view = entries, masks, names
         sums = f.unscaled(total, scale)
         if not sums:
-            return VerifyReport(True, size, degree)
-        names = tuple(bits)
+            return VerifyReport(True, size, degree), view
         return VerifyReport(False, size, degree, MultilinearPoly._of(
-            f, {mask_names(names, m): c for m, c in sums.items()}))
+            f, {mask_names(names, m): c for m, c in sums.items()})), view
 
     # an exponent of a product is at most a multiplier's degree plus 2, from x_j^2
     width = (max((len(m) for q in polys for m in q.terms), default=0) + 2).bit_length()
@@ -251,7 +266,6 @@ def verify(formula: PebblingFormula, cert: Certificate) -> VerifyReport:
         e = _code((var,), digits, width)
         axioms.append((2 * e, e, 2))
     codes = {}  # monomial -> its code
-    ints = iter(ints)
     for q, (plus, minus, top) in zip(polys, axioms):
         if not q.terms:
             continue
@@ -274,9 +288,9 @@ def verify(formula: PebblingFormula, cert: Certificate) -> VerifyReport:
                     del total[key]
     sums = f.unscaled(total, scale)
     if not sums:
-        return VerifyReport(True, size, degree)
+        return VerifyReport(True, size, degree), None
     return VerifyReport(False, size, degree, ExpPoly._of(
-        f, {_monomial(k, digits, width): c for k, c in sums.items()}))
+        f, {_monomial(k, digits, width): c for k, c in sums.items()})), None
 
 
 def compile_strategy(dag: Dag, strategy: Strategy, field: Field) -> Certificate:
@@ -326,7 +340,7 @@ class ConfigGraph(NamedTuple):
     Bit i of a configuration mask is names[i]: the DAG's vertices (the sink
     at bit `sink`), then the variables outside the DAG that the vertex
     multipliers hold, in order of first appearance and, within one
-    monomial, by name (`_mask_rows`' table without Q_sink), so the names
+    monomial, by name (`_masks`' table without Q_sink), so the names
     and masks are the same under every hash seed.  Each term c*x_W of a
     vertex multiplier Q_v with v not in W, whether W holds z or not, is one
     edge (lo, hi, c) with lo = W + pred(v) and hi = lo + {v}; c counts at lo
@@ -375,25 +389,26 @@ def _monomial(code, digits, width):
     return tuple(sorted(out))
 
 
-def _mask_rows(formula, multipliers, bits):
-    """The rows (lo, bit, c) of the sum of multiplied axioms on masks.
+def _masks(formula, multipliers, bits):
+    """(entries, masks): each axiom's move-table entry (bit, pm) with its
+    multiplier, and each distinct monomial x_W of the multipliers -> the
+    mask of W.
 
-    A term c*x_W of an axiom with move-table entry (bit, pm) gives the row
-    (W + pm, bit), to count c at lo and -c at lo + bit; Q_sink's entry
-    (0, {z}) counts c at W + {z} alone.  Every axiom id is read before the
-    first row.  x_W is masked under the variable table `bits` (name -> bit),
+    A term c*x_W of an axiom with entry (bit, pm) counts c at W + pm and,
+    when bit is set, -c at W + pm + bit; Q_sink's entry (0, {z}) counts c at
+    W + {z} alone.  Every axiom id is read before the first monomial is
+    masked.  x_W is masked under the variable table `bits` (name -> bit),
     once per distinct monomial; a variable outside the table takes the next
     free bit, in the order `multipliers` gives its terms and, within one
     monomial, by name.
     """
     entries = [(formula.axiom(a), q) for a, q in multipliers.items()]
     masks = {}  # monomial -> its mask
-    for (bit, pm), q in entries:
-        for mono, c in q.terms.items():
-            lo = masks.get(mono)
-            if lo is None:
-                lo = masks[mono] = _code(mono, bits, 1)
-            yield lo | pm, bit, c
+    for _, q in entries:
+        for m in q.terms:
+            if m not in masks:
+                masks[m] = _code(m, bits, 1)
+    return entries, masks
 
 
 def config_graph(dag: Dag, cert: Certificate) -> ConfigGraph:
@@ -408,9 +423,12 @@ def config_graph(dag: Dag, cert: Certificate) -> ConfigGraph:
     bits = {name: 1 << i for i, name in enumerate(dag.names)}
     # Q_sink makes no edge, so its variables take no bit
     multipliers = {a: q for a, q in cert.multipliers.items() if a != SINK_AXIOM}
-    edges = [(lo, lo | bit, coeff)
-             for lo, bit, coeff in _mask_rows(pebbling_formula(dag), multipliers, bits)
-             if not lo & bit]
+    entries, masks = _masks(pebbling_formula(dag), multipliers, bits)
+    edges = []
+    for (bit, pm), q in entries:
+        for m, c in q.terms.items():
+            if not (lo := masks[m] | pm) & bit:
+                edges.append((lo, lo | bit, c))
     return ConfigGraph(tuple(bits), dag.designated_sink, cert.field, tuple(edges))
 
 
@@ -436,18 +454,16 @@ def check_weights(cg: ConfigGraph) -> WeightReport:
 def extract(dag: Dag, cert: Certificate) -> Strategy:
     """Visiting pebbling read off a valid certificate.
 
-    Reads its input through `multilinearize`, then walks the configuration
-    graph from the empty configuration to a sink-containing one by BFS and
-    mirrors the path.  Neighbours are visited in (size, sorted names) order.  Space is at
-    most the certificate degree and time at most size - 1; both hold with
-    equality for compiled search witnesses.
+    Judges its input as `multilinearize` does and walks the configuration
+    graph of the multilinear certificate judged last, on the masks of that
+    check (`_adjacency`), from the empty configuration to a sink-containing
+    one by BFS, and mirrors the path.  Neighbours are visited in (size,
+    sorted names) order.  Space is at most the certificate degree and time
+    at most size - 1; both hold with equality for compiled search
+    witnesses.
     """
-    cert = multilinearize(pebbling_formula(dag), cert)
-    cg = config_graph(dag, cert)
-    adj = {}
-    for lo, hi, _ in cg.edges:
-        adj.setdefault(lo, set()).add(hi)
-        adj.setdefault(hi, set()).add(lo)
+    _, (entries, masks, names) = _multilinear(pebbling_formula(dag), cert)
+    adj = _adjacency(entries, masks)
     if 0 not in adj:
         raise InternalConsistencyError("empty configuration touches no edge")
     zbit = 1 << dag.designated_sink
@@ -457,9 +473,9 @@ def extract(dag: Dag, cert: Certificate) -> Strategy:
         u = queue.popleft()
         if u & zbit:
             break
-        fresh = [w for w in adj[u] if w not in parent]
+        fresh = adj[u].difference(parent)
         if len(fresh) > 1:  # each endpoint is keyed at most once, when first reached
-            fresh.sort(key=lambda c: MultilinearPoly._key(mask_names(cg.names, c)))
+            fresh = sorted(fresh, key=lambda c: MultilinearPoly._key(mask_names(names, c)))
         for w in fresh:
             parent[w] = u
             queue.append(w)
@@ -475,6 +491,21 @@ def extract(dag: Dag, cert: Certificate) -> Strategy:
     return strategy
 
 
+def _adjacency(entries, masks):
+    """Each endpoint of the configuration graph -> its neighbours: the
+    edges of `config_graph`, read off `_masks`' view of the certificate."""
+    adj = {}
+    for (bit, pm), q in entries:
+        if not bit:  # Q_sink makes no edge
+            continue
+        for m in q.terms:
+            if not (lo := masks[m] | pm) & bit:
+                hi = lo | bit
+                adj.setdefault(lo, set()).add(hi)
+                adj.setdefault(hi, set()).add(lo)
+    return adj
+
+
 def multilinearize(formula: PebblingFormula, cert: Certificate) -> Certificate:
     """Clamp exponents and drop Boolean multipliers; size and degree never grow.
 
@@ -483,12 +514,19 @@ def multilinearize(formula: PebblingFormula, cert: Certificate) -> Certificate:
     Clamping is a ring homomorphism modulo x_j^2 - x_j, so the clamped copy of
     a valid standard refutation is valid: its check guards an identity.
     """
-    report = verify(formula, cert)
+    return _multilinear(formula, cert)[0]
+
+
+def _multilinear(formula, cert):
+    """`multilinearize`'s certificate and the masked view of its multilinear
+    check (`_judge`): of `cert` itself in multilinear mode, of the clamped
+    copy in standard mode."""
+    report, view = _judge(formula, cert)
     if not report.valid:
         raise CertificateError(
             f"certificate does not verify; residual: {report.failure_residual.summary()}")
     if cert.mode == MULTILINEAR:
-        return cert
+        return cert, view
     f, clamped, multipliers = cert.field, {}, {}  # monomial or set -> its one clamped set
     for a, q in cert.multipliers.items():
         terms = {}
@@ -498,9 +536,10 @@ def multilinearize(formula: PebblingFormula, cert: Certificate) -> Certificate:
             f.accumulate(terms, clamped[m], c)
         multipliers[a] = MultilinearPoly._of(f, terms)
     out = Certificate(f, MULTILINEAR, multipliers)
-    if not verify(formula, out).valid:
+    report, view = _judge(formula, out)
+    if not report.valid:
         raise InternalConsistencyError("the clamped copy of a valid certificate does not verify")
-    return out
+    return out, view
 
 
 def certificate_to_json(cert: Certificate) -> dict:
@@ -601,7 +640,9 @@ def _poly_from_json(field, entries, mode, shared):
     `shared` is one table per certificate.  The key (kind, *names) of a
     "vars" list read before holds that list's monomial, and a name key the
     name's one string, so every repeat of a monomial or a name is one
-    object.  `_read` checks each distinct list, the first time it comes.
+    object.  Each distinct list is built once, the first time it comes:
+    its names are looked up in `shared`, then `_read` checks and builds the
+    monomial over them.  A refusal names the list as the file gives it.
     """
     poly = MultilinearPoly if mode == MULTILINEAR else ExpPoly
     terms = {}
@@ -614,10 +655,14 @@ def _poly_from_json(field, entries, mode, shared):
             key = (poly, *names)
             mono = shared.get(key)
         except TypeError:  # an unhashable name, which `_read` refuses
-            key = mono = None
+            poly._read(names)
+            raise
         if mono is None:
-            mono = poly._read(names)
-            mono = shared[key] = poly._norm(shared.setdefault(v, v) for v in mono)
+            try:
+                mono = shared[key] = poly._read([shared.setdefault(v, v) for v in names])
+            except AlgebraError:  # not all strings: say so of the list as given
+                poly._read(names)
+                raise
         text = e["coeff"]
         if isinstance(text, str) and text in parsed:
             coeff = parsed[text]

@@ -27,10 +27,11 @@ own how on-path configurations come from a search's layers.  A call to
 `_mul_into` outside `_Poly.__mul__` would be a second product rule, such as
 one that takes the multiplier's class where another needs ExpPoly's;
 `verify` uses no product rule in either mode, as it adds on configuration
-masks or on exponent codes.  A call to `_mask_rows` outside `nullstellensatz.verify` and
+masks or on exponent codes.  A call to `_masks` outside `nullstellensatz._judge`
+(the body of `verify`, whose masks `extract` walks) and
 `nullstellensatz.config_graph` would be a second reading of certificate
 terms as configuration masks, one that could give a variable outside the
-DAG another bit.  A call to `Dag` outside `graphs.build_dag` and
+DAG another bit, or mask a monomial that a check already masked.  A call to `Dag` outside `graphs.build_dag` and
 `graphs.single_sink_restriction` would be a graph whose names, order and
 predecessors nobody checked.  A call to `_rule` outside `pebbling.replay`
 would be a second replay loop that decides on its own which moves are
@@ -226,7 +227,7 @@ _CALLED_ONLY_IN = {
     "_back": [("search.py", "_solve")],
     "_walk": [("search.py", "_solve")],
     "_mul_into": [("algebra.py", "_Poly.__mul__")],
-    "_mask_rows": [("nullstellensatz.py", "config_graph"), ("nullstellensatz.py", "verify")],
+    "_masks": [("nullstellensatz.py", "_judge"), ("nullstellensatz.py", "config_graph")],
     "Dag": [("graphs.py", "build_dag"), ("graphs.py", "single_sink_restriction")],
     "_rule": [("pebbling.py", "replay"), ("pebbling.py", "replay")],
     "Move": [("pebbling.py", "_moves"), ("pebbling.py", "strategy_from_json")],
@@ -266,12 +267,13 @@ def test_detects_product_calls():
 
 
 def test_detects_mask_rows_calls():
-    source = ("def verify(f, c):\n    return sum(c for _, _, c in _mask_rows(f, c, {}))\n"
+    source = ("def _judge(f, c):\n    entries, masks = _masks(f, c, {})\n"
               "class G:\n    def edges(self, f, c):\n"
-              "        return list(nullstellensatz._mask_rows(f, c, {}))\n"
-              "rows = [r for r in _mask_rows(None, None, {})]\nf = _mask_rows\n")
-    assert _guarded_calls(source) == [("verify", "_mask_rows"), ("G.edges", "_mask_rows"),
-                                      (None, "_mask_rows")]
+              "        return nullstellensatz._masks(f, c, {})[1]\n"
+              "def extract(d, c):\n    return [m for m in _masks(d, c, {})[1]]\n"
+              "view = _masks(None, None, {})\nf = _masks\n")
+    assert _guarded_calls(source) == [("_judge", "_masks"), ("G.edges", "_masks"),
+                                      ("extract", "_masks"), (None, "_masks")]
 
 
 def test_detects_dag_calls():
@@ -339,7 +341,7 @@ def test_one_product_path_for_both_polynomial_kinds():
 
 
 def test_monomials_become_masks_only_in_verify_and_config_graph():
-    _check_called_only_in("_mask_rows")
+    _check_called_only_in("_masks")
 
 
 def test_dags_are_built_only_by_build_dag_and_the_restriction():

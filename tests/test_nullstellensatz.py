@@ -663,17 +663,17 @@ def test_readers_reject_a_standard_cert_that_verify_rejects():
 
 
 def test_readers_judge_the_certificate_they_are_given(monkeypatch):
-    # verify is the one judge: the first certificate that extract and
-    # multilinearize hand it is the very object they were passed, and a
+    # verify's judge is the one judge: the first certificate that extract
+    # and multilinearize hand it is the very object they were passed, and a
     # multilinear certificate is judged once
     seen = []
-    real_verify = nullstellensatz.verify
+    real_judge = nullstellensatz._judge
 
     def spy(formula, cert):
         seen.append(cert)
-        return real_verify(formula, cert)
+        return real_judge(formula, cert)
 
-    monkeypatch.setattr(nullstellensatz, "verify", spy)
+    monkeypatch.setattr(nullstellensatz, "_judge", spy)
     dag = _single_vertex()
     f = pebbling_formula(dag)
     valid_standard = Certificate(Q, "standard", {
@@ -709,16 +709,17 @@ def _cert_cli(tmp_path, action, dag, cert):
 def test_extract_on_a_broken_config_graph_is_internal_error(monkeypatch, tmp_path, capsys,
                                                             dropped, message):
     # a valid certificate's graph has edges at {} and a path to the sink, so
-    # losing either is a bug in config_graph, not a bad certificate
-    real = nullstellensatz.config_graph
-
-    def dropping(dag, cert):
-        cg = real(dag, cert)
-        zbit = 1 << cg.sink
-        return cg._replace(edges=tuple(e for e in cg.edges if not dropped(e[0], e[1], zbit)))
-
-    monkeypatch.setattr(nullstellensatz, "config_graph", dropping)
+    # losing either is a bug in the graph extract walks, not a bad certificate
+    real = nullstellensatz._adjacency
     dag = line(2)
+    zbit = 1 << dag.designated_sink
+
+    def dropping(entries, masks):
+        kept = {u: {w for w in ws if not dropped(min(u, w), max(u, w), zbit)}
+                for u, ws in real(entries, masks).items()}
+        return {u: ws for u, ws in kept.items() if ws}
+
+    monkeypatch.setattr(nullstellensatz, "_adjacency", dropping)
     cert = compile_strategy(dag, min_space(dag, "reversible", "visiting")[1], F2)
     with pytest.raises(InternalConsistencyError, match=f"^{message}$"):
         extract(dag, cert)
@@ -729,15 +730,15 @@ def test_extract_on_a_broken_config_graph_is_internal_error(monkeypatch, tmp_pat
 def test_multilinearize_with_an_invalid_clamped_copy_is_internal_error(monkeypatch, tmp_path,
                                                                        capsys):
     # clamping keeps a valid refutation valid, so a clamped copy that fails
-    # verify is a bug; verify fails every multilinear certificate here, and
-    # the given one is standard, so only the second call fails
-    real = nullstellensatz.verify
+    # verify is a bug; verify's judge fails every multilinear certificate
+    # here, and the given one is standard, so only the second call fails
+    real = nullstellensatz._judge
 
     def failing_clamped(formula, cert):
-        report = real(formula, cert)
-        return report._replace(valid=False) if cert.mode == "multilinear" else report
+        report, view = real(formula, cert)
+        return (report._replace(valid=False) if cert.mode == "multilinear" else report), view
 
-    monkeypatch.setattr(nullstellensatz, "verify", failing_clamped)
+    monkeypatch.setattr(nullstellensatz, "_judge", failing_clamped)
     dag = _single_vertex()
     cert = Certificate(Q, "standard", {
         "vertex:z": ExpPoly.one(Q), "sink": ExpPoly.monomial(Q, ("z",)),
@@ -1368,6 +1369,65 @@ def test_extract_meets_backward_bounds(case):
     metrics = verify_strategy(dag, extract(dag, cert))
     assert metrics.space <= report.degree
     assert metrics.time <= report.size - 1
+
+
+def _holds_v_case():
+    """The compiled certificate of line(2) with x_v1 added to Q_v1, still
+    valid as x_v1 * A_v1 = 0: a row whose lower end holds its own vertex."""
+    dag = line(2)
+    multipliers = dict(compile_strategy(dag, min_space(dag, "reversible", "visiting")[1],
+                                        F3).multipliers)
+    multipliers["vertex:v1"] = multipliers["vertex:v1"] + MultilinearPoly.monomial(F3, {"v1"})
+    return dag, pebbling_formula(dag), Certificate(F3, "multilinear", multipliers), False
+
+
+def _neighbours(names, edges):
+    """Each endpoint's names -> its neighbours' names, for (lo, hi) masks."""
+    out = {}
+    for lo, hi in edges:
+        lo, hi = mask_names(names, lo), mask_names(names, hi)
+        out.setdefault(lo, set()).add(hi)
+        out.setdefault(hi, set()).add(lo)
+    return out
+
+
+@settings(max_examples=40)
+@given(_certificates(st.booleans()))
+@example(_sink_first_case())
+@example(_holds_v_case())
+def test_extract_walks_the_configuration_graph(case):
+    # the graph extract walks on its check's masks is config_graph's: Q_sink
+    # and the terms of Q_v that hold v make no edge, not even a loop
+    dag, formula, cert, _ = case
+    _, (entries, masks, names) = nullstellensatz._judge(formula, cert)
+    walked = nullstellensatz._adjacency(entries, masks)
+    cg = config_graph(dag, cert)
+    assert _neighbours(names, [(u, w) for u, ws in walked.items() for w in ws]) == \
+        _neighbours(cg.names, [(lo, hi) for lo, hi, _ in cg.edges])
+
+
+def test_extract_codes_each_distinct_monomial_once(monkeypatch):
+    # extract walks the masks of the check that judged the certificate: no
+    # monomial is coded twice, and Q_sink's, which make no edge, once too
+    dag = line(2)
+    formula = pebbling_formula(dag)
+    multipliers = dict(compile_strategy(dag, min_space(dag, "reversible", "visiting")[1],
+                                        Q).multipliers)
+    u = MultilinearPoly.monomial(Q, {"u"})  # outside the DAG
+    multipliers["sink"] = multipliers["sink"] + u * formula.axiom_poly("vertex:v1", Q)
+    multipliers["vertex:v1"] = multipliers["vertex:v1"] - u * formula.axiom_poly("sink", Q)
+    cert = Certificate(Q, "multilinear", multipliers)
+    assert frozenset({"u"}) in cert.multipliers["sink"].terms
+    coded = Counter()
+    real = nullstellensatz._code
+
+    def spy(mono, digits, width):
+        coded[mono] += 1
+        return real(mono, digits, width)
+
+    monkeypatch.setattr(nullstellensatz, "_code", spy)
+    assert verify_strategy(dag, extract(dag, cert)).space == 2
+    assert coded == Counter({m for q in cert.multipliers.values() for m in q.terms})
 
 
 # -- multilinear verify on masks against the product rule ----------------------
